@@ -12,17 +12,22 @@ Five bounds, all functions of the degree sequence alone:
 Zero entries (isolated vertices) are stripped before evaluation since the
 bounds concern graphs without isolated vertices; ``bound_report`` records
 whether stripping happened.
+
+Validation contract: public functions validate their input once, through
+``graphicality.require_graphic``; the ``_``-prefixed kernels take the
+arranged positive degrees of a graphic sequence and never re-validate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import InternalConsistencyError, NotGraphicError
-from .graphicality import is_graphic_eg
+from .errors import InternalConsistencyError
+from .graphicality import require_graphic
 from .sequences import DegreeSequence
 
 __all__ = [
@@ -54,29 +59,12 @@ class BoundReport:
         return Fraction(self.vizing_num, self.vizing_den)
 
     def as_record(self) -> dict:
-        """Flat key/value view for serialization."""
-        return {
-            "k_star": self.k_star,
-            "ell_star": self.ell_star,
-            "noP3": self.noP3,
-            "posa": self.posa,
-            "vizing_num": self.vizing_num,
-            "vizing_den": self.vizing_den,
-            "vizing_ceil": self.vizing_ceil,
-            "zeros_stripped": self.zeros_stripped,
-        }
+        """Flat key/value view for serialization, in field order."""
+        return asdict(self)
 
 
 def _positive_degrees(d: DegreeSequence) -> tuple[int, ...]:
-    stripped, _ = d.strip_zeros()
-    return stripped.degrees
-
-
-def _positive_degrees_graphic(d: DegreeSequence) -> tuple[int, ...]:
-    verdict = is_graphic_eg(d)
-    if not verdict.is_graphic:
-        raise NotGraphicError(f"sequence {d} is not graphic", verdict)
-    return _positive_degrees(d)
+    return d.strip_zeros()[0].degrees
 
 
 def maximality_bound(d: DegreeSequence) -> int:
@@ -85,17 +73,18 @@ def maximality_bound(d: DegreeSequence) -> int:
     The deficiency is strictly increasing in k, so a linear scan stops at
     the first hit.
     """
-    degs = _positive_degrees_graphic(d)
+    require_graphic(d)
+    return _maximality_bound(_positive_degrees(d))
+
+
+def _maximality_bound(degs: tuple[int, ...]) -> int:
     n = len(degs)
     prefix = [0, *accumulate(degs)]
     m = prefix[n] // 2
-    k = 0
-    while True:
+    for k in range(0, n + 1):
         if prefix[min(2 * k, n)] - m - k >= 0:
             return k
-        k += 1
-        if k > n:
-            raise InternalConsistencyError("maximality bound scan ran past n")
+    raise InternalConsistencyError("maximality bound scan ran past n")
 
 
 def vizing_bound(d: DegreeSequence) -> tuple[Fraction, int]:
@@ -114,21 +103,10 @@ def posa_bound(d: DegreeSequence) -> int:
     degs = _positive_degrees(d)
     n = len(degs)
     asc = sorted(degs)
-
-    def t(q: int) -> int:
-        # number of vertices with degree <= q
-        lo, hi = 0, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if asc[mid] <= q:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     r = n
     for ell in range(1, n + 1):
-        if all(t(q) - q + 1 <= ell for q in range(0, (n - ell + 1) // 2)):
+        # t(q) = bisect_right(asc, q), the number of vertices with degree <= q
+        if all(bisect_right(asc, q) - q + 1 <= ell for q in range(0, (n - ell + 1) // 2)):
             r = ell
             break
     return (n - r + 1) // 2
@@ -137,7 +115,11 @@ def posa_bound(d: DegreeSequence) -> int:
 def gale_ryser_bound(d: DegreeSequence) -> int:
     """Smallest ell such that the top 2*ell degrees, each capped at k after
     discounting one matching edge, dominate the next k degrees for every k."""
-    degs = _positive_degrees_graphic(d)
+    require_graphic(d)
+    return _gale_ryser_bound(_positive_degrees(d))
+
+
+def _gale_ryser_bound(degs: tuple[int, ...]) -> int:
     n = len(degs)
     prefix = [0, *accumulate(degs)]
     for ell in range(0, n // 2 + 1):
@@ -155,7 +137,11 @@ def gale_ryser_bound(d: DegreeSequence) -> int:
 
 def matching_lower_bound(d: DegreeSequence) -> int:
     """Smallest k with 2*sum(top k) + sum(next k) >= degree sum."""
-    degs = _positive_degrees_graphic(d)
+    require_graphic(d)
+    return _matching_lower_bound(_positive_degrees(d))
+
+
+def _matching_lower_bound(degs: tuple[int, ...]) -> int:
     n = len(degs)
     prefix = [0, *accumulate(degs)]
     total = prefix[n]
@@ -168,14 +154,12 @@ def matching_lower_bound(d: DegreeSequence) -> int:
 
 def bound_report(d: DegreeSequence) -> BoundReport:
     """Evaluate all five bounds and cross-check m/(2*max_degree - 1) <= k*."""
-    verdict = is_graphic_eg(d)
-    if not verdict.is_graphic:
-        raise NotGraphicError(f"sequence {d} is not graphic", verdict)
+    require_graphic(d)
     stripped, had_zeros = d.strip_zeros()
     degs = stripped.degrees
-    k_star = maximality_bound(stripped)
-    ell_star = gale_ryser_bound(stripped)
-    nop3 = matching_lower_bound(stripped)
+    k_star = _maximality_bound(degs)
+    ell_star = _gale_ryser_bound(degs)
+    nop3 = _matching_lower_bound(degs)
     posa = posa_bound(stripped)
     viz, viz_ceil = vizing_bound(stripped)
     m = sum(degs) // 2

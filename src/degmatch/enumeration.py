@@ -5,6 +5,10 @@ truth the closed forms and bounds are measured against. Realizations are
 labelled (vertex i has degree d_i exactly) and no isomorphism reduction is
 performed. Caps keep accidental big inputs from hanging the process; they
 are arguments, not constants.
+
+Validation contract: public functions validate their input once, through
+``graphicality.require_graphic``; ``_nu_bar`` and the bound kernels that
+``conjecture_scan`` calls take a graphic sequence and never re-validate.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Iterator
 
-from .bounds import gale_ryser_bound, maximality_bound
-from .errors import CapExceededError, InternalConsistencyError, NotGraphicError, ValidationError
-from .graphicality import _eg_graphic_list, is_graphic_eg
+from .bounds import _gale_ryser_bound, _maximality_bound
+from .errors import CapExceededError, InternalConsistencyError, ValidationError
+from .graphicality import _eg_graphic_list, is_graphic_eg, require_graphic
 from .graphs import Edge, Graph, max_matching, min_maximal_matching
 from .sequences import DegreeSequence
 
@@ -103,12 +107,6 @@ def count_realizations(
     return sum(1 for _ in enumerate_realizations(d, max_n=max_n, max_degree_sum=max_degree_sum))
 
 
-def _require_graphic(d: DegreeSequence) -> None:
-    verdict = is_graphic_eg(d)
-    if not verdict.is_graphic:
-        raise NotGraphicError(f"sequence {d} is not graphic", verdict)
-
-
 def nu_star_brute(
     d: DegreeSequence,
     *,
@@ -116,10 +114,9 @@ def nu_star_brute(
     max_degree_sum: int = DEFAULT_MAX_DEGREE_SUM,
 ) -> int:
     """Maximum matching number over all realizations, by enumerating them."""
-    _require_graphic(d)
-    best = -1
-    for g in enumerate_realizations(d, max_n=max_n, max_degree_sum=max_degree_sum):
-        best = max(best, max_matching(g).size)
+    require_graphic(d)
+    realizations = enumerate_realizations(d, max_n=max_n, max_degree_sum=max_degree_sum)
+    best = max((max_matching(g).size for g in realizations), default=-1)
     if best < 0:
         raise InternalConsistencyError(f"graphic sequence {d} produced no realizations")
     return best
@@ -132,7 +129,11 @@ def nu_bar_sequence(
     max_degree_sum: int = DEFAULT_MAX_DEGREE_SUM,
 ) -> int:
     """Minimum over realizations of the smallest maximal matching size."""
-    _require_graphic(d)
+    require_graphic(d)
+    return _nu_bar(d, max_n, max_degree_sum)
+
+
+def _nu_bar(d: DegreeSequence, max_n: int, max_degree_sum: int) -> int:
     best = None
     for g in enumerate_realizations(d, max_n=max_n, max_degree_sum=max_degree_sum):
         size = min_maximal_matching(g).size
@@ -163,7 +164,7 @@ def strong_extension_check(
         raise ValidationError(f"delta={delta} must be a positive even integer")
     if delta > d.n:
         raise ValidationError(f"delta={delta} exceeds n={d.n}")
-    _require_graphic(d)
+    require_graphic(d)
     degs = d.degrees
     mu = delta // 2
     threshold = degs[delta - 1]
@@ -232,9 +233,10 @@ def conjecture_scan(n_max: int, *, max_n: int = DEFAULT_MAX_N) -> list[Conjectur
     degree_sum_cap = max(DEFAULT_MAX_DEGREE_SUM, n_max * (n_max - 1))
     rows = []
     for d in all_graphic_sequences(n_max):
-        nb = nu_bar_sequence(d, max_n=max_n, max_degree_sum=degree_sum_cap)
-        ell = gale_ryser_bound(d)
-        ks = maximality_bound(d)
+        # all_graphic_sequences yields graphic sequences without zero entries
+        nb = _nu_bar(d, max_n, degree_sum_cap)
+        ell = _gale_ryser_bound(d.degrees)
+        ks = _maximality_bound(d.degrees)
         rows.append(ConjectureRow(d, nb, ell, ks, nb == ell))
     return rows
 

@@ -5,6 +5,10 @@ reduction) plus a deterministic realization builder. The extension
 machinery answers "can this sequence absorb a new vertex of even degree
 delta", culminating in delta_star and the closed-form evaluation of the
 maximum matching number over all realizations, nu_star.
+
+Validation contract: public functions validate their input once;
+``require_graphic`` is the only place that raises NotGraphicError; the
+``_``-prefixed kernels take an arranged graphic tuple and never re-validate.
 """
 
 from __future__ import annotations
@@ -14,12 +18,13 @@ from typing import Optional
 
 from .errors import InternalConsistencyError, NotGraphicError, ValidationError
 from .graphs import Graph
-from .sequences import DegreeSequence, make_sequence, reduce_top
+from .sequences import DegreeSequence
 
 __all__ = [
     "GraphicVerdict",
     "is_graphic_eg",
     "is_graphic_hh",
+    "require_graphic",
     "realize_hh",
     "extension_feasible",
     "delta_star",
@@ -45,8 +50,6 @@ def _eg_first_violation(degs: tuple[int, ...], check_all_k: bool = False) -> Opt
     d_k > d_{k+1}, plus k = s, where s = max{i : d_i >= i}.
     """
     n = len(degs)
-    if n == 0:
-        return None
     if check_all_k:
         ks = list(range(1, n + 1))
     else:
@@ -59,7 +62,6 @@ def _eg_first_violation(degs: tuple[int, ...], check_all_k: bool = False) -> Opt
         if s == 0:  # all entries zero
             return None
         ks = [k for k in range(1, s + 1) if k == s or degs[k - 1] > degs[k]]
-    prefix = 0
     ki = 0
     running = 0
     for k in range(1, n + 1):
@@ -74,9 +76,7 @@ def _eg_first_violation(degs: tuple[int, ...], check_all_k: bool = False) -> Opt
 
 def _eg_graphic_list(degs_sorted_desc: list[int]) -> bool:
     """Fast yes/no Erdos-Gallai on a plain pre-sorted list (parity included)."""
-    if sum(degs_sorted_desc) % 2:
-        return False
-    return _eg_first_violation(tuple(degs_sorted_desc)) is None
+    return sum(degs_sorted_desc) % 2 == 0 and _eg_first_violation(tuple(degs_sorted_desc)) is None
 
 
 def is_graphic_eg(d: DegreeSequence, *, check_all_k: bool = False) -> GraphicVerdict:
@@ -88,9 +88,14 @@ def is_graphic_eg(d: DegreeSequence, *, check_all_k: bool = False) -> GraphicVer
     if d.degree_sum % 2:
         return GraphicVerdict(is_graphic=False, failing_k=None, parity_ok=False)
     k = _eg_first_violation(d.degrees, check_all_k=check_all_k)
-    if k is None:
-        return GraphicVerdict(is_graphic=True)
-    return GraphicVerdict(is_graphic=False, failing_k=k, parity_ok=True)
+    return GraphicVerdict(is_graphic=k is None, failing_k=k)
+
+
+def require_graphic(d: DegreeSequence) -> None:
+    """Raise NotGraphicError, carrying the Erdos-Gallai verdict, unless ``d`` is graphic."""
+    verdict = is_graphic_eg(d)
+    if not verdict.is_graphic:
+        raise NotGraphicError(f"sequence {d} is not graphic", verdict)
 
 
 def is_graphic_hh(d: DegreeSequence) -> bool:
@@ -117,9 +122,7 @@ def realize_hh(d: DegreeSequence) -> Graph:
     remaining demand (lowest id on ties) and connect it to the vertices
     with the next-largest demands (again lowest id on ties).
     """
-    verdict = is_graphic_eg(d)
-    if not verdict.is_graphic:
-        raise NotGraphicError(f"sequence {d} is not graphic", verdict)
+    require_graphic(d)
     n = d.n
     residual = list(d.degrees)
     edges = []
@@ -153,16 +156,18 @@ def extension_feasible(d: DegreeSequence, delta: int) -> bool:
         raise ValidationError(f"delta={delta} must be even")
     if not 1 <= delta <= d.n:
         raise ValidationError(f"delta={delta} out of range [1, {d.n}]")
-    verdict = is_graphic_eg(d)
-    if not verdict.is_graphic:
-        raise NotGraphicError(f"sequence {d} is not graphic", verdict)
-    if d.degrees[delta - 1] < 1:
+    require_graphic(d)
+    return _extension_feasible(d.degrees, delta)
+
+
+def _extension_feasible(degs: tuple[int, ...], delta: int) -> bool:
+    """Kernel of extension_feasible; ``delta`` is even and in [1, len(degs)]."""
+    if degs[delta - 1] < 1:
         # fewer than delta positive entries: the reduced sequence would go
         # negative, so the augmented sequence cannot be graphic
         return False
-    reduced = reduce_top(d, delta)
-    reduced.sort(reverse=True)
-    return _eg_first_violation(tuple(reduced)) is None and sum(reduced) % 2 == 0
+    reduced = [x - 1 for x in degs[:delta]] + list(degs[delta:])
+    return _eg_graphic_list(sorted(reduced, reverse=True))
 
 
 def delta_star(d: DegreeSequence) -> int:
@@ -171,16 +176,19 @@ def delta_star(d: DegreeSequence) -> int:
     Binary search over delta in [2, n]; valid because feasibility is
     monotone downward in delta.
     """
-    verdict = is_graphic_eg(d)
-    if not verdict.is_graphic:
-        raise NotGraphicError(f"sequence {d} is not graphic", verdict)
-    if d.n == 0 or d.degrees[0] == 0:
+    require_graphic(d)
+    if d.max_degree == 0:
         raise ValidationError("delta_star undefined for an empty or all-zero sequence")
-    lo, hi = 1, d.n // 2
+    return _delta_star(d.degrees)
+
+
+def _delta_star(degs: tuple[int, ...]) -> int:
+    """Kernel of delta_star; ``degs`` has at least one positive entry."""
+    lo, hi = 1, len(degs) // 2
     best = 0
     while lo <= hi:
         mid = (lo + hi) // 2
-        if extension_feasible(d, 2 * mid):
+        if _extension_feasible(degs, 2 * mid):
             best = mid
             lo = mid + 1
         else:
@@ -226,13 +234,14 @@ def nu_star_formula(d: DegreeSequence) -> int:
     Evaluated by a descending scan of candidate sizes; the first size whose
     inequality family holds wins.
     """
-    verdict = is_graphic_eg(d)
-    if not verdict.is_graphic:
-        raise NotGraphicError(f"sequence {d} is not graphic", verdict)
-    stripped, _ = d.strip_zeros()
-    if stripped.n == 0:
+    require_graphic(d)
+    if d.max_degree == 0:
         raise ValidationError("nu_star undefined for an empty or all-zero sequence")
-    degs = stripped.degrees
+    return _nu_star_formula(d.strip_zeros()[0].degrees)
+
+
+def _nu_star_formula(degs: tuple[int, ...]) -> int:
+    """Kernel of nu_star_formula; ``degs`` is non-empty with positive entries."""
     for mu in range(len(degs) // 2, 0, -1):
         if _closed_form_holds(degs, mu):
             return mu
@@ -245,8 +254,12 @@ def nu_star(d: DegreeSequence) -> int:
     Runs both the extension search (delta_star / 2) and the closed form and
     insists they agree; a disagreement is a defect, not a result.
     """
-    via_search = delta_star(d) // 2
-    via_formula = nu_star_formula(d)
+    require_graphic(d)
+    if d.max_degree == 0:
+        # the extension search runs first, so its error is the one reported
+        raise ValidationError("delta_star undefined for an empty or all-zero sequence")
+    via_search = _delta_star(d.degrees) // 2
+    via_formula = _nu_star_formula(d.strip_zeros()[0].degrees)
     if via_search != via_formula:
         raise InternalConsistencyError(
             f"nu_star mismatch on {d}: extension search gives {via_search}, "

@@ -136,6 +136,31 @@ class TestExtendRealizeEnumerate:
         assert code == 0 and json.loads(out) == {"count": 945}
 
 
+class TestErrorPrecedence:
+    """Inputs on which two guards could fire; the first check in the
+    command's own order decides the emitted code."""
+
+    @pytest.mark.parametrize(
+        "command,code",
+        [
+            ("extend --seq 3,3,1,1 --delta 3", "VALIDATION"),
+            ("extend --seq 3,3,1,1 --delta 6", "VALIDATION"),
+            ("extend --seq 3,3,1,1 --delta 0", "VALIDATION"),
+            ("extend --seq 3,2,2 --delta 5", "VALIDATION"),
+            ("delta-star --seq 3,3,1,1", "NOT_GRAPHIC"),
+            ("delta-star --seq 1", "NOT_GRAPHIC"),
+            ("nu-star --seq 5,1", "NOT_GRAPHIC"),
+            ("nu-star --seq 1", "NOT_GRAPHIC"),
+            ("delta-star --seq 0,0", "VALIDATION"),
+            ("nu-star --seq 0,0", "VALIDATION"),
+        ],
+    )
+    def test_first_guard_wins(self, capsys, command, code):
+        exit_code, out, err = run(capsys, *command.split())
+        assert exit_code == 1 and out == ""
+        assert err.startswith(f"ERROR {code}:"), err
+
+
 class TestGrowCommand:
     def test_csv_output(self, capsys):
         code, out, _ = run(

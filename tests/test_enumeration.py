@@ -1,6 +1,8 @@
 """Unit tests for the exhaustive realization oracles."""
 
 import itertools
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -24,21 +26,25 @@ from degmatch import (
 )
 
 
-def brute_count(degrees):
-    """Independent oracle: filter all labelled graphs by exact degree vector."""
-    n = len(degrees)
+@lru_cache(maxsize=None)
+def degree_vector_counts(n):
+    """Independent oracle: walk all labelled graphs on n vertices once and
+    count how many have each degree vector."""
     pairs = list(itertools.combinations(range(n), 2))
-    target = tuple(degrees)
-    hits = 0
+    counts = Counter()
     for mask in range(1 << len(pairs)):
         deg = [0] * n
         for i, (u, v) in enumerate(pairs):
             if mask >> i & 1:
                 deg[u] += 1
                 deg[v] += 1
-        if tuple(deg) == target:
-            hits += 1
-    return hits
+        counts[tuple(deg)] += 1
+    return counts
+
+
+def brute_count(degrees):
+    """Independent oracle: the number of labelled graphs with exactly this degree vector."""
+    return degree_vector_counts(len(degrees))[tuple(degrees)]
 
 
 class TestEnumerate:
@@ -153,6 +159,14 @@ class TestStrongExtension:
             strong_extension_check(d, 3)
         with pytest.raises(ValidationError):
             strong_extension_check(d, 4)
+
+    def test_bad_delta_reported_before_non_graphic_input(self):
+        d = make_sequence([3, 3, 1, 1])
+        for delta in (3, 6):
+            with pytest.raises(ValidationError):
+                strong_extension_check(d, delta)
+        with pytest.raises(NotGraphicError):
+            strong_extension_check(d, 2)
 
     def test_matches_feasibility_up_to_6(self):
         for d in all_graphic_sequences(6):

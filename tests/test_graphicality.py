@@ -1,6 +1,8 @@
 """Unit tests for graphicality decisions, realizations, and nu_star."""
 
 import itertools
+import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from degmatch import (
     NotGraphicError,
     ValidationError,
     augment,
+    bound_report,
     delta_star,
     extension_feasible,
     is_graphic_eg,
@@ -20,6 +23,7 @@ from degmatch import (
     nu_star_formula,
     realize_hh,
 )
+from degmatch import graphicality
 
 
 def brute_realization_exists(degrees):
@@ -197,6 +201,52 @@ class TestDeltaStarAndNuStar:
         assert delta_star(d) == d.n
 
 
+def gnm_degree_sequence(n, m, seed):
+    """Degree sequence of a seeded uniform random graph with n vertices and m edges."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    degrees = [0] * n
+    for u, v in edges:
+        degrees[u] += 1
+        degrees[v] += 1
+    return make_sequence(degrees)
+
+
+class TestValidateOnce:
+    """A public function runs the Erdos-Gallai guard once; the kernels behind
+    it never repeat it."""
+
+    @pytest.fixture(scope="class")
+    def d(self):
+        return gnm_degree_sequence(800, 3200, seed=1)
+
+    @pytest.fixture
+    def eg_calls(self, monkeypatch):
+        calls = []
+        original = graphicality._eg_first_violation
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(graphicality, "_eg_first_violation", counting)
+        return calls
+
+    @pytest.mark.parametrize("fn", [bound_report, realize_hh])
+    def test_single_evaluation(self, d, eg_calls, fn):
+        fn(d)
+        assert len(eg_calls) == 1
+
+    def test_nu_star_guard_plus_one_per_probe(self, d, eg_calls):
+        nu_star(d)
+        # the delta_star binary search runs over [1, n // 2]
+        probes = (d.n // 2).bit_length()
+        assert len(eg_calls) <= 1 + probes
+
+
 class TestLeftShiftLemma:
     """If removing one unit from a support set keeps a sequence graphic, any
     left-shifted support set does too. Full scan up to n = 7."""
@@ -204,21 +254,28 @@ class TestLeftShiftLemma:
     def test_shifted_reductions_stay_graphic(self):
         from degmatch import SupportSet, all_graphic_sequences, left_shift_leq
 
+        # the same vectors and support sets recur across masks; decide each once
+        @lru_cache(maxsize=None)
+        def graphic(degrees):
+            return is_graphic_eg(make_sequence(degrees)).is_graphic
+
+        support_set = lru_cache(maxsize=None)(SupportSet.of)
+
         for d in all_graphic_sequences(7):
             n = d.n
             for mask in range(1, 1 << n):
-                reduced = [d.degrees[i] - (1 if mask >> i & 1 else 0) for i in range(n)]
-                if not is_graphic_eg(make_sequence(reduced)).is_graphic:
+                reduced = tuple(d.degrees[i] - (1 if mask >> i & 1 else 0) for i in range(n))
+                if not graphic(reduced):
                     continue
                 support = [i + 1 for i in range(n) if mask >> i & 1]
                 a_k = SupportSet.of(support)
                 for shifted in itertools.combinations(range(1, n + 1), len(support)):
-                    if not left_shift_leq(SupportSet.of(shifted), a_k):
+                    if not left_shift_leq(support_set(shifted), a_k):
                         continue
-                    moved = [
+                    moved = tuple(
                         d.degrees[i] - (1 if (i + 1) in shifted else 0) for i in range(n)
-                    ]
-                    assert is_graphic_eg(make_sequence(moved)).is_graphic, (
+                    )
+                    assert graphic(moved), (
                         d, support, shifted,
                     )
 
