@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Union
 
 from .errors import InfeasibleDeltaError, ValidationError
-from .graphs import Edge, Graph, Matching, max_matching, pinch
+from .graphs import Edge, Graph, Matching, _blossom_matching, _greedy_matching, max_matching, pinch
 
 __all__ = [
     "MATCHING_POLICIES",
@@ -37,36 +38,25 @@ def feasible_deltas(g: Graph) -> set[int]:
     return set(range(2, 2 * nu + 1, 2))
 
 
-def _relabelled_max_matching(g: Graph, rng: random.Random) -> list[Edge]:
-    perm = list(range(g.vertex_count))
-    rng.shuffle(perm)
-    relabelled = Graph(
-        g.vertex_count, frozenset((perm[u], perm[v]) for u, v in g.edges)
-    )
-    inverse = [0] * g.vertex_count
-    for old, new in enumerate(perm):
-        inverse[new] = old
-    back = [
-        (inverse[u], inverse[v]) if inverse[u] < inverse[v] else (inverse[v], inverse[u])
-        for u, v in max_matching(relabelled).edges
-    ]
-    return sorted(back)
-
-
-def _select_matching(g: Graph, size: int, policy: MatchingPolicy, rng: random.Random) -> Optional[Matching]:
-    """A matching of exactly ``size`` edges per policy, or None if infeasible."""
+def _select_matching(
+    g: Graph, size: int, rng: random.Random, *, policy: MatchingPolicy, full: Optional[Matching] = None
+) -> Optional[Matching]:
+    """A matching of exactly ``size`` edges per policy, or None if infeasible;
+    ``full`` is ``max_matching(g)`` when the caller already has it."""
     if callable(policy):
         m = policy(g, size, rng)
         return m if m is not None and m.size == size else None
     if policy == "random":
-        # randomize the vertex labels seen by the exact matcher, then keep a
-        # random subset of the matching it finds
-        edges = _relabelled_max_matching(g, rng)
+        # run the exact matcher in a random vertex order, then keep a random
+        # subset of the matching it finds
+        rank = list(range(g.vertex_count))
+        rng.shuffle(rank)
+        edges = sorted(_blossom_matching(g, rank))
         if len(edges) < size:
             return None
         return Matching(frozenset(rng.sample(edges, size)), g.vertex_count)
     if policy == "first":
-        full = max_matching(g)
+        full = full or max_matching(g)
         if full.size < size:
             return None
         return Matching(frozenset(sorted(full.edges)[:size]), g.vertex_count)
@@ -76,18 +66,11 @@ def _select_matching(g: Graph, size: int, policy: MatchingPolicy, rng: random.Ra
         def weight(e: Edge) -> tuple[int, Edge]:
             return (-(deg[e[0]] + deg[e[1]]), e)
 
-        matched: set[int] = set()
-        greedy = []
-        for u, v in sorted(g.edges, key=weight):
-            if u not in matched and v not in matched:
-                greedy.append((u, v))
-                matched.add(u)
-                matched.add(v)
-        pool = greedy if len(greedy) >= size else sorted(max_matching(g).edges)
+        greedy = _greedy_matching(sorted(g.edges, key=weight))
+        pool = greedy if len(greedy) >= size else (full or max_matching(g)).edges
         if len(pool) < size:
             return None
-        pool = sorted(pool, key=weight)[:size]
-        return Matching(frozenset(pool), g.vertex_count)
+        return Matching(frozenset(sorted(pool, key=weight)[:size]), g.vertex_count)
     raise ValidationError(f"unknown matching policy {policy!r}; known: {', '.join(MATCHING_POLICIES)}")
 
 
@@ -122,7 +105,7 @@ def dp_step(
     if delta < 2 or delta % 2:
         raise ValidationError(f"delta={delta} must be a positive even integer")
     rng = random.Random(rng_seed)
-    m = _select_matching(g, delta // 2, policy, rng)
+    m = _select_matching(g, delta // 2, rng, policy=policy)
     if m is None:
         raise InfeasibleDeltaError(
             f"delta={delta} is not feasible here", feasible=feasible_deltas(g)
@@ -218,7 +201,8 @@ def grow(
     g = g0
     records: list[DpStepRecord] = []
     for idx in range(steps):
-        nu = max_matching(g).size
+        full = max_matching(g)
+        nu = full.size
         if kind == "fixed":
             delta = fixed_value if fixed_value <= 2 * nu else None
         elif kind == "max":
@@ -228,9 +212,9 @@ def grow(
         if delta is None:
             break
         step_seed = rng.randrange(2**32)
-        g, record = dp_step(
-            g, delta, matching_policy, step_seed, step_index=idx
-        )
+        # the step selects its matching with ν's maximum matching at hand
+        step_policy = partial(_select_matching, policy=matching_policy, full=full)
+        g, record = dp_step(g, delta, step_policy, step_seed, step_index=idx)
         records.append(record)
     return GrowthTrace(
         seed_vertex_count=g0.vertex_count,

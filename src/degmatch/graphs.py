@@ -15,7 +15,8 @@ import random
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceededError, InternalConsistencyError, ValidationError
 from .sequences import DegreeSequence, make_sequence
@@ -68,39 +69,41 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.vertex_count
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.vertex_count:
-            raise ValidationError(f"vertex {v} out of range")
-        return sum(1 for e in self.edges if v in e)
-
-    @property
-    def max_degree(self) -> int:
-        degs = self.degrees()
-        return max(degs) if degs else 0
-
-    def degree_sequence(self) -> DegreeSequence:
-        return make_sequence(self.degrees())
-
-    def adjacency(self) -> list[list[int]]:
+    @cached_property
+    def _adj(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
+        return tuple(tuple(sorted(lst)) for lst in adj)
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        return tuple(map(len, self._adj))
+
+    def degrees(self) -> tuple[int, ...]:
+        return self._degrees
+
+    def degree(self, v: int) -> int:
+        if not 0 <= v < self.vertex_count:
+            raise ValidationError(f"vertex {v} out of range")
+        return self._degrees[v]
+
+    @property
+    def max_degree(self) -> int:
+        return max(self._degrees, default=0)
+
+    def degree_sequence(self) -> DegreeSequence:
+        return make_sequence(self._degrees)
+
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor tuples, built once per graph."""
+        return self._adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.vertex_count:
             raise ValidationError(f"vertex {v} out of range")
-        return tuple(sorted(u if w == v else w for (u, w) in self.edges if v in (u, w)))
+        return self._adj[v]
 
     def is_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
@@ -183,11 +186,23 @@ def max_matching(g: Graph) -> Matching:
     Augmenting-path search with blossom contraction; deterministic because
     vertices and adjacency are visited in index order.
     """
+    return Matching(_blossom_matching(g), g.vertex_count)
+
+
+def _blossom_matching(g: Graph, rank: Optional[Sequence[int]] = None) -> frozenset[Edge]:
+    """Edges of a maximum matching. Vertex v takes position rank[v] (index
+    order when None) in the warm start, the augment loop, the blossom collapse
+    and every adjacency list: the matching index-order blossom finds on the
+    graph relabelled v -> rank[v], mapped back."""
     n = g.vertex_count
-    adj = g.adjacency()
+    adj: Sequence[Sequence[int]] = g.adjacency()
+    order: Sequence[int] = range(n)
+    if rank is not None:
+        order = sorted(order, key=rank.__getitem__)
+        adj = [sorted(nbrs, key=rank.__getitem__) for nbrs in adj]
     match = [-1] * n
     # greedy warm start, deterministic
-    for v in range(n):
+    for v in order:
         if match[v] == -1:
             for u in adj[v]:
                 if match[u] == -1:
@@ -237,7 +252,7 @@ def max_matching(g: Graph) -> Matching:
                     in_blossom = [False] * n
                     mark_path(v, cur_base, to, in_blossom)
                     mark_path(to, cur_base, v, in_blossom)
-                    for i in range(n):
+                    for i in order:
                         if in_blossom[base[i]]:
                             base[i] = cur_base
                             if not used[i]:
@@ -258,11 +273,10 @@ def max_matching(g: Graph) -> Matching:
                     queue.append(match[to])
         return False
 
-    for v in range(n):
+    for v in order:
         if match[v] == -1:
             try_augment(v)
-    edges = frozenset((v, match[v]) for v in range(n) if match[v] > v)
-    return Matching(edges=edges, host_vertex_count=n)
+    return frozenset((v, match[v]) for v in range(n) if match[v] > v)
 
 
 def max_matching_exhaustive(g: Graph, cap: int = EXHAUSTIVE_MATCHING_CAP) -> Matching:
@@ -307,11 +321,8 @@ def max_matching_exhaustive(g: Graph, cap: int = EXHAUSTIVE_MATCHING_CAP) -> Mat
     return Matching(frozenset(best), n)
 
 
-def greedy_maximal_matching(g: Graph, rng_seed: int = 0) -> Matching:
-    """Randomized greedy maximal matching, reproducible from the seed."""
-    rng = random.Random(rng_seed)
-    edges = sorted(g.edges)
-    rng.shuffle(edges)
+def _greedy_matching(edges: Iterable[Edge]) -> list[Edge]:
+    """Take each edge, in the given order, whose endpoints are both free."""
     matched: set[int] = set()
     chosen = []
     for u, v in edges:
@@ -319,7 +330,15 @@ def greedy_maximal_matching(g: Graph, rng_seed: int = 0) -> Matching:
             chosen.append((u, v))
             matched.add(u)
             matched.add(v)
-    return Matching(frozenset(chosen), g.vertex_count)
+    return chosen
+
+
+def greedy_maximal_matching(g: Graph, rng_seed: int = 0) -> Matching:
+    """Randomized greedy maximal matching, reproducible from the seed."""
+    rng = random.Random(rng_seed)
+    edges = sorted(g.edges)
+    rng.shuffle(edges)
+    return Matching(frozenset(_greedy_matching(edges)), g.vertex_count)
 
 
 def min_maximal_matching(g: Graph, cap: int = MIN_MAXIMAL_CAP) -> Matching:
@@ -390,10 +409,8 @@ def pinch(g: Graph, m: Matching) -> Graph:
     if not m.edges:
         warnings.warn("pinching an empty matching only adds an isolated vertex", stacklevel=2)
     v_new = g.vertex_count
-    new_edges = set(g.edges) - set(m.edges)
-    for u in m.matched_vertices:
-        new_edges.add((u, v_new))
-    return Graph(g.vertex_count + 1, frozenset(new_edges))
+    star = {(u, v_new) for u in m.matched_vertices}
+    return Graph(v_new + 1, (g.edges - m.edges) | star)
 
 
 def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
@@ -437,12 +454,8 @@ def hh_swap(g: Graph, u: int, v_i: int, v_j: int) -> Graph:
     if w is None:
         # counting shows such a vertex always exists under the preconditions
         raise InternalConsistencyError("no exchange partner found despite valid preconditions")
-    edges = set(g.edges)
-    edges.discard((u, v_i) if u < v_i else (v_i, u))
-    edges.discard((w, v_j) if w < v_j else (v_j, w))
-    edges.add((u, v_j) if u < v_j else (v_j, u))
-    edges.add((w, v_i) if w < v_i else (v_i, w))
-    return Graph(g.vertex_count, frozenset(edges))
+    removed = {(min(e), max(e)) for e in ((u, v_i), (w, v_j))}
+    return Graph(g.vertex_count, (g.edges - removed) | {(u, v_j), (w, v_i)})
 
 
 def verify_matching(g: Graph, m: Matching, require_maximal: bool = False) -> bool:

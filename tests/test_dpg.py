@@ -1,9 +1,13 @@
 """Unit tests for degree-preserving growth."""
 
+import hashlib
+import itertools
 import json
+import random
 
 import pytest
 
+from degmatch import dpg, graphs
 from degmatch import (
     Graph,
     InfeasibleDeltaError,
@@ -145,3 +149,92 @@ class TestTraceSerialization:
         for rec, step in zip(payload["steps"], trace.steps):
             assert rec["delta"] == step.delta
             assert [tuple(e) for e in rec["removed_matching"]] == list(step.removed_matching)
+
+
+def gnm_graph(n, m, seed):
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph(n, frozenset(random.Random(seed).sample(pairs, m)))
+
+
+GOLDEN_SEEDS = {"cycle": cycle(9), "windmill": windmill(3, 3), "gnm": gnm_graph(30, 60, 3)}
+
+# sha256 of grow(seed, 12, delta_policy, 2024, matching_policy).to_json(),
+# recorded when the random policy still ran blossom on a relabelled copy
+GROWTH_SHA256 = {
+    ("cycle", "fixed:2", "random"): "6f662e76feee9a771e5123d667c796b09497dc3e1c3fb57563613637490ed66b",
+    ("cycle", "fixed:2", "first"): "fe16b0dbf51614a8f8dfafe5efb919c4a6f7f5040ccddd376fc097e9e9d295be",
+    ("cycle", "fixed:2", "max-degree"): "937e3dff01956221eb8efcdf72ec689ada75a0f475b619edd8f4ffd0cb6f87ee",
+    ("cycle", "fixed:4", "random"): "8059d904d7e5ad5180a648eec339a46c2f9b0db1828e84305ef60c292bd512d3",
+    ("cycle", "fixed:4", "first"): "9c97f64e1884d8dca9a0272f3023dc12228a220398c4821d80fd71f8ffd1d118",
+    ("cycle", "fixed:4", "max-degree"): "a6af02fccc5fc26dc72ca515f8aa61f53647d604670a1010010c593d39cf72ff",
+    ("cycle", "max", "random"): "7864e0810cddb78bcf93a2d04ea2f170fb19348a64105643dded29e651c9e41e",
+    ("cycle", "max", "first"): "a44f2e551b6064aa8b27a4c3a6455f57db1d9e5443dae769d6ded163c24a2c17",
+    ("cycle", "max", "max-degree"): "658fe00680c96a7ba90842fb2f1b53a59f8e58f1f0602f7afd8f5eb36753c5a1",
+    ("cycle", "random", "random"): "36308aa1affa41b83619b62585864f3cf7cebadd109cd1a4ea663aeaed61c936",
+    ("cycle", "random", "first"): "bdd5ceb9ab4896bfe09ec85a123cfb3bbfbcdadf61bc479d7229c33b30806fe0",
+    ("cycle", "random", "max-degree"): "42d9ec1f2263aea65110dfc6e02e8c63df1197a9bb74ff72b36738f156e2873e",
+    ("windmill", "fixed:2", "random"): "6786e79d13b250a75ecfe4b506ec0f0d80e26174c5ad448a22a4a2d2d2f73267",
+    ("windmill", "fixed:2", "first"): "8cd8ae569d12e4f9ff647a7dc480f77c65aa572f938a491ecacca63e0a4e4cfe",
+    ("windmill", "fixed:2", "max-degree"): "28cee034f46daaa4d76fda6f3feadce2e93372e746237c8e6a44b6c2c8e1f423",
+    ("windmill", "fixed:4", "random"): "cc9174dc3ff52b6e312f96144445408115eee159fdfbe8f303299020d755f7d4",
+    ("windmill", "fixed:4", "first"): "ebd7b356d9455171efe42ef307b6b940bcc8a1cbb1dcf2b0bf37a2a6dfa982d9",
+    ("windmill", "fixed:4", "max-degree"): "665372de3cfdced082cf46708aa5e7b643e885b40d2c0b6c4e7ae7f41dae4970",
+    ("windmill", "max", "random"): "902a950b571c52dc977a4ee470b3bc4bf086456e50990af47ddafd997a5ca8ba",
+    ("windmill", "max", "first"): "7f177ead868d79b3dab6dffab3813baa4df19b2051ff3a6410cf9fd9db863ea1",
+    ("windmill", "max", "max-degree"): "7f177ead868d79b3dab6dffab3813baa4df19b2051ff3a6410cf9fd9db863ea1",
+    ("windmill", "random", "random"): "2d0bbf93b493b007a77f884e768462f75ddd43f7d3bd3c802d0e83805833a67c",
+    ("windmill", "random", "first"): "812df925b8620bf086e355b55df095f9cf8e5c6e55b7a21aedef68f40799afa6",
+    ("windmill", "random", "max-degree"): "bdd3d19343dbe08e712a7b3a107c3cf07d1ccd77378257cd1cdd35426253ca10",
+    ("gnm", "fixed:2", "random"): "8916bc9880266d6e79965466e7a48286ac864d4278d867cf037f233e75407430",
+    ("gnm", "fixed:2", "first"): "c73b29ca944eacc834aa5e7f80140fd358247696776729daf128dc79b97ccb79",
+    ("gnm", "fixed:2", "max-degree"): "030cea4f2ebdf58e10962a46f809c2d1808e030d7af5c18152c81fc3fe61236c",
+    ("gnm", "fixed:4", "random"): "45a5cdcb0f9ff7bd7a97fcdc0ddf4a24a6d38cfa7f5d927a9b122a86ac8abadb",
+    ("gnm", "fixed:4", "first"): "7040a4ef94ab97ca405c0d4b38d43102803e5043f6af9d5f8a2dfc9ddf1b9904",
+    ("gnm", "fixed:4", "max-degree"): "b111a28bc941473429383248421b492def053b71aa46079f1e2fff778b150187",
+    ("gnm", "max", "random"): "d98cfea756291315e4421b0d98c9e603f38a25867759b6627ff1bf480faddbe4",
+    ("gnm", "max", "first"): "b4040baa00ed3a3d3549df97fdcc93009d3c6686c4c4e82ca194eb268a31d2a8",
+    ("gnm", "max", "max-degree"): "b4040baa00ed3a3d3549df97fdcc93009d3c6686c4c4e82ca194eb268a31d2a8",
+    ("gnm", "random", "random"): "dbb70a4d111a0aa4ad5fce4c003588fd6e842b69db295af32eadd65b10552c9b",
+    ("gnm", "random", "first"): "4a0fe103f9ef87f9da465c547ed1e61459defad696ef7824567f03f44694fcf0",
+    ("gnm", "random", "max-degree"): "2c2a747b1ac2e42642660e509938158339f05d9d9204232b0e49c6299c29e207",
+}
+
+
+class TestGoldenGrowth:
+    """Seeded traces stay byte-identical under every pair of policies,
+    the random matching policy included."""
+
+    @pytest.mark.parametrize("key", sorted(GROWTH_SHA256), ids="/".join)
+    def test_trace_digest(self, key):
+        seed, delta_policy, matching_policy = key
+        trace = grow(GOLDEN_SEEDS[seed], 12, delta_policy, 2024, matching_policy)
+        assert hashlib.sha256(trace.to_json().encode()).hexdigest() == GROWTH_SHA256[key]
+
+
+class TestOneBlossomPerStep:
+    """grow runs one index-order blossom per step, for nu, and hands its
+    matching to the step; the random policy adds one run in its shuffled
+    vertex order."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        runs = []
+        original = graphs._blossom_matching
+
+        def counting(g, rank=None):
+            runs.append("index" if rank is None else "ordered")
+            return original(g, rank)
+
+        monkeypatch.setattr(graphs, "_blossom_matching", counting)
+        monkeypatch.setattr(dpg, "_blossom_matching", counting)
+        return runs
+
+    @pytest.mark.parametrize("delta_policy", ["fixed:2", "fixed:4", "max"])
+    @pytest.mark.parametrize("matching_policy", ["random", "first", "max-degree"])
+    def test_runs_per_step(self, runs, delta_policy, matching_policy):
+        trace = grow(gnm_graph(40, 80, 5), 10, delta_policy, 1, matching_policy)
+        steps = len(trace.steps)
+        assert steps == 10
+        ordered = steps if matching_policy == "random" else 0
+        assert runs.count("index") == steps
+        assert runs.count("ordered") == ordered

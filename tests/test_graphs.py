@@ -25,6 +25,7 @@ from degmatch import (
     verify_matching,
     windmill,
 )
+from degmatch.graphs import _blossom_matching
 
 
 def all_graphs(n):
@@ -90,6 +91,12 @@ class TestGraphType:
         with pytest.raises(ValidationError):
             Graph.from_edge_list_text("0 1 2\n")
 
+    def test_adjacency_built_once(self):
+        g = half_graph(8)
+        assert g.adjacency() is g.adjacency()
+        assert g.degrees() is g.degrees()
+        assert all(g.neighbors(v) is g.adjacency()[v] for v in range(g.vertex_count))
+
 
 class TestMatchingType:
     def test_disjointness_enforced(self):
@@ -138,6 +145,51 @@ class TestMaxMatching:
     def test_exhaustive_cap(self):
         with pytest.raises(CapExceededError):
             max_matching_exhaustive(Graph(11, frozenset()))
+
+
+def relabelled_max_matching(g, rank):
+    """Oracle for the ordered kernel: index-order blossom on the graph
+    relabelled v -> rank[v], mapped back to the original labels."""
+    relabelled = Graph(g.vertex_count, frozenset((rank[u], rank[v]) for u, v in g.edges))
+    inverse = [0] * g.vertex_count
+    for old, new in enumerate(rank):
+        inverse[new] = old
+    return frozenset(
+        (inverse[u], inverse[v]) if inverse[u] < inverse[v] else (inverse[v], inverse[u])
+        for u, v in max_matching(relabelled).edges
+    )
+
+
+class TestBlossomVisitOrder:
+    """The kernel run in a vertex order returns exactly the matching of the
+    relabel-then-map-back route, edge for edge."""
+
+    @staticmethod
+    def assert_same_as_relabelled(g, rng, shuffles=5):
+        for _ in range(shuffles):
+            rank = list(range(g.vertex_count))
+            rng.shuffle(rank)
+            assert _blossom_matching(g, rank) == relabelled_max_matching(g, rank)
+
+    def test_index_order_is_max_matching(self):
+        g = half_graph(10)
+        assert _blossom_matching(g) == max_matching(g).edges
+        assert _blossom_matching(g, range(g.vertex_count)) == max_matching(g).edges
+
+    def test_random_graphs(self):
+        rng = random.Random(2718)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(2, 40), rng.choice([0.05, 0.1, 0.3, 0.6]))
+            self.assert_same_as_relabelled(g, rng)
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle(3), cycle(9), cycle(21), windmill(3, 3), windmill(5, 3), windmill(4, 5),
+         half_graph(12), half_graph(30)],
+        ids=lambda g: f"n{g.vertex_count}m{g.m}",
+    )
+    def test_families(self, g):
+        self.assert_same_as_relabelled(g, random.Random(g.vertex_count), shuffles=20)
 
 
 class TestGreedyMaximal:
