@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import InternalConsistencyError
-from .graphicality import require_graphic
+from .graphicality import _capped_sum, require_graphic
 from .sequences import DegreeSequence
 
 __all__ = [
@@ -89,7 +89,11 @@ def _maximality_bound(degs: tuple[int, ...]) -> int:
 
 def vizing_bound(d: DegreeSequence) -> tuple[Fraction, int]:
     """Edge count over (max degree + 1), as an exact rational and its ceiling."""
-    degs = _positive_degrees(d)
+    require_graphic(d)
+    return _vizing_bound(_positive_degrees(d))
+
+
+def _vizing_bound(degs: tuple[int, ...]) -> tuple[Fraction, int]:
     if not degs:
         return Fraction(0), 0
     m = sum(degs) // 2
@@ -100,7 +104,11 @@ def vizing_bound(d: DegreeSequence) -> tuple[Fraction, int]:
 def posa_bound(d: DegreeSequence) -> int:
     """ceil((n - r) / 2), where r is the smallest slack that dominates
     the low-degree counts t(q) - q + 1 over all q below (n - r) / 2."""
-    degs = _positive_degrees(d)
+    require_graphic(d)
+    return _posa_bound(_positive_degrees(d))
+
+
+def _posa_bound(degs: tuple[int, ...]) -> int:
     n = len(degs)
     asc = sorted(degs)
     r = n
@@ -123,14 +131,9 @@ def _gale_ryser_bound(degs: tuple[int, ...]) -> int:
     n = len(degs)
     prefix = [0, *accumulate(degs)]
     for ell in range(0, n // 2 + 1):
-        ok = True
-        for k in range(1, n - 2 * ell + 1):
-            lhs = sum(min(degs[i] - 1, k) for i in range(2 * ell))
-            rhs = prefix[min(2 * ell + k, n)] - prefix[2 * ell]
-            if lhs < rhs:
-                ok = False
-                break
-        if ok:
+        top = 2 * ell
+        if all(_capped_sum(degs, prefix, 0, top, k + 1) - top >= prefix[top + k] - prefix[top]
+               for k in range(1, n - top + 1)):
             return ell
     raise InternalConsistencyError("gale-ryser scan found no feasible ell")
 
@@ -160,8 +163,8 @@ def bound_report(d: DegreeSequence) -> BoundReport:
     k_star = _maximality_bound(degs)
     ell_star = _gale_ryser_bound(degs)
     nop3 = _matching_lower_bound(degs)
-    posa = posa_bound(stripped)
-    viz, viz_ceil = vizing_bound(stripped)
+    posa = _posa_bound(degs)
+    viz, viz_ceil = _vizing_bound(degs)
     m = sum(degs) // 2
     if m > 0:
         delta = degs[0]

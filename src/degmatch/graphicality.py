@@ -13,7 +13,10 @@ Validation contract: public functions validate their input once;
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import neg
 from typing import Optional
 
 from .errors import InternalConsistencyError, NotGraphicError, ValidationError
@@ -42,6 +45,14 @@ class GraphicVerdict:
     parity_ok: bool = True
 
 
+def _capped_sum(degs: tuple[int, ...], prefix: list[int], a: int, b: int, c: int) -> int:
+    """Sum of min(d_i, c) over a <= i < b on arranged ``degs`` with prefix sums ``prefix``:
+    c*(p - a) + prefix[b] - prefix[p], where p - a entries of the range are >= c. A reduced
+    entry d_i - 1 is capped through min(d_i - 1, k) = min(d_i, k + 1) - 1."""
+    p = bisect_right(degs, -c, a, b, key=neg)
+    return c * (p - a) + prefix[b] - prefix[p]
+
+
 def _eg_first_violation(degs: tuple[int, ...], check_all_k: bool = False) -> Optional[int]:
     """Smallest checked k violating the Erdos-Gallai inequality, or None.
 
@@ -54,23 +65,20 @@ def _eg_first_violation(degs: tuple[int, ...], check_all_k: bool = False) -> Opt
         ks = list(range(1, n + 1))
     else:
         s = 0
-        for i in range(1, n + 1):
-            if degs[i - 1] >= i:
-                s = i
-            else:
-                break
+        while s < n and degs[s] > s:
+            s += 1
         if s == 0:  # all entries zero
             return None
         ks = [k for k in range(1, s + 1) if k == s or degs[k - 1] > degs[k]]
-    ki = 0
-    running = 0
-    for k in range(1, n + 1):
-        running += degs[k - 1]
-        if ki < len(ks) and ks[ki] == k:
-            ki += 1
-            rhs = k * (k - 1) + sum(min(x, k) for x in degs[k:])
-            if running > rhs:
-                return k
+    # _capped_sum with c = k, inline as enumeration runs this per branch; w = #{d_i >= k} only falls
+    prefix = [0, *accumulate(degs)]
+    w = n
+    for k in ks:
+        while w and degs[w - 1] < k:
+            w -= 1
+        p = max(w, k)
+        if prefix[k] > k * (k - 1) + k * (p - k) + prefix[n] - prefix[p]:
+            return k
     return None
 
 
@@ -208,24 +216,20 @@ def _closed_form_holds(degs: tuple[int, ...], mu: int) -> bool:
     """
     delta = 2 * mu
     n = len(degs)
-    for k in range(1, mu):
-        lhs = sum(degs[:k])
-        rhs = k * k + sum(
-            min(degs[i] - (1 if i < delta else 0), k) for i in range(k, n)
-        )
-        if lhs > rhs:
-            return False
+    prefix = [0, *accumulate(degs)]
+
+    def tail(k: int, b: int) -> int:  # sum of min(d_i, k) over i >= k, with d_i - 1 for i < b
+        return _capped_sum(degs, prefix, k, b, k + 1) - (b - k) + _capped_sum(degs, prefix, b, n, k)
+
+    if any(prefix[k] > k * k + tail(k, delta) for k in range(1, mu)):
+        return False
     dd = degs[delta - 1]
-    after = sum(1 for i in range(delta, n) if degs[i] == dd)
-    upto = sum(1 for i in range(delta) if degs[i] == dd)
-    k = delta + (after - upto)
+    after = bisect_right(degs, -dd, delta, key=neg) - delta
+    k = bisect_left(degs, -dd, 0, delta, key=neg) + after  # delta + (after - upto)
     if k < 0:
         raise InternalConsistencyError("negative corrected index in closed form")
-    lhs = sum(degs[:k]) - k + after
-    rhs = k * (k - 1) + sum(
-        min(degs[i] - (1 if degs[i] == dd else 0), k) for i in range(k, n)
-    )
-    return lhs <= rhs
+    # k is at or past the first dd, so the entries equal to dd from k on end at delta + after
+    return prefix[k] - k + after <= k * (k - 1) + tail(k, delta + after)
 
 
 def nu_star_formula(d: DegreeSequence) -> int:

@@ -226,3 +226,15 @@ class TestSandwich:
                 for seed in range(5):
                     gm = greedy_maximal_matching(g, seed)
                     assert gm.size >= max(rep.k_star, rep.ell_star)
+
+
+class TestEveryBoundIsGuarded:
+    """Every public bound rejects a non-graphic sequence."""
+
+    @pytest.mark.parametrize(
+        "fn", [maximality_bound, gale_ryser_bound, matching_lower_bound, posa_bound, vizing_bound]
+    )
+    @pytest.mark.parametrize("degrees", [[3, 2], [4, 1, 1, 1]])
+    def test_non_graphic_rejected(self, fn, degrees):
+        with pytest.raises(NotGraphicError):
+            fn(make_sequence(degrees))
