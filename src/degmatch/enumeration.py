@@ -1,10 +1,15 @@
 """Exhaustive oracles over all labelled realizations of a degree sequence.
 
-Everything here is brute force on purpose: these functions are the ground
-truth the closed forms and bounds are measured against. Realizations are
-labelled (vertex i has degree d_i exactly) and no isomorphism reduction is
-performed. Caps keep accidental big inputs from hanging the process; they
-are arguments, not constants.
+These functions are the ground truth the closed forms and bounds are
+measured against, so they walk every labelled realization (vertex i has
+degree d_i exactly) with no isomorphism reduction. The one pruned walk is
+nu_bar: every maximal matching of every realization has at least
+max(ell*, k*) edges, so it stops at the first realization that reaches
+that floor, and it searches each later realization only for a maximal
+matching smaller than the best so far. The unpruned walk, the minimum of
+``min_maximal_matching`` over every realization, is kept as its test
+oracle. Caps keep accidental big inputs from hanging the process; they are
+arguments, not constants.
 
 Validation contract: public functions validate their input once, through
 ``graphicality.require_graphic``; ``_nu_bar`` and the bound kernels that
@@ -20,7 +25,7 @@ from typing import Iterator
 from .bounds import _gale_ryser_bound, _maximality_bound
 from .errors import CapExceededError, InternalConsistencyError, ValidationError
 from .graphicality import _eg_graphic_list, is_graphic_eg, require_graphic
-from .graphs import Edge, Graph, max_matching, min_maximal_matching
+from .graphs import Edge, Graph, _min_maximal_below, max_matching, min_maximal_matching
 from .sequences import DegreeSequence
 
 __all__ = [
@@ -128,20 +133,34 @@ def nu_bar_sequence(
     max_n: int = DEFAULT_MAX_N,
     max_degree_sum: int = DEFAULT_MAX_DEGREE_SUM,
 ) -> int:
-    """Minimum over realizations of the smallest maximal matching size."""
+    """Minimum over realizations of the smallest maximal matching size.
+
+    The walk over realizations stops once it reaches the proven floor
+    max(ell*, k*), and each search after the first is cut at the best size
+    found so far; the answer is the exhaustive one.
+    """
     require_graphic(d)
     return _nu_bar(d, max_n, max_degree_sum)
 
 
 def _nu_bar(d: DegreeSequence, max_n: int, max_degree_sum: int) -> int:
-    best = None
-    for g in enumerate_realizations(d, max_n=max_n, max_degree_sum=max_degree_sum):
-        size = min_maximal_matching(g).size
-        best = size if best is None else min(best, size)
-        if best == 0:
-            break
-    if best is None:
+    # the floor holds for every realization (see the module docstring); the
+    # first search is the public one, which enforces its vertex cap
+    degs = d.strip_zeros()[0].degrees
+    floor = max(_gale_ryser_bound(degs), _maximality_bound(degs))
+    realizations = enumerate_realizations(d, max_n=max_n, max_degree_sum=max_degree_sum)
+    first = next(realizations, None)
+    if first is None:
         raise InternalConsistencyError(f"graphic sequence {d} produced no realizations")
+    best = min_maximal_matching(first).size
+    if best == floor:
+        return best
+    for g in realizations:
+        better = _min_maximal_below(g, best, floor)
+        if better is not None:
+            best = len(better)
+            if best == floor:
+                break
     return best
 
 

@@ -344,18 +344,32 @@ def greedy_maximal_matching(g: Graph, rng_seed: int = 0) -> Matching:
 def min_maximal_matching(g: Graph, cap: int = MIN_MAXIMAL_CAP) -> Matching:
     """Smallest maximal matching, by exhaustive branching.
 
-    At the lowest-indexed vertex u that still has a free neighbor, every
-    maximal matching either pairs u with one of those neighbors or leaves
-    u unmatched forever; both branches are explored with a best-size bound.
+    The greedy maximal matching seeds the size bound; ``_min_maximal_below``
+    searches for a smaller one and the seed stands when there is none.
     """
     n = g.vertex_count
     if n > cap:
         raise CapExceededError(f"instance too large for exact minimum maximal matching (n={n} > {cap})")
+    seed = greedy_maximal_matching(g, 0)
+    better = _min_maximal_below(g, seed.size, 0)
+    return seed if better is None else Matching(frozenset(better), n)
+
+
+def _min_maximal_below(g: Graph, below: int, floor: int) -> Optional[list[Edge]]:
+    """Edges of a minimum maximal matching of g if it has fewer than
+    ``below`` edges, else None.
+
+    At the lowest-indexed vertex u that still has a free neighbor, every
+    maximal matching either pairs u with one of those neighbors or leaves
+    u unmatched forever; both branches are explored with a best-size bound
+    that starts at ``below``. ``floor`` is a size no maximal matching of g
+    goes under: the search stops at the first one that reaches it.
+    """
+    n = g.vertex_count
     adj = g.adjacency()
     edges_sorted = sorted(g.edges)
-    seed = greedy_maximal_matching(g, 0)
-    best_edges = sorted(seed.edges)
-    best_size = len(best_edges)
+    best_edges = None
+    best_size = below
     status = [0] * n  # 0 free, 1 matched, 2 never matched
     chosen: list[Edge] = []
 
@@ -364,7 +378,7 @@ def min_maximal_matching(g: Graph, cap: int = MIN_MAXIMAL_CAP) -> Matching:
 
     def rec() -> None:
         nonlocal best_edges, best_size
-        if len(chosen) >= best_size:
+        if len(chosen) >= best_size or best_size <= floor:
             return
         u = -1
         for i in range(n):
@@ -372,7 +386,7 @@ def min_maximal_matching(g: Graph, cap: int = MIN_MAXIMAL_CAP) -> Matching:
                 u = i
                 break
         if u == -1:
-            if leaf_is_maximal() and len(chosen) < best_size:
+            if leaf_is_maximal():
                 best_size = len(chosen)
                 best_edges = sorted(chosen)
             return
@@ -391,7 +405,7 @@ def min_maximal_matching(g: Graph, cap: int = MIN_MAXIMAL_CAP) -> Matching:
             status[u] = 0
 
     rec()
-    return Matching(frozenset(best_edges), n)
+    return best_edges
 
 
 def pinch(g: Graph, m: Matching) -> Graph:

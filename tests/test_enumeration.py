@@ -18,6 +18,7 @@ from degmatch import (
     extension_feasible,
     is_graphic_eg,
     make_sequence,
+    min_maximal_matching,
     nu_bar_sequence,
     nu_star_brute,
     nu_star_formula,
@@ -133,6 +134,33 @@ class TestNuBar:
         with pytest.raises(NotGraphicError):
             nu_bar_sequence(make_sequence([4, 1, 1, 1]))
 
+    @staticmethod
+    def exhaustive_nu_bar(d, max_n, max_degree_sum):
+        """Independent oracle: the smallest maximal matching of every
+        realization, with no floor and no cutoff."""
+        realizations = enumerate_realizations(d, max_n=max_n, max_degree_sum=max_degree_sum)
+        return min(min_maximal_matching(g).size for g in realizations)
+
+    def test_matches_exhaustive_oracle_up_to_7(self):
+        # nu_bar_sequence stops at the proven floor max(ell*, k*), so
+        # ConjectureRow's bound check can no longer fire: this is what still
+        # checks the floor and the cutoff
+        for d in all_graphic_sequences(7):
+            expected = self.exhaustive_nu_bar(d, 7, 42)
+            assert nu_bar_sequence(d, max_n=7, max_degree_sum=42) == expected, d
+
+    def test_walk_goes_on_past_one_above_the_floor(self):
+        # the best size found falls from 4 to 3 before a later realization
+        # reaches the floor 2
+        d = make_sequence([3, 3, 3, 3, 1, 1, 1, 1])
+        assert self.exhaustive_nu_bar(d, 8, 56) == 2
+        assert nu_bar_sequence(d, max_n=8, max_degree_sum=56) == 2
+
+    def test_isolated_vertices_do_not_change_it(self):
+        for degrees in ([2, 2, 2], [1, 1, 1, 1], [3, 2, 2, 1, 1, 1]):
+            d = make_sequence(degrees)
+            assert nu_bar_sequence(make_sequence(degrees + [0, 0])) == nu_bar_sequence(d)
+
 
 class TestStrongExtension:
     @pytest.mark.parametrize(
@@ -213,6 +241,24 @@ class TestConjectureScan:
         for row in conjecture_scan(4):
             assert row.nu_bar_d >= row.ell_star
             assert row.nu_bar_d >= row.k_star
+
+    def test_full_scan_at_7(self):
+        # the five rows where nu_bar exceeds ell*, pinned; whether they are
+        # counterexamples to nu_bar = ell* is open
+        rows = conjecture_scan(7)
+        assert len(rows) == 341
+        unequal = {
+            r.sequence.to_text(): (r.nu_bar_d, r.ell_star, r.k_star)
+            for r in rows
+            if not r.equal
+        }
+        assert unequal == {
+            "6,2,2,2,2,2,2": (3, 2, 2),
+            "6,3,3,3,3,3,3": (3, 2, 2),
+            "6,4,4,4,4,4,4": (3, 2, 2),
+            "6,6,4,4,4,4,4": (3, 2, 2),
+            "6,6,6,4,4,4,4": (3, 2, 2),
+        }
 
     def test_cap(self):
         with pytest.raises(CapExceededError):

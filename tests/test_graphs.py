@@ -25,7 +25,7 @@ from degmatch import (
     verify_matching,
     windmill,
 )
-from degmatch.graphs import _blossom_matching
+from degmatch.graphs import _blossom_matching, _min_maximal_below
 
 
 def all_graphs(n):
@@ -257,6 +257,50 @@ class TestMinMaximal:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             min_maximal_matching(Graph(17, frozenset()))
+
+    @staticmethod
+    def seeded_random_graphs():
+        rng = random.Random(7)
+        return [random_graph(rng, rng.randint(2, 7), rng.choice([0.3, 0.6])) for _ in range(40)]
+
+    def test_edges_on_random_graphs_are_pinned(self):
+        # recorded from the search before it was split into a seed and a
+        # bounded kernel: the public edges stay those of the first minimum found
+        expected = [
+            [(0, 2)], [(0, 1)], [(1, 2), (3, 5)], [(0, 1), (2, 5)], [(0, 1)],
+            [(0, 1)], [(0, 6), (3, 4)], [(0, 2)], [(2, 3)], [(0, 2)],
+            [(1, 3), (2, 4)], [(1, 2)], [(0, 1)], [(1, 3)], [],
+            [(2, 3)], [(0, 3), (1, 2)], [(1, 4), (2, 3)], [(0, 1)], [],
+            [(0, 2), (1, 3)], [(1, 4)], [(1, 4)], [(0, 6), (1, 4)], [],
+            [(0, 3), (2, 5)], [], [(1, 2)], [(1, 3)], [(0, 6), (2, 5)],
+            [(1, 3), (2, 5)], [(0, 2)], [(0, 6), (3, 5)], [(0, 3)], [(0, 1)],
+            [], [(0, 2), (1, 4)], [], [(0, 4), (1, 3)], [(0, 1)],
+        ]
+        got = [sorted(min_maximal_matching(g).edges) for g in self.seeded_random_graphs()]
+        assert got == expected
+
+
+class TestMinMaximalBelow:
+    def test_against_oracle_for_every_cutoff_and_floor(self):
+        for g in TestMinMaximal.seeded_random_graphs():
+            true_min = brute_min_maximal(g)
+            for below in range(g.vertex_count // 2 + 2):
+                for floor in range(true_min + 1):
+                    edges = _min_maximal_below(g, below, floor)
+                    if below <= true_min:
+                        assert edges is None, (g, below, floor)
+                        continue
+                    m = Matching(frozenset(edges), g.vertex_count)
+                    assert m.size == true_min, (g, below, floor)
+                    assert verify_matching(g, m, require_maximal=True), (g, below, floor)
+
+    def test_stops_at_the_floor(self):
+        # the floor is trusted, not checked: told that no maximal matching of
+        # the path 0-1-2-3 has fewer than 2 edges, the search returns the
+        # first 2-edge one it meets instead of going on to find (1, 2)
+        g = path(4)
+        assert _min_maximal_below(g, 3, 0) == [(1, 2)]
+        assert _min_maximal_below(g, 3, 2) == [(0, 1), (2, 3)]
 
 
 class TestPinchAndDelete:
