@@ -116,7 +116,7 @@ def dp_step(
         delta=delta,
         removed_matching=tuple(sorted(m.edges)),
         new_vertex=g.vertex_count,
-        resulting_degree_sequence=grown.degree_sequence().degrees,
+        resulting_degree_sequence=tuple(sorted(grown.degrees(), reverse=True)),
     )
     return grown, record
 

@@ -2,18 +2,23 @@
 
 Graphs are immutable: a vertex count plus a frozenset of normalized edges
 (u, v) with u < v. Matchings carry their host vertex count so covered and
-uncovered vertex sets are well defined.
+uncovered vertex sets are well defined. ``pinch`` derives its result from
+the parent graph: only the pinched vertices get new neighbor tuples.
+
+Maximum matching is Edmonds' blossom algorithm: a greedy warm start, then
+one breadth-first search per free vertex, each costing what its
+alternating tree costs rather than O(n).
 
 Edge-list text format: one edge per line as two whitespace-separated
-0-based integers; lines starting with ``#`` are ignored; the first
-non-comment line may be ``n <vertex_count>`` to declare isolated vertices.
+0-based integers, each edge once in either orientation; lines starting
+with ``#`` are ignored; the first non-comment line may be
+``n <vertex_count>`` to declare isolated vertices.
 """
 
 from __future__ import annotations
 
 import random
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -64,6 +69,23 @@ class Graph:
         if self.vertex_count < 0:
             raise ValidationError("vertex_count must be non-negative")
         object.__setattr__(self, "edges", _normalize_edges(self.edges, self.vertex_count))
+
+    @classmethod
+    def _trusted(
+        cls,
+        vertex_count: int,
+        edges: frozenset[Edge],
+        adj: tuple[tuple[int, ...], ...],
+        degrees: tuple[int, ...],
+    ) -> "Graph":
+        """A graph from normalized edges and the adjacency and degrees that
+        match them, with no validation and no adjacency build."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", vertex_count)
+        object.__setattr__(g, "edges", edges)
+        g.__dict__["_adj"] = adj
+        g.__dict__["_degrees"] = degrees
+        return g
 
     @property
     def m(self) -> int:
@@ -123,7 +145,7 @@ class Graph:
     @staticmethod
     def from_edge_list_text(text: str) -> "Graph":
         declared = None
-        pairs: list[Edge] = []
+        pairs: set[Edge] = set()
         saw_data = False
         for raw in text.splitlines():
             line = raw.strip()
@@ -143,7 +165,10 @@ class Graph:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ValidationError(f"malformed edge line: {line!r}") from None
-            pairs.append((u, v))
+            pair = (u, v) if u < v else (v, u)
+            if pair in pairs:
+                raise ValidationError(f"repeated edge {pair[0]} {pair[1]} at line {line!r}")
+            pairs.add(pair)
         if declared is None:
             declared = 1 + max((max(e) for e in pairs), default=-1)
         return Graph(declared, frozenset(pairs))
@@ -194,15 +219,36 @@ def _blossom_matching(g: Graph, rank: Optional[Sequence[int]] = None) -> frozens
     order when None) in the warm start, the augment loop, the blossom collapse
     and every adjacency list: the matching index-order blossom finds on the
     graph relabelled v -> rank[v], mapped back."""
-    n = g.vertex_count
-    adj: Sequence[Sequence[int]] = g.adjacency()
-    order: Sequence[int] = range(n)
-    if rank is not None:
-        order = sorted(order, key=rank.__getitem__)
-        adj = [sorted(nbrs, key=rank.__getitem__) for nbrs in adj]
+    adj = g.adjacency()
+    if rank is None:
+        match = _index_order_blossom(adj)
+        return frozenset((v, u) for v, u in enumerate(match) if u > v)
+    # relabel by position in the stable rank order, so ties keep index order
+    order = sorted(range(g.vertex_count), key=rank.__getitem__)
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    match = _index_order_blossom([sorted([pos[u] for u in adj[v]]) for v in order])
+    return frozenset(
+        (order[i], order[j]) if order[i] < order[j] else (order[j], order[i])
+        for i, j in enumerate(match)
+        if j > i
+    )
+
+
+def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
+    """Partner of each vertex (-1 if free) in a maximum matching: a greedy
+    warm start, then one breadth-first augmenting-path search from each
+    free vertex in index order (Edmonds 1965).
+
+    A search costs what its alternating tree costs. Only the vertices the
+    previous search touched are reset, and a blossom is contracted by
+    moving the members of the bases it absorbs, newly outer ones queued
+    in index order, instead of by a pass over all n vertices.
+    """
+    n = len(adj)
     match = [-1] * n
-    # greedy warm start, deterministic
-    for v in order:
+    for v in range(n):
         if match[v] == -1:
             for u in adj[v]:
                 if match[u] == -1:
@@ -212,55 +258,78 @@ def _blossom_matching(g: Graph, rank: Optional[Sequence[int]] = None) -> frozens
     p = [-1] * n
     base = list(range(n))
     used = [False] * n
+    # members[b]: the vertices with base b once b heads a blossom, else None
+    members: list[Optional[list[int]]] = [None] * n
+    mark = [0] * n
+    stamp = 0
+    touched: list[int] = []
 
-    def lca(a: int, b: int) -> int:
-        seen = [False] * n
-        while True:
-            a = base[a]
-            seen[a] = True
-            if match[a] == -1:
-                break
-            a = p[match[a]]
-        while True:
-            b = base[b]
-            if seen[b]:
-                return b
-            b = p[match[b]]
-
-    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
-        while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
-            p[v] = child
-            child = match[v]
-            v = p[match[v]]
-
-    def try_augment(root: int) -> bool:
-        for i in range(n):
+    for root in range(n):
+        if match[root] != -1:
+            continue
+        for i in touched:
             used[i] = False
             p[i] = -1
             base[i] = i
+            members[i] = None
+        touched = [root]
         used[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
+        queue = [root]
+        head = 0
+        augmented = False
+        while head < len(queue) and not augmented:
+            v = queue[head]
+            head += 1
+            mate = match[v]
             for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
+                if to == mate or base[v] == base[to]:
                     continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    cur_base = lca(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, cur_base, to, in_blossom)
-                    mark_path(to, cur_base, v, in_blossom)
-                    for i in order:
-                        if in_blossom[base[i]]:
-                            base[i] = cur_base
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
+                w = match[to]
+                if to == root or (w != -1 and p[w] != -1):
+                    # lowest common base of v and to in the alternating tree
+                    stamp += 1
+                    a = v
+                    while True:
+                        a = base[a]
+                        mark[a] = stamp
+                        if match[a] == -1:
+                            break
+                        a = p[match[a]]
+                    b = to
+                    while True:
+                        b = base[b]
+                        if mark[b] == stamp:
+                            break
+                        b = p[match[b]]
+                    cur_base = b
+                    # re-parent both paths up to cur_base, collecting their bases
+                    stamp += 1
+                    absorbed = []
+                    for x, child in ((v, to), (to, v)):
+                        while base[x] != cur_base:
+                            for y in (base[x], base[match[x]]):
+                                if mark[y] != stamp:
+                                    mark[y] = stamp
+                                    absorbed.append(y)
+                            p[x] = child
+                            child = match[x]
+                            x = p[child]
+                    moved: list[int] = []
+                    for y in absorbed:
+                        moved.extend(members[y] or (y,))
+                    for i in moved:
+                        base[i] = cur_base
+                    for i in sorted([i for i in moved if not used[i]]):
+                        used[i] = True
+                        queue.append(i)
+                    # cur_base heads an outer blossom, so it is never absorbed
+                    merged = members[cur_base] or [cur_base]
+                    merged.extend(moved)
+                    members[cur_base] = merged
                 elif p[to] == -1:
                     p[to] = v
-                    if match[to] == -1:
+                    touched.append(to)
+                    if w == -1:
                         u = to
                         while u != -1:
                             pv = p[u]
@@ -268,15 +337,12 @@ def _blossom_matching(g: Graph, rank: Optional[Sequence[int]] = None) -> frozens
                             match[u] = pv
                             match[pv] = u
                             u = ppv
-                        return True
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return False
-
-    for v in order:
-        if match[v] == -1:
-            try_augment(v)
-    return frozenset((v, match[v]) for v in range(n) if match[v] > v)
+                        augmented = True
+                        break
+                    used[w] = True
+                    touched.append(w)
+                    queue.append(w)
+    return match
 
 
 def max_matching_exhaustive(g: Graph, cap: int = EXHAUSTIVE_MATCHING_CAP) -> Matching:
@@ -423,8 +489,22 @@ def pinch(g: Graph, m: Matching) -> Graph:
     if not m.edges:
         warnings.warn("pinching an empty matching only adds an isolated vertex", stacklevel=2)
     v_new = g.vertex_count
-    star = {(u, v_new) for u in m.matched_vertices}
-    return Graph(v_new + 1, (g.edges - m.edges) | star)
+    partner = {}
+    for u, v in m.edges:
+        partner[u] = v
+        partner[v] = u
+    # the edges are normalized already, and only the matched vertices'
+    # neighbor tuples change: each loses its partner and gains v_new, the
+    # largest id, at the end
+    adj = list(g.adjacency())
+    for u, v in partner.items():
+        nbrs = list(adj[u])
+        nbrs.remove(v)
+        nbrs.append(v_new)
+        adj[u] = tuple(nbrs)
+    adj.append(tuple(sorted(partner)))
+    edges = (g.edges - m.edges) | {(u, v_new) for u in partner}
+    return Graph._trusted(v_new + 1, edges, tuple(adj), g.degrees() + (len(partner),))
 
 
 def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:

@@ -110,6 +110,14 @@ class TestExtendRealizeEnumerate:
         code, out, _ = run(capsys, "bounds", "--graph", str(path), "--format", "json")
         assert code == 0 and json.loads(out)["m"] == 5
 
+    @pytest.mark.parametrize("repeat", ["0 1", "1 0"])
+    def test_repeated_edge_is_validation_error(self, tmp_path, capsys, repeat):
+        path = tmp_path / "g.txt"
+        path.write_text(f"0 1\n1 2\n{repeat}\n")
+        code, out, err = run(capsys, "bounds", "--graph", str(path), "--format", "json")
+        assert code == 1 and out == ""
+        assert err.startswith("ERROR VALIDATION: repeated edge 0 1")
+
     def test_realize_non_graphic_is_domain_error(self, capsys):
         code, out, err = run(capsys, "realize", "--seq", "3,3,1,1")
         assert code == 1 and err.startswith("ERROR NOT_GRAPHIC:")

@@ -66,6 +66,13 @@ class TestDpStep:
             assert grown.degrees()[g.vertex_count] == delta
             assert record.resulting_degree_sequence == grown.degree_sequence().degrees
 
+    @pytest.mark.parametrize("policy", ["random", "first", "max-degree"])
+    def test_record_sequence_is_the_sorted_child_degrees(self, policy):
+        g = gnm_graph(40, 80, 8)
+        for delta in (2, 4, 10):
+            grown, record = dp_step(g, delta, policy=policy, rng_seed=delta)
+            assert record.resulting_degree_sequence == make_sequence(grown.degrees()).degrees
+
     def test_callable_policy(self):
         def first_fit(g, size, rng):
             taken: set[int] = set()

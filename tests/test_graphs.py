@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from degmatch import (
     cycle,
     delete_vertex,
     greedy_maximal_matching,
+    grow,
     half_graph,
     hh_swap,
     max_matching,
@@ -90,6 +92,11 @@ class TestGraphType:
     def test_edge_list_malformed(self):
         with pytest.raises(ValidationError):
             Graph.from_edge_list_text("0 1 2\n")
+
+    @pytest.mark.parametrize("repeat", ["0 1", "1 0"])
+    def test_edge_list_repeated_edge(self, repeat):
+        with pytest.raises(ValidationError, match="repeated edge 0 1"):
+            Graph.from_edge_list_text(f"n 3\n0 1\n1 2\n{repeat}\n")
 
     def test_adjacency_built_once(self):
         g = half_graph(8)
@@ -190,6 +197,163 @@ class TestBlossomVisitOrder:
     )
     def test_families(self, g):
         self.assert_same_as_relabelled(g, random.Random(g.vertex_count), shuffles=20)
+
+
+def blossom_oracle(g, rank=None):
+    """The rank-ordered blossom kernel as it was before its searches were
+    bounded by their alternating trees: every search resets all n vertices
+    and every contraction scans all n vertices in rank order."""
+    n = g.vertex_count
+    adj = g.adjacency()
+    order = range(n)
+    if rank is not None:
+        order = sorted(order, key=rank.__getitem__)
+        adj = [sorted(nbrs, key=rank.__getitem__) for nbrs in adj]
+    match = [-1] * n
+    # greedy warm start, deterministic
+    for v in order:
+        if match[v] == -1:
+            for u in adj[v]:
+                if match[u] == -1:
+                    match[v] = u
+                    match[u] = v
+                    break
+    p = [-1] * n
+    base = list(range(n))
+    used = [False] * n
+
+    def lca(a, b):
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if match[a] == -1:
+                break
+            a = p[match[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                return b
+            b = p[match[b]]
+
+    def mark_path(v, b, child, in_blossom):
+        while base[v] != b:
+            in_blossom[base[v]] = True
+            in_blossom[base[match[v]]] = True
+            p[v] = child
+            child = match[v]
+            v = p[match[v]]
+
+    def try_augment(root):
+        for i in range(n):
+            used[i] = False
+            p[i] = -1
+            base[i] = i
+        used[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and p[match[to]] != -1):
+                    cur_base = lca(v, to)
+                    in_blossom = [False] * n
+                    mark_path(v, cur_base, to, in_blossom)
+                    mark_path(to, cur_base, v, in_blossom)
+                    for i in order:
+                        if in_blossom[base[i]]:
+                            base[i] = cur_base
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                elif p[to] == -1:
+                    p[to] = v
+                    if match[to] == -1:
+                        u = to
+                        while u != -1:
+                            pv = p[u]
+                            ppv = match[pv]
+                            match[u] = pv
+                            match[pv] = u
+                            u = ppv
+                        return True
+                    used[match[to]] = True
+                    queue.append(match[to])
+        return False
+
+    for v in order:
+        if match[v] == -1:
+            try_augment(v)
+    return frozenset((v, match[v]) for v in range(n) if match[v] > v)
+
+
+def gnm(n, m, seed):
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph(n, frozenset(random.Random(seed).sample(pairs, m)))
+
+
+def c6_chain_graphs(steps, every):
+    """Every ``every``-th graph of a seeded C6 chain grown by fixed:4 / first."""
+    trace = grow(cycle(6), steps, "fixed:4", 17, "first")
+    g = cycle(6)
+    out = []
+    for rec in trace.steps:
+        g = pinch(g, Matching(frozenset(rec.removed_matching), g.vertex_count))
+        if (rec.step_index + 1) % every == 0:
+            out.append(g)
+    assert g == trace.final_graph
+    return out
+
+
+class TestBlossomOracle:
+    """The tree-bounded kernel returns the oracle's matching edge for edge,
+    in index order and under shuffled ranks."""
+
+    @staticmethod
+    def assert_matches_oracle(g, rng, shuffles=5):
+        assert _blossom_matching(g) == blossom_oracle(g)
+        for _ in range(shuffles):
+            rank = list(range(g.vertex_count))
+            rng.shuffle(rank)
+            assert _blossom_matching(g, rank) == blossom_oracle(g, rank)
+
+    @pytest.mark.parametrize("n", [2, 5, 10, 25, 50, 100, 200, 400, 800])
+    def test_gnm_2n(self, n):
+        g = gnm(n, min(2 * n, n * (n - 1) // 2), n)
+        self.assert_matches_oracle(g, random.Random(n))
+
+    def test_c6_chain(self):
+        # pinched chains grow long odd cycles through the new vertices, so a
+        # single search contracts dozens of nested blossoms
+        rng = random.Random(300)
+        for g in c6_chain_graphs(300, 5):
+            self.assert_matches_oracle(g, rng)
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle(3), cycle(5), cycle(31), cycle(101), windmill(3, 3), windmill(6, 3),
+         windmill(4, 5), windmill(7, 4), half_graph(10), half_graph(24), half_graph(60)],
+        ids=lambda g: f"n{g.vertex_count}m{g.m}",
+    )
+    def test_families(self, g):
+        self.assert_matches_oracle(g, random.Random(g.vertex_count))
+
+    def test_mostly_isolated_vertices(self):
+        # a few odd cycles and a path among 1000 vertices
+        rng = random.Random(1000)
+        ids = rng.sample(range(1000), 40)
+        edges = set()
+        for cyc in (ids[0:5], ids[5:12], ids[12:21]):
+            edges.update(zip(cyc, cyc[1:] + cyc[:1]))
+        edges.update(zip(ids[21:39], ids[22:40]))
+        g = Graph(1000, frozenset(edges))
+        self.assert_matches_oracle(g, rng)
+
+    @given(graphs(max_n=12), st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=150)
+    def test_hypothesis(self, g, seed):
+        self.assert_matches_oracle(g, random.Random(seed))
 
 
 class TestGreedyMaximal:
@@ -322,6 +486,36 @@ class TestPinchAndDelete:
         with pytest.warns(UserWarning):
             grown = pinch(g, Matching(frozenset(), 3))
         assert grown.vertex_count == 4 and grown.degrees()[3] == 0
+
+    @staticmethod
+    def assert_pinch_equals_rebuild(g, m):
+        star = {(u, g.vertex_count) for u in m.matched_vertices}
+        rebuilt = Graph(g.vertex_count + 1, (g.edges - m.edges) | star)
+        grown = pinch(g, m)
+        assert grown == rebuilt
+        assert grown.edges == rebuilt.edges
+        assert grown.adjacency() == rebuilt.adjacency()
+        assert grown.degrees() == rebuilt.degrees()
+        assert grown.degree_sequence() == rebuilt.degree_sequence()
+
+    def test_pinch_equals_rebuild_on_random_graphs(self):
+        rng = random.Random(99)
+        for _ in range(80):
+            g = random_graph(rng, rng.randint(2, 30), rng.choice([0.1, 0.3, 0.6]))
+            full = sorted(max_matching(g).edges)
+            if not full:
+                continue
+            m = Matching(frozenset(rng.sample(full, rng.randint(1, len(full)))), g.vertex_count)
+            self.assert_pinch_equals_rebuild(g, m)
+
+    def test_pinch_equals_rebuild_on_empty_and_perfect_matchings(self):
+        for g in (cycle(6), half_graph(10), windmill(4, 3)):
+            with pytest.warns(UserWarning):
+                self.assert_pinch_equals_rebuild(g, Matching(frozenset(), g.vertex_count))
+        for g in (cycle(6), half_graph(10), path(8)):
+            m = max_matching(g)
+            assert 2 * m.size == g.vertex_count
+            self.assert_pinch_equals_rebuild(g, m)
 
     def test_pinch_rejects_foreign_matching(self):
         g = path(4)
