@@ -48,13 +48,9 @@ def _record_csv(record: dict) -> str:
     return ",".join(keys) + "\n" + values + "\n"
 
 
-def _json_default(value):
-    raise TypeError(f"not JSON serializable: {value!r}")
-
-
 def _emit_record(record: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        _emit(json.dumps(record, default=_json_default) + "\n", out)
+        _emit(json.dumps(record) + "\n", out)
     elif fmt == "csv":
         _emit(_record_csv(record), out)
     else:

@@ -66,11 +66,13 @@ def _select_matching(
         def weight(e: Edge) -> tuple[int, Edge]:
             return (-(deg[e[0]] + deg[e[1]]), e)
 
-        greedy = _greedy_matching(sorted(g.edges, key=weight))
-        pool = greedy if len(greedy) >= size else (full or max_matching(g)).edges
+        # the greedy matching is taken in weight order, so it is already sorted
+        pool = _greedy_matching(sorted(g.edges, key=weight))
+        if len(pool) < size:
+            pool = sorted((full or max_matching(g)).edges, key=weight)
         if len(pool) < size:
             return None
-        return Matching(frozenset(sorted(pool, key=weight)[:size]), g.vertex_count)
+        return Matching(frozenset(pool[:size]), g.vertex_count)
     raise ValidationError(f"unknown matching policy {policy!r}; known: {', '.join(MATCHING_POLICIES)}")
 
 

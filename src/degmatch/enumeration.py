@@ -2,11 +2,14 @@
 
 These functions are the ground truth the closed forms and bounds are
 measured against, so they walk every labelled realization (vertex i has
-degree d_i exactly) with no isomorphism reduction. The one pruned walk is
-nu_bar: every maximal matching of every realization has at least
-max(ell*, k*) edges, so it stops at the first realization that reaches
-that floor, and it searches each later realization only for a maximal
-matching smaller than the best so far. The unpruned walk, the minimum of
+degree d_i exactly) with no isomorphism reduction. The walk needs no
+graphicality check below its entry: each vertex takes exactly its residual
+demand from later vertices, so every leaf is a realization and a dead
+branch ends at the first vertex whose demand exceeds its remaining
+candidates. The one pruned walk is nu_bar: every maximal matching of every
+realization has at least max(ell*, k*) edges, so it stops at the first
+realization that reaches that floor, and it searches each later
+realization only for a maximal matching smaller than the best so far. The unpruned walk, the minimum of
 ``min_maximal_matching`` over every realization, is kept as its test
 oracle. Caps keep accidental big inputs from hanging the process; they are
 arguments, not constants.
@@ -24,7 +27,7 @@ from typing import Iterator
 
 from .bounds import _gale_ryser_bound, _maximality_bound
 from .errors import CapExceededError, InternalConsistencyError, ValidationError
-from .graphicality import _eg_graphic_list, is_graphic_eg, require_graphic
+from .graphicality import is_graphic_eg, require_graphic
 from .graphs import Edge, Graph, _min_maximal_below, max_matching, min_maximal_matching
 from .sequences import DegreeSequence
 
@@ -63,25 +66,25 @@ def enumerate_realizations(
 ) -> Iterator[Graph]:
     """Yield every labelled simple graph whose vertex-i degree equals d_i.
 
-    Backtracking over the neighbor set of each vertex in index order; a
-    branch is entered only if the residual demands on the untouched suffix
-    still form a graphic sequence, so dead subtrees are never visited.
-    Yields nothing when the sequence is not graphic.
+    Backtracking over the neighbor set of each vertex in index order: vertex
+    i takes exactly its residual demand from the later vertices whose
+    residual is still positive. Later vertices never touch i again, so at
+    i = n every demand is met and each leaf is a realization; a dead branch
+    ends at the first vertex whose demand exceeds its remaining candidates.
+    Erdos-Gallai runs once, at entry, so a non-graphic sequence yields
+    nothing without a search.
     """
     _check_caps(d, max_n, max_degree_sum)
-    n = d.n
-    if d.degree_sum % 2:
+    if not is_graphic_eg(d).is_graphic:
         return
+    n = d.n
     residual = list(d.degrees)
     edges: list[Edge] = []
 
-    def suffix_ok(start: int) -> bool:
-        tail = sorted(residual[start:], reverse=True)
-        return _eg_graphic_list(tail)
-
     def rec(i: int) -> Iterator[Graph]:
         if i == n:
-            yield Graph(n, frozenset(edges))
+            # each pair (i, j), i < j, is chosen once: the edges are normalized
+            yield Graph._trusted(n, frozenset(edges), None, d.degrees)
             return
         need = residual[i]
         cands = [j for j in range(i + 1, n) if residual[j] > 0]
@@ -91,15 +94,12 @@ def enumerate_realizations(
             for j in combo:
                 residual[j] -= 1
                 edges.append((i, j))
-            if suffix_ok(i + 1):
-                yield from rec(i + 1)
+            yield from rec(i + 1)
             for j in combo:
                 residual[j] += 1
             if need:
                 del edges[-need:]
 
-    if not suffix_ok(0):
-        return
     yield from rec(0)
 
 
@@ -140,14 +140,14 @@ def nu_bar_sequence(
     found so far; the answer is the exhaustive one.
     """
     require_graphic(d)
-    return _nu_bar(d, max_n, max_degree_sum)
-
-
-def _nu_bar(d: DegreeSequence, max_n: int, max_degree_sum: int) -> int:
-    # the floor holds for every realization (see the module docstring); the
-    # first search is the public one, which enforces its vertex cap
     degs = d.strip_zeros()[0].degrees
     floor = max(_gale_ryser_bound(degs), _maximality_bound(degs))
+    return _nu_bar(d, max_n, max_degree_sum, floor)
+
+
+def _nu_bar(d: DegreeSequence, max_n: int, max_degree_sum: int, floor: int) -> int:
+    # floor = max(ell*, k*) holds for every realization (see the module
+    # docstring); the first search is the public one, which enforces its vertex cap
     realizations = enumerate_realizations(d, max_n=max_n, max_degree_sum=max_degree_sum)
     first = next(realizations, None)
     if first is None:
@@ -253,9 +253,9 @@ def conjecture_scan(n_max: int, *, max_n: int = DEFAULT_MAX_N) -> list[Conjectur
     rows = []
     for d in all_graphic_sequences(n_max):
         # all_graphic_sequences yields graphic sequences without zero entries
-        nb = _nu_bar(d, max_n, degree_sum_cap)
         ell = _gale_ryser_bound(d.degrees)
         ks = _maximality_bound(d.degrees)
+        nb = _nu_bar(d, max_n, degree_sum_cap, max(ell, ks))
         rows.append(ConjectureRow(d, nb, ell, ks, nb == ell))
     return rows
 

@@ -70,7 +70,7 @@ def _eg_first_violation(degs: tuple[int, ...], check_all_k: bool = False) -> Opt
         if s == 0:  # all entries zero
             return None
         ks = [k for k in range(1, s + 1) if k == s or degs[k - 1] > degs[k]]
-    # _capped_sum with c = k, inline as enumeration runs this per branch; w = #{d_i >= k} only falls
+    # _capped_sum with c = k, inline: w = #{d_i >= k} only falls as k grows, so no bisect per k
     prefix = [0, *accumulate(degs)]
     w = n
     for k in ks:
@@ -80,11 +80,6 @@ def _eg_first_violation(degs: tuple[int, ...], check_all_k: bool = False) -> Opt
         if prefix[k] > k * (k - 1) + k * (p - k) + prefix[n] - prefix[p]:
             return k
     return None
-
-
-def _eg_graphic_list(degs_sorted_desc: list[int]) -> bool:
-    """Fast yes/no Erdos-Gallai on a plain pre-sorted list (parity included)."""
-    return sum(degs_sorted_desc) % 2 == 0 and _eg_first_violation(tuple(degs_sorted_desc)) is None
 
 
 def is_graphic_eg(d: DegreeSequence, *, check_all_k: bool = False) -> GraphicVerdict:
@@ -174,8 +169,9 @@ def _extension_feasible(degs: tuple[int, ...], delta: int) -> bool:
         # fewer than delta positive entries: the reduced sequence would go
         # negative, so the augmented sequence cannot be graphic
         return False
+    # the reduced sum is even: degs is graphic and delta is even
     reduced = [x - 1 for x in degs[:delta]] + list(degs[delta:])
-    return _eg_graphic_list(sorted(reduced, reverse=True))
+    return _eg_first_violation(tuple(sorted(reduced, reverse=True))) is None
 
 
 def delta_star(d: DegreeSequence) -> int:

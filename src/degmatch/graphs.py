@@ -75,15 +75,16 @@ class Graph:
         cls,
         vertex_count: int,
         edges: frozenset[Edge],
-        adj: tuple[tuple[int, ...], ...],
+        adj: Optional[tuple[tuple[int, ...], ...]],
         degrees: tuple[int, ...],
     ) -> "Graph":
-        """A graph from normalized edges and the adjacency and degrees that
-        match them, with no validation and no adjacency build."""
+        """A graph from normalized edges and the degrees that match them, with
+        no validation; the adjacency is built on first use unless given."""
         g = object.__new__(cls)
         object.__setattr__(g, "vertex_count", vertex_count)
         object.__setattr__(g, "edges", edges)
-        g.__dict__["_adj"] = adj
+        if adj is not None:
+            g.__dict__["_adj"] = adj
         g.__dict__["_degrees"] = degrees
         return g
 

@@ -1,5 +1,6 @@
 """Unit tests for the exhaustive realization oracles."""
 
+import hashlib
 import itertools
 from collections import Counter
 from functools import lru_cache
@@ -8,6 +9,7 @@ import pytest
 
 from degmatch import (
     CapExceededError,
+    Graph,
     NotGraphicError,
     ValidationError,
     all_graphic_sequences,
@@ -22,9 +24,11 @@ from degmatch import (
     nu_bar_sequence,
     nu_star_brute,
     nu_star_formula,
+    parse_sequence,
     rows_to_csv,
     strong_extension_check,
 )
+from degmatch import graphicality, graphs
 
 
 @lru_cache(maxsize=None)
@@ -94,6 +98,70 @@ class TestEnumerate:
 
     def test_isolated_vertices_pass_through(self):
         assert count_realizations(make_sequence([1, 1, 0])) == 1
+
+
+class TestEnumerationOrder:
+    """The walk yields the same realizations in the same order: SHA-256 of
+    each realization's sorted edge list, one per line, in the order yielded."""
+
+    @pytest.mark.parametrize(
+        "text,count,digest",
+        [
+            ("4,4,4,4,4,4,4,4", 19355, "871e10f928aae2a7281492a44f86a857e03a012912957e4b65cdf58488d489d4"),
+            ("3,3,3,3,3,3,3,3", 19355, "d993e4385f48921ae8b21b2ab3f7ffc3f672bae59f4a94fef9a2115379fc066b"),
+            ("6,6,6,6,6,6,3,3", 20, "d14741f66c712c052020df61683eee1ad42a44d25e3f192253233876158708ea"),
+            ("1,1,1,1,1,1,1,1,1,1", 945, "7f24ab4222fa121cf78db61444d6da164829beae371c02396bff707cc153ba80"),
+            ("3,3,2,2,2,0,0", 7, "58468121ba24fcb1e6c7676f959e267cd9cf0b69e7b21ada0a2f2a417d7410ee"),
+            ("7,7,7,7,7,6,6,6,5", 1390, "e2a6e55acff8bc8060b2bfdce5a429684c3b80c6194ff56e7af4abf603a44e4c"),
+            ("3,3,2,2,2,2,1,1,1,1", 22296, "876dc2200e8b7166641e0202ec6ec28fecc6e863d1bf013aebc82a2aa3921c96"),
+            ("3,3,1,1", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ],
+    )
+    def test_ordered_edge_lists(self, text, count, digest):
+        d = parse_sequence(text)
+        h = hashlib.sha256()
+        seen = 0
+        for g in enumerate_realizations(d, max_n=10, max_degree_sum=60):
+            h.update((repr(sorted(g.edges)) + "\n").encode())
+            seen += 1
+        assert (seen, h.hexdigest()) == (count, digest)
+
+    def test_degrees_agree_with_the_edges(self):
+        d = make_sequence([4, 3, 3, 2, 2, 2, 0])
+        for g in enumerate_realizations(d):
+            assert Graph(g.vertex_count, g.edges).degrees() == g.degrees() == d.degrees
+
+
+class TestEnumerationChecksOnce:
+    """Erdos-Gallai runs once per call, at entry, and a yielded realization
+    is built without re-normalizing its edges."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for module, name in ((graphicality, "_eg_first_violation"), (graphs, "_normalize_edges")):
+            original = getattr(module, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        return counts
+
+    @staticmethod
+    def walk(text):
+        return sum(1 for _ in enumerate_realizations(parse_sequence(text), max_degree_sum=56))
+
+    @pytest.mark.parametrize("text", ["4,4,4,4,3,3,3,3", "3,3,2,2,2,0,0", "6,6,6,6,6,6,3,3", "3,3,1,1"])
+    def test_one_eg_evaluation(self, calls, text):
+        self.walk(text)
+        assert calls["_eg_first_violation"] == 1
+
+    @pytest.mark.parametrize("text", ["4,4,4,4,3,3,3,3", "3,3,2,2,2,0,0", "6,6,6,6,6,6,3,3"])
+    def test_no_edge_normalization(self, calls, text):
+        assert self.walk(text) > 0
+        assert calls["_normalize_edges"] == 0
 
 
 class TestNuStarBrute:
