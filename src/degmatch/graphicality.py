@@ -13,7 +13,7 @@ Validation contract: public functions validate their input once;
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import neg
@@ -124,29 +124,55 @@ def realize_hh(d: DegreeSequence) -> Graph:
     Deterministic rule: repeatedly take the vertex with the largest
     remaining demand (lowest id on ties) and connect it to the vertices
     with the next-largest demands (again lowest id on ties).
+
+    Bucket queue: ``bucket[r]`` holds the ids whose remaining demand is
+    r > 0, in descending order, so its lowest id is last. The rule's order
+    is bucket by bucket from the top, lowest id first within each. A step
+    pops v, the lowest id of the highest non-empty bucket, whose demand is
+    k, and walks down the buckets for v's k targets: whole buckets, then
+    the lowest ids of the last one reached. A whole bucket moves down one
+    level as it is; the ids moved into a partly taken bucket go in by
+    binary insertion. So a step costs its k edges, each with at most one
+    O(log n) insertion, plus the at most k buckets it touches, and the
+    highest non-empty bucket only ever falls.
     """
     require_graphic(d)
     n = d.n
-    residual = list(d.degrees)
+    bucket: list[list[int]] = [[] for _ in range(d.max_degree + 1)]
+    for i in reversed(range(n)):  # arranged, so every bucket fills in descending id order
+        bucket[d.degrees[i]].append(i)
     edges = []
+    top = d.max_degree
     for _ in range(n):
-        v = min(range(n), key=lambda i: (-residual[i], i))
-        k = residual[v]
-        if k == 0:
+        while top and not bucket[top]:
+            top -= 1
+        if not top:
             break
-        residual[v] = 0
-        targets = sorted(
-            (j for j in range(n) if j != v and residual[j] > 0),
-            key=lambda j: (-residual[j], j),
-        )
-        if len(targets) < k:
-            raise InternalConsistencyError("realization ran out of targets on a graphic sequence")
-        for j in targets[:k]:
-            residual[j] -= 1
-            edges.append((v, j))
-    if any(residual):
+        v = bucket[top].pop()
+        need, r, moved, targets = top, top, [], []
+        while need:
+            if not r:
+                raise InternalConsistencyError("realization ran out of targets on a graphic sequence")
+            run = bucket[r]
+            if len(run) <= need:
+                bucket[r], taken = moved, run
+            else:
+                taken = run[-need:]
+                del run[-need:]
+                for j in moved:  # the ids taken from bucket r + 1, now at demand r
+                    insort(run, j, key=neg)
+            need -= len(taken)
+            targets += taken
+            moved = taken
+            r -= 1
+        if r:
+            for j in moved:
+                insort(bucket[r], j, key=neg)
+        edges.extend((v, j) if v < j else (j, v) for j in targets)
+    if any(bucket[1:]):
         raise InternalConsistencyError("realization left unmet degree demands")
-    return Graph(n, frozenset((u, w) if u < w else (w, u) for u, w in edges))
+    # each pair is taken once and normalized, and no demand is left, so vertex i has degree d_i
+    return Graph._trusted(n, frozenset(edges), None, d.degrees)
 
 
 def extension_feasible(d: DegreeSequence, delta: int) -> bool:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from degmatch import cli
 from degmatch.cli import main
 
 
@@ -241,3 +242,63 @@ class TestDeterminism:
             _, first, _ = run(capsys, *args)
             _, second, _ = run(capsys, *args)
             assert first == second
+
+
+class TestOneParserPerProcess:
+    """main builds its parser once and reuses it; the reused parser gives each
+    argv the same result whatever ran before it."""
+
+    def test_built_once(self, monkeypatch, capsys):
+        calls = []
+        original = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for seq in ("2,2,2", "3,3,1,1", "1,1"):
+                main(["check", "--seq", seq])
+        finally:
+            cli._parser.cache_clear()
+        assert len(calls) == 1
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_order_independent(self, tmp_path, capsys):
+        path = tmp_path / "out.txt"
+        argvs = [
+            ["check", "--seq", "3,3,1,1", "--format", "json"],
+            ["realize", "--seq", "3,2,2,2,1", "--format", "json"],
+            ["bounds", "--seq", "4,2,2,2,2", "--format", "csv"],
+            ["delta-star", "--seq", "2,2,2,2,2,2"],
+            ["nu-star", "--seq", "3,3,1,1"],
+            ["extend", "--seq", "2,2,2", "--delta", "2"],
+            ["grow", "--seq", "2,2,2,2", "--steps", "3", "--policy", "fixed:2"],
+            ["family", "--kind", "half-graph", "--n", "6", "--out", str(path)],
+            ["enumerate", "--seq", "2,2,2,2", "--format", "csv"],
+            ["scan-conjecture", "--max-n", "4"],
+            ["realize", "--seq", "2,2", "--format", "yaml"],
+            ["--version"],
+        ]
+
+        def outcome(argv):
+            path.unlink(missing_ok=True)
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            captured = capsys.readouterr()
+            written = path.read_text() if path.exists() else None
+            return rc, captured.out, captured.err, written
+
+        forward = [outcome(argv) for argv in argvs]
+        backward = [outcome(argv) for argv in reversed(argvs)][::-1]
+        assert forward == backward
+        rcs = [rc for rc, *_ in forward]
+        assert rcs == [1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 2, 0]
+        assert forward[4][2].startswith("ERROR NOT_GRAPHIC:")
+        assert forward[7][1] == "" and forward[7][3].startswith("n 6\n")
+        assert forward[10][2].startswith("usage: degmatch realize")
+        assert forward[11][1].startswith("degmatch ")

@@ -1,5 +1,6 @@
 """Unit tests for graphicality decisions, realizations, and nu_star."""
 
+import hashlib
 import itertools
 import random
 from functools import lru_cache
@@ -24,6 +25,7 @@ from degmatch import (
     realize_hh,
 )
 from degmatch import graphicality
+from degmatch.cli import main
 
 
 def brute_realization_exists(degrees):
@@ -126,6 +128,82 @@ class TestRealize:
         else:
             with pytest.raises(NotGraphicError):
                 realize_hh(d)
+
+
+def realize_hh_oracle(d):
+    """Reference for realize_hh: its rule written directly, with a min over all
+    n vertices and a keyed sort of the targets on every step (O(n^2 log n))."""
+    n = d.n
+    residual = list(d.degrees)
+    edges = []
+    for _ in range(n):
+        v = min(range(n), key=lambda i: (-residual[i], i))
+        k = residual[v]
+        if k == 0:
+            break
+        residual[v] = 0
+        targets = sorted(
+            (j for j in range(n) if j != v and residual[j] > 0),
+            key=lambda j: (-residual[j], j),
+        )
+        assert len(targets) >= k
+        for j in targets[:k]:
+            residual[j] -= 1
+            edges.append((v, j))
+    assert not any(residual)
+    return frozenset((u, w) if u < w else (w, u) for u, w in edges)
+
+
+class TestRealizeMatchesOracle:
+    """realize_hh picks the same edges as the reference rule."""
+
+    def test_every_graphic_sequence_up_to_8(self):
+        checked = 0
+        for n in range(9):
+            for combo in itertools.combinations_with_replacement(range(n - 1, -1, -1), n):
+                d = make_sequence(list(combo))
+                if is_graphic_eg(d).is_graphic:
+                    assert realize_hh(d).edges == realize_hh_oracle(d), d
+                    checked += 1
+        assert checked == 1707  # OEIS A004251, summed over n = 0..8
+
+    @given(arranged_sequences)
+    def test_hypothesis_sequences(self, d):
+        if is_graphic_eg(d).is_graphic:
+            assert realize_hh(d).edges == realize_hh_oracle(d)
+
+
+class TestRealizePins:
+    """SHA-256 of ``degmatch realize --format json`` on the n = 3200 inputs of
+    the CI step, as the reference rule writes them."""
+
+    @staticmethod
+    def gnm_3200():
+        rng = random.Random(0)
+        n, m = 3200, 12800
+        edges = set()
+        while len(edges) < m:
+            u, v = rng.sample(range(n), 2)
+            edges.add((min(u, v), max(u, v)))
+        degrees = [0] * n
+        for u, v in edges:
+            degrees[u] += 1
+            degrees[v] += 1
+        return ",".join(map(str, degrees))
+
+    @pytest.mark.parametrize(
+        "name,digest",
+        [
+            ("gnm", "e942cf4f3ebda0b59abfc05484db4091d1d5fc1b2777206dc8029a6550437e45"),
+            ("skewed", "96d809ad5802117e1c77a3546a81e10c4443f915ecb266fb2bca52c2128af210"),
+        ],
+    )
+    def test_realize_json_digest(self, tmp_path, name, digest):
+        text = self.gnm_3200() if name == "gnm" else ",".join(["3199"] * 12 + ["12"] * 3188)
+        seq, out = tmp_path / f"{name}-3200.seq", tmp_path / f"realize-{name}-3200.json"
+        seq.write_text(text)
+        assert main(["realize", "--seq-file", str(seq), "--format", "json", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestExtension:
