@@ -47,11 +47,11 @@ def _select_matching(
         m = policy(g, size, rng)
         return m if m is not None and m.size == size else None
     if policy == "random":
-        # run the exact matcher in a random vertex order, then keep a random
-        # subset of the matching it finds
+        # run the exact matcher in a random vertex order, stopping at ν edges
+        # when ν is known, then keep a random subset of the matching it finds
         rank = list(range(g.vertex_count))
         rng.shuffle(rank)
-        edges = sorted(_blossom_matching(g, rank))
+        edges = sorted(_blossom_matching(g, rank, None if full is None else full.size))
         if len(edges) < size:
             return None
         return Matching(frozenset(rng.sample(edges, size)), g.vertex_count)
@@ -61,13 +61,16 @@ def _select_matching(
             return None
         return Matching(frozenset(sorted(full.edges)[:size]), g.vertex_count)
     if policy == "max-degree":
+        n = g.vertex_count
+        nn = n * n
         deg = g.degrees()
 
-        def weight(e: Edge) -> tuple[int, Edge]:
-            return (-(deg[e[0]] + deg[e[1]]), e)
+        def weight(e: Edge) -> int:
+            # higher degree sum first, then (u, v), as one integer: u*n + v < n*n
+            return e[0] * n + e[1] - (deg[e[0]] + deg[e[1]]) * nn
 
         # the greedy matching is taken in weight order, so it is already sorted
-        pool = _greedy_matching(sorted(g.edges, key=weight))
+        pool = _greedy_matching(sorted(g.edges, key=weight), size)
         if len(pool) < size:
             pool = sorted((full or max_matching(g)).edges, key=weight)
         if len(pool) < size:

@@ -102,20 +102,43 @@ def require_graphic(d: DegreeSequence) -> None:
 
 
 def is_graphic_hh(d: DegreeSequence) -> bool:
-    """Decide graphicality by iterated Havel-Hakimi reduction."""
-    lst = list(d.degrees)
-    while lst and lst[0] > 0:
-        k = lst[0]
-        if k > len(lst) - 1:
-            return False
-        rest = lst[1:]
-        for i in range(k):
-            rest[i] -= 1
-        if rest[k - 1] < 0:
-            return False
-        rest.sort(reverse=True)
-        lst = rest
-    return True
+    """Decide graphicality by iterated Havel-Hakimi reduction.
+
+    Works on degree counts, since a reduction step depends only on the
+    multiset of residual degrees: ``count[r]`` vertices have residual r.
+    A step removes one vertex of the largest residual k and lowers k
+    others by one: it walks down from level k, takes whole levels and
+    then part of the last one reached, and only then moves each taken
+    run down one level. The walk passes at most k levels, so a step costs
+    O(k) and the whole reduction O(n + m).
+    """
+    if d.max_degree >= d.n > 0:
+        return False  # the first step fails; this also keeps ``count`` to n levels
+    count = [0] * (d.max_degree + 1)
+    for x in d.degrees:
+        count[x] += 1
+    top = d.max_degree
+    while True:
+        while top and not count[top]:
+            top -= 1
+        if not top:
+            return True
+        count[top] -= 1
+        need = top
+        level = top
+        taken = []
+        while need:
+            while level and not count[level]:
+                level -= 1
+            if not level:
+                return False
+            take = min(count[level], need)
+            taken.append((level, take))
+            need -= take
+            level -= 1
+        for level, take in taken:
+            count[level] -= take
+            count[level - 1] += take
 
 
 def realize_hh(d: DegreeSequence) -> Graph:

@@ -7,7 +7,12 @@ the parent graph: only the pinched vertices get new neighbor tuples.
 
 Maximum matching is Edmonds' blossom algorithm: a greedy warm start, then
 one breadth-first search per free vertex, each costing what its
-alternating tree costs rather than O(n).
+alternating tree costs rather than O(n). A search that fails leaves a
+Hungarian tree: no augmenting path can later pass through it, and the
+only way into it from outside is through its inner vertices, which lead
+to dead ends. So later searches skip its vertices, and return the same
+matching, edge for edge (the proof is in ``_index_order_blossom``). The
+searches stop once the matching has the size the caller asks for.
 
 Edge-list text format: one edge per line as two whitespace-separated
 0-based integers, each edge once in either orientation; lines starting
@@ -215,21 +220,25 @@ def max_matching(g: Graph) -> Matching:
     return Matching(_blossom_matching(g), g.vertex_count)
 
 
-def _blossom_matching(g: Graph, rank: Optional[Sequence[int]] = None) -> frozenset[Edge]:
+def _blossom_matching(
+    g: Graph, rank: Optional[Sequence[int]] = None, size: Optional[int] = None
+) -> frozenset[Edge]:
     """Edges of a maximum matching. Vertex v takes position rank[v] (index
     order when None) in the warm start, the augment loop, the blossom collapse
     and every adjacency list: the matching index-order blossom finds on the
-    graph relabelled v -> rank[v], mapped back."""
+    graph relabelled v -> rank[v], mapped back. A caller that knows the
+    matching number ν passes it as ``size``: the searches stop at the
+    ν-th edge instead of running every failing search."""
     adj = g.adjacency()
     if rank is None:
-        match = _index_order_blossom(adj)
+        match = _index_order_blossom(adj, size)
         return frozenset((v, u) for v, u in enumerate(match) if u > v)
     # relabel by position in the stable rank order, so ties keep index order
     order = sorted(range(g.vertex_count), key=rank.__getitem__)
     pos = [0] * len(order)
     for i, v in enumerate(order):
         pos[v] = i
-    match = _index_order_blossom([sorted([pos[u] for u in adj[v]]) for v in order])
+    match = _index_order_blossom([sorted([pos[u] for u in adj[v]]) for v in order], size)
     return frozenset(
         (order[i], order[j]) if order[i] < order[j] else (order[j], order[i])
         for i, j in enumerate(match)
@@ -237,28 +246,60 @@ def _blossom_matching(g: Graph, rank: Optional[Sequence[int]] = None) -> frozens
     )
 
 
-def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
+def _index_order_blossom(adj: Sequence[Sequence[int]], size: Optional[int] = None) -> list[int]:
     """Partner of each vertex (-1 if free) in a maximum matching: a greedy
     warm start, then one breadth-first augmenting-path search from each
-    free vertex in index order (Edmonds 1965).
+    free vertex in index order (Edmonds 1965), until the matching has
+    ``size`` edges (default n // 2).
 
     A search costs what its alternating tree costs. Only the vertices the
     previous search touched are reset, and a blossom is contracted by
     moving the members of the bases it absorbs, newly outer ones queued
     in index order, instead of by a pass over all n vertices.
+
+    A search that fails leaves ``match`` as it was, so stopping at ``size``
+    edges changes nothing. Its tree T is a Hungarian tree (Edmonds 1965):
+    every vertex of T is marked dead and later searches skip dead
+    neighbours. This returns the matching of the unpruned searches, edge
+    for edge. Let D be the vertex set of T, O its outer and I its inner
+    vertices.
+
+    (a) At the failure every neighbour of an O-vertex is in D (each was
+        scanned), and adjacent O-vertices share a base (else a blossom or
+        an augmenting path would have formed). Every vertex of D except
+        the root is matched inside D, and an I-vertex is in no blossom.
+        No later augmentation touches D (by (c)), so this stays true.
+    (b) So a live outer vertex can enter D only at an I-vertex, which is
+        matched to the base of a T-blossom. An unpruned search then enters
+        each T-blossom only through its base, whose ``p`` stays -1, since
+        the rest of the blossom's neighbours are in it or in I.
+    (c) Every blossom formed inside D therefore stays inside one T-blossom
+        and absorbs no I-vertex, so no I-vertex becomes outer. Nothing
+        inside D labels, re-bases or reorders a live vertex, the free
+        root of T is adjacent to no live vertex, and no search augments
+        into D: the live part of each search, its queue order included,
+        is the same with D skipped.
+    (d) A later failed tree of the unpruned searches is the pruned one
+        plus the parts of earlier dead trees it walked, so the unpruned
+        searches' failed trees cover exactly the pruned dead set.
     """
     n = len(adj)
     match = [-1] * n
+    matched = 0
     for v in range(n):
         if match[v] == -1:
             for u in adj[v]:
                 if match[u] == -1:
                     match[v] = u
                     match[u] = v
+                    matched += 1
                     break
+    if size is None:
+        size = n // 2
     p = [-1] * n
     base = list(range(n))
     used = [False] * n
+    dead = [False] * n
     # members[b]: the vertices with base b once b heads a blossom, else None
     members: list[Optional[list[int]]] = [None] * n
     mark = [0] * n
@@ -266,6 +307,8 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
     touched: list[int] = []
 
     for root in range(n):
+        if matched >= size:
+            break
         if match[root] != -1:
             continue
         for i in touched:
@@ -283,7 +326,7 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
             head += 1
             mate = match[v]
             for to in adj[v]:
-                if to == mate or base[v] == base[to]:
+                if to == mate or dead[to] or base[v] == base[to]:
                     continue
                 w = match[to]
                 if to == root or (w != -1 and p[w] != -1):
@@ -343,6 +386,14 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
                     used[w] = True
                     touched.append(w)
                     queue.append(w)
+        if augmented:
+            matched += 1
+        else:
+            # a Hungarian tree: no later search can use its vertices, so they
+            # are not reset either, and their labels are never read again
+            for i in touched:
+                dead[i] = True
+            touched = []
     return match
 
 
@@ -388,13 +439,16 @@ def max_matching_exhaustive(g: Graph, cap: int = EXHAUSTIVE_MATCHING_CAP) -> Mat
     return Matching(frozenset(best), n)
 
 
-def _greedy_matching(edges: Iterable[Edge]) -> list[Edge]:
-    """Take each edge, in the given order, whose endpoints are both free."""
+def _greedy_matching(edges: Iterable[Edge], size: Optional[int] = None) -> list[Edge]:
+    """Take each edge, in the given order, whose endpoints are both free;
+    stop once ``size`` edges are taken."""
     matched: set[int] = set()
     chosen = []
     for u, v in edges:
         if u not in matched and v not in matched:
             chosen.append((u, v))
+            if len(chosen) == size:
+                break
             matched.add(u)
             matched.add(v)
     return chosen

@@ -221,16 +221,20 @@ class TestGoldenGrowth:
 class TestOneBlossomPerStep:
     """grow runs one index-order blossom per step, for nu, and hands its
     matching to the step; the random policy adds one run in its shuffled
-    vertex order."""
+    vertex order, capped at nu."""
 
     @pytest.fixture
     def runs(self, monkeypatch):
         runs = []
         original = graphs._blossom_matching
 
-        def counting(g, rank=None):
-            runs.append("index" if rank is None else "ordered")
-            return original(g, rank)
+        def counting(g, rank=None, size=None):
+            if rank is None:
+                runs.append("index")
+            else:
+                assert size == len(original(g))
+                runs.append("ordered")
+            return original(g, rank, size)
 
         monkeypatch.setattr(graphs, "_blossom_matching", counting)
         monkeypatch.setattr(dpg, "_blossom_matching", counting)

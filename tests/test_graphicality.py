@@ -92,6 +92,9 @@ class TestHavelHakimi:
                 d = make_sequence(list(combo))
                 assert is_graphic_hh(d) == brute_realization_exists(d.degrees)
 
+    def test_degree_above_n_minus_1_fails_without_a_count_per_level(self):
+        assert is_graphic_hh(make_sequence([10**12, 1])) is False
+
 
 class TestRealize:
     def test_triangle(self):

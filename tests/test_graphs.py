@@ -355,6 +355,35 @@ class TestBlossomOracle:
     def test_hypothesis(self, g, seed):
         self.assert_matches_oracle(g, random.Random(seed))
 
+    def test_every_labelled_graph_up_to_6(self):
+        # later searches skip the vertices of failed (Hungarian) trees; the
+        # oracle searches through them
+        rng = random.Random(6)
+        count = 0
+        for n in range(1, 7):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph(n, frozenset(e for i, e in enumerate(pairs) if mask >> i & 1))
+                assert _blossom_matching(g) == blossom_oracle(g), g
+                if rng.random() < 0.05:
+                    rank = list(range(n))
+                    rng.shuffle(rank)
+                    assert _blossom_matching(g, rank) == blossom_oracle(g, rank), (g, rank)
+                count += 1
+        assert count == 33867
+
+    def test_stopping_at_nu_changes_nothing(self):
+        # a search that fails leaves the matching as it is
+        rng = random.Random(301)
+        cases = [gnm(n, min(2 * n, n * (n - 1) // 2), n) for n in (2, 5, 10, 25, 50, 100, 200, 400, 800)]
+        for g in cases + c6_chain_graphs(300, 5):
+            full = _blossom_matching(g)
+            assert _blossom_matching(g, size=len(full)) == full
+            for _ in range(5):
+                rank = list(range(g.vertex_count))
+                rng.shuffle(rank)
+                assert _blossom_matching(g, rank, len(full)) == _blossom_matching(g, rank)
+
 
 class TestGreedyMaximal:
     def test_path_always_maximal(self):
