@@ -54,12 +54,12 @@ def _select_matching(
         edges = sorted(_blossom_matching(g, rank, None if full is None else full.size))
         if len(edges) < size:
             return None
-        return Matching(frozenset(rng.sample(edges, size)), g.vertex_count)
+        return Matching._trusted(frozenset(rng.sample(edges, size)), g.vertex_count)
     if policy == "first":
         full = full or max_matching(g)
         if full.size < size:
             return None
-        return Matching(frozenset(sorted(full.edges)[:size]), g.vertex_count)
+        return Matching._trusted(frozenset(sorted(full.edges)[:size]), g.vertex_count)
     if policy == "max-degree":
         n = g.vertex_count
         nn = n * n
@@ -75,7 +75,7 @@ def _select_matching(
             pool = sorted((full or max_matching(g)).edges, key=weight)
         if len(pool) < size:
             return None
-        return Matching(frozenset(pool[:size]), g.vertex_count)
+        return Matching._trusted(frozenset(pool[:size]), g.vertex_count)
     raise ValidationError(f"unknown matching policy {policy!r}; known: {', '.join(MATCHING_POLICIES)}")
 
 

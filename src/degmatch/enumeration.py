@@ -1,18 +1,35 @@
 """Exhaustive oracles over all labelled realizations of a degree sequence.
 
 These functions are the ground truth the closed forms and bounds are
-measured against, so they walk every labelled realization (vertex i has
-degree d_i exactly) with no isomorphism reduction. The walk needs no
-graphicality check below its entry: each vertex takes exactly its residual
-demand from later vertices, so every leaf is a realization and a dead
-branch ends at the first vertex whose demand exceeds its remaining
-candidates. The one pruned walk is nu_bar: every maximal matching of every
-realization has at least max(ell*, k*) edges, so it stops at the first
-realization that reaches that floor, and it searches each later
-realization only for a maximal matching smaller than the best so far. The unpruned walk, the minimum of
-``min_maximal_matching`` over every realization, is kept as its test
-oracle. Caps keep accidental big inputs from hanging the process; they are
-arguments, not constants.
+measured against. ``enumerate_realizations`` walks every labelled
+realization (vertex i has degree d_i exactly) with no isomorphism
+reduction. One backtracking kernel, ``_realize_in_host``, does every walk:
+each vertex takes exactly its residual demand from the later vertices the
+host lets it join, so every leaf is a realization inside that host and a
+dead branch ends at the first vertex whose demand exceeds its remaining
+candidates. ``enumerate_realizations`` is its K_n case, and needs no
+graphicality check below its entry.
+
+nu_bar, the minimum maximal matching over all realizations, is decided by
+a split search instead of a walk. It rests on one fact: a matching M of G
+is maximal exactly when the vertices it leaves uncovered are independent.
+So some realization of d has a maximal matching of exactly l edges if and
+only if d splits into C (2l entries) and I, and there is a perfect
+matching M on C and a realization H of (d_C - 1, d_I) that contains no
+I x I pair and no pair of M; then G = H + M realizes d and M is a maximal
+matching of G, a witness anyone can re-check.
+
+The search tries l upward from the proven floor max(ell*, k*), so the
+first l with a witness is nu_bar. At each l it tries every split of the
+degree multiset, the top split (the 2l largest degrees in C) first, and
+at each split one M per multiset of degree pairs: vertices of equal degree
+are interchangeable, so one labelled C per multiset split and one M per
+multiset of degree pairs stand for all the others. An l is rejected only
+after every multiset split and every M has failed, so the answer is exact
+without the unproved lemma that the top split always suffices. The
+realization walk, the minimum of ``min_maximal_matching`` over every
+realization, is kept as the test oracle. Caps keep accidental big inputs
+from hanging the process; they are arguments, not constants.
 
 Validation contract: public functions validate their input once, through
 ``graphicality.require_graphic``; ``_nu_bar`` and the bound kernels that
@@ -21,14 +38,14 @@ Validation contract: public functions validate their input once, through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
-from typing import Iterator
+from typing import Iterator, Optional, Sequence
 
 from .bounds import _gale_ryser_bound, _maximality_bound
 from .errors import CapExceededError, InternalConsistencyError, ValidationError
 from .graphicality import is_graphic_eg, require_graphic
-from .graphs import Edge, Graph, _min_maximal_below, max_matching, min_maximal_matching
+from .graphs import Edge, Graph, Matching, max_matching
 from .sequences import DegreeSequence
 
 __all__ = [
@@ -58,36 +75,28 @@ def _check_caps(d: DegreeSequence, max_n: int, max_degree_sum: int) -> None:
         )
 
 
-def enumerate_realizations(
-    d: DegreeSequence,
-    *,
-    max_n: int = DEFAULT_MAX_N,
-    max_degree_sum: int = DEFAULT_MAX_DEGREE_SUM,
-) -> Iterator[Graph]:
-    """Yield every labelled simple graph whose vertex-i degree equals d_i.
+def _realize_in_host(residual: list[int], later: Sequence[Sequence[int]]) -> Iterator[list[Edge]]:
+    """Yield the edges (i, j), i < j, of every realization of ``residual``
+    inside a host graph, where ``later[i]`` lists, in increasing order, the
+    vertices after i that i may join.
 
-    Backtracking over the neighbor set of each vertex in index order: vertex
-    i takes exactly its residual demand from the later vertices whose
-    residual is still positive. Later vertices never touch i again, so at
-    i = n every demand is met and each leaf is a realization; a dead branch
-    ends at the first vertex whose demand exceeds its remaining candidates.
-    Erdos-Gallai runs once, at entry, so a non-graphic sequence yields
-    nothing without a search.
+    Backtracking over the neighbor set of each vertex in index order:
+    vertex i takes exactly its residual demand from the vertices in
+    ``later[i]`` whose residual is still positive. Later vertices never
+    touch i again, so at i = n every demand is met and each leaf is a
+    realization; a dead branch ends at the first vertex whose demand
+    exceeds its remaining candidates. ``residual`` is consumed, and the
+    yielded list is valid until the next step of the generator.
     """
-    _check_caps(d, max_n, max_degree_sum)
-    if not is_graphic_eg(d).is_graphic:
-        return
-    n = d.n
-    residual = list(d.degrees)
+    n = len(residual)
     edges: list[Edge] = []
 
-    def rec(i: int) -> Iterator[Graph]:
+    def rec(i: int) -> Iterator[list[Edge]]:
         if i == n:
-            # each pair (i, j), i < j, is chosen once: the edges are normalized
-            yield Graph._trusted(n, frozenset(edges), None, d.degrees)
+            yield edges
             return
         need = residual[i]
-        cands = [j for j in range(i + 1, n) if residual[j] > 0]
+        cands = [j for j in later[i] if residual[j] > 0]
         if need > len(cands):
             return
         for combo in combinations(cands, need):
@@ -100,7 +109,29 @@ def enumerate_realizations(
             if need:
                 del edges[-need:]
 
-    yield from rec(0)
+    return rec(0)
+
+
+def enumerate_realizations(
+    d: DegreeSequence,
+    *,
+    max_n: int = DEFAULT_MAX_N,
+    max_degree_sum: int = DEFAULT_MAX_DEGREE_SUM,
+) -> Iterator[Graph]:
+    """Yield every labelled simple graph whose vertex-i degree equals d_i.
+
+    The host is K_n, walked in index order by ``_realize_in_host``.
+    Erdos-Gallai runs once, at entry, so a non-graphic sequence yields
+    nothing without a search.
+    """
+    _check_caps(d, max_n, max_degree_sum)
+    if not is_graphic_eg(d).is_graphic:
+        return
+    n = d.n
+    later = [range(i + 1, n) for i in range(n)]
+    for edges in _realize_in_host(list(d.degrees), later):
+        # each pair (i, j), i < j, is chosen once: the edges are normalized
+        yield Graph._trusted(n, frozenset(edges), None, d.degrees)
 
 
 def count_realizations(
@@ -135,33 +166,125 @@ def nu_bar_sequence(
 ) -> int:
     """Minimum over realizations of the smallest maximal matching size.
 
-    The walk over realizations stops once it reaches the proven floor
-    max(ell*, k*), and each search after the first is cut at the best size
-    found so far; the answer is the exhaustive one.
+    Decided by the split search of ``_nu_bar``, starting at the proven
+    floor max(ell*, k*); the answer is the exhaustive one.
     """
     require_graphic(d)
     degs = d.strip_zeros()[0].degrees
     floor = max(_gale_ryser_bound(degs), _maximality_bound(degs))
-    return _nu_bar(d, max_n, max_degree_sum, floor)
+    return _nu_bar(d, max_n, max_degree_sum, floor)[0]
 
 
-def _nu_bar(d: DegreeSequence, max_n: int, max_degree_sum: int, floor: int) -> int:
-    # floor = max(ell*, k*) holds for every realization (see the module
-    # docstring); the first search is the public one, which enforces its vertex cap
-    realizations = enumerate_realizations(d, max_n=max_n, max_degree_sum=max_degree_sum)
-    first = next(realizations, None)
-    if first is None:
-        raise InternalConsistencyError(f"graphic sequence {d} produced no realizations")
-    best = min_maximal_matching(first).size
-    if best == floor:
-        return best
-    for g in realizations:
-        better = _min_maximal_below(g, best, floor)
-        if better is not None:
-            best = len(better)
-            if best == floor:
-                break
-    return best
+Witness = tuple[Graph, Matching]
+
+
+def _nu_bar(d: DegreeSequence, max_n: int, max_degree_sum: int, floor: int) -> tuple[int, Witness]:
+    """nu_bar(d) and a witness (G, M): a realization G of d and a maximal
+    matching M of G with nu_bar(d) edges.
+
+    Some realization has a maximal matching of l edges exactly when a
+    split of d into C (2l entries) and I admits a perfect matching M on C
+    and a realization H of (d_C - 1, d_I) with no I x I pair and no pair of
+    M; then G = H + M. l runs upward from ``floor``, which no maximal
+    matching of any realization goes under, so the first l with a witness
+    is nu_bar. Each l tries every multiset split, the top split first, and
+    one M per multiset of degree pairs: equal degrees are interchangeable,
+    so these stand for every labelled C and every M, and an l is rejected
+    only after all of them fail.
+    """
+    _check_caps(d, max_n, max_degree_sum)
+    degs = d.degrees
+    positive = sum(1 for x in degs if x > 0)
+    for ell in range(floor, positive // 2 + 1):
+        for cover in _cover_splits(degs, 2 * ell):
+            for pairs in _pair_classes(degs, cover):
+                g = _split_witness(degs, cover, pairs)
+                if g is not None:
+                    return ell, (g, Matching._trusted(frozenset(pairs), d.n))
+    raise InternalConsistencyError(f"graphic sequence {d} has no maximal matching")
+
+
+def _cover_splits(degs: tuple[int, ...], size: int) -> Iterator[list[int]]:
+    """One cover C of ``size`` positive-degree vertices per multiset of
+    degrees, as ascending vertex ids: from each degree value, its first
+    vertices. ``degs`` is arranged, so the first C is the top split."""
+    values = sorted({x for x in degs if x > 0}, reverse=True)
+    first = [degs.index(x) for x in values]
+    count = [degs.count(x) for x in values]
+    chosen: list[int] = []
+
+    def rec(k: int, left: int) -> Iterator[list[int]]:
+        if k == len(values):
+            if left == 0:
+                yield chosen
+            return
+        for t in range(min(count[k], left), -1, -1):
+            chosen.extend(range(first[k], first[k] + t))
+            yield from rec(k + 1, left - t)
+            del chosen[len(chosen) - t:]
+
+    return rec(0, size)
+
+
+def _pair_classes(degs: tuple[int, ...], cover: list[int]) -> Iterator[list[Edge]]:
+    """One perfect matching of ``cover`` per multiset of degree pairs.
+
+    The first free vertex, whose degree a is the largest left, is paired
+    with the first free vertex of each smaller or equal degree b; when the
+    previous pair was (a, b') too, only b <= b' is tried, so each multiset
+    is built once, as its pairs in non-increasing order."""
+    free = [True] * len(cover)
+    pairs: list[Edge] = []
+
+    def rec(prev: tuple[int, int]) -> Iterator[list[Edge]]:
+        i = next((i for i, f in enumerate(free) if f), None)
+        if i is None:
+            yield pairs
+            return
+        free[i] = False
+        a = degs[cover[i]]
+        tried = set()
+        for j in range(i + 1, len(cover)):
+            b = degs[cover[j]]
+            if not free[j] or b in tried or (prev[0] == a and b > prev[1]):
+                continue
+            tried.add(b)
+            free[j] = False
+            pairs.append((cover[i], cover[j]))
+            yield from rec((a, b))
+            pairs.pop()
+            free[j] = True
+        free[i] = True
+
+    return rec((-1, -1))
+
+
+def _split_witness(degs: tuple[int, ...], cover: Sequence[int], pairs: Sequence[Edge]) -> Optional[Graph]:
+    """G = H + M for the first realization H of (d_C - 1, d_I) with no
+    I x I pair and no pair of M = ``pairs`` (normalized edges), or None
+    when there is none.
+
+    I goes first in the kernel's order: an I vertex may join only C, so a
+    split whose I cannot be absorbed dies at its first vertices."""
+    n = len(degs)
+    in_cover = [False] * n
+    for v in cover:
+        in_cover[v] = True
+    order = [v for v in range(n) if not in_cover[v]] + list(cover)
+    pos = {v: k for k, v in enumerate(order)}
+    mate = [-1] * n
+    for u, v in pairs:
+        mate[pos[u]] = pos[v]
+        mate[pos[v]] = pos[u]
+    r = n - len(cover)
+    later = [range(r, n)] * r + [[j for j in range(k + 1, n) if j != mate[k]] for k in range(r, n)]
+    residual = [degs[v] - 1 if in_cover[v] else degs[v] for v in order]
+    found = next(_realize_in_host(residual, later), None)
+    if found is None:
+        return None
+    edges = {(order[i], order[j]) if order[i] < order[j] else (order[j], order[i]) for i, j in found}
+    edges.update(pairs)
+    return Graph._trusted(n, frozenset(edges), None, degs)
 
 
 def strong_extension_check(
@@ -231,6 +354,9 @@ class ConjectureRow:
     ell_star: int
     k_star: int
     equal: bool
+    # (G, M): a realization of the sequence and a maximal matching of it
+    # with nu_bar_d edges; not part of the row's value
+    witness: Optional[Witness] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.nu_bar_d < self.ell_star or self.nu_bar_d < self.k_star:
@@ -244,6 +370,8 @@ def conjecture_scan(n_max: int, *, max_n: int = DEFAULT_MAX_N) -> list[Conjectur
     """Tabulate nu_bar(d) against ell* for every graphic sequence with n <= n_max.
 
     Equality is recorded, never asserted: whether it always holds is open.
+    Each row carries the witness of its nu_bar, a realization and a maximal
+    matching of it with that many edges.
     The degree-sum cap is derived from n_max so the scan really covers
     every sequence up to that length.
     """
@@ -255,8 +383,8 @@ def conjecture_scan(n_max: int, *, max_n: int = DEFAULT_MAX_N) -> list[Conjectur
         # all_graphic_sequences yields graphic sequences without zero entries
         ell = _gale_ryser_bound(d.degrees)
         ks = _maximality_bound(d.degrees)
-        nb = _nu_bar(d, max_n, degree_sum_cap, max(ell, ks))
-        rows.append(ConjectureRow(d, nb, ell, ks, nb == ell))
+        nb, witness = _nu_bar(d, max_n, degree_sum_cap, max(ell, ks))
+        rows.append(ConjectureRow(d, nb, ell, ks, nb == ell, witness))
     return rows
 
 

@@ -198,6 +198,16 @@ class Matching:
             seen.add(u)
             seen.add(v)
 
+    @classmethod
+    def _trusted(cls, edges: frozenset[Edge], host_vertex_count: int) -> "Matching":
+        """A matching from normalized, pairwise vertex-disjoint edges of a
+        host on ``host_vertex_count`` vertices, with no validation: for the
+        matching kernels' and the growth policies' own outputs."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "edges", edges)
+        object.__setattr__(m, "host_vertex_count", host_vertex_count)
+        return m
+
     @property
     def size(self) -> int:
         return len(self.edges)
@@ -217,7 +227,7 @@ def max_matching(g: Graph) -> Matching:
     Augmenting-path search with blossom contraction; deterministic because
     vertices and adjacency are visited in index order.
     """
-    return Matching(_blossom_matching(g), g.vertex_count)
+    return Matching._trusted(_blossom_matching(g), g.vertex_count)
 
 
 def _blossom_matching(
@@ -459,38 +469,26 @@ def greedy_maximal_matching(g: Graph, rng_seed: int = 0) -> Matching:
     rng = random.Random(rng_seed)
     edges = sorted(g.edges)
     rng.shuffle(edges)
-    return Matching(frozenset(_greedy_matching(edges)), g.vertex_count)
+    return Matching._trusted(frozenset(_greedy_matching(edges)), g.vertex_count)
 
 
 def min_maximal_matching(g: Graph, cap: int = MIN_MAXIMAL_CAP) -> Matching:
     """Smallest maximal matching, by exhaustive branching.
 
-    The greedy maximal matching seeds the size bound; ``_min_maximal_below``
-    searches for a smaller one and the seed stands when there is none.
+    The greedy maximal matching seeds the size bound. At the lowest-indexed
+    vertex u that still has a free neighbor, every maximal matching either
+    pairs u with one of those neighbors or leaves u unmatched forever; both
+    branches are explored, cut at the best size found so far, and the seed
+    stands when no smaller maximal matching exists.
     """
     n = g.vertex_count
     if n > cap:
         raise CapExceededError(f"instance too large for exact minimum maximal matching (n={n} > {cap})")
     seed = greedy_maximal_matching(g, 0)
-    better = _min_maximal_below(g, seed.size, 0)
-    return seed if better is None else Matching(frozenset(better), n)
-
-
-def _min_maximal_below(g: Graph, below: int, floor: int) -> Optional[list[Edge]]:
-    """Edges of a minimum maximal matching of g if it has fewer than
-    ``below`` edges, else None.
-
-    At the lowest-indexed vertex u that still has a free neighbor, every
-    maximal matching either pairs u with one of those neighbors or leaves
-    u unmatched forever; both branches are explored with a best-size bound
-    that starts at ``below``. ``floor`` is a size no maximal matching of g
-    goes under: the search stops at the first one that reaches it.
-    """
-    n = g.vertex_count
     adj = g.adjacency()
     edges_sorted = sorted(g.edges)
     best_edges = None
-    best_size = below
+    best_size = seed.size
     status = [0] * n  # 0 free, 1 matched, 2 never matched
     chosen: list[Edge] = []
 
@@ -499,7 +497,7 @@ def _min_maximal_below(g: Graph, below: int, floor: int) -> Optional[list[Edge]]
 
     def rec() -> None:
         nonlocal best_edges, best_size
-        if len(chosen) >= best_size or best_size <= floor:
+        if len(chosen) >= best_size:
             return
         u = -1
         for i in range(n):
@@ -526,7 +524,7 @@ def _min_maximal_below(g: Graph, below: int, floor: int) -> Optional[list[Edge]]
             status[u] = 0
 
     rec()
-    return best_edges
+    return seed if best_edges is None else Matching._trusted(frozenset(best_edges), n)
 
 
 def pinch(g: Graph, m: Matching) -> Graph:

@@ -2,8 +2,10 @@
 
 import hashlib
 import itertools
+import json
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +30,10 @@ from degmatch import (
     rows_to_csv,
     strong_extension_check,
 )
-from degmatch import graphicality, graphs
+from degmatch import enumeration, graphicality, graphs
+from degmatch.enumeration import ConjectureRow
+
+SCAN_UNIVERSE = Path(__file__).resolve().parent.parent / "bench" / "data" / "scan_universe.json"
 
 
 @lru_cache(maxsize=None)
@@ -230,6 +235,131 @@ class TestNuBar:
             assert nu_bar_sequence(make_sequence(degrees + [0, 0])) == nu_bar_sequence(d)
 
 
+def check_witness(degrees, size, witness):
+    """Independent checker for a (G, M) witness, reading only edge sets:
+    G's degrees are ``degrees``, M is a matching of G with ``size`` edges,
+    and every edge of G meets M."""
+    g, m = witness
+    n = len(degrees)
+    assert g.vertex_count == m.host_vertex_count == n
+    deg = [0] * n
+    for u, v in g.edges:
+        assert 0 <= u < v < n
+        deg[u] += 1
+        deg[v] += 1
+    assert deg == list(degrees)
+    covered = set()
+    for u, v in m.edges:
+        assert (min(u, v), max(u, v)) in g.edges
+        assert u not in covered and v not in covered
+        covered.update((u, v))
+    assert len(m.edges) == size
+    assert all(u in covered or v in covered for u, v in g.edges)
+
+
+def perfect_matchings(vertices):
+    """Every perfect matching of a vertex list, as lists of pairs."""
+    if not vertices:
+        yield []
+        return
+    first, rest = vertices[0], vertices[1:]
+    for k, v in enumerate(rest):
+        for m in perfect_matchings(rest[:k] + rest[k + 1:]):
+            yield [(first, v)] + m
+
+
+def split_outcomes(degs, ell, covers, pairings):
+    """{degree multiset of C: whether some C of ``covers`` with it and some
+    M of ``pairings(C)`` have a witness}."""
+    out = {}
+    for cover in covers:
+        key = tuple(degs[v] for v in cover)
+        if not out.get(key):
+            out[key] = any(enumeration._split_witness(degs, cover, pairs) is not None for pairs in pairings(cover))
+    return out
+
+
+class TestSplitSearch:
+    """nu_bar by the split search: exact, and each row carries a witness."""
+
+    @pytest.fixture(scope="class")
+    def scan_8(self):
+        return conjecture_scan(8)
+
+    def test_every_witness_up_to_8_checks(self, scan_8):
+        assert len(scan_8) == 1212
+        for row in scan_8:
+            check_witness(row.sequence.degrees, row.nu_bar_d, row.witness)
+
+    def test_stored_answers_at_8(self):
+        # read only: the answers of the exhaustive walk, stored with the benchmark
+        stored = json.loads(SCAN_UNIVERSE.read_text())
+        at_8 = {seq: value[1] for seq, value in stored.items() if seq.count(",") == 7}
+        assert len(at_8) == 871
+        for seq, expected in at_8.items():
+            assert nu_bar_sequence(parse_sequence(seq), max_n=8, max_degree_sum=56) == expected, seq
+
+    def test_every_labelled_split_agrees_with_the_reduced_search(self):
+        # no symmetry shortcut: every labelled C of every size and every
+        # perfect matching on it, against one C per degree multiset and one
+        # M per multiset of degree pairs, split by split
+        for d in all_graphic_sequences(7):
+            degs = d.degrees
+            positive = list(range(d.n))
+            full_nu_bar = None
+            for ell in range(d.n // 2 + 1):
+                full = split_outcomes(degs, ell, itertools.combinations(positive, 2 * ell), perfect_matchings)
+                reduced = split_outcomes(
+                    degs, ell, enumeration._cover_splits(degs, 2 * ell),
+                    lambda cover: enumeration._pair_classes(degs, cover),
+                )
+                assert full == reduced, (d, ell)
+                if full_nu_bar is None and any(full.values()):
+                    full_nu_bar = ell
+            assert nu_bar_sequence(d, max_n=7, max_degree_sum=42) == full_nu_bar, d
+
+    def test_no_row_up_to_8_needs_a_non_top_split(self, scan_8):
+        # the top split (the 2l largest degrees in C) alone reaches nu_bar on
+        # all 1,212 rows with n <= 8, so no row here needs a non-top split:
+        # the search tries the others only to reject an l, and the test above
+        # checks every split's outcome, top or not, on every row with n <= 7
+        # (the top split also suffices on all 3,148 rows with n = 9, checked
+        # once outside the suite)
+        for row in scan_8:
+            degs, ell = row.sequence.degrees, row.nu_bar_d
+            top = list(range(2 * ell))
+            assert split_outcomes(degs, ell, [top], perfect_matchings) == {degs[: 2 * ell]: True}, row.sequence
+
+    @pytest.mark.parametrize("text", ["4,4,3,3,3,2,2,1", "2,2,2,2,2,2", "5,3,3,3,2,2,1,1,0", "1,1"])
+    def test_covers_are_every_degree_multiset_once_top_first(self, text):
+        degs = parse_sequence(text).degrees
+        positive = [v for v in range(len(degs)) if degs[v] > 0]
+        for size in range(len(positive) + 1):
+            covers = [list(c) for c in enumeration._cover_splits(degs, size)]
+            keys = [tuple(degs[v] for v in c) for c in covers]
+            expected = {tuple(degs[v] for v in c) for c in itertools.combinations(positive, size)}
+            assert len(keys) == len(set(keys)) and set(keys) == expected
+            assert covers[0] == positive[:size]
+
+    @pytest.mark.parametrize("text", ["4,4,3,3,3,2,2,1", "3,3,3,3,3,3", "5,4,3,2,2,1,1,1"])
+    def test_pairings_are_every_degree_pair_multiset_once(self, text):
+        degs = parse_sequence(text).degrees
+
+        def key(pairs):
+            return tuple(sorted(tuple(sorted((degs[u], degs[v]))) for u, v in pairs))
+
+        for size in range(0, len(degs) + 1, 2):
+            for cover in enumeration._cover_splits(degs, size):
+                got = [key(pairs) for pairs in enumeration._pair_classes(degs, cover)]
+                expected = {key(pairs) for pairs in perfect_matchings(list(cover))}
+                assert len(got) == len(set(got)) and set(got) == expected, (text, cover)
+
+    def test_witness_is_not_part_of_the_row(self, scan_8):
+        row = scan_8[-1]
+        bare = ConjectureRow(row.sequence, row.nu_bar_d, row.ell_star, row.k_star, row.equal)
+        assert bare.witness is None and bare == row and hash(bare) == hash(row)
+
+
 class TestStrongExtension:
     @pytest.mark.parametrize(
         "degrees,delta",
@@ -331,6 +461,12 @@ class TestConjectureScan:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             conjecture_scan(9)
+
+    def test_csv_at_7_is_pinned(self):
+        text = rows_to_csv(conjecture_scan(7))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "be8e3b4cbe50c903e337c940566802356d9b765fbb3423b58f002f9b03cbc02f"
+        )
 
     def test_csv_shape(self):
         rows = conjecture_scan(3)

@@ -1,6 +1,9 @@
 """Unit tests for the graph type and the matching machinery."""
 
+import importlib
+import inspect
 import itertools
+import pkgutil
 import random
 from collections import deque
 from fractions import Fraction
@@ -27,7 +30,10 @@ from degmatch import (
     verify_matching,
     windmill,
 )
-from degmatch.graphs import _blossom_matching, _min_maximal_below
+import degmatch
+from degmatch import dpg
+from degmatch.enumeration import conjecture_scan
+from degmatch.graphs import _blossom_matching
 
 
 def all_graphs(n):
@@ -114,6 +120,40 @@ class TestMatchingType:
         m = Matching(frozenset([(0, 1)]), 4)
         assert m.matched_vertices == frozenset({0, 1})
         assert m.unmatched_vertices == frozenset({2, 3})
+
+
+class TestTrustedMatchings:
+    """The matching kernels, the growth policies and the nu_bar search build
+    their matchings with ``Matching._trusted``, which skips the checks of
+    ``Matching``: every such site must still hand out a valid matching."""
+
+    SITES = {"max_matching", "greedy_maximal_matching", "min_maximal_matching", "_select_matching", "_nu_bar"}
+
+    def test_the_sites_are_all_covered(self):
+        found = set()
+        for info in pkgutil.iter_modules(degmatch.__path__):
+            module = importlib.import_module(f"degmatch.{info.name}")
+            for name, fn in inspect.getmembers(module, inspect.isfunction):
+                if fn.__module__ == module.__name__ and "Matching._trusted(" in inspect.getsource(fn):
+                    found.add(name)
+        assert found == self.SITES
+
+    def test_every_site_hands_out_a_valid_matching(self):
+        small = [g for n in range(1, 7) for g in all_graphs(n)][::11]
+        for g in small + [gnm(30, 60, seed) for seed in range(4)] + c6_chain_graphs(60, 20):
+            full = max_matching(g)
+            assert verify_matching(g, full)
+            assert verify_matching(g, greedy_maximal_matching(g, 3), require_maximal=True)
+            if g.vertex_count <= 8:
+                assert verify_matching(g, min_maximal_matching(g), require_maximal=True)
+            for policy in dpg.MATCHING_POLICIES:
+                for size in range(1, full.size + 1):
+                    for known in (None, full):
+                        m = dpg._select_matching(g, size, random.Random(size), policy=policy, full=known)
+                        assert m.size == size and verify_matching(g, m), (g, policy, size)
+        for row in conjecture_scan(6):
+            g, m = row.witness
+            assert m.size == row.nu_bar_d and verify_matching(g, m, require_maximal=True)
 
 
 class TestMaxMatching:
@@ -442,10 +482,10 @@ class TestMinMaximal:
         assert sorted(min_maximal_matching(path(4)).edges) == [(1, 2)]
 
     def test_matches_oracle_on_random_graphs(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            g = random_graph(rng, rng.randint(2, 7), rng.choice([0.3, 0.6]))
-            assert min_maximal_matching(g).size == brute_min_maximal(g)
+        for g in self.seeded_random_graphs():
+            m = min_maximal_matching(g)
+            assert m.size == brute_min_maximal(g), g
+            assert verify_matching(g, m, require_maximal=True), g
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -471,29 +511,6 @@ class TestMinMaximal:
         ]
         got = [sorted(min_maximal_matching(g).edges) for g in self.seeded_random_graphs()]
         assert got == expected
-
-
-class TestMinMaximalBelow:
-    def test_against_oracle_for_every_cutoff_and_floor(self):
-        for g in TestMinMaximal.seeded_random_graphs():
-            true_min = brute_min_maximal(g)
-            for below in range(g.vertex_count // 2 + 2):
-                for floor in range(true_min + 1):
-                    edges = _min_maximal_below(g, below, floor)
-                    if below <= true_min:
-                        assert edges is None, (g, below, floor)
-                        continue
-                    m = Matching(frozenset(edges), g.vertex_count)
-                    assert m.size == true_min, (g, below, floor)
-                    assert verify_matching(g, m, require_maximal=True), (g, below, floor)
-
-    def test_stops_at_the_floor(self):
-        # the floor is trusted, not checked: told that no maximal matching of
-        # the path 0-1-2-3 has fewer than 2 edges, the search returns the
-        # first 2-edge one it meets instead of going on to find (1, 2)
-        g = path(4)
-        assert _min_maximal_below(g, 3, 0) == [(1, 2)]
-        assert _min_maximal_below(g, 3, 2) == [(0, 1), (2, 3)]
 
 
 class TestPinchAndDelete:
