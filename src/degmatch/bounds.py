@@ -109,14 +109,14 @@ def posa_bound(d: DegreeSequence) -> int:
 
 
 def _posa_bound(degs: tuple[int, ...]) -> int:
+    """r is the first ell whose condition t(q) - q + 1 <= ell holds for every
+    q < (n - ell + 1) // 2, where t(q) counts the degrees <= q. With
+    worst[j] = max(0, t(q) - q + 1 over q < j), that is the first ell with
+    worst[(n - ell + 1) // 2] <= ell; the 0 changes nothing, since ell >= 1."""
     n = len(degs)
     asc = sorted(degs)
-    r = n
-    for ell in range(1, n + 1):
-        # t(q) = bisect_right(asc, q), the number of vertices with degree <= q
-        if all(bisect_right(asc, q) - q + 1 <= ell for q in range(0, (n - ell + 1) // 2)):
-            r = ell
-            break
+    worst = list(accumulate((bisect_right(asc, q) - q + 1 for q in range(n // 2)), max, initial=0))
+    r = next((ell for ell in range(1, n + 1) if worst[(n - ell + 1) // 2] <= ell), n)
     return (n - r + 1) // 2
 
 
@@ -128,14 +128,43 @@ def gale_ryser_bound(d: DegreeSequence) -> int:
 
 
 def _gale_ryser_bound(degs: tuple[int, ...]) -> int:
+    """The first feasible ell, found by galloping and then bisection.
+
+    feasible(ell) holds when, with top = 2*ell, every k in 1..n - top has
+    sum(min(d_i - 1, k), i < top) >= sum(d_top .. d_{top+k-1}).
+
+    Lemma: on positive arranged degrees, feasible(ell) implies
+    feasible(ell + 1). Proof: going from ell to ell + 1, each k's left side
+    gains min(d_top, k + 1) - 1 + min(d_{top+1}, k + 1) - 1 >= 0, because
+    every d_i >= 1; each k's right-hand window moves two places down a
+    non-increasing list, so its sum cannot grow; and the range of k only
+    shrinks. So the feasible ell form a suffix of 0..n // 2.
+
+    Probing ell = 0, 1, 3, 7, ... and bisecting the last bracket finds the
+    first feasible ell in O(log ell*) feasibility checks, each O(n log n):
+    cheap both when ell* is near n / 4 (random graphs) and when it is a
+    handful (a few hubs over many low degrees).
+    """
     n = len(degs)
     prefix = [0, *accumulate(degs)]
-    for ell in range(0, n // 2 + 1):
+
+    def feasible(ell: int) -> bool:
         top = 2 * ell
-        if all(_capped_sum(degs, prefix, 0, top, k + 1) - top >= prefix[top + k] - prefix[top]
-               for k in range(1, n - top + 1)):
-            return ell
-    raise InternalConsistencyError("gale-ryser scan found no feasible ell")
+        return all(_capped_sum(degs, prefix, 0, top, k + 1) - top >= prefix[top + k] - prefix[top]
+                   for k in range(1, n - top + 1))
+
+    lo, hi = -1, 0  # lo is infeasible (or below the range), hi is the probe
+    while not feasible(hi):
+        if hi == n // 2:
+            raise InternalConsistencyError("gale-ryser scan found no feasible ell")
+        lo, hi = hi, min(2 * hi + 1, n // 2)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def matching_lower_bound(d: DegreeSequence) -> int:

@@ -211,7 +211,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan_conjecture(args: argparse.Namespace) -> int:
-    rows = conjecture_scan(args.max_n)
+    rows = conjecture_scan(args.max_n, max_n=args.max_n)
     if args.format == "json":
         lines = [
             json.dumps(

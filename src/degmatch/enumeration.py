@@ -75,6 +75,11 @@ def _check_caps(d: DegreeSequence, max_n: int, max_degree_sum: int) -> None:
         )
 
 
+def _degree_sum_cap(n: int) -> int:
+    """A degree-sum cap that admits every graphic sequence of length n."""
+    return max(DEFAULT_MAX_DEGREE_SUM, n * (n - 1))
+
+
 def _realize_in_host(residual: list[int], later: Sequence[Sequence[int]]) -> Iterator[list[Edge]]:
     """Yield the edges (i, j), i < j, of every realization of ``residual``
     inside a host graph, where ``later[i]`` lists, in increasing order, the
@@ -162,14 +167,18 @@ def nu_bar_sequence(
     d: DegreeSequence,
     *,
     max_n: int = DEFAULT_MAX_N,
-    max_degree_sum: int = DEFAULT_MAX_DEGREE_SUM,
+    max_degree_sum: Optional[int] = None,
 ) -> int:
     """Minimum over realizations of the smallest maximal matching size.
 
     Decided by the split search of ``_nu_bar``, starting at the proven
-    floor max(ell*, k*); the answer is the exhaustive one.
+    floor max(ell*, k*); the answer is the exhaustive one. With no
+    ``max_degree_sum`` the cap is derived from n, as ``conjecture_scan``
+    derives it, so every sequence within ``max_n`` is admitted.
     """
     require_graphic(d)
+    if max_degree_sum is None:
+        max_degree_sum = _degree_sum_cap(d.n)
     degs = d.strip_zeros()[0].degrees
     floor = max(_gale_ryser_bound(degs), _maximality_bound(degs))
     return _nu_bar(d, max_n, max_degree_sum, floor)[0]
@@ -377,7 +386,7 @@ def conjecture_scan(n_max: int, *, max_n: int = DEFAULT_MAX_N) -> list[Conjectur
     """
     if n_max > max_n:
         raise CapExceededError(f"n_max={n_max} exceeds enumeration cap {max_n}")
-    degree_sum_cap = max(DEFAULT_MAX_DEGREE_SUM, n_max * (n_max - 1))
+    degree_sum_cap = _degree_sum_cap(n_max)
     rows = []
     for d in all_graphic_sequences(n_max):
         # all_graphic_sequences yields graphic sequences without zero entries

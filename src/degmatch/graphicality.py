@@ -251,17 +251,19 @@ def _delta_star(degs: tuple[int, ...]) -> int:
     return 2 * best
 
 
-def _closed_form_holds(degs: tuple[int, ...], mu: int) -> bool:
+def _closed_form_holds(degs: tuple[int, ...], mu: int, prefix: Optional[list[int]] = None) -> bool:
     """Check the inequality family certifying a matching of size ``mu``.
 
     ``degs`` must be arranged, positive, with 2*mu <= len(degs). Two parts:
     the small-k family for 1 <= k < mu, and a single corrected inequality
     at the index where reducing the top 2*mu entries can break the
-    arrangement (k = 2*mu + t_d(2*mu)).
+    arrangement (k = 2*mu + t_d(2*mu)). ``prefix``, the prefix sums of
+    ``degs``, is built here when not given; a scan over mu builds it once.
     """
     delta = 2 * mu
     n = len(degs)
-    prefix = [0, *accumulate(degs)]
+    if prefix is None:
+        prefix = [0, *accumulate(degs)]
 
     def tail(k: int, b: int) -> int:  # sum of min(d_i, k) over i >= k, with d_i - 1 for i < b
         return _capped_sum(degs, prefix, k, b, k + 1) - (b - k) + _capped_sum(degs, prefix, b, n, k)
@@ -291,8 +293,9 @@ def nu_star_formula(d: DegreeSequence) -> int:
 
 def _nu_star_formula(degs: tuple[int, ...]) -> int:
     """Kernel of nu_star_formula; ``degs`` is non-empty with positive entries."""
+    prefix = [0, *accumulate(degs)]
     for mu in range(len(degs) // 2, 0, -1):
-        if _closed_form_holds(degs, mu):
+        if _closed_form_holds(degs, mu, prefix):
             return mu
     return 0
 

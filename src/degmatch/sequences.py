@@ -50,6 +50,15 @@ class DegreeSequence:
         if any(degs[i] < degs[i + 1] for i in range(len(degs) - 1)):
             raise ValidationError("degrees must be non-increasing; use make_sequence to sort")
 
+    @classmethod
+    def _trusted(cls, degrees: tuple[int, ...]) -> "DegreeSequence":
+        """A sequence from a tuple already known to hold non-negative ints in
+        non-increasing order, with no validation: for the constructors that
+        have just checked their entries."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "degrees", degrees)
+        return d
+
     @property
     def n(self) -> int:
         return len(self.degrees)
@@ -81,7 +90,7 @@ class DegreeSequence:
             k -= 1
         if k == len(self.degrees):
             return self, False
-        return DegreeSequence(self.degrees[:k]), True
+        return DegreeSequence._trusted(self.degrees[:k]), True
 
     def to_text(self) -> str:
         return ",".join(str(x) for x in self.degrees)
@@ -111,11 +120,15 @@ def make_sequence(values: Iterable[int]) -> DegreeSequence:
             raise ValidationError(f"degree at position {i} is not an integer: {x!r}")
         if x < 0:
             raise ValidationError(f"negative degree at position {i}: {x}")
-    return DegreeSequence(tuple(sorted(vals, reverse=True)))
+    return DegreeSequence._trusted(tuple(sorted(vals, reverse=True)))
 
 
 def parse_sequence(text: str) -> DegreeSequence:
-    """Parse the comma-separated text format, e.g. ``"3, 2,2,1"``."""
+    """Parse the comma-separated text format, e.g. ``"3, 2,2,1"``.
+
+    Raises ValidationError naming the first entry that is not an integer,
+    or else the first negative one.
+    """
     stripped = text.strip()
     if not stripped:
         return DegreeSequence()
@@ -126,7 +139,10 @@ def parse_sequence(text: str) -> DegreeSequence:
             values.append(int(p))
         except ValueError:
             raise ValidationError(f"entry {i} is not an integer: {p!r}") from None
-    return make_sequence(values)
+    if min(values) < 0:
+        i = next(i for i, x in enumerate(values) if x < 0)
+        raise ValidationError(f"negative degree at position {i}: {values[i]}")
+    return DegreeSequence._trusted(tuple(sorted(values, reverse=True)))
 
 
 @dataclass(frozen=True)
