@@ -30,6 +30,7 @@ from .graphs import Graph, max_matching
 from .sequences import DegreeSequence, parse_sequence
 
 EXACT_NU_CAP = 64  # bounds --graph reports exact nu up to this many vertices
+SCAN_MAX_N = 10  # scan-conjecture's vertex cap: the n = 11 rows alone take about 72 s
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -211,7 +212,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan_conjecture(args: argparse.Namespace) -> int:
-    rows = conjecture_scan(args.max_n, max_n=args.max_n)
+    rows = conjecture_scan(args.max_n, max_n=SCAN_MAX_N)
     if args.format == "json":
         lines = [
             json.dumps(

@@ -10,26 +10,25 @@ dead branch ends at the first vertex whose demand exceeds its remaining
 candidates. ``enumerate_realizations`` is its K_n case, and needs no
 graphicality check below its entry.
 
-nu_bar, the minimum maximal matching over all realizations, is decided by
-a split search instead of a walk. It rests on one fact: a matching M of G
-is maximal exactly when the vertices it leaves uncovered are independent.
-So some realization of d has a maximal matching of exactly l edges if and
-only if d splits into C (2l entries) and I, and there is a perfect
-matching M on C and a realization H of (d_C - 1, d_I) that contains no
-I x I pair and no pair of M; then G = H + M realizes d and M is a maximal
-matching of G, a witness anyone can re-check.
+Both realization questions are decided by a split search instead of a
+walk. d splits into C and I, M is a perfect matching on C, and a
+realization H of (d_C - 1, d_I) inside K_n - M gives G = H + M, a witness
+anyone can re-check. Equal degrees are interchangeable, so one labelled C
+per multiset split and one M per multiset of degree pairs stand for all.
 
-The search tries l upward from the proven floor max(ell*, k*), so the
-first l with a witness is nu_bar. At each l it tries every split of the
-degree multiset, the top split (the 2l largest degrees in C) first, and
-at each split one M per multiset of degree pairs: vertices of equal degree
-are interchangeable, so one labelled C per multiset split and one M per
-multiset of degree pairs stand for all the others. An l is rejected only
-after every multiset split and every M has failed, so the answer is exact
-without the unproved lemma that the top split always suffices. The
-realization walk, the minimum of ``min_maximal_matching`` over every
-realization, is kept as the test oracle. Caps keep accidental big inputs
-from hanging the process; they are arguments, not constants.
+- nu_bar, the minimum maximal matching over all realizations: M is maximal
+  in G exactly when the vertices it misses are independent, so H also
+  avoids every I x I pair. l runs upward from the proven floor
+  max(ell*, k*), and each l tries every multiset split with |C| = 2l, the
+  top split first; an l is rejected only after all fail, so the answer is
+  exact without the unproved lemma that the top split suffices.
+- The paper's strong extension check (some realization has a matching of
+  delta/2 edges covering the delta largest degrees): C is the top delta
+  vertices, and H may use I x I pairs.
+
+The realization walks these replaced are kept only as test oracles. Caps
+keep accidental big inputs from hanging the process; they are arguments,
+not constants.
 
 Validation contract: public functions validate their input once, through
 ``graphicality.require_graphic``; ``_nu_bar`` and the bound kernels that
@@ -301,38 +300,41 @@ def strong_extension_check(
     delta: int,
     *,
     max_n: int = DEFAULT_MAX_N,
-    max_degree_sum: int = DEFAULT_MAX_DEGREE_SUM,
+    max_degree_sum: Optional[int] = None,
 ) -> bool:
     """Does some realization have a matching of size delta/2 covering the
     delta largest degrees?
 
     Under ties, "largest delta degrees" is read as multiset equality of the
-    covered degrees with the top delta entries of the sequence. Exhaustive:
-    for each realization, every candidate vertex set with that degree
-    multiset is tested for a perfect matching on its induced subgraph.
+    covered degrees with the top delta entries of the sequence. Decided
+    exactly by ``_extension_witness``; with no ``max_degree_sum`` the cap
+    is derived from n.
     """
     if delta % 2 or delta < 2:
         raise ValidationError(f"delta={delta} must be a positive even integer")
     if delta > d.n:
         raise ValidationError(f"delta={delta} exceeds n={d.n}")
     require_graphic(d)
-    degs = d.degrees
-    mu = delta // 2
-    threshold = degs[delta - 1]
-    forced = [i for i in range(d.n) if degs[i] > threshold]
-    ties = [i for i in range(d.n) if degs[i] == threshold]
-    slots = delta - len(forced)
-    if slots < 0 or slots > len(ties):
-        raise InternalConsistencyError("inconsistent tie block while building candidate sets")
-    for g in enumerate_realizations(d, max_n=max_n, max_degree_sum=max_degree_sum):
-        if max_matching(g).size < mu:
-            continue
-        for chosen in combinations(ties, slots):
-            vertices = forced + list(chosen)
-            sub = g.induced_subgraph(vertices)
-            if max_matching(sub).size == mu:
-                return True
-    return False
+    _check_caps(d, max_n, _degree_sum_cap(d.n) if max_degree_sum is None else max_degree_sum)
+    return _extension_witness(d.degrees, delta) is not None
+
+
+def _extension_witness(degs: tuple[int, ...], delta: int) -> Optional[Witness]:
+    """(G, M): a realization G of the graphic ``degs`` and a matching M of G
+    with delta/2 edges covering the delta largest degrees, or None. C is
+    the first delta vertices: within a tie, any choice is as good."""
+    if degs[delta - 1] == 0:  # C holds an isolated vertex: nothing covers it
+        return None
+    n = len(degs)
+    for pairs in _pair_classes(degs, list(range(delta))):
+        m = frozenset(pairs)
+        later = [[j for j in range(i + 1, n) if (i, j) not in m] for i in range(n)]
+        residual = [x - 1 if i < delta else x for i, x in enumerate(degs)]
+        found = next(_realize_in_host(residual, later), None)
+        if found is not None:
+            # in index order each edge (i, j) has i < j: it is normalized
+            return Graph._trusted(n, m.union(found), None, degs), Matching(m, n)
+    return None
 
 
 def all_graphic_sequences(n_max: int, *, min_n: int = 1) -> Iterator[DegreeSequence]:

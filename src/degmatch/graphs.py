@@ -136,13 +136,6 @@ class Graph:
     def is_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
-    def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
-        """Subgraph on the given vertices, relabelled densely in sorted order."""
-        verts = sorted(set(vertices))
-        index = {v: i for i, v in enumerate(verts)}
-        edges = [(index[u], index[v]) for (u, v) in self.edges if u in index and v in index]
-        return Graph(len(verts), frozenset(edges))
-
     def to_edge_list_text(self) -> str:
         lines = [f"n {self.vertex_count}"]
         lines.extend(f"{u} {v}" for u, v in sorted(self.edges))

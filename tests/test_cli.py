@@ -215,6 +215,12 @@ class TestScanConjecture:
         assert {"sequence": "2,2,2", "nu_bar": 1, "ell_star": 1, "k_star": 1, "equal": True} in rows
 
 
+    def test_max_n_above_the_scan_cap_is_refused(self, capsys):
+        # each added vertex costs roughly 10-20x: the n = 11 rows alone take about 72 s
+        code, out, err = run(capsys, "scan-conjecture", "--max-n", "11")
+        assert code == 1 and out == ""
+        assert err.startswith("ERROR CAP_EXCEEDED: n_max=11 exceeds enumeration cap 10")
+
 class TestUsageErrors:
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -22,6 +22,7 @@ from degmatch import (
     extension_feasible,
     is_graphic_eg,
     make_sequence,
+    max_matching,
     min_maximal_matching,
     nu_bar_sequence,
     nu_star_brute,
@@ -408,6 +409,114 @@ class TestStrongExtension:
             best = nu_star_brute(d, max_n=5, max_degree_sum=20)
             for delta in range(2, d.n + 1, 2):
                 assert (delta // 2 <= best) == extension_feasible(d, delta), (d, delta)
+
+
+def check_extension_witness(degrees, delta, witness):
+    """Independent checker for a strong-extension witness (G, M), reading
+    only edge sets: G's degrees are ``degrees``, M is delta/2 disjoint edges
+    of G, and the degrees M covers are the delta largest, as a multiset."""
+    g, m = witness
+    n = len(degrees)
+    assert g.vertex_count == m.host_vertex_count == n
+    deg = [0] * n
+    for u, v in g.edges:
+        assert 0 <= u < v < n
+        deg[u] += 1
+        deg[v] += 1
+    assert deg == list(degrees)
+    covered = [x for u, v in m.edges for x in (u, v)]
+    assert all((min(u, v), max(u, v)) in g.edges for u, v in m.edges)
+    assert len(m.edges) == delta // 2 and len(set(covered)) == delta
+    assert sorted(degrees[v] for v in covered) == sorted(degrees)[len(degrees) - delta:]
+
+
+def walk_extension_oracle(d, max_n):
+    """Independent oracle: the deltas for which some realization has a
+    perfect matching on the edges inside some vertex set whose degrees are
+    the delta largest, found by walking every realization."""
+    degs = d.degrees
+    candidates = {}
+    for delta in range(2, d.n + 1, 2):
+        top = sorted(degs)[d.n - delta:]
+        candidates[delta] = [set(c) for c in itertools.combinations(range(d.n), delta)
+                             if sorted(degs[v] for v in c) == top]
+    found = set()
+    for g in enumerate_realizations(d, max_n=max_n, max_degree_sum=max_n * (max_n - 1)):
+        for delta in candidates.keys() - found:
+            for c in candidates[delta]:
+                inner = frozenset((u, v) for u, v in g.edges if u in c and v in c)
+                if max_matching(Graph(d.n, inner)).size == delta // 2:
+                    found.add(delta)
+                    break
+        if len(found) == len(candidates):
+            break
+    return found
+
+
+class TestStrongExtensionBySplits:
+    """The strong extension check is a split search: one labelled C, the
+    top delta vertices, and one M per multiset of degree pairs."""
+
+    def test_matches_feasibility_up_to_9(self):
+        pairs = 0
+        for d in all_graphic_sequences(9):
+            for delta in range(2, d.n + 1, 2):
+                pairs += 1
+                assert strong_extension_check(d, delta, max_n=9) == extension_feasible(d, delta), (d, delta)
+        assert pairs == 17066
+
+    def test_every_witness_up_to_9_checks(self):
+        witnesses = 0
+        for d in all_graphic_sequences(9):
+            for delta in range(2, d.n + 1, 2):
+                witness = enumeration._extension_witness(d.degrees, delta)
+                assert (witness is not None) == extension_feasible(d, delta), (d, delta)
+                if witness is not None:
+                    check_extension_witness(d.degrees, delta, witness)
+                    witnesses += 1
+        assert witnesses == 16691
+
+    def test_matches_the_realization_walk_up_to_7(self):
+        pairs = 0
+        for d in all_graphic_sequences(7):
+            walk = walk_extension_oracle(d, 7)
+            for delta in range(2, d.n + 1, 2):
+                pairs += 1
+                assert strong_extension_check(d, delta, max_n=7) == (delta in walk), (d, delta)
+        assert pairs == 990
+
+    @pytest.mark.parametrize("text", ["3,3,2,2,2,0,0", "2,2,2,0"])
+    def test_isolated_vertex_in_the_top_delta(self, text):
+        d = parse_sequence(text)
+        for delta in range(2, d.n + 1, 2):
+            assert strong_extension_check(d, delta) == (delta in walk_extension_oracle(d, 8)), (d, delta)
+
+    def test_degree_sum_cap_is_derived_from_n(self):
+        d = parse_sequence("4,4,4,4,4,4,4")  # degree sum 28, above the fixed cap of 24
+        assert strong_extension_check(d, 2)
+        with pytest.raises(CapExceededError):
+            strong_extension_check(d, 2, max_degree_sum=24)
+
+    def test_no_realization_walk_and_no_blossom(self, monkeypatch):
+        counts = Counter()
+        for module, name in (
+            (enumeration, "enumerate_realizations"),
+            (enumeration, "max_matching"),
+            (graphs, "max_matching"),
+        ):
+            original = getattr(module, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        answers = [
+            strong_extension_check(parse_sequence(text), delta)
+            for text, delta in (("2,2,2,2,2,2", 6), ("3,1,1,1", 4), ("4,4,3,3,3,2,2,1", 4), ("3,3,2,2,2,0,0", 6))
+        ]
+        assert answers == [True, False, True, False]
+        assert counts == Counter()
 
 
 class TestGraphicSequenceIteration:

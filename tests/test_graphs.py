@@ -76,12 +76,6 @@ class TestGraphType:
         assert g.degree_sequence().degrees == (2, 2, 1, 1)
         assert g.is_edge(2, 1) and not g.is_edge(0, 3)
 
-    def test_induced_subgraph(self):
-        g = cycle(5)
-        sub = g.induced_subgraph([0, 1, 3])
-        assert sub.vertex_count == 3
-        assert sorted(sub.edges) == [(0, 1)]
-
     def test_edge_list_round_trip(self):
         g = Graph(5, frozenset([(0, 1), (2, 3)]))  # vertex 4 isolated
         text = g.to_edge_list_text()
