@@ -19,18 +19,18 @@ from .dpg import MATCHING_POLICIES, grow
 from .enumeration import (
     DEFAULT_MAX_DEGREE_SUM,
     DEFAULT_MAX_N,
+    SPLIT_MAX_N,
     conjecture_scan,
     enumerate_realizations,
     rows_to_csv,
 )
-from .errors import DegmatchError, ValidationError
+from .errors import DegmatchError
 from .families import FAMILY_KINDS, make_family
 from .graphicality import delta_star, extension_feasible, is_graphic_eg, nu_star, realize_hh
 from .graphs import Graph, max_matching
 from .sequences import DegreeSequence, parse_sequence
 
 EXACT_NU_CAP = 64  # bounds --graph reports exact nu up to this many vertices
-SCAN_MAX_N = 10  # scan-conjecture's vertex cap: the n = 11 rows alone take about 72 s
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -64,13 +64,11 @@ def _load_graph(path: str) -> Graph:
 
 
 def _resolve_sequence(args: argparse.Namespace) -> DegreeSequence:
-    if getattr(args, "seq", None) is not None:
+    """The --seq or --seq-file sequence; the parser requires one of them.
+    ``grow`` has no --seq-file, and calls this only when --seq is given."""
+    if args.seq is not None:
         return parse_sequence(args.seq)
-    if getattr(args, "seq_file", None) is not None:
-        return parse_sequence(Path(args.seq_file).read_text())
-    if getattr(args, "graph", None) is not None:
-        return _load_graph(args.graph).degree_sequence()
-    raise ValidationError("no input source given")
+    return parse_sequence(Path(args.seq_file).read_text())
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -212,7 +210,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan_conjecture(args: argparse.Namespace) -> int:
-    rows = conjecture_scan(args.max_n, max_n=SCAN_MAX_N)
+    rows = conjecture_scan(args.max_n, max_n=SPLIT_MAX_N)
     if args.format == "json":
         lines = [
             json.dumps(

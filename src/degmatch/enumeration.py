@@ -28,11 +28,14 @@ per multiset split and one M per multiset of degree pairs stand for all.
 
 The realization walks these replaced are kept only as test oracles. Caps
 keep accidental big inputs from hanging the process; they are arguments,
-not constants.
+checked once at the public edge. ``DEFAULT_MAX_N`` is the realization
+walk's vertex cap and ``SPLIT_MAX_N`` that of the split searches; a
+``max_degree_sum`` of None means no degree-sum cap.
 
 Validation contract: public functions validate their input once, through
 ``graphicality.require_graphic``; ``_nu_bar`` and the bound kernels that
-``conjecture_scan`` calls take a graphic sequence and never re-validate.
+``conjecture_scan`` calls take a graphic sequence and never re-validate or
+re-check caps.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .sequences import DegreeSequence
 __all__ = [
     "DEFAULT_MAX_N",
     "DEFAULT_MAX_DEGREE_SUM",
+    "SPLIT_MAX_N",
     "ConjectureRow",
     "enumerate_realizations",
     "count_realizations",
@@ -63,20 +67,16 @@ __all__ = [
 
 DEFAULT_MAX_N = 8
 DEFAULT_MAX_DEGREE_SUM = 24
+SPLIT_MAX_N = 10  # the slowest call at n = 10 takes about 0.1 s; the n = 11 scan rows take about 72 s
 
 
-def _check_caps(d: DegreeSequence, max_n: int, max_degree_sum: int) -> None:
+def _check_caps(d: DegreeSequence, max_n: int, max_degree_sum: Optional[int]) -> None:
     if d.n > max_n:
         raise CapExceededError(f"n={d.n} exceeds enumeration cap {max_n}")
-    if d.degree_sum > max_degree_sum:
+    if max_degree_sum is not None and d.degree_sum > max_degree_sum:
         raise CapExceededError(
             f"degree sum {d.degree_sum} exceeds enumeration cap {max_degree_sum}"
         )
-
-
-def _degree_sum_cap(n: int) -> int:
-    """A degree-sum cap that admits every graphic sequence of length n."""
-    return max(DEFAULT_MAX_DEGREE_SUM, n * (n - 1))
 
 
 def _realize_in_host(residual: list[int], later: Sequence[Sequence[int]]) -> Iterator[list[Edge]]:
@@ -165,30 +165,28 @@ def nu_star_brute(
 def nu_bar_sequence(
     d: DegreeSequence,
     *,
-    max_n: int = DEFAULT_MAX_N,
+    max_n: int = SPLIT_MAX_N,
     max_degree_sum: Optional[int] = None,
 ) -> int:
     """Minimum over realizations of the smallest maximal matching size.
 
     Decided by the split search of ``_nu_bar``, starting at the proven
     floor max(ell*, k*); the answer is the exhaustive one. With no
-    ``max_degree_sum`` the cap is derived from n, as ``conjecture_scan``
-    derives it, so every sequence within ``max_n`` is admitted.
+    ``max_degree_sum`` only ``max_n`` caps the input.
     """
     require_graphic(d)
-    if max_degree_sum is None:
-        max_degree_sum = _degree_sum_cap(d.n)
+    _check_caps(d, max_n, max_degree_sum)
     degs = d.strip_zeros()[0].degrees
     floor = max(_gale_ryser_bound(degs), _maximality_bound(degs))
-    return _nu_bar(d, max_n, max_degree_sum, floor)[0]
+    return _nu_bar(d.degrees, floor)[0]
 
 
 Witness = tuple[Graph, Matching]
 
 
-def _nu_bar(d: DegreeSequence, max_n: int, max_degree_sum: int, floor: int) -> tuple[int, Witness]:
-    """nu_bar(d) and a witness (G, M): a realization G of d and a maximal
-    matching M of G with nu_bar(d) edges.
+def _nu_bar(degs: tuple[int, ...], floor: int) -> tuple[int, Witness]:
+    """nu_bar and a witness (G, M) for the graphic ``degs``: a realization G
+    and a maximal matching M of G with nu_bar edges.
 
     Some realization has a maximal matching of l edges exactly when a
     split of d into C (2l entries) and I admits a perfect matching M on C
@@ -200,16 +198,14 @@ def _nu_bar(d: DegreeSequence, max_n: int, max_degree_sum: int, floor: int) -> t
     so these stand for every labelled C and every M, and an l is rejected
     only after all of them fail.
     """
-    _check_caps(d, max_n, max_degree_sum)
-    degs = d.degrees
     positive = sum(1 for x in degs if x > 0)
     for ell in range(floor, positive // 2 + 1):
         for cover in _cover_splits(degs, 2 * ell):
             for pairs in _pair_classes(degs, cover):
                 g = _split_witness(degs, cover, pairs)
                 if g is not None:
-                    return ell, (g, Matching._trusted(frozenset(pairs), d.n))
-    raise InternalConsistencyError(f"graphic sequence {d} has no maximal matching")
+                    return ell, (g, Matching._trusted(frozenset(pairs), len(degs)))
+    raise InternalConsistencyError(f"graphic sequence {degs} has no maximal matching")
 
 
 def _cover_splits(degs: tuple[int, ...], size: int) -> Iterator[list[int]]:
@@ -299,7 +295,7 @@ def strong_extension_check(
     d: DegreeSequence,
     delta: int,
     *,
-    max_n: int = DEFAULT_MAX_N,
+    max_n: int = SPLIT_MAX_N,
     max_degree_sum: Optional[int] = None,
 ) -> bool:
     """Does some realization have a matching of size delta/2 covering the
@@ -307,15 +303,15 @@ def strong_extension_check(
 
     Under ties, "largest delta degrees" is read as multiset equality of the
     covered degrees with the top delta entries of the sequence. Decided
-    exactly by ``_extension_witness``; with no ``max_degree_sum`` the cap
-    is derived from n.
+    exactly by ``_extension_witness``; with no ``max_degree_sum`` only
+    ``max_n`` caps the input.
     """
     if delta % 2 or delta < 2:
         raise ValidationError(f"delta={delta} must be a positive even integer")
     if delta > d.n:
         raise ValidationError(f"delta={delta} exceeds n={d.n}")
     require_graphic(d)
-    _check_caps(d, max_n, _degree_sum_cap(d.n) if max_degree_sum is None else max_degree_sum)
+    _check_caps(d, max_n, max_degree_sum)
     return _extension_witness(d.degrees, delta) is not None
 
 
@@ -383,18 +379,17 @@ def conjecture_scan(n_max: int, *, max_n: int = DEFAULT_MAX_N) -> list[Conjectur
     Equality is recorded, never asserted: whether it always holds is open.
     Each row carries the witness of its nu_bar, a realization and a maximal
     matching of it with that many edges.
-    The degree-sum cap is derived from n_max so the scan really covers
-    every sequence up to that length.
+    Only ``n_max`` is capped: every row has n <= n_max, so the rows need
+    no cap check of their own.
     """
     if n_max > max_n:
         raise CapExceededError(f"n_max={n_max} exceeds enumeration cap {max_n}")
-    degree_sum_cap = _degree_sum_cap(n_max)
     rows = []
     for d in all_graphic_sequences(n_max):
         # all_graphic_sequences yields graphic sequences without zero entries
         ell = _gale_ryser_bound(d.degrees)
         ks = _maximality_bound(d.degrees)
-        nb, witness = _nu_bar(d, max_n, degree_sum_cap, max(ell, ks))
+        nb, witness = _nu_bar(d.degrees, max(ell, ks))
         rows.append(ConjectureRow(d, nb, ell, ks, nb == ell, witness))
     return rows
 

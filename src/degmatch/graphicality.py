@@ -1,7 +1,8 @@
 """Graphicality decisions, realization construction, and the largest extension degree.
 
 Two independent deciders (Erdos-Gallai inequalities and Havel-Hakimi
-reduction) plus a deterministic realization builder. The extension
+reduction) plus a deterministic Havel-Hakimi realization builder on one
+integer-keyed heap, O((n + m) log n). The extension
 machinery answers "can this sequence absorb a new vertex of even degree
 delta", culminating in delta_star and the closed-form evaluation of the
 maximum matching number over all realizations, nu_star.
@@ -13,8 +14,9 @@ Validation contract: public functions validate their input once;
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import accumulate
 from operator import neg
 from typing import Optional
@@ -148,53 +150,31 @@ def realize_hh(d: DegreeSequence) -> Graph:
     remaining demand (lowest id on ties) and connect it to the vertices
     with the next-largest demands (again lowest id on ties).
 
-    Bucket queue: ``bucket[r]`` holds the ids whose remaining demand is
-    r > 0, in descending order, so its lowest id is last. The rule's order
-    is bucket by bucket from the top, lowest id first within each. A step
-    pops v, the lowest id of the highest non-empty bucket, whose demand is
-    k, and walks down the buckets for v's k targets: whole buckets, then
-    the lowest ids of the last one reached. A whole bucket moves down one
-    level as it is; the ids moved into a partly taken bucket go in by
-    binary insertion. So a step costs its k edges, each with at most one
-    O(log n) insertion, plus the at most k buckets it touches, and the
-    highest non-empty bucket only ever falls.
+    One min-heap holds the vertices whose remaining demand r is positive,
+    keyed by the integer i - r*n: it pops the largest demand first, and the
+    lowest id among equal demands, which is the rule's order. A step pops v
+    and then v's k targets, and pushes back each target whose demand is
+    still positive, at key + n. So each edge costs O(log n).
     """
     require_graphic(d)
     n = d.n
-    bucket: list[list[int]] = [[] for _ in range(d.max_degree + 1)]
-    for i in reversed(range(n)):  # arranged, so every bucket fills in descending id order
-        bucket[d.degrees[i]].append(i)
+    # arranged, so the keys ascend: the list is already a heap
+    heap = [i - r * n for i, r in enumerate(d.degrees) if r]
     edges = []
-    top = d.max_degree
-    for _ in range(n):
-        while top and not bucket[top]:
-            top -= 1
-        if not top:
-            break
-        v = bucket[top].pop()
-        need, r, moved, targets = top, top, [], []
-        while need:
-            if not r:
-                raise InternalConsistencyError("realization ran out of targets on a graphic sequence")
-            run = bucket[r]
-            if len(run) <= need:
-                bucket[r], taken = moved, run
-            else:
-                taken = run[-need:]
-                del run[-need:]
-                for j in moved:  # the ids taken from bucket r + 1, now at demand r
-                    insort(run, j, key=neg)
-            need -= len(taken)
-            targets += taken
-            moved = taken
-            r -= 1
-        if r:
-            for j in moved:
-                insort(bucket[r], j, key=neg)
-        edges.extend((v, j) if v < j else (j, v) for j in targets)
-    if any(bucket[1:]):
-        raise InternalConsistencyError("realization left unmet degree demands")
-    # each pair is taken once and normalized, and no demand is left, so vertex i has degree d_i
+    while heap:
+        key = heappop(heap)
+        v = key % n
+        k = (v - key) // n
+        if k > len(heap):
+            raise InternalConsistencyError("realization ran out of targets on a graphic sequence")
+        targets = [heappop(heap) for _ in range(k)]
+        for t in targets:
+            j = t % n
+            edges.append((v, j) if v < j else (j, v))
+            if t + n < 0:  # a key is negative exactly while its demand is positive
+                heappush(heap, t + n)
+    # the heap empties only when every demand is met, so there is no unmet demand to check;
+    # each pair is taken once and normalized, so vertex i has degree d_i
     return Graph._trusted(n, frozenset(edges), None, d.degrees)
 
 

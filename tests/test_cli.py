@@ -119,6 +119,25 @@ class TestExtendRealizeEnumerate:
         assert code == 1 and out == ""
         assert err.startswith("ERROR VALIDATION: repeated edge 0 1")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("n 3 4\n0 1\n", "malformed vertex-count line: 'n 3 4'"),
+            ("n 3\n0 1\n0 x\n", "malformed edge line: '0 x'"),
+        ],
+    )
+    def test_malformed_line_is_validation_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "bounds", "--graph", str(path), "--format", "json")
+        assert code == 1 and out == ""
+        assert err == f"ERROR VALIDATION: {message}\n"
+
+    def test_realize_csv(self, capsys):
+        code, out, _ = run(capsys, "realize", "--seq", "3,2,2,2,1", "--format", "csv")
+        assert code == 0
+        assert out == "u,v\n0,1\n0,2\n0,3\n1,2\n3,4\n"
+
     def test_realize_non_graphic_is_domain_error(self, capsys):
         code, out, err = run(capsys, "realize", "--seq", "3,3,1,1")
         assert code == 1 and err.startswith("ERROR NOT_GRAPHIC:")
@@ -162,6 +181,9 @@ class TestErrorPrecedence:
             ("nu-star --seq 1", "NOT_GRAPHIC"),
             ("delta-star --seq 0,0", "VALIDATION"),
             ("nu-star --seq 0,0", "VALIDATION"),
+            ("grow --seq 2,2,2 --policy fixed:x", "VALIDATION"),
+            ("grow --seq 2,2,2 --steps -1", "VALIDATION"),
+            ("grow --seq 3,3,1,1 --steps -1", "NOT_GRAPHIC"),
         ],
     )
     def test_first_guard_wins(self, capsys, command, code):
@@ -188,12 +210,45 @@ class TestGrowCommand:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "family,expected",
+        [
+            (
+                "cycle --n 4",
+                "seed: n=4 m=4\n"
+                "step 0: delta=4 new_vertex=4 n=5 m=6\n"
+                "step 1: delta=4 new_vertex=5 n=6 m=8\n",
+            ),
+            ("complete-bipartite --a 1 --b 3", "seed: n=4 m=3\nhalted after 0 of 2 steps\n"),
+        ],
+    )
+    def test_graph_input_text(self, tmp_path, capsys, family, expected):
+        path = tmp_path / "g.txt"
+        run(capsys, "family", "--kind", *family.split(), "--out", str(path))
+        code, out, _ = run(
+            capsys, "grow", "--graph", str(path), "--steps", "2", "--policy", "fixed:4", "--format", "text",
+        )
+        assert code == 0 and out == expected
+
 
 class TestFamilyCommand:
     def test_emits_edge_list(self, capsys):
         code, out, _ = run(capsys, "family", "--kind", "windmill", "--t", "2", "--l", "3")
         assert code == 0
         assert out.splitlines()[0] == "n 5"
+
+    @pytest.mark.parametrize(
+        "params,first,edges",
+        [
+            ("path --n 4", "n 4", 3),
+            ("disjoint-cliques --k 2 --l 3", "n 6", 6),
+            ("regular-circulant --n 6 --r 3", "n 6", 9),
+        ],
+    )
+    def test_kinds(self, capsys, params, first, edges):
+        code, out, _ = run(capsys, "family", "--kind", *params.split())
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == first and len(lines) == 1 + edges
 
     def test_bad_params_are_domain_errors(self, capsys):
         code, _, err = run(capsys, "family", "--kind", "half-graph", "--n", "5")
@@ -214,6 +269,15 @@ class TestScanConjecture:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert {"sequence": "2,2,2", "nu_bar": 1, "ell_star": 1, "k_star": 1, "equal": True} in rows
 
+    def test_text_table(self, capsys):
+        code, out, _ = run(capsys, "scan-conjecture", "--max-n", "3", "--format", "text")
+        assert code == 0
+        assert out == (
+            "sequence         nu_bar ell_star k_star equal\n"
+            "1,1                   1        1      1 true\n"
+            "2,1,1                 1        1      1 true\n"
+            "2,2,2                 1        1      1 true\n"
+        )
 
     def test_max_n_above_the_scan_cap_is_refused(self, capsys):
         # each added vertex costs roughly 10-20x: the n = 11 rows alone take about 72 s

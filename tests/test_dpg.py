@@ -133,6 +133,10 @@ class TestGrow:
         trace = grow(Graph(3, frozenset()), 5, delta_policy="max")
         assert trace.steps == () and trace.halted_early
 
+    def test_unknown_matching_policy(self):
+        with pytest.raises(ValidationError, match="unknown matching policy 'widest'"):
+            grow(cycle(4), 1, delta_policy="fixed:2", matching_policy="widest")
+
     def test_bad_policy_string(self):
         with pytest.raises(ValidationError):
             grow(cycle(3), 1, delta_policy="every-other")

@@ -230,6 +230,12 @@ class TestNuBar:
         assert self.exhaustive_nu_bar(d, 8, 56) == 2
         assert nu_bar_sequence(d, max_n=8, max_degree_sum=56) == 2
 
+    def test_split_cap_admits_n_10(self):
+        assert nu_bar_sequence(parse_sequence(",".join(["1"] * 10))) == 5
+        assert nu_bar_sequence(parse_sequence(",".join(["9"] * 10))) == 5  # no degree-sum cap by default
+        with pytest.raises(CapExceededError, match="n=11 exceeds enumeration cap 10"):
+            nu_bar_sequence(parse_sequence(",".join(["1"] * 10 + ["0"])))
+
     def test_isolated_vertices_do_not_change_it(self):
         for degrees in ([2, 2, 2], [1, 1, 1, 1], [3, 2, 2, 1, 1, 1]):
             d = make_sequence(degrees)
@@ -496,6 +502,11 @@ class TestStrongExtensionBySplits:
         assert strong_extension_check(d, 2)
         with pytest.raises(CapExceededError):
             strong_extension_check(d, 2, max_degree_sum=24)
+
+    def test_split_cap_admits_n_10(self):
+        assert strong_extension_check(parse_sequence(",".join(["1"] * 10)), 2)
+        with pytest.raises(CapExceededError, match="n=11 exceeds enumeration cap 10"):
+            strong_extension_check(parse_sequence(",".join(["1"] * 10 + ["0"])), 2)
 
     def test_no_realization_walk_and_no_blossom(self, monkeypatch):
         counts = Counter()
