@@ -4,6 +4,15 @@ A growth step removes a matching of size delta/2 and attaches a new vertex
 to all of its endpoints, so existing degrees never change and the newcomer
 has degree delta. Which matching gets removed is a policy choice; three
 built-ins are provided and a callable can be passed instead.
+
+A step can take degree delta exactly when delta <= 2 nu, so ``grow`` needs
+the matching number nu at every step. Under ``first``, whose trace is the
+lowest edges of the index-order blossom's matching, each step runs that
+blossom. Under the other policies only step 0 does: ``grow`` then carries
+a maximum matching from step to step, frees the ends of the pinched edges
+it held, and searches from what is left for at most one more edge than the
+parent had. That matching gives nu and nothing else, so no trace depends
+on it.
 """
 
 from __future__ import annotations
@@ -15,7 +24,16 @@ from functools import partial
 from typing import Callable, Optional, Union
 
 from .errors import InfeasibleDeltaError, ValidationError
-from .graphs import Edge, Graph, Matching, _blossom_matching, _greedy_matching, max_matching, pinch
+from .graphs import (
+    Edge,
+    Graph,
+    Matching,
+    _blossom_matching,
+    _greedy_matching,
+    _index_order_blossom,
+    max_matching,
+    pinch,
+)
 
 __all__ = [
     "MATCHING_POLICIES",
@@ -38,45 +56,61 @@ def feasible_deltas(g: Graph) -> set[int]:
     return set(range(2, 2 * nu + 1, 2))
 
 
+def _check_matching_policy(policy: MatchingPolicy) -> None:
+    if not callable(policy) and policy not in MATCHING_POLICIES:
+        raise ValidationError(f"unknown matching policy {policy!r}; known: {', '.join(MATCHING_POLICIES)}")
+
+
 def _select_matching(
-    g: Graph, size: int, rng: random.Random, *, policy: MatchingPolicy, full: Optional[Matching] = None
+    g: Graph,
+    size: int,
+    rng: random.Random,
+    *,
+    policy: MatchingPolicy,
+    full: Optional[Matching] = None,
+    nu: Optional[int] = None,
 ) -> Optional[Matching]:
     """A matching of exactly ``size`` edges per policy, or None if infeasible;
-    ``full`` is ``max_matching(g)`` when the caller already has it."""
+    ``full`` is ``max_matching(g)`` when the caller already has it, and
+    ``nu`` the matching number when the caller knows only that."""
+    _check_matching_policy(policy)
     if callable(policy):
         m = policy(g, size, rng)
         return m if m is not None and m.size == size else None
+    if full is not None:
+        nu = full.size
     if policy == "random":
         # run the exact matcher in a random vertex order, stopping at ν edges
         # when ν is known, then keep a random subset of the matching it finds
         rank = list(range(g.vertex_count))
         rng.shuffle(rank)
-        edges = sorted(_blossom_matching(g, rank, None if full is None else full.size))
+        edges = sorted(_blossom_matching(g, rank, nu))
         if len(edges) < size:
             return None
         return Matching._trusted(frozenset(rng.sample(edges, size)), g.vertex_count)
     if policy == "first":
-        full = full or max_matching(g)
-        if full.size < size:
+        # the lowest edges of the index-order blossom's matching, which the
+        # stop at ν edges does not change
+        edges = full.edges if full is not None else _blossom_matching(g, size=nu)
+        if len(edges) < size:
             return None
-        return Matching._trusted(frozenset(sorted(full.edges)[:size]), g.vertex_count)
-    if policy == "max-degree":
-        n = g.vertex_count
-        nn = n * n
-        deg = g.degrees()
+        return Matching._trusted(frozenset(sorted(edges)[:size]), g.vertex_count)
+    n = g.vertex_count
+    nn = n * n
+    deg = g.degrees()
 
-        def weight(e: Edge) -> int:
-            # higher degree sum first, then (u, v), as one integer: u*n + v < n*n
-            return e[0] * n + e[1] - (deg[e[0]] + deg[e[1]]) * nn
+    def weight(e: Edge) -> int:
+        # higher degree sum first, then (u, v), as one integer: u*n + v < n*n
+        return e[0] * n + e[1] - (deg[e[0]] + deg[e[1]]) * nn
 
-        # the greedy matching is taken in weight order, so it is already sorted
-        pool = _greedy_matching(sorted(g.edges, key=weight), size)
-        if len(pool) < size:
-            pool = sorted((full or max_matching(g)).edges, key=weight)
-        if len(pool) < size:
-            return None
-        return Matching._trusted(frozenset(pool[:size]), g.vertex_count)
-    raise ValidationError(f"unknown matching policy {policy!r}; known: {', '.join(MATCHING_POLICIES)}")
+    # max-degree: the greedy matching is taken in weight order, so it is
+    # already sorted; else the heaviest edges of the index-order matching
+    pool = _greedy_matching(sorted(g.edges, key=weight), size)
+    if len(pool) < size:
+        pool = sorted(full.edges if full is not None else _blossom_matching(g, size=nu), key=weight)
+    if len(pool) < size:
+        return None
+    return Matching._trusted(frozenset(pool[:size]), g.vertex_count)
 
 
 @dataclass(frozen=True)
@@ -202,12 +236,26 @@ def grow(
     if steps < 0:
         raise ValidationError(f"steps={steps} must be non-negative")
     kind, fixed_value = _parse_delta_policy(delta_policy)
+    _check_matching_policy(matching_policy)
     rng = random.Random(rng_seed)
     g = g0
     records: list[DpStepRecord] = []
+    # partner list of a maximum matching of g, carried from step to step for
+    # ν alone; `first` takes its edges from the index-order matching instead
+    carried: Optional[list[int]] = None
+    full: Optional[Matching] = None
+    nu = 0
     for idx in range(steps):
-        full = max_matching(g)
-        nu = full.size
+        if matching_policy == "first":
+            full = max_matching(g)
+            nu = full.size
+        else:
+            # step 0 runs the plain index-order blossom; after that g minus
+            # its newest vertex is a subgraph of the parent, so ν <= ν_parent + 1,
+            # and the n // 2 cap spares an odd n one failing search
+            cap = None if carried is None else min(nu + 1, g.vertex_count // 2)
+            carried = _index_order_blossom(g.adjacency(), cap, carried)
+            nu = (g.vertex_count - carried.count(-1)) // 2
         if kind == "fixed":
             delta = fixed_value if fixed_value <= 2 * nu else None
         elif kind == "max":
@@ -217,10 +265,15 @@ def grow(
         if delta is None:
             break
         step_seed = rng.randrange(2**32)
-        # the step selects its matching with ν's maximum matching at hand
-        step_policy = partial(_select_matching, policy=matching_policy, full=full)
+        step_policy = partial(_select_matching, policy=matching_policy, full=full, nu=nu)
         g, record = dp_step(g, delta, step_policy, step_seed, step_index=idx)
         records.append(record)
+        if carried is not None:
+            # the pinch removed these edges; the rest of the matching survives
+            for u, v in record.removed_matching:
+                if carried[u] == v:
+                    carried[u] = carried[v] = -1
+            carried.append(-1)
     return GrowthTrace(
         seed_vertex_count=g0.vertex_count,
         seed_edge_count=g0.m,

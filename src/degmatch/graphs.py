@@ -12,7 +12,11 @@ Hungarian tree: no augmenting path can later pass through it, and the
 only way into it from outside is through its inner vertices, which lead
 to dead ends. So later searches skip its vertices, and return the same
 matching, edge for edge (the proof is in ``_index_order_blossom``). The
-searches stop once the matching has the size the caller asks for.
+searches stop once the matching has the size the caller asks for. A
+caller that already holds a matching of the graph may start from it
+instead of the greedy one, as growth does with the matching it carries
+from step to step: the result is still maximum, but it is not the
+index-order run's matching, so it serves where only its size matters.
 
 Edge-list text format: one edge per line as two whitespace-separated
 0-based integers, each edge once in either orientation; lines starting
@@ -249,11 +253,19 @@ def _blossom_matching(
     )
 
 
-def _index_order_blossom(adj: Sequence[Sequence[int]], size: Optional[int] = None) -> list[int]:
+def _index_order_blossom(
+    adj: Sequence[Sequence[int]], size: Optional[int] = None, start: Optional[Sequence[int]] = None
+) -> list[int]:
     """Partner of each vertex (-1 if free) in a maximum matching: a greedy
     warm start, then one breadth-first augmenting-path search from each
     free vertex in index order (Edmonds 1965), until the matching has
     ``size`` edges (default n // 2).
+
+    ``start``, a partner list of any matching of the graph, replaces the
+    greedy warm start (it is copied, not changed). A failed search still
+    leaves a Hungarian tree, so the result is still a maximum matching, but
+    not the one of the index-order run, edge for edge: use it where only
+    the size matters.
 
     A search costs what its alternating tree costs. Only the vertices the
     previous search touched are reset, and a blossom is contracted by
@@ -287,16 +299,20 @@ def _index_order_blossom(adj: Sequence[Sequence[int]], size: Optional[int] = Non
         searches' failed trees cover exactly the pruned dead set.
     """
     n = len(adj)
-    match = [-1] * n
-    matched = 0
-    for v in range(n):
-        if match[v] == -1:
-            for u in adj[v]:
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    matched += 1
-                    break
+    if start is not None:
+        match = list(start)
+        matched = (n - match.count(-1)) // 2
+    else:
+        match = [-1] * n
+        matched = 0
+        for v in range(n):
+            if match[v] == -1:
+                for u in adj[v]:
+                    if match[u] == -1:
+                        match[v] = u
+                        match[u] = v
+                        matched += 1
+                        break
     if size is None:
         size = n // 2
     p = [-1] * n

@@ -17,6 +17,7 @@ from degmatch import (
     dp_step,
     feasible_deltas,
     grow,
+    half_graph,
     make_sequence,
     max_matching,
     nu_star,
@@ -137,6 +138,13 @@ class TestGrow:
         with pytest.raises(ValidationError, match="unknown matching policy 'widest'"):
             grow(cycle(4), 1, delta_policy="fixed:2", matching_policy="widest")
 
+    def test_matching_policy_checked_before_any_step(self):
+        # no step runs here: the seed has no edges, or no step is asked for
+        with pytest.raises(ValidationError, match="unknown matching policy 'bogus'"):
+            grow(Graph(3, frozenset()), 5, "max", 0, "bogus")
+        with pytest.raises(ValidationError, match="unknown matching policy 'bogus'"):
+            grow(cycle(4), 0, "max", 0, "bogus")
+
     def test_bad_policy_string(self):
         with pytest.raises(ValidationError):
             grow(cycle(3), 1, delta_policy="every-other")
@@ -222,26 +230,81 @@ class TestGoldenGrowth:
         assert hashlib.sha256(trace.to_json().encode()).hexdigest() == GROWTH_SHA256[key]
 
 
+def highest_edges(g, size, rng):
+    """A callable matching policy: the highest edges of the maximum matching."""
+    return Matching(frozenset(sorted(max_matching(g).edges)[-size:]), g.vertex_count)
+
+
+class TestCarriedNu:
+    """Under the max delta policy every step takes delta = 2 nu, so each
+    delta must equal twice the oracle's matching number of the graph the
+    step started from, replayed from the trace."""
+
+    @staticmethod
+    def assert_delta_is_twice_nu(g, trace):
+        for rec in trace.steps:
+            assert rec.delta == 2 * max_matching(g).size, rec.step_index
+            g = pinch(g, Matching(frozenset(rec.removed_matching), g.vertex_count))
+        assert g == trace.final_graph
+
+    @pytest.mark.parametrize(
+        "matching_policy", ["random", "max-degree", highest_edges], ids=["random", "max-degree", "callable"]
+    )
+    @pytest.mark.parametrize(
+        "seed",
+        [gnm_graph(30, 60, 3), gnm_graph(61, 122, 4), cycle(9), cycle(10), half_graph(8), half_graph(14),
+         windmill(3, 3)],
+        ids=lambda g: f"n{g.vertex_count}m{g.m}",
+    )
+    def test_seeds(self, seed, matching_policy):
+        for rng_seed in range(3):
+            trace = grow(seed, 12, "max", rng_seed, matching_policy)
+            assert len(trace.steps) == 12
+            self.assert_delta_is_twice_nu(seed, trace)
+
+    def test_c6_chain(self):
+        # the greedy pass falls short at 298 of the 300 steps, so the carried
+        # search runs beside the index-order fallback capped at its nu
+        trace = grow(cycle(6), 300, "max", 7, "max-degree")
+        assert len(trace.steps) == 300
+        self.assert_delta_is_twice_nu(cycle(6), trace)
+
+
 class TestOneBlossomPerStep:
-    """grow runs one index-order blossom per step, for nu, and hands its
-    matching to the step; the random policy adds one run in its shuffled
-    vertex order, capped at nu."""
+    """grow takes nu from one index-order blossom at step 0 and from a
+    search started at the carried matching after that, except under
+    `first`, which runs one index-order blossom per step and takes its
+    edges from it. The random policy adds one run in its shuffled vertex
+    order, and the max-degree fallback one index-order run, both capped
+    at nu."""
 
     @pytest.fixture
     def runs(self, monkeypatch):
         runs = []
-        original = graphs._blossom_matching
+        blossom = graphs._blossom_matching
+        kernel = graphs._index_order_blossom
 
-        def counting(g, rank=None, size=None):
-            if rank is None:
+        def counting_blossom(g, rank=None, size=None):
+            if size is None:
+                assert rank is None
                 runs.append("index")
             else:
-                assert size == len(original(g))
-                runs.append("ordered")
-            return original(g, rank, size)
+                assert size == len(blossom(g))
+                runs.append("index capped" if rank is None else "ordered")
+            return blossom(g, rank, size)
 
-        monkeypatch.setattr(graphs, "_blossom_matching", counting)
-        monkeypatch.setattr(dpg, "_blossom_matching", counting)
+        def counting_kernel(adj, size=None, start=None):
+            if start is None:
+                assert size is None
+                runs.append("index")
+            else:
+                assert size <= len(adj) // 2
+                runs.append("carried")
+            return kernel(adj, size, start)
+
+        monkeypatch.setattr(graphs, "_blossom_matching", counting_blossom)
+        monkeypatch.setattr(dpg, "_blossom_matching", counting_blossom)
+        monkeypatch.setattr(dpg, "_index_order_blossom", counting_kernel)
         return runs
 
     @pytest.mark.parametrize("delta_policy", ["fixed:2", "fixed:4", "max"])
@@ -250,6 +313,12 @@ class TestOneBlossomPerStep:
         trace = grow(gnm_graph(40, 80, 5), 10, delta_policy, 1, matching_policy)
         steps = len(trace.steps)
         assert steps == 10
-        ordered = steps if matching_policy == "random" else 0
-        assert runs.count("index") == steps
-        assert runs.count("ordered") == ordered
+        if matching_policy == "first":
+            assert runs == ["index"] * steps
+            return
+        assert runs[0] == "index" and runs.count("index") == 1
+        assert runs.count("carried") == steps - 1
+        assert runs.count("ordered") == (steps if matching_policy == "random" else 0)
+        # on this seed the greedy pass falls short of nu edges at every max step
+        fallbacks = steps if (matching_policy, delta_policy) == ("max-degree", "max") else 0
+        assert runs.count("index capped") == fallbacks

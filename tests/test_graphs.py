@@ -33,7 +33,7 @@ from degmatch import (
 import degmatch
 from degmatch import dpg
 from degmatch.enumeration import conjecture_scan
-from degmatch.graphs import _blossom_matching
+from degmatch.graphs import _blossom_matching, _index_order_blossom
 
 
 def all_graphs(n):
@@ -417,6 +417,61 @@ class TestBlossomOracle:
                 rank = list(range(g.vertex_count))
                 rng.shuffle(rank)
                 assert _blossom_matching(g, rank, len(full)) == _blossom_matching(g, rank)
+
+
+def random_partners(g, rng):
+    """The partner list of a seeded random matching of g: a random share
+    of the greedy matching in a shuffled edge order, so sizes range from
+    empty to maximal."""
+    match = [-1] * g.vertex_count
+    keep = rng.choice((0.0, 0.5, 1.0))
+    edges = sorted(g.edges)
+    rng.shuffle(edges)
+    for u, v in edges:
+        if match[u] == -1 and match[v] == -1 and rng.random() < keep:
+            match[u], match[v] = v, u
+    return match
+
+
+class TestCarriedStart:
+    """Started from any matching, the kernel still returns a maximum
+    matching, under no size cap, under the cap that growth uses
+    (min(nu + 1, n // 2)) and at nu itself; the start is not changed."""
+
+    @staticmethod
+    def assert_maximum_from_any_start(g, nu, rng):
+        n = g.vertex_count
+        start = random_partners(g, rng)
+        before = list(start)
+        for size in (None, min(nu + 1, n // 2), nu):
+            match = _index_order_blossom(g.adjacency(), size, start)
+            assert start == before
+            assert len(match) == n
+            for v, u in enumerate(match):
+                assert u == -1 or (match[u] == v and g.is_edge(u, v)), (g, start, size)
+            assert (n - match.count(-1)) // 2 == nu, (g, start, size)
+
+    def test_every_labelled_graph_up_to_6(self):
+        rng = random.Random(66)
+        count = 0
+        for n in range(1, 7):
+            for g in all_graphs(n):
+                self.assert_maximum_from_any_start(g, len(blossom_oracle(g)), rng)
+                count += 1
+        assert count == 33867
+
+    @pytest.mark.parametrize("n", [2, 5, 10, 25, 50, 100, 200, 400, 800])
+    def test_gnm_2n(self, n):
+        g = gnm(n, min(2 * n, n * (n - 1) // 2), n + 1)
+        nu = len(blossom_oracle(g))
+        rng = random.Random(n)
+        for _ in range(5):
+            self.assert_maximum_from_any_start(g, nu, rng)
+
+    def test_c6_chain(self):
+        rng = random.Random(302)
+        for g in c6_chain_graphs(300, 25):
+            self.assert_maximum_from_any_start(g, len(blossom_oracle(g)), rng)
 
 
 class TestGreedyMaximal:
