@@ -13,12 +13,18 @@ a maximum matching from step to step, frees the ends of the pinched edges
 it held, and searches from what is left for at most one more edge than the
 parent had. That matching gives nu and nothing else, so no trace depends
 on it.
+
+Under ``max-degree``, ``grow`` also keeps the edges sorted in that
+policy's order for the whole run. A pinch keeps every old degree, so the
+surviving edges keep their order: each step deletes the edges it removed
+and inserts the new vertex's by bisection instead of sorting all m edges.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Union
@@ -69,10 +75,12 @@ def _select_matching(
     policy: MatchingPolicy,
     full: Optional[Matching] = None,
     nu: Optional[int] = None,
+    edge_order: Optional[list[Edge]] = None,
 ) -> Optional[Matching]:
     """A matching of exactly ``size`` edges per policy, or None if infeasible;
-    ``full`` is ``max_matching(g)`` when the caller already has it, and
-    ``nu`` the matching number when the caller knows only that."""
+    ``full`` is ``max_matching(g)`` when the caller already has it, ``nu``
+    the matching number when the caller knows only that, and ``edge_order``
+    g's edges sorted by ``_max_degree_weight(g)`` when the caller keeps them."""
     _check_matching_policy(policy)
     if callable(policy):
         m = policy(g, size, rng)
@@ -95,22 +103,26 @@ def _select_matching(
         if len(edges) < size:
             return None
         return Matching._trusted(frozenset(sorted(edges)[:size]), g.vertex_count)
-    n = g.vertex_count
-    nn = n * n
-    deg = g.degrees()
-
-    def weight(e: Edge) -> int:
-        # higher degree sum first, then (u, v), as one integer: u*n + v < n*n
-        return e[0] * n + e[1] - (deg[e[0]] + deg[e[1]]) * nn
-
+    weight = _max_degree_weight(g)
+    if edge_order is None:
+        edge_order = sorted(g.edges, key=weight)
     # max-degree: the greedy matching is taken in weight order, so it is
     # already sorted; else the heaviest edges of the index-order matching
-    pool = _greedy_matching(sorted(g.edges, key=weight), size)
+    pool = _greedy_matching(edge_order, size)
     if len(pool) < size:
         pool = sorted(full.edges if full is not None else _blossom_matching(g, size=nu), key=weight)
     if len(pool) < size:
         return None
     return Matching._trusted(frozenset(pool[:size]), g.vertex_count)
+
+
+def _max_degree_weight(g: Graph) -> Callable[[Edge], int]:
+    """The sort key of the max-degree order on g's edges: higher degree sum
+    first, then (u, v), as one integer (u*n + v < n*n)."""
+    n = g.vertex_count
+    nn = n * n
+    deg = g.degrees()
+    return lambda e: e[0] * n + e[1] - (deg[e[0]] + deg[e[1]]) * nn
 
 
 @dataclass(frozen=True)
@@ -245,6 +257,12 @@ def grow(
     carried: Optional[list[int]] = None
     full: Optional[Matching] = None
     nu = 0
+    # g's edges in max-degree order, kept for the whole run: a pinch keeps
+    # every old degree, so the surviving edges keep their order, and each
+    # step only moves the edges it removes and adds
+    edge_order: Optional[list[Edge]] = None
+    if matching_policy == "max-degree":
+        edge_order = sorted(g0.edges, key=_max_degree_weight(g0))
     for idx in range(steps):
         if matching_policy == "first":
             full = max_matching(g)
@@ -265,9 +283,15 @@ def grow(
         if delta is None:
             break
         step_seed = rng.randrange(2**32)
-        step_policy = partial(_select_matching, policy=matching_policy, full=full, nu=nu)
+        step_policy = partial(_select_matching, policy=matching_policy, full=full, nu=nu, edge_order=edge_order)
         g, record = dp_step(g, delta, step_policy, step_seed, step_index=idx)
         records.append(record)
+        if edge_order is not None:
+            weight = _max_degree_weight(g)
+            for e in record.removed_matching:
+                del edge_order[bisect_left(edge_order, weight(e), key=weight)]
+                for u in e:
+                    insort(edge_order, (u, record.new_vertex), key=weight)
         if carried is not None:
             # the pinch removed these edges; the rest of the matching survives
             for u, v in record.removed_matching:

@@ -230,22 +230,27 @@ def max_matching(g: Graph) -> Matching:
 def _blossom_matching(
     g: Graph, rank: Optional[Sequence[int]] = None, size: Optional[int] = None
 ) -> frozenset[Edge]:
-    """Edges of a maximum matching. Vertex v takes position rank[v] (index
-    order when None) in the warm start, the augment loop, the blossom collapse
-    and every adjacency list: the matching index-order blossom finds on the
-    graph relabelled v -> rank[v], mapped back. A caller that knows the
-    matching number ν passes it as ``size``: the searches stop at the
-    ν-th edge instead of running every failing search."""
+    """Edges of a maximum matching. ``rank``, a permutation of the vertices
+    (index order when None), gives vertex v position rank[v] in the warm
+    start, the augment loop, the blossom collapse and every adjacency list:
+    the matching index-order blossom finds on the graph relabelled
+    v -> rank[v], mapped back. A caller that knows the matching number ν
+    passes it as ``size``: the searches stop at the ν-th edge instead of
+    running every failing search."""
     adj = g.adjacency()
     if rank is None:
         match = _index_order_blossom(adj, size)
         return frozenset((v, u) for v, u in enumerate(match) if u > v)
-    # relabel by position in the stable rank order, so ties keep index order
-    order = sorted(range(g.vertex_count), key=rank.__getitem__)
-    pos = [0] * len(order)
+    order = [0] * g.vertex_count
+    for v, i in enumerate(rank):
+        order[i] = v
+    # new label i is appended to its neighbours' lists in increasing i, so
+    # every relabelled list comes out sorted
+    relabelled: list[list[int]] = [[] for _ in order]
     for i, v in enumerate(order):
-        pos[v] = i
-    match = _index_order_blossom([sorted([pos[u] for u in adj[v]]) for v in order], size)
+        for u in adj[v]:
+            relabelled[rank[u]].append(i)
+    match = _index_order_blossom(relabelled, size)
     return frozenset(
         (order[i], order[j]) if order[i] < order[j] else (order[j], order[i])
         for i, j in enumerate(match)
@@ -461,6 +466,8 @@ def max_matching_exhaustive(g: Graph, cap: int = EXHAUSTIVE_MATCHING_CAP) -> Mat
 def _greedy_matching(edges: Iterable[Edge], size: Optional[int] = None) -> list[Edge]:
     """Take each edge, in the given order, whose endpoints are both free;
     stop once ``size`` edges are taken."""
+    if size == 0:
+        return []
     matched: set[int] = set()
     chosen = []
     for u, v in edges:

@@ -322,3 +322,49 @@ class TestOneBlossomPerStep:
         # on this seed the greedy pass falls short of nu edges at every max step
         fallbacks = steps if (matching_policy, delta_policy) == ("max-degree", "max") else 0
         assert runs.count("index capped") == fallbacks
+
+
+def max_degree_order(g):
+    """g's edges in the max-degree policy's order: higher degree sum first,
+    then (u, v), which the stable sort keeps from the first one."""
+    deg = g.degrees()
+    return sorted(sorted(g.edges), key=lambda e: -deg[e[0]] - deg[e[1]])
+
+
+class TestCarriedEdgeOrder:
+    """Under max-degree, grow keeps g's edges in max-degree order for the
+    whole run instead of sorting them at every step. The list it hands
+    each step must be exactly that order on the step's graph, and the step
+    must equal a standalone dp_step, which sorts the edges itself."""
+
+    @pytest.mark.parametrize("delta_policy", ["fixed:2", "fixed:4", "max", "random"])
+    @pytest.mark.parametrize(
+        "seed, steps",
+        [(gnm_graph(30, 60, 3), 12), (gnm_graph(61, 122, 4), 12), (cycle(9), 12), (cycle(10), 12),
+         (half_graph(8), 12), (half_graph(14), 12), (windmill(3, 3), 12), (cycle(6), 300)],
+        ids=lambda x: f"n{x.vertex_count}m{x.m}" if isinstance(x, Graph) else f"{x}steps",
+    )
+    def test_order_at_every_step(self, monkeypatch, seed, steps, delta_policy):
+        reads = []
+        # the graphs of about a dozen steps, for a standalone step each
+        sampled = {}
+        select = dpg._select_matching
+
+        def spy(g, size, rng, **kwargs):
+            # dp_step calls this with grow's step policy, which calls it again
+            if "edge_order" in kwargs:
+                assert kwargs["edge_order"] == max_degree_order(g), len(reads)
+                if len(reads) % (steps // 12) == 0:
+                    sampled[len(reads)] = g
+                reads.append(kwargs["edge_order"])
+            return select(g, size, rng, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dpg, "_select_matching", spy)
+            trace = grow(seed, steps, delta_policy, 5, "max-degree")
+        assert len(reads) == len(trace.steps) > 0
+        # the list after the last step, which no step read
+        assert reads[-1] == max_degree_order(trace.final_graph)
+        for idx, g in sampled.items():
+            rec = trace.steps[idx]
+            assert dp_step(g, rec.delta, "max-degree", 0, step_index=idx)[1] == rec

@@ -33,7 +33,7 @@ from degmatch import (
 import degmatch
 from degmatch import dpg
 from degmatch.enumeration import conjecture_scan
-from degmatch.graphs import _blossom_matching, _index_order_blossom
+from degmatch.graphs import _blossom_matching, _greedy_matching, _index_order_blossom
 
 
 def all_graphs(n):
@@ -216,6 +216,15 @@ class TestBlossomVisitOrder:
         g = half_graph(10)
         assert _blossom_matching(g) == max_matching(g).edges
         assert _blossom_matching(g, range(g.vertex_count)) == max_matching(g).edges
+
+    def test_every_labelled_graph_up_to_5(self):
+        # every permutation up to n = 4, five seeded ones at n = 5
+        rng = random.Random(5)
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                ranks = itertools.permutations(range(n)) if n <= 4 else (rng.sample(range(n), n) for _ in range(5))
+                for rank in ranks:
+                    assert _blossom_matching(g, rank) == relabelled_max_matching(g, rank), (g, rank)
 
     def test_random_graphs(self):
         rng = random.Random(2718)
@@ -496,6 +505,13 @@ class TestGreedyMaximal:
     def test_reproducible(self):
         g = half_graph(10)
         assert greedy_maximal_matching(g, 9).edges == greedy_maximal_matching(g, 9).edges
+
+    def test_greedy_pass_stops_at_size(self):
+        edges = [(0, 1), (1, 2), (2, 3), (4, 5)]
+        assert _greedy_matching(edges, 0) == []
+        assert _greedy_matching(edges, 1) == [(0, 1)]
+        assert _greedy_matching(edges, 2) == [(0, 1), (2, 3)]
+        assert _greedy_matching(edges) == _greedy_matching(edges, 5) == [(0, 1), (2, 3), (4, 5)]
 
 
 def brute_min_maximal(g):
