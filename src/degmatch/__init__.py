@@ -24,7 +24,6 @@ from .sequences import (
 from .graphs import (
     Graph,
     Matching,
-    delete_vertex,
     greedy_maximal_matching,
     hh_swap,
     max_matching,
@@ -102,7 +101,6 @@ __all__ = [
     "greedy_maximal_matching",
     "min_maximal_matching",
     "pinch",
-    "delete_vertex",
     "hh_swap",
     "verify_matching",
     # graphicality

@@ -6,13 +6,14 @@ has degree delta. Which matching gets removed is a policy choice; three
 built-ins are provided and a callable can be passed instead.
 
 A step can take degree delta exactly when delta <= 2 nu, so ``grow`` needs
-the matching number nu at every step. Under ``first``, whose trace is the
-lowest edges of the index-order blossom's matching, each step runs that
-blossom. Under the other policies only step 0 does: ``grow`` then carries
-a maximum matching from step to step, frees the ends of the pinched edges
-it held, and searches from what is left for at most one more edge than the
-parent had. That matching gives nu and nothing else, so no trace depends
-on it.
+the matching number nu at every step: it keeps the partner list of one
+maximum matching. Under ``first``, whose trace is the lowest edges of the
+index-order blossom's matching, each step runs that blossom again and reads
+them off the list. Under the other policies only step 0 does: ``grow``
+then carries the list from step to step, frees the ends of the pinched
+edges it held, and searches from what is left for at most one more edge
+than the parent had. That list gives nu and nothing else, so no trace
+depends on it.
 
 Under ``max-degree``, ``grow`` also keeps the edges sorted in that
 policy's order for the whole run. A pinch keeps every old degree, so the
@@ -27,6 +28,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Callable, Optional, Union
 
 from .errors import InfeasibleDeltaError, ValidationError
@@ -73,20 +75,19 @@ def _select_matching(
     rng: random.Random,
     *,
     policy: MatchingPolicy,
-    full: Optional[Matching] = None,
+    match: Optional[list[int]] = None,
     nu: Optional[int] = None,
     edge_order: Optional[list[Edge]] = None,
 ) -> Optional[Matching]:
     """A matching of exactly ``size`` edges per policy, or None if infeasible;
-    ``full`` is ``max_matching(g)`` when the caller already has it, ``nu``
-    the matching number when the caller knows only that, and ``edge_order``
-    g's edges sorted by ``_max_degree_weight(g)`` when the caller keeps them."""
-    _check_matching_policy(policy)
+    ``match`` is the partner list of a maximum matching of g when the caller
+    has it (``first`` takes its lowest edges, so there it must be the
+    index-order blossom's), ``nu`` the matching number when the caller knows
+    it, and ``edge_order`` g's edges sorted by ``_max_degree_weight(g)``
+    when the caller keeps them."""
     if callable(policy):
         m = policy(g, size, rng)
         return m if m is not None and m.size == size else None
-    if full is not None:
-        nu = full.size
     if policy == "random":
         # run the exact matcher in a random vertex order, stopping at ν edges
         # when ν is known, then keep a random subset of the matching it finds
@@ -97,12 +98,14 @@ def _select_matching(
             return None
         return Matching._trusted(frozenset(rng.sample(edges, size)), g.vertex_count)
     if policy == "first":
-        # the lowest edges of the index-order blossom's matching, which the
-        # stop at ν edges does not change
-        edges = full.edges if full is not None else _blossom_matching(g, size=nu)
+        # the lowest edges of the index-order blossom's matching; each vertex
+        # is in at most one edge, so they come out sorted
+        if match is None:
+            match = _index_order_blossom(g.adjacency())
+        edges = frozenset(islice(((u, w) for u, w in enumerate(match) if w > u), size))
         if len(edges) < size:
             return None
-        return Matching._trusted(frozenset(sorted(edges)[:size]), g.vertex_count)
+        return Matching._trusted(edges, g.vertex_count)
     weight = _max_degree_weight(g)
     if edge_order is None:
         edge_order = sorted(g.edges, key=weight)
@@ -110,7 +113,7 @@ def _select_matching(
     # already sorted; else the heaviest edges of the index-order matching
     pool = _greedy_matching(edge_order, size)
     if len(pool) < size:
-        pool = sorted(full.edges if full is not None else _blossom_matching(g, size=nu), key=weight)
+        pool = sorted(_blossom_matching(g, size=nu), key=weight)
     if len(pool) < size:
         return None
     return Matching._trusted(frozenset(pool[:size]), g.vertex_count)
@@ -155,6 +158,7 @@ def dp_step(
     realized in this graph."""
     if delta < 2 or delta % 2:
         raise ValidationError(f"delta={delta} must be a positive even integer")
+    _check_matching_policy(policy)
     rng = random.Random(rng_seed)
     m = _select_matching(g, delta // 2, rng, policy=policy)
     if m is None:
@@ -252,10 +256,10 @@ def grow(
     rng = random.Random(rng_seed)
     g = g0
     records: list[DpStepRecord] = []
-    # partner list of a maximum matching of g, carried from step to step for
-    # ν alone; `first` takes its edges from the index-order matching instead
-    carried: Optional[list[int]] = None
-    full: Optional[Matching] = None
+    # partner list of a maximum matching of g: the index-order one at step 0
+    # and at every step under `first`, which pinches its lowest edges, else
+    # carried from step to step for ν alone
+    match: Optional[list[int]] = None
     nu = 0
     # g's edges in max-degree order, kept for the whole run: a pinch keeps
     # every old degree, so the surviving edges keep their order, and each
@@ -264,16 +268,14 @@ def grow(
     if matching_policy == "max-degree":
         edge_order = sorted(g0.edges, key=_max_degree_weight(g0))
     for idx in range(steps):
-        if matching_policy == "first":
-            full = max_matching(g)
-            nu = full.size
+        if match is None or matching_policy == "first":
+            match = _index_order_blossom(g.adjacency())
         else:
-            # step 0 runs the plain index-order blossom; after that g minus
-            # its newest vertex is a subgraph of the parent, so ν <= ν_parent + 1,
-            # and the n // 2 cap spares an odd n one failing search
-            cap = None if carried is None else min(nu + 1, g.vertex_count // 2)
-            carried = _index_order_blossom(g.adjacency(), cap, carried)
-            nu = (g.vertex_count - carried.count(-1)) // 2
+            # g minus its newest vertex is a subgraph of the parent, so
+            # ν <= ν_parent + 1, and the n // 2 cap spares an odd n one
+            # failing search
+            match = _index_order_blossom(g.adjacency(), min(nu + 1, g.vertex_count // 2), match)
+        nu = (g.vertex_count - match.count(-1)) // 2
         if kind == "fixed":
             delta = fixed_value if fixed_value <= 2 * nu else None
         elif kind == "max":
@@ -283,7 +285,7 @@ def grow(
         if delta is None:
             break
         step_seed = rng.randrange(2**32)
-        step_policy = partial(_select_matching, policy=matching_policy, full=full, nu=nu, edge_order=edge_order)
+        step_policy = partial(_select_matching, policy=matching_policy, match=match, nu=nu, edge_order=edge_order)
         g, record = dp_step(g, delta, step_policy, step_seed, step_index=idx)
         records.append(record)
         if edge_order is not None:
@@ -292,12 +294,11 @@ def grow(
                 del edge_order[bisect_left(edge_order, weight(e), key=weight)]
                 for u in e:
                     insort(edge_order, (u, record.new_vertex), key=weight)
-        if carried is not None:
-            # the pinch removed these edges; the rest of the matching survives
-            for u, v in record.removed_matching:
-                if carried[u] == v:
-                    carried[u] = carried[v] = -1
-            carried.append(-1)
+        # the pinch removed these edges; the rest of the matching survives
+        for u, v in record.removed_matching:
+            if match[u] == v:
+                match[u] = match[v] = -1
+        match.append(-1)
     return GrowthTrace(
         seed_vertex_count=g0.vertex_count,
         seed_edge_count=g0.m,

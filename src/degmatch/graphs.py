@@ -44,7 +44,6 @@ __all__ = [
     "greedy_maximal_matching",
     "min_maximal_matching",
     "pinch",
-    "delete_vertex",
     "hh_swap",
     "verify_matching",
 ]
@@ -574,18 +573,6 @@ def pinch(g: Graph, m: Matching) -> Graph:
     adj.append(tuple(sorted(partner)))
     edges = (g.edges - m.edges) | {(u, v_new) for u in partner}
     return Graph._trusted(v_new + 1, edges, tuple(adj), g.degrees() + (len(partner),))
-
-
-def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
-    """Remove a vertex and its edges; remaining ids are re-packed densely.
-
-    Returns the new graph and the old-id -> new-id mapping.
-    """
-    if not 0 <= v < g.vertex_count:
-        raise ValidationError(f"vertex {v} out of range")
-    mapping = {old: (old if old < v else old - 1) for old in range(g.vertex_count) if old != v}
-    edges = [(mapping[a], mapping[b]) for (a, b) in g.edges if v not in (a, b)]
-    return Graph(g.vertex_count - 1, frozenset(edges)), mapping
 
 
 def hh_swap(g: Graph, u: int, v_i: int, v_j: int) -> Graph:

@@ -58,6 +58,12 @@ class TestDpStep:
         with pytest.raises(ValidationError):
             dp_step(cycle(6), 3)
 
+    def test_unknown_policy_rejected_after_delta(self):
+        with pytest.raises(ValidationError, match="unknown matching policy 'widest'"):
+            dp_step(cycle(6), 2, "widest")
+        with pytest.raises(ValidationError, match="delta=3 must be a positive even integer"):
+            dp_step(cycle(6), 3, "widest")
+
     @pytest.mark.parametrize("policy", ["random", "first", "max-degree"])
     def test_policies_preserve_old_degrees(self, policy):
         g = windmill(2, 3)

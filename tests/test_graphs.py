@@ -17,7 +17,6 @@ from degmatch import (
     Matching,
     ValidationError,
     cycle,
-    delete_vertex,
     greedy_maximal_matching,
     grow,
     half_graph,
@@ -140,11 +139,15 @@ class TestTrustedMatchings:
             assert verify_matching(g, greedy_maximal_matching(g, 3), require_maximal=True)
             if g.vertex_count <= 8:
                 assert verify_matching(g, min_maximal_matching(g), require_maximal=True)
+            # grow hands _select_matching the index-order partner list and nu
+            index_order = _index_order_blossom(g.adjacency())
             for policy in dpg.MATCHING_POLICIES:
                 for size in range(1, full.size + 1):
-                    for known in (None, full):
-                        m = dpg._select_matching(g, size, random.Random(size), policy=policy, full=known)
+                    for known in ({}, {"match": index_order, "nu": full.size}):
+                        m = dpg._select_matching(g, size, random.Random(size), policy=policy, **known)
                         assert m.size == size and verify_matching(g, m), (g, policy, size)
+                        if policy == "first":
+                            assert sorted(m.edges) == sorted(full.edges)[:size], (g, size)
         for row in conjecture_scan(6):
             g, m = row.witness
             assert m.size == row.nu_bar_d and verify_matching(g, m, require_maximal=True)
@@ -633,20 +636,6 @@ class TestPinchAndDelete:
         with pytest.raises(ValidationError):
             pinch(g, Matching(frozenset([(0, 2)]), 4))
 
-    def test_delete_examples(self):
-        g, mapping = delete_vertex(cycle(4), 3)
-        assert g.degrees() == (1, 2, 1)
-        assert mapping == {0: 0, 1: 1, 2: 2}
-        single, _ = delete_vertex(Graph(1, frozenset()), 0)
-        assert single.vertex_count == 0
-        star = windmill(3, 2)  # K_{1,3}
-        no_center, _ = delete_vertex(star, 0)
-        assert no_center.m == 0 and no_center.vertex_count == 3
-
-    def test_delete_out_of_range(self):
-        with pytest.raises(ValidationError):
-            delete_vertex(cycle(3), 3)
-
     @given(graphs(max_n=8), st.integers(min_value=0, max_value=100))
     @settings(max_examples=60)
     def test_pinch_then_delete_restores(self, g, seed):
@@ -654,12 +643,12 @@ class TestPinchAndDelete:
         if not m.edges:
             return
         grown = pinch(g, m)
-        restored, _ = delete_vertex(grown, g.vertex_count)
-        # deleting the pinch vertex undoes the star; re-inserting the removed
-        # matching then reconstructs the original graph exactly
-        assert restored.vertex_count == g.vertex_count
-        assert restored.edges == g.edges - m.edges
-        assert Graph(g.vertex_count, restored.edges | m.edges) == g
+        v_new = g.vertex_count
+        # dropping the pinch vertex's edges undoes the star; re-inserting the
+        # removed matching then reconstructs the original graph exactly
+        restored = {e for e in grown.edges if v_new not in e}
+        assert restored == g.edges - m.edges
+        assert Graph(g.vertex_count, frozenset(restored | m.edges)) == g
 
 
 class TestHhSwap:
