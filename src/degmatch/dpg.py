@@ -5,20 +5,38 @@ to all of its endpoints, so existing degrees never change and the newcomer
 has degree delta. Which matching gets removed is a policy choice; three
 built-ins are provided and a callable can be passed instead.
 
-A step can take degree delta exactly when delta <= 2 nu, so ``grow`` needs
-the matching number nu at every step: it keeps the partner list of one
-maximum matching. Under ``first``, whose trace is the lowest edges of the
-index-order blossom's matching, each step runs that blossom again and reads
-them off the list. Under the other policies only step 0 does: ``grow``
-then carries the list from step to step, frees the ends of the pinched
-edges it held, and searches from what is left for at most one more edge
-than the parent had. That list gives nu and nothing else, so no trace
+A step can take degree delta exactly when delta <= 2 nu, so every step
+needs the matching number nu, and it gets it from a matching search it
+makes anyway. Under ``fixed:<delta>`` and ``max`` the delta draws nothing
+from the rng, so the policy's own search gives nu: ``first`` its
+index-order blossom run, whose lowest edges it pinches; ``random`` its
+blossom run in a shuffled vertex order, whose matching it samples;
+``max-degree`` under ``max`` one index-order run, which is also its
+fallback pool, and under ``fixed:`` nothing unless its greedy pass falls
+short of delta/2 edges, when one index-order run decides feasibility and
+gives the pool. Under ``random`` nu must be known before delta is drawn,
+and a callable must only be asked for a feasible size: there ``first``
+still reads nu off its index-order run, and the other policies keep the
+partner list of one maximum matching from step to step. It comes from the
+index-order run at step 0; after each pinch ``grow`` frees the ends of the
+pinched edges it held and searches from what is left for at most one more
+edge than the parent had. That list gives nu and nothing else, so no trace
 depends on it.
 
-Under ``max-degree``, ``grow`` also keeps the edges sorted in that
-policy's order for the whole run. A pinch keeps every old degree, so the
-surviving edges keep their order: each step deletes the edges it removed
-and inserts the new vertex's by bisection instead of sorting all m edges.
+``grow`` runs on one mutable state: sorted neighbor lists, a degree list
+and the degrees in ascending order. A pinch edits them in place
+(``graphs._pinch_lists``, the arithmetic the public ``pinch`` runs on a
+copy); each record's degree sequence is the ascending list reversed, and
+one ``Graph`` is built, the final one. Callables get a ``Graph`` of the
+step, and their matching is checked as ``pinch`` checks it. Under
+``max-degree``, ``grow`` also keeps the edges sorted in that policy's
+order for the whole run. A pinch keeps every old degree, so the surviving
+edges keep their order: each step deletes the edges it removed and inserts
+the new vertex's by bisection instead of sorting all m edges.
+
+``dp_step`` and ``pinch`` stay public, on immutable graphs, and serve as
+the oracle for ``grow``: they share the policies' selection,
+``_select_matching``, which works on neighbor lists.
 """
 
 from __future__ import annotations
@@ -27,18 +45,19 @@ import json
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import InfeasibleDeltaError, ValidationError
 from .graphs import (
     Edge,
     Graph,
     Matching,
-    _blossom_matching,
     _greedy_matching,
     _index_order_blossom,
+    _pinch_lists,
+    _ranked_blossom,
+    _require_sub_matching,
     max_matching,
     pinch,
 )
@@ -70,61 +89,69 @@ def _check_matching_policy(policy: MatchingPolicy) -> None:
 
 
 def _select_matching(
-    g: Graph,
-    size: int,
+    adj: Sequence[Sequence[int]],
+    deg: Sequence[int],
+    size: Optional[int],
     rng: random.Random,
     *,
-    policy: MatchingPolicy,
+    policy: str,
     match: Optional[list[int]] = None,
     nu: Optional[int] = None,
     edge_order: Optional[list[Edge]] = None,
-) -> Optional[Matching]:
-    """A matching of exactly ``size`` edges per policy, or None if infeasible;
-    ``match`` is the partner list of a maximum matching of g when the caller
-    has it (``first`` takes its lowest edges, so there it must be the
-    index-order blossom's), ``nu`` the matching number when the caller knows
-    it, and ``edge_order`` g's edges sorted by ``_max_degree_weight(g)``
-    when the caller keeps them."""
-    if callable(policy):
-        m = policy(g, size, rng)
-        return m if m is not None and m.size == size else None
+) -> Optional[list[Edge]]:
+    """The sorted edges of a matching of ``size`` edges per built-in policy,
+    on the graph with sorted neighbor lists ``adj`` and degrees ``deg``, or
+    None if it has no such matching. A ``size`` of None asks for ν edges,
+    which the policy's own search finds, and None comes back when ν = 0.
+
+    A caller may pass what it already holds: ``match``, the partner list of
+    the index-order blossom's matching (``first`` takes its lowest edges,
+    ``max-degree`` falls back to it), ``nu``, the matching number, and
+    ``edge_order``, the edges sorted by ``_max_degree_weight``."""
+    n = len(adj)
     if policy == "random":
         # run the exact matcher in a random vertex order, stopping at ν edges
         # when ν is known, then keep a random subset of the matching it finds
-        rank = list(range(g.vertex_count))
+        rank = list(range(n))
         rng.shuffle(rank)
-        edges = sorted(_blossom_matching(g, rank, nu))
-        if len(edges) < size:
+        edges = sorted(_ranked_blossom(adj, rank, nu))
+        size = len(edges) if size is None else size
+        if not 0 < size <= len(edges):
             return None
-        return Matching._trusted(frozenset(rng.sample(edges, size)), g.vertex_count)
+        return sorted(rng.sample(edges, size))
+    if match is None and (policy == "first" or size is None):
+        match = _index_order_blossom(adj, nu)
     if policy == "first":
         # the lowest edges of the index-order blossom's matching; each vertex
         # is in at most one edge, so they come out sorted
-        if match is None:
-            match = _index_order_blossom(g.adjacency())
-        edges = frozenset(islice(((u, w) for u, w in enumerate(match) if w > u), size))
-        if len(edges) < size:
+        edges = list(islice(((u, w) for u, w in enumerate(match) if w > u), size))
+        if not edges or size is not None and len(edges) < size:
             return None
-        return Matching._trusted(edges, g.vertex_count)
-    weight = _max_degree_weight(g)
+        return edges
+    if size is None:
+        size = (n - match.count(-1)) // 2
+        if size == 0:
+            return None
+    weight = _max_degree_weight(n, deg)
     if edge_order is None:
-        edge_order = sorted(g.edges, key=weight)
-    # max-degree: the greedy matching is taken in weight order, so it is
-    # already sorted; else the heaviest edges of the index-order matching
+        edge_order = sorted(((u, v) for u in range(n) for v in adj[u] if v > u), key=weight)
+    # max-degree: the greedy matching is taken in weight order; else the
+    # heaviest edges of the index-order matching
     pool = _greedy_matching(edge_order, size)
     if len(pool) < size:
-        pool = sorted(_blossom_matching(g, size=nu), key=weight)
-    if len(pool) < size:
-        return None
-    return Matching._trusted(frozenset(pool[:size]), g.vertex_count)
+        if match is None:
+            match = _index_order_blossom(adj, nu)
+        pool = sorted(((u, w) for u, w in enumerate(match) if w > u), key=weight)
+        if len(pool) < size:
+            return None
+    return sorted(pool[:size])
 
 
-def _max_degree_weight(g: Graph) -> Callable[[Edge], int]:
-    """The sort key of the max-degree order on g's edges: higher degree sum
-    first, then (u, v), as one integer (u*n + v < n*n)."""
-    n = g.vertex_count
+def _max_degree_weight(n: int, deg: Sequence[int]) -> Callable[[Edge], int]:
+    """The sort key of the max-degree order on the edges of a graph with n
+    vertices and degrees ``deg``: higher degree sum first, then (u, v), as
+    one integer (u*n + v < n*n)."""
     nn = n * n
-    deg = g.degrees()
     return lambda e: e[0] * n + e[1] - (deg[e[0]] + deg[e[1]]) * nn
 
 
@@ -160,8 +187,13 @@ def dp_step(
         raise ValidationError(f"delta={delta} must be a positive even integer")
     _check_matching_policy(policy)
     rng = random.Random(rng_seed)
-    m = _select_matching(g, delta // 2, rng, policy=policy)
-    if m is None:
+    size = delta // 2
+    if callable(policy):
+        m = policy(g, size, rng)
+    else:
+        edges = _select_matching(g.adjacency(), g.degrees(), size, rng, policy=policy)
+        m = None if edges is None else Matching(frozenset(edges), g.vertex_count)
+    if m is None or m.size != size:
         raise InfeasibleDeltaError(
             f"delta={delta} is not feasible here", feasible=feasible_deltas(g)
         )
@@ -254,56 +286,113 @@ def grow(
     kind, fixed_value = _parse_delta_policy(delta_policy)
     _check_matching_policy(matching_policy)
     rng = random.Random(rng_seed)
-    g = g0
+    # the mutable state of the grown graph: sorted neighbor lists, degrees,
+    # and the degrees in ascending order; a pinch edits all three in place
+    adj = [list(a) for a in g0.adjacency()]
+    deg = list(g0.degrees())
+    ascending = sorted(deg)
     records: list[DpStepRecord] = []
-    # partner list of a maximum matching of g: the index-order one at step 0
-    # and at every step under `first`, which pinches its lowest edges, else
-    # carried from step to step for ν alone
-    match: Optional[list[int]] = None
-    nu = 0
-    # g's edges in max-degree order, kept for the whole run: a pinch keeps
+    # Under fixed: and max the delta draws nothing from rng, so the step's
+    # seed is drawn first and the policy's own search gives ν. Where ν must
+    # come before an rng draw (the random delta policy) or before a callable
+    # is asked for edges, `first` takes ν from its index-order run, and the
+    # other policies from a maximum matching carried from step to step.
+    nu_first = kind == "random" or callable(matching_policy)
+    carried: Optional[list[int]] = None
+    nu: Optional[int] = None
+    # the edges in max-degree order, kept for the whole run: a pinch keeps
     # every old degree, so the surviving edges keep their order, and each
     # step only moves the edges it removes and adds
     edge_order: Optional[list[Edge]] = None
     if matching_policy == "max-degree":
-        edge_order = sorted(g0.edges, key=_max_degree_weight(g0))
+        edge_order = sorted(g0.edges, key=_max_degree_weight(g0.vertex_count, deg))
     for idx in range(steps):
-        if match is None or matching_policy == "first":
-            match = _index_order_blossom(g.adjacency())
+        n = len(adj)
+        match = None
+        size = fixed_value // 2 if kind == "fixed" else None
+        if nu_first:
+            if matching_policy == "first":
+                match = _index_order_blossom(adj)
+                nu = (n - match.count(-1)) // 2
+            else:
+                # the index-order run at step 0, then a search from the
+                # carried matching: the graph minus its newest vertex is a
+                # subgraph of the parent, so ν <= ν_parent + 1, and the n // 2
+                # cap spares an odd n one failing search
+                carried = (
+                    _index_order_blossom(adj)
+                    if carried is None
+                    else _index_order_blossom(adj, min(nu + 1, n // 2), carried)
+                )
+                nu = (n - carried.count(-1)) // 2
+            if kind == "max":
+                size = nu
+            elif kind == "random" and nu > 0:
+                size = rng.choice(range(2, 2 * nu + 1, 2)) // 2
+            if not size or size > nu:
+                break
+        step_rng = random.Random(rng.randrange(2**32))
+        if callable(matching_policy):
+            edges = _call_policy(matching_policy, adj, deg, size, step_rng)
         else:
-            # g minus its newest vertex is a subgraph of the parent, so
-            # ν <= ν_parent + 1, and the n // 2 cap spares an odd n one
-            # failing search
-            match = _index_order_blossom(g.adjacency(), min(nu + 1, g.vertex_count // 2), match)
-        nu = (g.vertex_count - match.count(-1)) // 2
-        if kind == "fixed":
-            delta = fixed_value if fixed_value <= 2 * nu else None
-        elif kind == "max":
-            delta = 2 * nu if nu > 0 else None
-        else:
-            delta = rng.choice(range(2, 2 * nu + 1, 2)) if nu > 0 else None
-        if delta is None:
-            break
-        step_seed = rng.randrange(2**32)
-        step_policy = partial(_select_matching, policy=matching_policy, match=match, nu=nu, edge_order=edge_order)
-        g, record = dp_step(g, delta, step_policy, step_seed, step_index=idx)
-        records.append(record)
+            edges = _select_matching(
+                adj, deg, size, step_rng, policy=matching_policy, match=match, nu=nu, edge_order=edge_order
+            )
+            if edges is None:
+                break
+        _pinch_lists(adj, deg, edges)
+        insort(ascending, 2 * len(edges))
+        records.append(
+            DpStepRecord(
+                step_index=idx,
+                delta=2 * len(edges),
+                removed_matching=tuple(edges),
+                new_vertex=n,
+                resulting_degree_sequence=tuple(reversed(ascending)),
+            )
+        )
         if edge_order is not None:
-            weight = _max_degree_weight(g)
-            for e in record.removed_matching:
+            weight = _max_degree_weight(n + 1, deg)
+            for e in edges:
                 del edge_order[bisect_left(edge_order, weight(e), key=weight)]
                 for u in e:
-                    insort(edge_order, (u, record.new_vertex), key=weight)
-        # the pinch removed these edges; the rest of the matching survives
-        for u, v in record.removed_matching:
-            if match[u] == v:
-                match[u] = match[v] = -1
-        match.append(-1)
+                    insort(edge_order, (u, n), key=weight)
+        if carried is not None:
+            # the pinch removed these edges; the rest of the matching survives
+            for u, v in edges:
+                if carried[u] == v:
+                    carried[u] = carried[v] = -1
+            carried.append(-1)
     return GrowthTrace(
         seed_vertex_count=g0.vertex_count,
         seed_edge_count=g0.m,
         seed_degree_sequence=g0.degree_sequence().degrees,
         requested_steps=steps,
         steps=tuple(records),
-        final_graph=g,
+        final_graph=_graph_of(adj, deg),
     )
+
+
+def _graph_of(adj: list[list[int]], deg: list[int]) -> Graph:
+    """The graph with sorted neighbor lists ``adj`` and degrees ``deg``."""
+    edges = frozenset((u, v) for u, nbrs in enumerate(adj) for v in nbrs if v > u)
+    return Graph._trusted(len(adj), edges, tuple(map(tuple, adj)), tuple(deg))
+
+
+def _call_policy(
+    policy: Callable[[Graph, int, random.Random], Optional[Matching]],
+    adj: list[list[int]],
+    deg: list[int],
+    size: int,
+    rng: random.Random,
+) -> list[Edge]:
+    """Ask a callable policy for ``size`` edges of the graph, checked as
+    ``dp_step`` and ``pinch`` check them."""
+    g = _graph_of(adj, deg)
+    m = policy(g, size, rng)
+    if m is None or m.size != size:
+        raise InfeasibleDeltaError(
+            f"delta={2 * size} is not feasible here", feasible=feasible_deltas(g)
+        )
+    _require_sub_matching(g, m)
+    return sorted(m.edges)

@@ -3,7 +3,10 @@
 Graphs are immutable: a vertex count plus a frozenset of normalized edges
 (u, v) with u < v. Matchings carry their host vertex count so covered and
 uncovered vertex sets are well defined. ``pinch`` derives its result from
-the parent graph: only the pinched vertices get new neighbor tuples.
+the parent graph: only the pinched vertices get new neighbor tuples. Its
+arithmetic, ``_pinch_lists``, edits sorted neighbor lists and a degree
+list in place, which is how growth pinches without building a graph per
+step.
 
 Maximum matching is Edmonds' blossom algorithm: a greedy warm start, then
 one breadth-first search per free vertex, each costing what its
@@ -240,7 +243,14 @@ def _blossom_matching(
     if rank is None:
         match = _index_order_blossom(adj, size)
         return frozenset((v, u) for v, u in enumerate(match) if u > v)
-    order = [0] * g.vertex_count
+    return _ranked_blossom(adj, rank, size)
+
+
+def _ranked_blossom(
+    adj: Sequence[Sequence[int]], rank: Sequence[int], size: Optional[int] = None
+) -> frozenset[Edge]:
+    """``_blossom_matching`` under a rank order, on sorted adjacency lists."""
+    order = [0] * len(adj)
     for v, i in enumerate(rank):
         order[i] = v
     # new label i is appended to its neighbours' lists in increasing i, so
@@ -548,31 +558,48 @@ def pinch(g: Graph, m: Matching) -> Graph:
     The old vertices keep their degrees; the new vertex (id = old count)
     gets degree 2|M|.
     """
+    _require_sub_matching(g, m)
+    if not m.edges:
+        warnings.warn("pinching an empty matching only adds an isolated vertex", stacklevel=2)
+    v_new = g.vertex_count
+    # only the matched vertices' neighbor tuples change, so only they are
+    # copied into lists
+    adj: list = list(g.adjacency())
+    for e in m.edges:
+        for u in e:
+            adj[u] = list(adj[u])
+    deg = list(g.degrees())
+    _pinch_lists(adj, deg, m.edges)
+    edges = (g.edges - m.edges) | {(u, v_new) for u in adj[v_new]}
+    return Graph._trusted(v_new + 1, edges, tuple(map(tuple, adj)), tuple(deg))
+
+
+def _require_sub_matching(g: Graph, m: Matching) -> None:
+    """The checks ``pinch`` makes on its matching: same host, edges of g."""
     if m.host_vertex_count != g.vertex_count:
         raise ValidationError(
             f"matching host size {m.host_vertex_count} does not match graph size {g.vertex_count}"
         )
     if not m.edges <= g.edges:
         raise ValidationError("matching is not a sub-matching of the graph")
-    if not m.edges:
-        warnings.warn("pinching an empty matching only adds an isolated vertex", stacklevel=2)
-    v_new = g.vertex_count
-    partner = {}
-    for u, v in m.edges:
-        partner[u] = v
-        partner[v] = u
-    # the edges are normalized already, and only the matched vertices'
-    # neighbor tuples change: each loses its partner and gains v_new, the
-    # largest id, at the end
-    adj = list(g.adjacency())
-    for u, v in partner.items():
-        nbrs = list(adj[u])
-        nbrs.remove(v)
-        nbrs.append(v_new)
-        adj[u] = tuple(nbrs)
-    adj.append(tuple(sorted(partner)))
-    edges = (g.edges - m.edges) | {(u, v_new) for u in partner}
-    return Graph._trusted(v_new + 1, edges, tuple(adj), g.degrees() + (len(partner),))
+
+
+def _pinch_lists(adj: list[list[int]], deg: list[int], edges: Iterable[Edge]) -> None:
+    """Pinch a matching of the graph with sorted neighbor lists ``adj`` and
+    degrees ``deg`` in place. Each endpoint drops its partner and gains the
+    new vertex, whose id is the largest, at the end, so every list stays
+    sorted; the old degrees do not change."""
+    v_new = len(adj)
+    star: list[int] = []
+    for u, v in edges:
+        adj[u].remove(v)
+        adj[u].append(v_new)
+        adj[v].remove(u)
+        adj[v].append(v_new)
+        star += (u, v)
+    star.sort()
+    adj.append(star)
+    deg.append(len(star))
 
 
 def hh_swap(g: Graph, u: int, v_i: int, v_j: int) -> Graph:

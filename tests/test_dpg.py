@@ -157,6 +157,40 @@ class TestGrow:
         with pytest.raises(ValidationError):
             grow(cycle(3), 1, delta_policy="fixed:3")
 
+    @pytest.mark.parametrize("delta_policy", ["fixed:2", "max", "random"])
+    def test_callable_holding_a_non_edge_is_rejected(self, delta_policy):
+        def chords(g, size, rng):
+            # disjoint pairs two apart on the cycle, none of them an edge
+            return Matching(frozenset([(0, 2), (1, 3), (4, 6), (5, 7)][:size]), g.vertex_count)
+
+        with pytest.raises(ValidationError, match="not a sub-matching"):
+            grow(cycle(8), 3, delta_policy, 0, chords)
+
+    def test_callable_with_a_foreign_host_is_rejected(self):
+        def shrunk(g, size, rng):
+            return Matching(frozenset(sorted(max_matching(g).edges)[:size]), g.vertex_count - 1)
+
+        with pytest.raises(ValidationError, match="does not match graph size"):
+            grow(cycle(6), 2, "fixed:2", 0, shrunk)
+
+    @pytest.mark.parametrize(
+        "delta_policy, extra", [("fixed:4", -1), ("fixed:4", 1), ("max", -1), ("random", -1), ("random", 1)]
+    )
+    def test_callable_with_the_wrong_edge_count_is_infeasible(self, delta_policy, extra):
+        def off_by(g, size, rng):
+            edges = sorted(max_matching(g).edges)
+            return Matching(frozenset(edges[: size + extra]), g.vertex_count)
+
+        # C8's perfect matching has a spare edge unless delta/2 is all four
+        # of its edges, which max asks for and random does not under this seed
+        with pytest.raises(InfeasibleDeltaError) as info:
+            grow(cycle(8), 3, delta_policy, 1, off_by)
+        assert info.value.feasible == (2, 4, 6, 8)
+
+    def test_callable_returning_none_is_infeasible(self):
+        with pytest.raises(InfeasibleDeltaError):
+            grow(cycle(6), 2, "fixed:2", 0, lambda g, size, rng: None)
+
 
 class TestTraceSerialization:
     def test_csv_layout(self):
@@ -276,42 +310,65 @@ class TestCarriedNu:
         self.assert_delta_is_twice_nu(cycle(6), trace)
 
 
+def nu_of(adj):
+    """Matching number of the graph with these adjacency lists."""
+    return (len(adj) - graphs._index_order_blossom(adj).count(-1)) // 2
+
+
 class TestOneBlossomPerStep:
-    """grow takes nu from one index-order blossom at step 0 and from a
-    search started at the carried matching after that, except under
-    `first`, which runs one index-order blossom per step and takes its
-    edges from it. The random policy adds one run in its shuffled vertex
-    order, and the max-degree fallback one index-order run, both capped
-    at nu."""
+    """Under fixed: and max each step's own matching search gives nu: one
+    index-order run under `first`, one uncapped run in the shuffled vertex
+    order under `random`. `max-degree` runs the greedy pass first; under
+    fixed: only a shortfall runs the index-order blossom, which both decides
+    feasibility and gives the fallback pool, and under max one index-order
+    run gives nu and the pool. A maximum matching is carried from step to
+    step only where nu must be known before an rng draw or a callable:
+    under the random delta policy, except for `first`, and for callables.
+    There every step after the first searches from the carried one, and the
+    shuffled-order run and the max-degree fallback are capped at nu."""
 
     @pytest.fixture
     def runs(self, monkeypatch):
         runs = []
-        blossom = graphs._blossom_matching
         kernel = graphs._index_order_blossom
-
-        def counting_blossom(g, rank=None, size=None):
-            if size is None:
-                assert rank is None
-                runs.append("index")
-            else:
-                assert size == len(blossom(g))
-                runs.append("index capped" if rank is None else "ordered")
-            return blossom(g, rank, size)
+        ranked = graphs._ranked_blossom
+        greedy = graphs._greedy_matching
 
         def counting_kernel(adj, size=None, start=None):
-            if start is None:
-                assert size is None
-                runs.append("index")
-            else:
+            if start is not None:
                 assert size <= len(adj) // 2
                 runs.append("carried")
+            elif size is None:
+                runs.append("index")
+            else:
+                assert size == nu_of(adj)
+                runs.append("index capped")
             return kernel(adj, size, start)
 
-        monkeypatch.setattr(graphs, "_blossom_matching", counting_blossom)
-        monkeypatch.setattr(dpg, "_blossom_matching", counting_blossom)
+        def counting_ranked(adj, rank, size=None):
+            if size is None:
+                runs.append("ordered")
+            else:
+                assert size == nu_of(adj)
+                runs.append("ordered capped")
+            return ranked(adj, rank, size)
+
+        def counting_greedy(edges, size=None):
+            pool = greedy(edges, size)
+            runs.append("greedy" if len(pool) == size else "greedy short")
+            return pool
+
         monkeypatch.setattr(dpg, "_index_order_blossom", counting_kernel)
+        monkeypatch.setattr(dpg, "_ranked_blossom", counting_ranked)
+        monkeypatch.setattr(dpg, "_greedy_matching", counting_greedy)
         return runs
+
+    @staticmethod
+    def greedy_with_fallbacks(runs, fallback):
+        """For each greedy pass in ``runs``, that pass and, if it fell short,
+        one ``fallback`` run."""
+        passes = [run for run in runs if run.startswith("greedy")]
+        return [[run] + [fallback] * (run == "greedy short") for run in passes]
 
     @pytest.mark.parametrize("delta_policy", ["fixed:2", "fixed:4", "max"])
     @pytest.mark.parametrize("matching_policy", ["random", "first", "max-degree"])
@@ -321,20 +378,74 @@ class TestOneBlossomPerStep:
         assert steps == 10
         if matching_policy == "first":
             assert runs == ["index"] * steps
+        elif matching_policy == "random":
+            assert runs == ["ordered"] * steps
+        elif delta_policy == "max":
+            # on this seed the greedy pass falls short of nu edges at every step
+            assert runs == ["index", "greedy short"] * steps
+        else:
+            # and it fills delta/2 at every fixed: step, so no blossom runs
+            assert runs == ["greedy"] * steps
+
+    @pytest.mark.parametrize(
+        "seed, delta_policy, shortfalls",
+        [(cycle(10), "fixed:8", 5), (half_graph(8), "fixed:8", 6), (half_graph(14), "fixed:12", 7)],
+        ids=["C10", "H8", "H14"],
+    )
+    def test_max_degree_runs_blossom_only_when_the_greedy_pass_falls_short(self, runs, seed, delta_policy,
+                                                                          shortfalls):
+        trace = grow(seed, 12, delta_policy, 1, "max-degree")
+        assert len(trace.steps) == 12
+        assert runs.count("greedy short") == shortfalls and runs.count("greedy") == 12 - shortfalls
+        assert runs == [run for step in self.greedy_with_fallbacks(runs, "index") for run in step]
+
+    def test_a_shortfall_decides_the_halt(self, runs):
+        # C8's greedy pass falls short of four edges at the third step, and
+        # the index-order run finds nu = 3 there
+        trace = grow(cycle(8), 12, "fixed:8", 1, "max-degree")
+        assert len(trace.steps) == 2 and trace.halted_early
+        assert runs == ["greedy", "greedy", "greedy short", "index"]
+
+    @pytest.mark.parametrize(
+        "matching_policy", ["random", "first", "max-degree", highest_edges],
+        ids=["random", "first", "max-degree", "callable"],
+    )
+    def test_random_delta_carries_the_matching(self, runs, matching_policy):
+        trace = grow(gnm_graph(40, 80, 5), 10, "random", 2, matching_policy)
+        steps = len(trace.steps)
+        assert steps == 10
+        if matching_policy == "first":
+            assert runs == ["index"] * steps
             return
-        assert runs[0] == "index" and runs.count("index") == 1
-        assert runs.count("carried") == steps - 1
-        assert runs.count("ordered") == (steps if matching_policy == "random" else 0)
-        # on this seed the greedy pass falls short of nu edges at every max step
-        fallbacks = steps if (matching_policy, delta_policy) == ("max-degree", "max") else 0
-        assert runs.count("index capped") == fallbacks
+        carried = ["index"] + ["carried"] * (steps - 1)
+        if matching_policy == "random":
+            assert runs == [run for c in carried for run in (c, "ordered capped")]
+        elif matching_policy == "max-degree":
+            # under this seed the greedy pass falls short at four of the steps
+            steps_runs = self.greedy_with_fallbacks(runs, "index capped")
+            assert runs == [run for c, step in zip(carried, steps_runs) for run in [c] + step]
+            assert len(steps_runs) == steps and runs.count("greedy short") == 4
+        else:
+            # the callable's own max_matching runs outside dpg
+            assert runs == carried
+
+    @pytest.mark.parametrize("delta_policy", ["fixed:2", "fixed:4", "max"])
+    def test_callables_carry_the_matching(self, runs, delta_policy):
+        trace = grow(gnm_graph(40, 80, 5), 10, delta_policy, 1, highest_edges)
+        assert len(trace.steps) == 10
+        assert runs == ["index"] + ["carried"] * 9
 
 
-def max_degree_order(g):
-    """g's edges in the max-degree policy's order: higher degree sum first,
+def graph_of_lists(adj):
+    """A validated graph with these neighbor lists, which must be sorted."""
+    assert all(list(nbrs) == sorted(nbrs) for nbrs in adj)
+    return Graph(len(adj), frozenset((u, v) for u, nbrs in enumerate(adj) for v in nbrs))
+
+
+def max_degree_order(edges, deg):
+    """The edges in the max-degree policy's order: higher degree sum first,
     then (u, v), which the stable sort keeps from the first one."""
-    deg = g.degrees()
-    return sorted(sorted(g.edges), key=lambda e: -deg[e[0]] - deg[e[1]])
+    return sorted(sorted(edges), key=lambda e: -deg[e[0]] - deg[e[1]])
 
 
 class TestCarriedEdgeOrder:
@@ -356,21 +467,68 @@ class TestCarriedEdgeOrder:
         sampled = {}
         select = dpg._select_matching
 
-        def spy(g, size, rng, **kwargs):
-            # dp_step calls this with grow's step policy, which calls it again
-            if "edge_order" in kwargs:
-                assert kwargs["edge_order"] == max_degree_order(g), len(reads)
-                if len(reads) % (steps // 12) == 0:
-                    sampled[len(reads)] = g
-                reads.append(kwargs["edge_order"])
-            return select(g, size, rng, **kwargs)
+        def spy(adj, deg, size, rng, **kwargs):
+            # grow passes its state, which later steps change in place
+            assert list(deg) == [len(nbrs) for nbrs in adj], len(reads)
+            edges = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if v > u]
+            assert kwargs["edge_order"] == max_degree_order(edges, deg), len(reads)
+            if len(reads) % (steps // 12) == 0:
+                sampled[len(reads)] = graph_of_lists(adj)
+            reads.append(kwargs["edge_order"])
+            return select(adj, deg, size, rng, **kwargs)
 
         with monkeypatch.context() as patch:
             patch.setattr(dpg, "_select_matching", spy)
             trace = grow(seed, steps, delta_policy, 5, "max-degree")
         assert len(reads) == len(trace.steps) > 0
         # the list after the last step, which no step read
-        assert reads[-1] == max_degree_order(trace.final_graph)
+        assert reads[-1] == max_degree_order(trace.final_graph.edges, trace.final_graph.degrees())
         for idx, g in sampled.items():
             rec = trace.steps[idx]
             assert dp_step(g, rec.delta, "max-degree", 0, step_index=idx)[1] == rec
+
+
+class TestInPlaceState:
+    """grow pinches in place on its own neighbor lists and degree lists
+    and builds one graph, at the end. Replaying each trace through the
+    public pinch must give every record, and the final graph must equal
+    the validated rebuild, its adjacency and degrees included. Under first
+    and max-degree, which draw nothing from the rng, each record must also
+    equal a standalone dp_step's."""
+
+    MATCHING_POLICIES = ["random", "first", "max-degree", highest_edges]
+    IDS = ["random", "first", "max-degree", "callable"]
+
+    @staticmethod
+    def assert_replays(seed, trace, matching_policy, every):
+        g = seed
+        for idx, rec in enumerate(trace.steps):
+            assert rec.step_index == idx and rec.new_vertex == g.vertex_count
+            assert rec.removed_matching == tuple(sorted(rec.removed_matching))
+            grown = pinch(g, Matching(frozenset(rec.removed_matching), g.vertex_count))
+            assert rec.delta == 2 * len(rec.removed_matching) == grown.degrees()[-1]
+            assert rec.resulting_degree_sequence == tuple(sorted(grown.degrees(), reverse=True)), idx
+            if matching_policy in ("first", "max-degree") and idx % every == 0:
+                assert dp_step(g, rec.delta, matching_policy, 0, step_index=idx)[1] == rec
+            g = grown
+        rebuilt = Graph(g.vertex_count, g.edges)
+        final = trace.final_graph
+        assert final == rebuilt
+        assert final.adjacency() == rebuilt.adjacency()
+        assert final.degrees() == rebuilt.degrees()
+
+    @pytest.mark.parametrize("matching_policy", MATCHING_POLICIES, ids=IDS)
+    @pytest.mark.parametrize("delta_policy", ["fixed:2", "fixed:4", "max", "random"])
+    @pytest.mark.parametrize("seed", ["cycle", "windmill", "gnm", "gnm61"])
+    def test_seeds(self, seed, delta_policy, matching_policy):
+        g = GOLDEN_SEEDS[seed] if seed in GOLDEN_SEEDS else gnm_graph(61, 122, 4)
+        trace = grow(g, 12, delta_policy, 2024, matching_policy)
+        assert trace.steps
+        self.assert_replays(g, trace, matching_policy, 1)
+
+    @pytest.mark.parametrize("matching_policy", MATCHING_POLICIES, ids=IDS)
+    @pytest.mark.parametrize("delta_policy", ["fixed:2", "fixed:4", "max", "random"])
+    def test_c6_chain(self, delta_policy, matching_policy):
+        trace = grow(cycle(6), 300, delta_policy, 7, matching_policy)
+        assert len(trace.steps) == 300
+        self.assert_replays(cycle(6), trace, matching_policy, 25)

@@ -116,11 +116,13 @@ class TestMatchingType:
 
 
 class TestTrustedMatchings:
-    """The matching kernels, the growth policies and the nu_bar search build
-    their matchings with ``Matching._trusted``, which skips the checks of
-    ``Matching``: every such site must still hand out a valid matching."""
+    """The matching kernels and the nu_bar search build their matchings with
+    ``Matching._trusted``, which skips the checks of ``Matching``: every
+    such site must still hand out a valid matching. The growth policies'
+    selector hands out sorted edge lists, checked here through the
+    validating constructor."""
 
-    SITES = {"max_matching", "greedy_maximal_matching", "min_maximal_matching", "_select_matching", "_nu_bar"}
+    SITES = {"max_matching", "greedy_maximal_matching", "min_maximal_matching", "_nu_bar"}
 
     def test_the_sites_are_all_covered(self):
         found = set()
@@ -139,15 +141,23 @@ class TestTrustedMatchings:
             assert verify_matching(g, greedy_maximal_matching(g, 3), require_maximal=True)
             if g.vertex_count <= 8:
                 assert verify_matching(g, min_maximal_matching(g), require_maximal=True)
-            # grow hands _select_matching the index-order partner list and nu
+            # grow hands the list-based selector the index-order partner list
+            # and nu when it holds them; a size of None asks for nu edges
             index_order = _index_order_blossom(g.adjacency())
             for policy in dpg.MATCHING_POLICIES:
-                for size in range(1, full.size + 1):
+                for size in list(range(1, full.size + 1)) + [None]:
                     for known in ({}, {"match": index_order, "nu": full.size}):
-                        m = dpg._select_matching(g, size, random.Random(size), policy=policy, **known)
-                        assert m.size == size and verify_matching(g, m), (g, policy, size)
+                        edges = dpg._select_matching(
+                            g.adjacency(), g.degrees(), size, random.Random(size), policy=policy, **known
+                        )
+                        if full.size == 0:
+                            assert edges is None, (g, policy)
+                            continue
+                        m = Matching(frozenset(edges), g.vertex_count)
+                        assert edges == sorted(m.edges), (g, policy, size)
+                        assert m.size == (size or full.size) and verify_matching(g, m), (g, policy, size)
                         if policy == "first":
-                            assert sorted(m.edges) == sorted(full.edges)[:size], (g, size)
+                            assert sorted(m.edges) == sorted(full.edges)[: m.size], (g, size)
         for row in conjecture_scan(6):
             g, m = row.witness
             assert m.size == row.nu_bar_d and verify_matching(g, m, require_maximal=True)
