@@ -7,8 +7,10 @@ reduction. One backtracking kernel, ``_realize_in_host``, does every walk:
 each vertex takes exactly its residual demand from the later vertices the
 host lets it join, so every leaf is a realization inside that host and a
 dead branch ends at the first vertex whose demand exceeds its remaining
-candidates. ``enumerate_realizations`` is its K_n case, and needs no
-graphicality check below its entry.
+candidates. It runs as one generator frame over an explicit stack of the
+combinations each vertex has taken, so a leaf costs no climb through
+nested generator frames. ``enumerate_realizations`` is its K_n case, and
+needs no graphicality check below its entry.
 
 Both realization questions are decided by a split search instead of a
 walk. d splits into C and I, M is a perfect matching on C, and a
@@ -86,34 +88,53 @@ def _realize_in_host(residual: list[int], later: Sequence[Sequence[int]]) -> Ite
 
     Backtracking over the neighbor set of each vertex in index order:
     vertex i takes exactly its residual demand from the vertices in
-    ``later[i]`` whose residual is still positive. Later vertices never
-    touch i again, so at i = n every demand is met and each leaf is a
-    realization; a dead branch ends at the first vertex whose demand
-    exceeds its remaining candidates. ``residual`` is consumed, and the
-    yielded list is valid until the next step of the generator.
+    ``later[i]`` whose residual is still positive, one combination at a
+    time in ``combinations`` order. Later vertices never touch i again, so
+    at i = n every demand is met and each leaf is a realization; a dead
+    branch ends at the first vertex whose demand exceeds its remaining
+    candidates. The walk is one loop over an explicit stack, one entry
+    (vertex, its combinations, the one taken) per vertex of positive
+    demand: going down it takes each vertex's first combination, going up
+    it gives back the top entry's and takes its next. ``residual`` is
+    restored once the generator is exhausted and left changed if it is
+    abandoned, and the yielded list is valid until the next step of the
+    generator.
     """
     n = len(residual)
     edges: list[Edge] = []
-
-    def rec(i: int) -> Iterator[list[Edge]]:
-        if i == n:
+    stack: list[tuple[int, Iterator[tuple[int, ...]], tuple[int, ...]]] = []
+    i = 0
+    while True:
+        while i < n:
+            need = residual[i]
+            if need:
+                cands = [j for j in later[i] if residual[j] > 0]
+                if need > len(cands):
+                    break
+                choices = combinations(cands, need)
+                combo = next(choices)
+                for j in combo:
+                    residual[j] -= 1
+                    edges.append((i, j))
+                stack.append((i, choices, combo))
+            i += 1
+        else:
             yield edges
-            return
-        need = residual[i]
-        cands = [j for j in later[i] if residual[j] > 0]
-        if need > len(cands):
-            return
-        for combo in combinations(cands, need):
-            for j in combo:
-                residual[j] -= 1
-                edges.append((i, j))
-            yield from rec(i + 1)
+        while stack:
+            i, choices, combo = stack.pop()
             for j in combo:
                 residual[j] += 1
-            if need:
-                del edges[-need:]
-
-    return rec(0)
+            del edges[-len(combo):]
+            combo = next(choices, None)
+            if combo is not None:
+                for j in combo:
+                    residual[j] -= 1
+                    edges.append((i, j))
+                stack.append((i, choices, combo))
+                i += 1
+                break
+        else:
+            return
 
 
 def enumerate_realizations(

@@ -92,11 +92,14 @@ class Graph:
         """A graph from normalized edges and the degrees that match them, with
         no validation; the adjacency is built on first use unless given."""
         g = object.__new__(cls)
-        object.__setattr__(g, "vertex_count", vertex_count)
-        object.__setattr__(g, "edges", edges)
+        # plain stores into the instance dict, in the order the dataclass
+        # and the cached properties use, keep the dict's keys shared
+        fields = g.__dict__
+        fields["vertex_count"] = vertex_count
+        fields["edges"] = edges
         if adj is not None:
-            g.__dict__["_adj"] = adj
-        g.__dict__["_degrees"] = degrees
+            fields["_adj"] = adj
+        fields["_degrees"] = degrees
         return g
 
     @property

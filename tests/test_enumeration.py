@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
@@ -32,7 +33,7 @@ from degmatch import (
     strong_extension_check,
 )
 from degmatch import enumeration, graphicality, graphs
-from degmatch.enumeration import ConjectureRow
+from degmatch.enumeration import ConjectureRow, _realize_in_host
 
 SCAN_UNIVERSE = Path(__file__).resolve().parent.parent / "bench" / "data" / "scan_universe.json"
 
@@ -168,6 +169,123 @@ class TestEnumerationChecksOnce:
     def test_no_edge_normalization(self, calls, text):
         assert self.walk(text) > 0
         assert calls["_normalize_edges"] == 0
+
+
+def recursive_walk(residual, later):
+    """Reference for ``enumeration._realize_in_host``: the same backtracking
+    written as nested generators, one frame per vertex."""
+    n = len(residual)
+    edges = []
+
+    def rec(i):
+        if i == n:
+            yield edges
+            return
+        need = residual[i]
+        cands = [j for j in later[i] if residual[j] > 0]
+        if need > len(cands):
+            return
+        for combo in itertools.combinations(cands, need):
+            for j in combo:
+                residual[j] -= 1
+                edges.append((i, j))
+            yield from rec(i + 1)
+            for j in combo:
+                residual[j] += 1
+            if need:
+                del edges[-need:]
+
+    return rec(0)
+
+
+def complete_later(n):
+    return [range(i + 1, n) for i in range(n)]
+
+
+class TestFlatWalk:
+    """``_realize_in_host`` yields exactly the leaves of the recursive walk,
+    in the same order, sharing one edge list, and gives ``residual`` back
+    once it is exhausted."""
+
+    @staticmethod
+    def assert_same_walk(residual, later):
+        residual = list(residual)
+        before = list(residual)
+        shared = set()
+        leaves = []
+        for edges in _realize_in_host(residual, later):
+            shared.add(id(edges))
+            leaves.append(tuple(edges))
+        assert residual == before
+        assert len(shared) <= 1
+        assert leaves == [tuple(edges) for edges in recursive_walk(list(before), later)]
+        return len(leaves)
+
+    def test_every_graphic_row_up_to_7(self):
+        rows = leaves = 0
+        for d in all_graphic_sequences(7):
+            rows += 1
+            leaves += self.assert_same_walk(d.degrees, complete_later(d.n))
+        assert (rows, leaves) == (341, 16757)
+
+    def test_rows_with_zero_entries(self):
+        # every vector with a zero and entries below n, n <= 5, graphic or not
+        leaves = 0
+        for n in range(1, 6):
+            for vec in itertools.product(range(n), repeat=n):
+                if 0 in vec:
+                    leaves += self.assert_same_walk(vec, complete_later(n))
+        assert leaves > 0
+        for vec, count in (((3, 3, 2, 2, 2, 0, 0), 7), ((0, 3, 3, 2, 2, 2, 0), 7), ((0, 2, 0, 2, 2, 0), 1),
+                           ((0, 0, 0), 1), ((3, 0, 3, 1, 1, 0, 0), 0)):
+            assert self.assert_same_walk(vec, complete_later(len(vec))) == count
+
+    @pytest.fixture
+    def hosts(self, monkeypatch):
+        """Record the (residual, later) of every walk the split searches ask
+        for, and answer none, so a caller goes on to build every host it
+        can; the tests walk the hosts through the kernel imported above."""
+        asked = []
+
+        def record(residual, later):
+            asked.append((list(residual), [list(row) for row in later]))
+            return iter(())
+
+        monkeypatch.setattr(enumeration, "_realize_in_host", record)
+        return asked
+
+    def test_every_split_witness_host_up_to_6(self, hosts):
+        for d in all_graphic_sequences(6):
+            degs = d.degrees
+            for ell in range(1, d.n // 2 + 1):
+                for cover in enumeration._cover_splits(degs, 2 * ell):
+                    for pairs in enumeration._pair_classes(degs, cover):
+                        assert enumeration._split_witness(degs, cover, list(pairs)) is None
+        assert len(hosts) == 1244
+        assert sum(self.assert_same_walk(*host) for host in hosts) > 0
+
+    def test_every_extension_witness_host_up_to_6(self, hosts):
+        for d in all_graphic_sequences(6):
+            for delta in range(2, d.n + 1, 2):
+                assert enumeration._extension_witness(d.degrees, delta) is None
+        assert len(hosts) == 459
+        assert sum(self.assert_same_walk(*host) for host in hosts) > 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_restricted_hosts(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            host = [[j for j in range(i + 1, n) if rng.random() < 0.6] for i in range(n)]
+            # the degrees of a random subgraph of the host: at least one leaf
+            residual = [0] * n
+            for i, row in enumerate(host):
+                for j in row:
+                    if rng.random() < 0.5:
+                        residual[i] += 1
+                        residual[j] += 1
+            assert self.assert_same_walk(residual, host) >= 1
+            self.assert_same_walk([rng.randrange(n) for _ in range(n)], host)
 
 
 class TestNuStarBrute:

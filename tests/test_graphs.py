@@ -1,5 +1,6 @@
 """Unit tests for the graph type and the matching machinery."""
 
+import dataclasses
 import importlib
 import inspect
 import itertools
@@ -21,6 +22,7 @@ from degmatch import (
     grow,
     half_graph,
     hh_swap,
+    make_sequence,
     max_matching,
     max_matching_exhaustive,
     min_maximal_matching,
@@ -31,7 +33,7 @@ from degmatch import (
 )
 import degmatch
 from degmatch import dpg
-from degmatch.enumeration import conjecture_scan
+from degmatch.enumeration import conjecture_scan, enumerate_realizations
 from degmatch.graphs import _blossom_matching, _greedy_matching, _index_order_blossom
 
 
@@ -102,6 +104,21 @@ class TestGraphType:
         assert g.adjacency() is g.adjacency()
         assert g.degrees() is g.degrees()
         assert all(g.neighbors(v) is g.adjacency()[v] for v in range(g.vertex_count))
+
+    def test_trusted_equals_validated(self):
+        rng = random.Random(3)
+        hosts = [Graph(0), Graph(3), path(4), half_graph(6), cycle(7)]
+        hosts += [random_graph(rng, n, 0.5) for n in range(1, 10)]
+        hosts += list(enumerate_realizations(make_sequence([3, 3, 2, 2, 2, 0])))
+        for g in hosts:
+            built = Graph(g.vertex_count, g.edges)
+            for adj in (None, built.adjacency()):
+                t = Graph._trusted(g.vertex_count, g.edges, adj, built.degrees())
+                assert t == built and built == t and hash(t) == hash(built)
+                assert t.adjacency() == built.adjacency() and t.adjacency() is t.adjacency()
+                assert t.degrees() == built.degrees() and t.degrees() is t.degrees()
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    t.edges = frozenset()
 
 
 class TestMatchingType:
