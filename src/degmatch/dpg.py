@@ -15,13 +15,10 @@ blossom run in a shuffled vertex order, whose matching it samples;
 fallback pool, and under ``fixed:`` nothing unless its greedy pass falls
 short of delta/2 edges, when one index-order run decides feasibility and
 gives the pool. Under ``random`` nu must be known before delta is drawn,
-and a callable must only be asked for a feasible size: there ``first``
-still reads nu off its index-order run, and the other policies keep the
-partner list of one maximum matching from step to step. It comes from the
-index-order run at step 0; after each pinch ``grow`` frees the ends of the
-pinched edges it held and searches from what is left for at most one more
-edge than the parent had. That list gives nu and nothing else, so no trace
-depends on it.
+and a callable must only be asked for a feasible size: there every step
+runs the index-order blossom first, reads nu off it, and hands its partner
+list to the policy, where ``first`` pinches its lowest edges and
+``max-degree`` falls back to it.
 
 ``grow`` runs on one mutable state: sorted neighbor lists, a degree list
 and the degrees in ascending order. A pinch edits them in place
@@ -96,7 +93,6 @@ def _select_matching(
     *,
     policy: str,
     match: Optional[list[int]] = None,
-    nu: Optional[int] = None,
     edge_order: Optional[list[Edge]] = None,
 ) -> Optional[list[Edge]]:
     """The sorted edges of a matching of ``size`` edges per built-in policy,
@@ -106,21 +102,21 @@ def _select_matching(
 
     A caller may pass what it already holds: ``match``, the partner list of
     the index-order blossom's matching (``first`` takes its lowest edges,
-    ``max-degree`` falls back to it), ``nu``, the matching number, and
-    ``edge_order``, the edges sorted by ``_max_degree_weight``."""
+    ``max-degree`` falls back to it), and ``edge_order``, the edges sorted
+    by ``_max_degree_weight``."""
     n = len(adj)
     if policy == "random":
-        # run the exact matcher in a random vertex order, stopping at ν edges
-        # when ν is known, then keep a random subset of the matching it finds
+        # run the exact matcher in a random vertex order, then keep a random
+        # subset of the matching it finds
         rank = list(range(n))
         rng.shuffle(rank)
-        edges = sorted(_ranked_blossom(adj, rank, nu))
+        edges = sorted(_ranked_blossom(adj, rank))
         size = len(edges) if size is None else size
         if not 0 < size <= len(edges):
             return None
         return sorted(rng.sample(edges, size))
     if match is None and (policy == "first" or size is None):
-        match = _index_order_blossom(adj, nu)
+        match = _index_order_blossom(adj)
     if policy == "first":
         # the lowest edges of the index-order blossom's matching; each vertex
         # is in at most one edge, so they come out sorted
@@ -140,7 +136,7 @@ def _select_matching(
     pool = _greedy_matching(edge_order, size)
     if len(pool) < size:
         if match is None:
-            match = _index_order_blossom(adj, nu)
+            match = _index_order_blossom(adj)
         pool = sorted(((u, w) for u, w in enumerate(match) if w > u), key=weight)
         if len(pool) < size:
             return None
@@ -295,11 +291,9 @@ def grow(
     # Under fixed: and max the delta draws nothing from rng, so the step's
     # seed is drawn first and the policy's own search gives ν. Where ν must
     # come before an rng draw (the random delta policy) or before a callable
-    # is asked for edges, `first` takes ν from its index-order run, and the
-    # other policies from a maximum matching carried from step to step.
+    # is asked for edges, it comes from an index-order run, which the
+    # built-in policies are handed.
     nu_first = kind == "random" or callable(matching_policy)
-    carried: Optional[list[int]] = None
-    nu: Optional[int] = None
     # the edges in max-degree order, kept for the whole run: a pinch keeps
     # every old degree, so the surviving edges keep their order, and each
     # step only moves the edges it removes and adds
@@ -311,20 +305,8 @@ def grow(
         match = None
         size = fixed_value // 2 if kind == "fixed" else None
         if nu_first:
-            if matching_policy == "first":
-                match = _index_order_blossom(adj)
-                nu = (n - match.count(-1)) // 2
-            else:
-                # the index-order run at step 0, then a search from the
-                # carried matching: the graph minus its newest vertex is a
-                # subgraph of the parent, so ν <= ν_parent + 1, and the n // 2
-                # cap spares an odd n one failing search
-                carried = (
-                    _index_order_blossom(adj)
-                    if carried is None
-                    else _index_order_blossom(adj, min(nu + 1, n // 2), carried)
-                )
-                nu = (n - carried.count(-1)) // 2
+            match = _index_order_blossom(adj)
+            nu = (n - match.count(-1)) // 2
             if kind == "max":
                 size = nu
             elif kind == "random" and nu > 0:
@@ -336,7 +318,7 @@ def grow(
             edges = _call_policy(matching_policy, adj, deg, size, step_rng)
         else:
             edges = _select_matching(
-                adj, deg, size, step_rng, policy=matching_policy, match=match, nu=nu, edge_order=edge_order
+                adj, deg, size, step_rng, policy=matching_policy, match=match, edge_order=edge_order
             )
             if edges is None:
                 break
@@ -357,12 +339,6 @@ def grow(
                 del edge_order[bisect_left(edge_order, weight(e), key=weight)]
                 for u in e:
                     insort(edge_order, (u, n), key=weight)
-        if carried is not None:
-            # the pinch removed these edges; the rest of the matching survives
-            for u, v in edges:
-                if carried[u] == v:
-                    carried[u] = carried[v] = -1
-            carried.append(-1)
     return GrowthTrace(
         seed_vertex_count=g0.vertex_count,
         seed_edge_count=g0.m,

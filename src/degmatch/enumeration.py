@@ -9,8 +9,9 @@ host lets it join, so every leaf is a realization inside that host and a
 dead branch ends at the first vertex whose demand exceeds its remaining
 candidates. It runs as one generator frame over an explicit stack of the
 combinations each vertex has taken, so a leaf costs no climb through
-nested generator frames. ``enumerate_realizations`` is its K_n case, and
-needs no graphicality check below its entry.
+nested generator frames. ``enumerate_realizations`` and
+``count_realizations`` share its K_n case, which needs no graphicality
+check below its entry; the count builds no graph per leaf.
 
 Both realization questions are decided by a split search instead of a
 walk. d splits into C and I, M is a perfect matching on C, and a
@@ -143,20 +144,10 @@ def enumerate_realizations(
     max_n: int = DEFAULT_MAX_N,
     max_degree_sum: int = DEFAULT_MAX_DEGREE_SUM,
 ) -> Iterator[Graph]:
-    """Yield every labelled simple graph whose vertex-i degree equals d_i.
-
-    The host is K_n, walked in index order by ``_realize_in_host``.
-    Erdos-Gallai runs once, at entry, so a non-graphic sequence yields
-    nothing without a search.
-    """
-    _check_caps(d, max_n, max_degree_sum)
-    if not is_graphic_eg(d).is_graphic:
-        return
-    n = d.n
-    later = [range(i + 1, n) for i in range(n)]
-    for edges in _realize_in_host(list(d.degrees), later):
+    """Yield every labelled simple graph whose vertex-i degree equals d_i."""
+    for edges in _realizations_in_kn(d, max_n, max_degree_sum):
         # each pair (i, j), i < j, is chosen once: the edges are normalized
-        yield Graph._trusted(n, frozenset(edges), None, d.degrees)
+        yield Graph._trusted(d.n, frozenset(edges), None, d.degrees)
 
 
 def count_realizations(
@@ -165,7 +156,20 @@ def count_realizations(
     max_n: int = DEFAULT_MAX_N,
     max_degree_sum: int = DEFAULT_MAX_DEGREE_SUM,
 ) -> int:
-    return sum(1 for _ in enumerate_realizations(d, max_n=max_n, max_degree_sum=max_degree_sum))
+    """The number of labelled realizations of d, counted off the walk's
+    leaves without building a graph per leaf."""
+    return sum(1 for _ in _realizations_in_kn(d, max_n, max_degree_sum))
+
+
+def _realizations_in_kn(d: DegreeSequence, max_n: int, max_degree_sum: int) -> Iterator[list[Edge]]:
+    """The caps check, then the walk of ``_realize_in_host`` with host K_n,
+    in index order. Erdos-Gallai runs once, at entry, so a non-graphic
+    sequence yields nothing without a search."""
+    _check_caps(d, max_n, max_degree_sum)
+    if not is_graphic_eg(d).is_graphic:
+        return iter(())
+    n = d.n
+    return _realize_in_host(list(d.degrees), [range(i + 1, n) for i in range(n)])
 
 
 def nu_star_brute(

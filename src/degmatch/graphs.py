@@ -14,12 +14,7 @@ alternating tree costs rather than O(n). A search that fails leaves a
 Hungarian tree: no augmenting path can later pass through it, and the
 only way into it from outside is through its inner vertices, which lead
 to dead ends. So later searches skip its vertices, and return the same
-matching, edge for edge (the proof is in ``_index_order_blossom``). The
-searches stop once the matching has the size the caller asks for. A
-caller that already holds a matching of the graph may start from it
-instead of the greedy one, as growth does with the matching it carries
-from step to step: the result is still maximum, but it is not the
-index-order run's matching, so it serves where only its size matters.
+matching, edge for edge (the proof is in ``_index_order_blossom``).
 
 Edge-list text format: one edge per line as two whitespace-separated
 0-based integers, each edge once in either orientation; lines starting
@@ -229,30 +224,17 @@ def max_matching(g: Graph) -> Matching:
     Augmenting-path search with blossom contraction; deterministic because
     vertices and adjacency are visited in index order.
     """
-    return Matching._trusted(_blossom_matching(g), g.vertex_count)
+    match = _index_order_blossom(g.adjacency())
+    edges = frozenset((v, u) for v, u in enumerate(match) if u > v)
+    return Matching._trusted(edges, g.vertex_count)
 
 
-def _blossom_matching(
-    g: Graph, rank: Optional[Sequence[int]] = None, size: Optional[int] = None
-) -> frozenset[Edge]:
-    """Edges of a maximum matching. ``rank``, a permutation of the vertices
-    (index order when None), gives vertex v position rank[v] in the warm
-    start, the augment loop, the blossom collapse and every adjacency list:
-    the matching index-order blossom finds on the graph relabelled
-    v -> rank[v], mapped back. A caller that knows the matching number ν
-    passes it as ``size``: the searches stop at the ν-th edge instead of
-    running every failing search."""
-    adj = g.adjacency()
-    if rank is None:
-        match = _index_order_blossom(adj, size)
-        return frozenset((v, u) for v, u in enumerate(match) if u > v)
-    return _ranked_blossom(adj, rank, size)
-
-
-def _ranked_blossom(
-    adj: Sequence[Sequence[int]], rank: Sequence[int], size: Optional[int] = None
-) -> frozenset[Edge]:
-    """``_blossom_matching`` under a rank order, on sorted adjacency lists."""
+def _ranked_blossom(adj: Sequence[Sequence[int]], rank: Sequence[int]) -> frozenset[Edge]:
+    """Edges of a maximum matching under a rank order, on sorted adjacency
+    lists: ``rank``, a permutation of the vertices, gives vertex v position
+    rank[v] in the warm start, the augment loop, the blossom collapse and
+    every adjacency list, so this is the matching index-order blossom finds
+    on the graph relabelled v -> rank[v], mapped back."""
     order = [0] * len(adj)
     for v, i in enumerate(rank):
         order[i] = v
@@ -262,7 +244,7 @@ def _ranked_blossom(
     for i, v in enumerate(order):
         for u in adj[v]:
             relabelled[rank[u]].append(i)
-    match = _index_order_blossom(relabelled, size)
+    match = _index_order_blossom(relabelled)
     return frozenset(
         (order[i], order[j]) if order[i] < order[j] else (order[j], order[i])
         for i, j in enumerate(match)
@@ -270,31 +252,22 @@ def _ranked_blossom(
     )
 
 
-def _index_order_blossom(
-    adj: Sequence[Sequence[int]], size: Optional[int] = None, start: Optional[Sequence[int]] = None
-) -> list[int]:
+def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
     """Partner of each vertex (-1 if free) in a maximum matching: a greedy
     warm start, then one breadth-first augmenting-path search from each
     free vertex in index order (Edmonds 1965), until the matching has
-    ``size`` edges (default n // 2).
-
-    ``start``, a partner list of any matching of the graph, replaces the
-    greedy warm start (it is copied, not changed). A failed search still
-    leaves a Hungarian tree, so the result is still a maximum matching, but
-    not the one of the index-order run, edge for edge: use it where only
-    the size matters.
+    n // 2 edges.
 
     A search costs what its alternating tree costs. Only the vertices the
     previous search touched are reset, and a blossom is contracted by
     moving the members of the bases it absorbs, newly outer ones queued
     in index order, instead of by a pass over all n vertices.
 
-    A search that fails leaves ``match`` as it was, so stopping at ``size``
-    edges changes nothing. Its tree T is a Hungarian tree (Edmonds 1965):
-    every vertex of T is marked dead and later searches skip dead
-    neighbours. This returns the matching of the unpruned searches, edge
-    for edge. Let D be the vertex set of T, O its outer and I its inner
-    vertices.
+    A search that fails leaves ``match`` as it was. Its tree T is a
+    Hungarian tree (Edmonds 1965): every vertex of T is marked dead and
+    later searches skip dead neighbours. This returns the matching of the
+    unpruned searches, edge for edge. Let D be the vertex set of T, O its
+    outer and I its inner vertices.
 
     (a) At the failure every neighbour of an O-vertex is in D (each was
         scanned), and adjacent O-vertices share a base (else a blossom or
@@ -316,22 +289,16 @@ def _index_order_blossom(
         searches' failed trees cover exactly the pruned dead set.
     """
     n = len(adj)
-    if start is not None:
-        match = list(start)
-        matched = (n - match.count(-1)) // 2
-    else:
-        match = [-1] * n
-        matched = 0
-        for v in range(n):
-            if match[v] == -1:
-                for u in adj[v]:
-                    if match[u] == -1:
-                        match[v] = u
-                        match[u] = v
-                        matched += 1
-                        break
-    if size is None:
-        size = n // 2
+    match = [-1] * n
+    matched = 0
+    for v in range(n):
+        if match[v] == -1:
+            for u in adj[v]:
+                if match[u] == -1:
+                    match[v] = u
+                    match[u] = v
+                    matched += 1
+                    break
     p = [-1] * n
     base = list(range(n))
     used = [False] * n
@@ -343,7 +310,7 @@ def _index_order_blossom(
     touched: list[int] = []
 
     for root in range(n):
-        if matched >= size:
+        if matched == n // 2:
             break
         if match[root] != -1:
             continue

@@ -79,10 +79,6 @@ class DegreeSequence:
             raise ValidationError(f"degree sum {s} is odd, edge count undefined")
         return s // 2
 
-    @property
-    def has_zeros(self) -> bool:
-        return bool(self.degrees) and self.degrees[-1] == 0
-
     def strip_zeros(self) -> tuple["DegreeSequence", bool]:
         """Drop trailing zero entries; return (stripped sequence, whether any were dropped)."""
         k = len(self.degrees)

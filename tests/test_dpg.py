@@ -278,7 +278,9 @@ def highest_edges(g, size, rng):
 class TestCarriedNu:
     """Under the max delta policy every step takes delta = 2 nu, so each
     delta must equal twice the oracle's matching number of the graph the
-    step started from, replayed from the trace."""
+    step started from, replayed from the trace. The built-in policies take
+    nu from their own search; for a callable, grow reads it off the
+    index-order run it makes before asking."""
 
     @staticmethod
     def assert_delta_is_twice_nu(g, trace):
@@ -303,29 +305,23 @@ class TestCarriedNu:
             self.assert_delta_is_twice_nu(seed, trace)
 
     def test_c6_chain(self):
-        # the greedy pass falls short at 298 of the 300 steps, so the carried
-        # search runs beside the index-order fallback capped at its nu
+        # the greedy pass falls short at 298 of the 300 steps, so nearly
+        # every step's pool is the index-order run that gave its nu
         trace = grow(cycle(6), 300, "max", 7, "max-degree")
         assert len(trace.steps) == 300
         self.assert_delta_is_twice_nu(cycle(6), trace)
 
 
-def nu_of(adj):
-    """Matching number of the graph with these adjacency lists."""
-    return (len(adj) - graphs._index_order_blossom(adj).count(-1)) // 2
-
-
 class TestOneBlossomPerStep:
     """Under fixed: and max each step's own matching search gives nu: one
-    index-order run under `first`, one uncapped run in the shuffled vertex
-    order under `random`. `max-degree` runs the greedy pass first; under
+    index-order run under `first`, one run in the shuffled vertex order
+    under `random`. `max-degree` runs the greedy pass first; under
     fixed: only a shortfall runs the index-order blossom, which both decides
     feasibility and gives the fallback pool, and under max one index-order
-    run gives nu and the pool. A maximum matching is carried from step to
-    step only where nu must be known before an rng draw or a callable:
-    under the random delta policy, except for `first`, and for callables.
-    There every step after the first searches from the carried one, and the
-    shuffled-order run and the max-degree fallback are capped at nu."""
+    run gives nu and the pool. Where nu must be known before an rng draw or
+    a callable (the random delta policy, and callables) every step runs the
+    index-order blossom first, and the built-in policies are handed its
+    partner list: `first` and `max-degree` run no second blossom."""
 
     @pytest.fixture
     def runs(self, monkeypatch):
@@ -334,24 +330,13 @@ class TestOneBlossomPerStep:
         ranked = graphs._ranked_blossom
         greedy = graphs._greedy_matching
 
-        def counting_kernel(adj, size=None, start=None):
-            if start is not None:
-                assert size <= len(adj) // 2
-                runs.append("carried")
-            elif size is None:
-                runs.append("index")
-            else:
-                assert size == nu_of(adj)
-                runs.append("index capped")
-            return kernel(adj, size, start)
+        def counting_kernel(adj):
+            runs.append("index")
+            return kernel(adj)
 
-        def counting_ranked(adj, rank, size=None):
-            if size is None:
-                runs.append("ordered")
-            else:
-                assert size == nu_of(adj)
-                runs.append("ordered capped")
-            return ranked(adj, rank, size)
+        def counting_ranked(adj, rank):
+            runs.append("ordered")
+            return ranked(adj, rank)
 
         def counting_greedy(edges, size=None):
             pool = greedy(edges, size)
@@ -414,26 +399,23 @@ class TestOneBlossomPerStep:
         trace = grow(gnm_graph(40, 80, 5), 10, "random", 2, matching_policy)
         steps = len(trace.steps)
         assert steps == 10
-        if matching_policy == "first":
-            assert runs == ["index"] * steps
-            return
-        carried = ["index"] + ["carried"] * (steps - 1)
         if matching_policy == "random":
-            assert runs == [run for c in carried for run in (c, "ordered capped")]
+            assert runs == ["index", "ordered"] * steps
         elif matching_policy == "max-degree":
-            # under this seed the greedy pass falls short at four of the steps
-            steps_runs = self.greedy_with_fallbacks(runs, "index capped")
-            assert runs == [run for c, step in zip(carried, steps_runs) for run in [c] + step]
-            assert len(steps_runs) == steps and runs.count("greedy short") == 4
+            # under this seed the greedy pass falls short at four of the steps,
+            # and falls back to the partner list of the step's index-order run
+            passes = [run for run in runs if run.startswith("greedy")]
+            assert runs == [run for greedy in passes for run in ("index", greedy)]
+            assert len(passes) == steps and runs.count("greedy short") == 4
         else:
             # the callable's own max_matching runs outside dpg
-            assert runs == carried
+            assert runs == ["index"] * steps
 
     @pytest.mark.parametrize("delta_policy", ["fixed:2", "fixed:4", "max"])
     def test_callables_carry_the_matching(self, runs, delta_policy):
         trace = grow(gnm_graph(40, 80, 5), 10, delta_policy, 1, highest_edges)
         assert len(trace.steps) == 10
-        assert runs == ["index"] + ["carried"] * 9
+        assert runs == ["index"] * 10
 
 
 def graph_of_lists(adj):

@@ -96,10 +96,11 @@ class TestEnumerate:
                 ), d
 
     def test_caps(self):
-        with pytest.raises(CapExceededError):
-            list(enumerate_realizations(make_sequence([1] * 9)))
-        with pytest.raises(CapExceededError):
-            list(enumerate_realizations(make_sequence([7] * 8)))
+        for d in (make_sequence([1] * 9), make_sequence([7] * 8)):
+            with pytest.raises(CapExceededError):
+                list(enumerate_realizations(d))
+            with pytest.raises(CapExceededError):
+                count_realizations(d)
         # caps are configuration, not constants
         assert count_realizations(make_sequence([1] * 10), max_n=10, max_degree_sum=30) == 945
 

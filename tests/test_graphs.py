@@ -34,7 +34,7 @@ from degmatch import (
 import degmatch
 from degmatch import dpg
 from degmatch.enumeration import conjecture_scan, enumerate_realizations
-from degmatch.graphs import _blossom_matching, _greedy_matching, _index_order_blossom
+from degmatch.graphs import _greedy_matching, _index_order_blossom, _ranked_blossom
 
 
 def all_graphs(n):
@@ -159,11 +159,11 @@ class TestTrustedMatchings:
             if g.vertex_count <= 8:
                 assert verify_matching(g, min_maximal_matching(g), require_maximal=True)
             # grow hands the list-based selector the index-order partner list
-            # and nu when it holds them; a size of None asks for nu edges
+            # when it holds it; a size of None asks for nu edges
             index_order = _index_order_blossom(g.adjacency())
             for policy in dpg.MATCHING_POLICIES:
                 for size in list(range(1, full.size + 1)) + [None]:
-                    for known in ({}, {"match": index_order, "nu": full.size}):
+                    for known in ({}, {"match": index_order}):
                         edges = dpg._select_matching(
                             g.adjacency(), g.degrees(), size, random.Random(size), policy=policy, **known
                         )
@@ -240,12 +240,11 @@ class TestBlossomVisitOrder:
         for _ in range(shuffles):
             rank = list(range(g.vertex_count))
             rng.shuffle(rank)
-            assert _blossom_matching(g, rank) == relabelled_max_matching(g, rank)
+            assert _ranked_blossom(g.adjacency(), rank) == relabelled_max_matching(g, rank)
 
     def test_index_order_is_max_matching(self):
         g = half_graph(10)
-        assert _blossom_matching(g) == max_matching(g).edges
-        assert _blossom_matching(g, range(g.vertex_count)) == max_matching(g).edges
+        assert _ranked_blossom(g.adjacency(), range(g.vertex_count)) == max_matching(g).edges
 
     def test_every_labelled_graph_up_to_5(self):
         # every permutation up to n = 4, five seeded ones at n = 5
@@ -254,7 +253,7 @@ class TestBlossomVisitOrder:
             for g in all_graphs(n):
                 ranks = itertools.permutations(range(n)) if n <= 4 else (rng.sample(range(n), n) for _ in range(5))
                 for rank in ranks:
-                    assert _blossom_matching(g, rank) == relabelled_max_matching(g, rank), (g, rank)
+                    assert _ranked_blossom(g.adjacency(), rank) == relabelled_max_matching(g, rank), (g, rank)
 
     def test_random_graphs(self):
         rng = random.Random(2718)
@@ -385,11 +384,11 @@ class TestBlossomOracle:
 
     @staticmethod
     def assert_matches_oracle(g, rng, shuffles=5):
-        assert _blossom_matching(g) == blossom_oracle(g)
+        assert max_matching(g).edges == blossom_oracle(g)
         for _ in range(shuffles):
             rank = list(range(g.vertex_count))
             rng.shuffle(rank)
-            assert _blossom_matching(g, rank) == blossom_oracle(g, rank)
+            assert _ranked_blossom(g.adjacency(), rank) == blossom_oracle(g, rank)
 
     @pytest.mark.parametrize("n", [2, 5, 10, 25, 50, 100, 200, 400, 800])
     def test_gnm_2n(self, n):
@@ -437,80 +436,13 @@ class TestBlossomOracle:
             pairs = list(itertools.combinations(range(n), 2))
             for mask in range(1 << len(pairs)):
                 g = Graph(n, frozenset(e for i, e in enumerate(pairs) if mask >> i & 1))
-                assert _blossom_matching(g) == blossom_oracle(g), g
+                assert max_matching(g).edges == blossom_oracle(g), g
                 if rng.random() < 0.05:
                     rank = list(range(n))
                     rng.shuffle(rank)
-                    assert _blossom_matching(g, rank) == blossom_oracle(g, rank), (g, rank)
+                    assert _ranked_blossom(g.adjacency(), rank) == blossom_oracle(g, rank), (g, rank)
                 count += 1
         assert count == 33867
-
-    def test_stopping_at_nu_changes_nothing(self):
-        # a search that fails leaves the matching as it is
-        rng = random.Random(301)
-        cases = [gnm(n, min(2 * n, n * (n - 1) // 2), n) for n in (2, 5, 10, 25, 50, 100, 200, 400, 800)]
-        for g in cases + c6_chain_graphs(300, 5):
-            full = _blossom_matching(g)
-            assert _blossom_matching(g, size=len(full)) == full
-            for _ in range(5):
-                rank = list(range(g.vertex_count))
-                rng.shuffle(rank)
-                assert _blossom_matching(g, rank, len(full)) == _blossom_matching(g, rank)
-
-
-def random_partners(g, rng):
-    """The partner list of a seeded random matching of g: a random share
-    of the greedy matching in a shuffled edge order, so sizes range from
-    empty to maximal."""
-    match = [-1] * g.vertex_count
-    keep = rng.choice((0.0, 0.5, 1.0))
-    edges = sorted(g.edges)
-    rng.shuffle(edges)
-    for u, v in edges:
-        if match[u] == -1 and match[v] == -1 and rng.random() < keep:
-            match[u], match[v] = v, u
-    return match
-
-
-class TestCarriedStart:
-    """Started from any matching, the kernel still returns a maximum
-    matching, under no size cap, under the cap that growth uses
-    (min(nu + 1, n // 2)) and at nu itself; the start is not changed."""
-
-    @staticmethod
-    def assert_maximum_from_any_start(g, nu, rng):
-        n = g.vertex_count
-        start = random_partners(g, rng)
-        before = list(start)
-        for size in (None, min(nu + 1, n // 2), nu):
-            match = _index_order_blossom(g.adjacency(), size, start)
-            assert start == before
-            assert len(match) == n
-            for v, u in enumerate(match):
-                assert u == -1 or (match[u] == v and g.is_edge(u, v)), (g, start, size)
-            assert (n - match.count(-1)) // 2 == nu, (g, start, size)
-
-    def test_every_labelled_graph_up_to_6(self):
-        rng = random.Random(66)
-        count = 0
-        for n in range(1, 7):
-            for g in all_graphs(n):
-                self.assert_maximum_from_any_start(g, len(blossom_oracle(g)), rng)
-                count += 1
-        assert count == 33867
-
-    @pytest.mark.parametrize("n", [2, 5, 10, 25, 50, 100, 200, 400, 800])
-    def test_gnm_2n(self, n):
-        g = gnm(n, min(2 * n, n * (n - 1) // 2), n + 1)
-        nu = len(blossom_oracle(g))
-        rng = random.Random(n)
-        for _ in range(5):
-            self.assert_maximum_from_any_start(g, nu, rng)
-
-    def test_c6_chain(self):
-        rng = random.Random(302)
-        for g in c6_chain_graphs(300, 25):
-            self.assert_maximum_from_any_start(g, len(blossom_oracle(g)), rng)
 
 
 class TestGreedyMaximal:
