@@ -31,6 +31,7 @@ from .graphs import Graph, max_matching
 from .sequences import DegreeSequence, parse_sequence
 
 EXACT_NU_CAP = 64  # bounds --graph reports exact nu up to this many vertices
+_FAMILY_FLAGS = ("n", "t", "l", "r", "a", "b", "k")  # the family command's parameters, in --help order
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -181,7 +182,7 @@ def _cmd_grow(args: argparse.Namespace) -> int:
 def _cmd_family(args: argparse.Namespace) -> int:
     params = {
         key: getattr(args, key)
-        for key in ("n", "t", "l", "r", "a", "b", "k")
+        for key in _FAMILY_FLAGS
         if getattr(args, key) is not None
     }
     g = make_family(args.kind, **params)
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("family", help="emit a named graph family as an edge list")
     p.add_argument("--kind", required=True, help=f"one of: {', '.join(FAMILY_KINDS)}")
-    for flag in ("n", "t", "l", "r", "a", "b", "k"):
+    for flag in _FAMILY_FLAGS:
         p.add_argument(f"--{flag}", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_family)

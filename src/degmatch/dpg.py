@@ -2,8 +2,8 @@
 
 A growth step removes a matching of size delta/2 and attaches a new vertex
 to all of its endpoints, so existing degrees never change and the newcomer
-has degree delta. Which matching gets removed is a policy choice; three
-built-ins are provided and a callable can be passed instead.
+has degree delta. Which matching gets removed is one of three policies,
+``MATCHING_POLICIES``; a callable is not accepted.
 
 A step can take degree delta exactly when delta <= 2 nu, so every step
 needs the matching number nu, and it gets it from a matching search it
@@ -14,22 +14,20 @@ blossom run in a shuffled vertex order, whose matching it samples;
 ``max-degree`` under ``max`` one index-order run, which is also its
 fallback pool, and under ``fixed:`` nothing unless its greedy pass falls
 short of delta/2 edges, when one index-order run decides feasibility and
-gives the pool. Under ``random`` nu must be known before delta is drawn,
-and a callable must only be asked for a feasible size: there every step
-runs the index-order blossom first, reads nu off it, and hands its partner
-list to the policy, where ``first`` pinches its lowest edges and
-``max-degree`` falls back to it.
+gives the pool. Under ``random`` nu must be known before delta is drawn:
+there every step runs the index-order blossom first, reads nu off it, and
+hands its partner list to the policy, where ``first`` pinches its lowest
+edges and ``max-degree`` falls back to it.
 
 ``grow`` runs on one mutable state: sorted neighbor lists, a degree list
 and the degrees in ascending order. A pinch edits them in place
 (``graphs._pinch_lists``, the arithmetic the public ``pinch`` runs on a
 copy); each record's degree sequence is the ascending list reversed, and
-one ``Graph`` is built, the final one. Callables get a ``Graph`` of the
-step, and their matching is checked as ``pinch`` checks it. Under
-``max-degree``, ``grow`` also keeps the edges sorted in that policy's
-order for the whole run. A pinch keeps every old degree, so the surviving
-edges keep their order: each step deletes the edges it removed and inserts
-the new vertex's by bisection instead of sorting all m edges.
+one ``Graph`` is built, the final one. Under ``max-degree``, ``grow``
+also keeps the edges sorted in that policy's order for the whole run. A
+pinch keeps every old degree, so the surviving edges keep their order:
+each step deletes the edges it removed and inserts the new vertex's by
+bisection instead of sorting all m edges.
 
 ``dp_step`` and ``pinch`` stay public, on immutable graphs, and serve as
 the oracle for ``grow``: they share the policies' selection,
@@ -43,7 +41,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .errors import InfeasibleDeltaError, ValidationError
 from .graphs import (
@@ -54,7 +52,6 @@ from .graphs import (
     _index_order_blossom,
     _pinch_lists,
     _ranked_blossom,
-    _require_sub_matching,
     max_matching,
     pinch,
 )
@@ -70,8 +67,6 @@ __all__ = [
 
 MATCHING_POLICIES = ("random", "first", "max-degree")
 
-MatchingPolicy = Union[str, Callable[[Graph, int, random.Random], Matching]]
-
 
 def feasible_deltas(g: Graph) -> set[int]:
     """Degrees a new vertex can take in this graph: even values up to twice
@@ -80,8 +75,8 @@ def feasible_deltas(g: Graph) -> set[int]:
     return set(range(2, 2 * nu + 1, 2))
 
 
-def _check_matching_policy(policy: MatchingPolicy) -> None:
-    if not callable(policy) and policy not in MATCHING_POLICIES:
+def _check_matching_policy(policy: str) -> None:
+    if policy not in MATCHING_POLICIES:
         raise ValidationError(f"unknown matching policy {policy!r}; known: {', '.join(MATCHING_POLICIES)}")
 
 
@@ -95,7 +90,7 @@ def _select_matching(
     match: Optional[list[int]] = None,
     edge_order: Optional[list[Edge]] = None,
 ) -> Optional[list[Edge]]:
-    """The sorted edges of a matching of ``size`` edges per built-in policy,
+    """The sorted edges of a matching of ``size`` edges per ``policy``,
     on the graph with sorted neighbor lists ``adj`` and degrees ``deg``, or
     None if it has no such matching. A ``size`` of None asks for ν edges,
     which the policy's own search finds, and None comes back when ν = 0.
@@ -171,7 +166,7 @@ class DpStepRecord:
 def dp_step(
     g: Graph,
     delta: int,
-    policy: MatchingPolicy = "random",
+    policy: str = "random",
     rng_seed: int = 0,
     *,
     step_index: int = 0,
@@ -183,21 +178,16 @@ def dp_step(
         raise ValidationError(f"delta={delta} must be a positive even integer")
     _check_matching_policy(policy)
     rng = random.Random(rng_seed)
-    size = delta // 2
-    if callable(policy):
-        m = policy(g, size, rng)
-    else:
-        edges = _select_matching(g.adjacency(), g.degrees(), size, rng, policy=policy)
-        m = None if edges is None else Matching(frozenset(edges), g.vertex_count)
-    if m is None or m.size != size:
+    edges = _select_matching(g.adjacency(), g.degrees(), delta // 2, rng, policy=policy)
+    if edges is None:
         raise InfeasibleDeltaError(
             f"delta={delta} is not feasible here", feasible=feasible_deltas(g)
         )
-    grown = pinch(g, m)
+    grown = pinch(g, Matching(frozenset(edges), g.vertex_count))
     record = DpStepRecord(
         step_index=step_index,
         delta=delta,
-        removed_matching=tuple(sorted(m.edges)),
+        removed_matching=tuple(edges),
         new_vertex=g.vertex_count,
         resulting_degree_sequence=tuple(sorted(grown.degrees(), reverse=True)),
     )
@@ -268,14 +258,15 @@ def grow(
     steps: int,
     delta_policy: str = "max",
     rng_seed: int = 0,
-    matching_policy: MatchingPolicy = "random",
+    matching_policy: str = "random",
 ) -> GrowthTrace:
     """Iterate growth steps from a seed graph.
 
     ``delta_policy`` is one of ``fixed:<delta>``, ``random`` (uniform over
-    the currently feasible degrees) or ``max``. Runs halt early, with a
-    truncated trace, when no feasible degree remains; that is an outcome,
-    not an error. Fully reproducible from (seed graph, policies, seed).
+    the currently feasible degrees) or ``max``; ``matching_policy`` is one
+    of ``MATCHING_POLICIES``. Runs halt early, with a truncated trace, when
+    no feasible degree remains; that is an outcome, not an error. Fully
+    reproducible from (seed graph, policies, seed).
     """
     if steps < 0:
         raise ValidationError(f"steps={steps} must be non-negative")
@@ -288,12 +279,6 @@ def grow(
     deg = list(g0.degrees())
     ascending = sorted(deg)
     records: list[DpStepRecord] = []
-    # Under fixed: and max the delta draws nothing from rng, so the step's
-    # seed is drawn first and the policy's own search gives ν. Where ν must
-    # come before an rng draw (the random delta policy) or before a callable
-    # is asked for edges, it comes from an index-order run, which the
-    # built-in policies are handed.
-    nu_first = kind == "random" or callable(matching_policy)
     # the edges in max-degree order, kept for the whole run: a pinch keeps
     # every old degree, so the surviving edges keep their order, and each
     # step only moves the edges it removes and adds
@@ -304,24 +289,22 @@ def grow(
         n = len(adj)
         match = None
         size = fixed_value // 2 if kind == "fixed" else None
-        if nu_first:
+        if kind == "random":
+            # ν must come before the delta draw: an index-order run gives it,
+            # and the policy is handed its partner list. Under fixed: and max
+            # the delta draws nothing from rng, and the policy's own search
+            # gives ν.
             match = _index_order_blossom(adj)
             nu = (n - match.count(-1)) // 2
-            if kind == "max":
-                size = nu
-            elif kind == "random" and nu > 0:
-                size = rng.choice(range(2, 2 * nu + 1, 2)) // 2
-            if not size or size > nu:
+            if nu == 0:
                 break
+            size = rng.choice(range(2, 2 * nu + 1, 2)) // 2
         step_rng = random.Random(rng.randrange(2**32))
-        if callable(matching_policy):
-            edges = _call_policy(matching_policy, adj, deg, size, step_rng)
-        else:
-            edges = _select_matching(
-                adj, deg, size, step_rng, policy=matching_policy, match=match, edge_order=edge_order
-            )
-            if edges is None:
-                break
+        edges = _select_matching(
+            adj, deg, size, step_rng, policy=matching_policy, match=match, edge_order=edge_order
+        )
+        if edges is None:
+            break
         _pinch_lists(adj, deg, edges)
         insort(ascending, 2 * len(edges))
         records.append(
@@ -353,22 +336,3 @@ def _graph_of(adj: list[list[int]], deg: list[int]) -> Graph:
     """The graph with sorted neighbor lists ``adj`` and degrees ``deg``."""
     edges = frozenset((u, v) for u, nbrs in enumerate(adj) for v in nbrs if v > u)
     return Graph._trusted(len(adj), edges, tuple(map(tuple, adj)), tuple(deg))
-
-
-def _call_policy(
-    policy: Callable[[Graph, int, random.Random], Optional[Matching]],
-    adj: list[list[int]],
-    deg: list[int],
-    size: int,
-    rng: random.Random,
-) -> list[Edge]:
-    """Ask a callable policy for ``size`` edges of the graph, checked as
-    ``dp_step`` and ``pinch`` check them."""
-    g = _graph_of(adj, deg)
-    m = policy(g, size, rng)
-    if m is None or m.size != size:
-        raise InfeasibleDeltaError(
-            f"delta={2 * size} is not feasible here", feasible=feasible_deltas(g)
-        )
-    _require_sub_matching(g, m)
-    return sorted(m.edges)

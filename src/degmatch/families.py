@@ -100,42 +100,28 @@ def regular_circulant(n: int, r: int) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-FAMILY_KINDS = (
-    "half-graph",
-    "windmill",
-    "cycle",
-    "path",
-    "complete-bipartite",
-    "disjoint-triangles",
-    "disjoint-cliques",
-    "regular-circulant",
-)
+# each kind's constructor and the names of its parameters, in call order
+_FAMILIES = {
+    "half-graph": (half_graph, ("n",)),
+    "windmill": (windmill, ("t", "l")),
+    "cycle": (cycle, ("n",)),
+    "path": (path, ("n",)),
+    "complete-bipartite": (complete_bipartite, ("a", "b")),
+    "disjoint-triangles": (disjoint_triangles, ("k",)),
+    "disjoint-cliques": (disjoint_cliques, ("k", "l")),
+    "regular-circulant": (regular_circulant, ("n", "r")),
+}
+
+FAMILY_KINDS = tuple(_FAMILIES)
 
 
 def make_family(kind: str, **params: int) -> Graph:
     """Dispatch by family name; hyphens and underscores are interchangeable."""
     key = kind.replace("_", "-").lower()
-
-    def need(*names: str) -> list[int]:
-        missing = [name for name in names if params.get(name) is None]
-        if missing:
-            raise ValidationError(f"family {key!r} needs parameters: {', '.join(missing)}")
-        return [params[name] for name in names]
-
-    if key == "half-graph":
-        return half_graph(*need("n"))
-    if key == "windmill":
-        return windmill(*need("t", "l"))
-    if key == "cycle":
-        return cycle(*need("n"))
-    if key == "path":
-        return path(*need("n"))
-    if key == "complete-bipartite":
-        return complete_bipartite(*need("a", "b"))
-    if key == "disjoint-triangles":
-        return disjoint_triangles(*need("k"))
-    if key == "disjoint-cliques":
-        return disjoint_cliques(*need("k", "l"))
-    if key == "regular-circulant":
-        return regular_circulant(*need("n", "r"))
-    raise ValidationError(f"unknown family kind {kind!r}; known: {', '.join(FAMILY_KINDS)}")
+    if key not in _FAMILIES:
+        raise ValidationError(f"unknown family kind {kind!r}; known: {', '.join(FAMILY_KINDS)}")
+    build, names = _FAMILIES[key]
+    missing = [name for name in names if params.get(name) is None]
+    if missing:
+        raise ValidationError(f"family {key!r} needs parameters: {', '.join(missing)}")
+    return build(*(params[name] for name in names))

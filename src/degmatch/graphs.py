@@ -528,7 +528,12 @@ def pinch(g: Graph, m: Matching) -> Graph:
     The old vertices keep their degrees; the new vertex (id = old count)
     gets degree 2|M|.
     """
-    _require_sub_matching(g, m)
+    if m.host_vertex_count != g.vertex_count:
+        raise ValidationError(
+            f"matching host size {m.host_vertex_count} does not match graph size {g.vertex_count}"
+        )
+    if not m.edges <= g.edges:
+        raise ValidationError("matching is not a sub-matching of the graph")
     if not m.edges:
         warnings.warn("pinching an empty matching only adds an isolated vertex", stacklevel=2)
     v_new = g.vertex_count
@@ -542,16 +547,6 @@ def pinch(g: Graph, m: Matching) -> Graph:
     _pinch_lists(adj, deg, m.edges)
     edges = (g.edges - m.edges) | {(u, v_new) for u in adj[v_new]}
     return Graph._trusted(v_new + 1, edges, tuple(map(tuple, adj)), tuple(deg))
-
-
-def _require_sub_matching(g: Graph, m: Matching) -> None:
-    """The checks ``pinch`` makes on its matching: same host, edges of g."""
-    if m.host_vertex_count != g.vertex_count:
-        raise ValidationError(
-            f"matching host size {m.host_vertex_count} does not match graph size {g.vertex_count}"
-        )
-    if not m.edges <= g.edges:
-        raise ValidationError("matching is not a sub-matching of the graph")
 
 
 def _pinch_lists(adj: list[list[int]], deg: list[int], edges: Iterable[Edge]) -> None:

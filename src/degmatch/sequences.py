@@ -28,6 +28,16 @@ __all__ = [
 ]
 
 
+def _check_degrees(values: Iterable[object]) -> None:
+    """Raise ValidationError naming the position of the first entry that is
+    not an integer or is negative."""
+    for i, x in enumerate(values):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValidationError(f"degree at position {i} is not an integer: {x!r}")
+        if x < 0:
+            raise ValidationError(f"negative degree at position {i}: {x}")
+
+
 @dataclass(frozen=True)
 class DegreeSequence:
     """An arranged sequence of non-negative vertex degrees.
@@ -42,11 +52,7 @@ class DegreeSequence:
     def __post_init__(self) -> None:
         degs = tuple(self.degrees)
         object.__setattr__(self, "degrees", degs)
-        for i, x in enumerate(degs):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ValidationError(f"degree at position {i} is not an integer: {x!r}")
-            if x < 0:
-                raise ValidationError(f"negative degree at position {i}: {x}")
+        _check_degrees(degs)
         if any(degs[i] < degs[i + 1] for i in range(len(degs) - 1)):
             raise ValidationError("degrees must be non-increasing; use make_sequence to sort")
 
@@ -111,11 +117,7 @@ def make_sequence(values: Iterable[int]) -> DegreeSequence:
     negative or non-integer entry.
     """
     vals = list(values)
-    for i, x in enumerate(vals):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ValidationError(f"degree at position {i} is not an integer: {x!r}")
-        if x < 0:
-            raise ValidationError(f"negative degree at position {i}: {x}")
+    _check_degrees(vals)
     return DegreeSequence._trusted(tuple(sorted(vals, reverse=True)))
 
 
@@ -135,9 +137,9 @@ def parse_sequence(text: str) -> DegreeSequence:
             values.append(int(p))
         except ValueError:
             raise ValidationError(f"entry {i} is not an integer: {p!r}") from None
+    # every value is an int; the full check runs only to name a negative one
     if min(values) < 0:
-        i = next(i for i, x in enumerate(values) if x < 0)
-        raise ValidationError(f"negative degree at position {i}: {values[i]}")
+        _check_degrees(values)
     return DegreeSequence._trusted(tuple(sorted(values, reverse=True)))
 
 

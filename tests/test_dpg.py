@@ -63,6 +63,11 @@ class TestDpStep:
             dp_step(cycle(6), 2, "widest")
         with pytest.raises(ValidationError, match="delta=3 must be a positive even integer"):
             dp_step(cycle(6), 3, "widest")
+        # a callable is not a policy either, and is never called
+        with pytest.raises(ValidationError, match="unknown matching policy <function"):
+            dp_step(cycle(6), 2, never_called)
+        with pytest.raises(ValidationError, match="delta=3 must be a positive even integer"):
+            dp_step(cycle(6), 3, never_called)
 
     @pytest.mark.parametrize("policy", ["random", "first", "max-degree"])
     def test_policies_preserve_old_degrees(self, policy):
@@ -79,22 +84,6 @@ class TestDpStep:
         for delta in (2, 4, 10):
             grown, record = dp_step(g, delta, policy=policy, rng_seed=delta)
             assert record.resulting_degree_sequence == make_sequence(grown.degrees()).degrees
-
-    def test_callable_policy(self):
-        def first_fit(g, size, rng):
-            taken: set[int] = set()
-            picked = []
-            for u, v in sorted(g.edges):
-                if u not in taken and v not in taken:
-                    picked.append((u, v))
-                    taken.update((u, v))
-                if len(picked) == size:
-                    break
-            return Matching(frozenset(picked), g.vertex_count)
-
-        grown, record = dp_step(cycle(6), 4, policy=first_fit, rng_seed=0)
-        assert record.removed_matching == ((0, 1), (2, 3))
-        assert grown.degrees()[6] == 4
 
     def test_feasibility_consistency(self):
         # dp_step succeeds exactly on the feasible set
@@ -143,6 +132,10 @@ class TestGrow:
     def test_unknown_matching_policy(self):
         with pytest.raises(ValidationError, match="unknown matching policy 'widest'"):
             grow(cycle(4), 1, delta_policy="fixed:2", matching_policy="widest")
+        # a callable is not a policy: it is refused before any step asks it
+        for delta_policy in ("fixed:2", "max", "random"):
+            with pytest.raises(ValidationError, match="unknown matching policy <function"):
+                grow(cycle(4), 1, delta_policy, 0, never_called)
 
     def test_matching_policy_checked_before_any_step(self):
         # no step runs here: the seed has no edges, or no step is asked for
@@ -156,40 +149,6 @@ class TestGrow:
             grow(cycle(3), 1, delta_policy="every-other")
         with pytest.raises(ValidationError):
             grow(cycle(3), 1, delta_policy="fixed:3")
-
-    @pytest.mark.parametrize("delta_policy", ["fixed:2", "max", "random"])
-    def test_callable_holding_a_non_edge_is_rejected(self, delta_policy):
-        def chords(g, size, rng):
-            # disjoint pairs two apart on the cycle, none of them an edge
-            return Matching(frozenset([(0, 2), (1, 3), (4, 6), (5, 7)][:size]), g.vertex_count)
-
-        with pytest.raises(ValidationError, match="not a sub-matching"):
-            grow(cycle(8), 3, delta_policy, 0, chords)
-
-    def test_callable_with_a_foreign_host_is_rejected(self):
-        def shrunk(g, size, rng):
-            return Matching(frozenset(sorted(max_matching(g).edges)[:size]), g.vertex_count - 1)
-
-        with pytest.raises(ValidationError, match="does not match graph size"):
-            grow(cycle(6), 2, "fixed:2", 0, shrunk)
-
-    @pytest.mark.parametrize(
-        "delta_policy, extra", [("fixed:4", -1), ("fixed:4", 1), ("max", -1), ("random", -1), ("random", 1)]
-    )
-    def test_callable_with_the_wrong_edge_count_is_infeasible(self, delta_policy, extra):
-        def off_by(g, size, rng):
-            edges = sorted(max_matching(g).edges)
-            return Matching(frozenset(edges[: size + extra]), g.vertex_count)
-
-        # C8's perfect matching has a spare edge unless delta/2 is all four
-        # of its edges, which max asks for and random does not under this seed
-        with pytest.raises(InfeasibleDeltaError) as info:
-            grow(cycle(8), 3, delta_policy, 1, off_by)
-        assert info.value.feasible == (2, 4, 6, 8)
-
-    def test_callable_returning_none_is_infeasible(self):
-        with pytest.raises(InfeasibleDeltaError):
-            grow(cycle(6), 2, "fixed:2", 0, lambda g, size, rng: None)
 
 
 class TestTraceSerialization:
@@ -208,6 +167,11 @@ class TestTraceSerialization:
         for rec, step in zip(payload["steps"], trace.steps):
             assert rec["delta"] == step.delta
             assert [tuple(e) for e in rec["removed_matching"]] == list(step.removed_matching)
+
+
+def never_called(g, size, rng):
+    """A callable in place of a matching policy, which must be refused."""
+    pytest.fail("a callable matching policy was called")
 
 
 def gnm_graph(n, m, seed):
@@ -270,17 +234,11 @@ class TestGoldenGrowth:
         assert hashlib.sha256(trace.to_json().encode()).hexdigest() == GROWTH_SHA256[key]
 
 
-def highest_edges(g, size, rng):
-    """A callable matching policy: the highest edges of the maximum matching."""
-    return Matching(frozenset(sorted(max_matching(g).edges)[-size:]), g.vertex_count)
-
-
-class TestCarriedNu:
+class TestMaxDeltaIsTwiceNu:
     """Under the max delta policy every step takes delta = 2 nu, so each
     delta must equal twice the oracle's matching number of the graph the
-    step started from, replayed from the trace. The built-in policies take
-    nu from their own search; for a callable, grow reads it off the
-    index-order run it makes before asking."""
+    step started from, replayed from the trace. Each policy takes nu from
+    its own matching search."""
 
     @staticmethod
     def assert_delta_is_twice_nu(g, trace):
@@ -289,9 +247,7 @@ class TestCarriedNu:
             g = pinch(g, Matching(frozenset(rec.removed_matching), g.vertex_count))
         assert g == trace.final_graph
 
-    @pytest.mark.parametrize(
-        "matching_policy", ["random", "max-degree", highest_edges], ids=["random", "max-degree", "callable"]
-    )
+    @pytest.mark.parametrize("matching_policy", ["random", "max-degree"])
     @pytest.mark.parametrize(
         "seed",
         [gnm_graph(30, 60, 3), gnm_graph(61, 122, 4), cycle(9), cycle(10), half_graph(8), half_graph(14),
@@ -318,10 +274,10 @@ class TestOneBlossomPerStep:
     under `random`. `max-degree` runs the greedy pass first; under
     fixed: only a shortfall runs the index-order blossom, which both decides
     feasibility and gives the fallback pool, and under max one index-order
-    run gives nu and the pool. Where nu must be known before an rng draw or
-    a callable (the random delta policy, and callables) every step runs the
-    index-order blossom first, and the built-in policies are handed its
-    partner list: `first` and `max-degree` run no second blossom."""
+    run gives nu and the pool. Under the random delta policy nu must be
+    known before delta is drawn, so every step runs the index-order blossom
+    first and hands its partner list to the policy: `first` and
+    `max-degree` run no second blossom."""
 
     @pytest.fixture
     def runs(self, monkeypatch):
@@ -391,11 +347,8 @@ class TestOneBlossomPerStep:
         assert len(trace.steps) == 2 and trace.halted_early
         assert runs == ["greedy", "greedy", "greedy short", "index"]
 
-    @pytest.mark.parametrize(
-        "matching_policy", ["random", "first", "max-degree", highest_edges],
-        ids=["random", "first", "max-degree", "callable"],
-    )
-    def test_random_delta_carries_the_matching(self, runs, matching_policy):
+    @pytest.mark.parametrize("matching_policy", ["random", "first", "max-degree"])
+    def test_random_delta_runs_index_order_first(self, runs, matching_policy):
         trace = grow(gnm_graph(40, 80, 5), 10, "random", 2, matching_policy)
         steps = len(trace.steps)
         assert steps == 10
@@ -408,14 +361,8 @@ class TestOneBlossomPerStep:
             assert runs == [run for greedy in passes for run in ("index", greedy)]
             assert len(passes) == steps and runs.count("greedy short") == 4
         else:
-            # the callable's own max_matching runs outside dpg
+            # first pinches the lowest edges of that run
             assert runs == ["index"] * steps
-
-    @pytest.mark.parametrize("delta_policy", ["fixed:2", "fixed:4", "max"])
-    def test_callables_carry_the_matching(self, runs, delta_policy):
-        trace = grow(gnm_graph(40, 80, 5), 10, delta_policy, 1, highest_edges)
-        assert len(trace.steps) == 10
-        assert runs == ["index"] * 10
 
 
 def graph_of_lists(adj):
@@ -478,8 +425,7 @@ class TestInPlaceState:
     and max-degree, which draw nothing from the rng, each record must also
     equal a standalone dp_step's."""
 
-    MATCHING_POLICIES = ["random", "first", "max-degree", highest_edges]
-    IDS = ["random", "first", "max-degree", "callable"]
+    MATCHING_POLICIES = ["random", "first", "max-degree"]
 
     @staticmethod
     def assert_replays(seed, trace, matching_policy, every):
@@ -499,7 +445,7 @@ class TestInPlaceState:
         assert final.adjacency() == rebuilt.adjacency()
         assert final.degrees() == rebuilt.degrees()
 
-    @pytest.mark.parametrize("matching_policy", MATCHING_POLICIES, ids=IDS)
+    @pytest.mark.parametrize("matching_policy", MATCHING_POLICIES)
     @pytest.mark.parametrize("delta_policy", ["fixed:2", "fixed:4", "max", "random"])
     @pytest.mark.parametrize("seed", ["cycle", "windmill", "gnm", "gnm61"])
     def test_seeds(self, seed, delta_policy, matching_policy):
@@ -508,7 +454,7 @@ class TestInPlaceState:
         assert trace.steps
         self.assert_replays(g, trace, matching_policy, 1)
 
-    @pytest.mark.parametrize("matching_policy", MATCHING_POLICIES, ids=IDS)
+    @pytest.mark.parametrize("matching_policy", MATCHING_POLICIES)
     @pytest.mark.parametrize("delta_policy", ["fixed:2", "fixed:4", "max", "random"])
     def test_c6_chain(self, delta_policy, matching_policy):
         trace = grow(cycle(6), 300, delta_policy, 7, matching_policy)

@@ -592,8 +592,10 @@ class TestPinchAndDelete:
 
     def test_pinch_rejects_foreign_matching(self):
         g = path(4)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="not a sub-matching"):
             pinch(g, Matching(frozenset([(0, 2)]), 4))
+        with pytest.raises(ValidationError, match="host size 5 does not match graph size 4"):
+            pinch(g, Matching(frozenset([(0, 1)]), 5))
 
     @given(graphs(max_n=8), st.integers(min_value=0, max_value=100))
     @settings(max_examples=60)
