@@ -128,7 +128,7 @@ def _select_matching(
         edge_order = sorted(((u, v) for u in range(n) for v in adj[u] if v > u), key=weight)
     # max-degree: the greedy matching is taken in weight order; else the
     # heaviest edges of the index-order matching
-    pool = _greedy_matching(edge_order, size)
+    pool = _greedy_matching(n, edge_order, size)
     if len(pool) < size:
         if match is None:
             match = _index_order_blossom(adj)

@@ -3,15 +3,26 @@
 These functions are the ground truth the closed forms and bounds are
 measured against. ``enumerate_realizations`` walks every labelled
 realization (vertex i has degree d_i exactly) with no isomorphism
-reduction. One backtracking kernel, ``_realize_in_host``, does every walk:
-each vertex takes exactly its residual demand from the later vertices the
-host lets it join, so every leaf is a realization inside that host and a
-dead branch ends at the first vertex whose demand exceeds its remaining
-candidates. It runs as one generator frame over an explicit stack of the
-combinations each vertex has taken, so a leaf costs no climb through
-nested generator frames. ``enumerate_realizations`` and
-``count_realizations`` share its K_n case, which needs no graphicality
-check below its entry; the count builds no graph per leaf.
+reduction. Every walk is the same backtracking: each vertex, in index
+order, takes exactly its residual demand from the later vertices the host
+lets it join, so every leaf is a realization inside that host and a dead
+branch ends at the first vertex whose demand exceeds its remaining
+candidates. Every vertex before the one whose turn it is has residual 0
+and the host is fixed for the call, so the residual vector alone decides
+the subtree below it, and the walks remember states per call:
+
+- ``enumerate_realizations`` and ``count_realizations`` walk K_n.
+  ``_completions`` keeps, per state, the list of edge tuples that complete
+  it, so each state's combinations are tried once however many paths reach
+  it; the enumeration streams the first vertex's combinations, one graph
+  per realization, and the count keeps one number per state and builds no
+  edge list. Both fold the states on an explicit stack, so a deep walk
+  costs no Python frames. Erdos-Gallai runs once, at entry.
+- ``_realize_in_host`` walks a restricted host for the split searches
+  below, which want its first leaf. It runs as one generator frame over an
+  explicit stack of the combinations each vertex has taken, and records a
+  state as dead once its subtree is done with no leaf, so it never walks
+  that state again; the leaves and their order are those of the full walk.
 
 Both realization questions are decided by a split search instead of a
 walk. d splits into C and I, M is a perfect matching on C, and a
@@ -45,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .bounds import _gale_ryser_bound, _maximality_bound
 from .errors import CapExceededError, InternalConsistencyError, ValidationError
@@ -70,7 +81,9 @@ __all__ = [
 
 DEFAULT_MAX_N = 8
 DEFAULT_MAX_DEGREE_SUM = 24
-SPLIT_MAX_N = 10  # the slowest call at n = 10 takes about 0.1 s; the n = 11 scan rows take about 72 s
+# every row with n = 10 takes about 4 s in all, the slowest 21-28 ms; the
+# n = 11 rows take about 35 s, the slowest 0.47 s
+SPLIT_MAX_N = 10
 
 
 def _check_caps(d: DegreeSequence, max_n: int, max_degree_sum: Optional[int]) -> None:
@@ -82,6 +95,11 @@ def _check_caps(d: DegreeSequence, max_n: int, max_degree_sum: Optional[int]) ->
         )
 
 
+State = tuple[int, ...]  # a residual vector, 0 before the vertex whose turn it is
+Completion = tuple[Edge, ...]
+_T = TypeVar("_T")
+
+
 def _realize_in_host(residual: list[int], later: Sequence[Sequence[int]]) -> Iterator[list[Edge]]:
     """Yield the edges (i, j), i < j, of every realization of ``residual``
     inside a host graph, where ``later[i]`` lists, in increasing order, the
@@ -90,20 +108,30 @@ def _realize_in_host(residual: list[int], later: Sequence[Sequence[int]]) -> Ite
     Backtracking over the neighbor set of each vertex in index order:
     vertex i takes exactly its residual demand from the vertices in
     ``later[i]`` whose residual is still positive, one combination at a
-    time in ``combinations`` order. Later vertices never touch i again, so
-    at i = n every demand is met and each leaf is a realization; a dead
-    branch ends at the first vertex whose demand exceeds its remaining
-    candidates. The walk is one loop over an explicit stack, one entry
-    (vertex, its combinations, the one taken) per vertex of positive
-    demand: going down it takes each vertex's first combination, going up
-    it gives back the top entry's and takes its next. ``residual`` is
-    restored once the generator is exhausted and left changed if it is
-    abandoned, and the yielded list is valid until the next step of the
-    generator.
+    time in ``combinations`` order, and its own residual is 0 until the
+    walk backs out of it. Later vertices never touch i again, so at i = n
+    every demand is met and each leaf is a realization; a dead branch ends
+    at the first vertex whose demand exceeds its remaining candidates. The
+    walk is one loop over an explicit stack, one entry per vertex of
+    positive demand: going down it takes each vertex's first combination,
+    going up it gives back the top entry's and takes its next.
+
+    Every vertex before i has residual 0 and the host is fixed, so the
+    residual vector alone decides what lies below it. A state whose entry
+    runs out of combinations with no leaf since it was pushed is recorded
+    as dead, and the walk backs up at once when it reaches it again: only
+    subtrees without a leaf are skipped, so the leaves and their order are
+    those of the full walk. ``residual`` is restored once the generator is
+    exhausted and left changed if it is abandoned, and the yielded list is
+    valid until the next step of the generator.
     """
     n = len(residual)
     edges: list[Edge] = []
-    stack: list[tuple[int, Iterator[tuple[int, ...]], tuple[int, ...]]] = []
+    # (vertex, its demand, its combinations, the one taken, the state on
+    # arrival, the leaves yielded before it)
+    stack: list[tuple[int, int, Iterator[tuple[int, ...]], tuple[int, ...], State, int]] = []
+    dead: set[State] = set()
+    leaves = 0
     i = 0
     while True:
         while i < n:
@@ -112,30 +140,120 @@ def _realize_in_host(residual: list[int], later: Sequence[Sequence[int]]) -> Ite
                 cands = [j for j in later[i] if residual[j] > 0]
                 if need > len(cands):
                     break
+                state = tuple(residual)
+                if state in dead:
+                    break
                 choices = combinations(cands, need)
                 combo = next(choices)
+                residual[i] = 0
                 for j in combo:
                     residual[j] -= 1
                     edges.append((i, j))
-                stack.append((i, choices, combo))
+                stack.append((i, need, choices, combo, state, leaves))
             i += 1
         else:
+            leaves += 1
             yield edges
         while stack:
-            i, choices, combo = stack.pop()
+            i, need, choices, combo, state, before = stack.pop()
             for j in combo:
                 residual[j] += 1
-            del edges[-len(combo):]
+            del edges[-need:]
             combo = next(choices, None)
             if combo is not None:
                 for j in combo:
                     residual[j] -= 1
                     edges.append((i, j))
-                stack.append((i, choices, combo))
+                stack.append((i, need, choices, combo, state, before))
                 i += 1
                 break
+            residual[i] = need
+            if leaves == before:
+                dead.add(state)
         else:
             return
+
+
+def _fold_states(
+    residual: list[int],
+    i: int,
+    n: int,
+    memo: dict[State, _T],
+    leaf: _T,
+    empty: Callable[[], _T],
+    add: Callable[[_T, int, tuple[int, ...], _T], _T],
+) -> _T:
+    """The value of the state ``residual`` inside K_n, where every vertex
+    before i has residual 0, folded over the walk below it.
+
+    A state with no demand left is worth ``leaf``. Otherwise its first
+    vertex v with positive demand takes it, one combination of the later
+    vertices with positive residual at a time in ``combinations`` order,
+    and the state is worth ``empty()`` passed through ``add(value, v,
+    combination, worth of the state left)`` for each combination whose
+    state left has a true worth. The state alone decides its worth, so
+    ``memo`` holds it per state and each state's combinations are tried
+    once. The walk keeps an explicit stack, one entry per state being
+    folded, so its depth costs no Python frames; ``residual`` is restored
+    on return.
+    """
+    # [vertex, its demand, the state on arrival, its combinations, the one
+    # taken, the value so far]
+    stack: list[list] = []
+    while True:
+        while i < n and not residual[i]:
+            i += 1
+        if i == n:
+            worth = leaf
+        else:
+            state = tuple(residual)
+            worth = memo.get(state)
+            if worth is None:
+                need = residual[i]
+                residual[i] = 0
+                cands = [j for j in range(i + 1, n) if residual[j]]
+                stack.append([i, need, state, combinations(cands, need), (), empty()])
+        # hand the worth found to the top entry and take its next combination
+        while stack:
+            top = stack[-1]
+            v, need, state, choices, combo, value = top
+            for j in combo:
+                residual[j] += 1
+            if worth:
+                value = top[5] = add(value, v, combo, worth)
+            combo = top[4] = next(choices, None)
+            if combo is not None:
+                for j in combo:
+                    residual[j] -= 1
+                i = v + 1
+                break
+            stack.pop()
+            residual[v] = need
+            worth = memo[state] = value
+        else:
+            return worth
+
+
+def _add_completions(
+    found: list[Completion], v: int, combo: tuple[int, ...], tails: list[Completion]
+) -> list[Completion]:
+    """Append to ``found`` one completion per tail: vertex v's edges to
+    ``combo``, then the tail."""
+    head = tuple([(v, j) for j in combo])
+    if len(tails) == 1:
+        found.append(head + tails[0])
+    else:
+        found.extend([head + tail for tail in tails])
+    return found
+
+
+def _completions(residual: list[int], i: int, n: int, memo: dict[State, list[Completion]]) -> list[Completion]:
+    """The edge tuples that complete the state ``residual`` inside K_n, in
+    the order ``_realize_in_host`` reaches them, where every vertex before i
+    has residual 0: each is the first vertex's edges to one combination
+    followed by one completion of the state they leave."""
+    # a state with no demand left has one completion, with no edges
+    return _fold_states(residual, i, n, memo, [()], list, _add_completions)
 
 
 def enumerate_realizations(
@@ -145,9 +263,29 @@ def enumerate_realizations(
     max_degree_sum: int = DEFAULT_MAX_DEGREE_SUM,
 ) -> Iterator[Graph]:
     """Yield every labelled simple graph whose vertex-i degree equals d_i."""
-    for edges in _realizations_in_kn(d, max_n, max_degree_sum):
-        # each pair (i, j), i < j, is chosen once: the edges are normalized
-        yield Graph._trusted(d.n, frozenset(edges), None, d.degrees)
+    if not _walkable(d, max_n, max_degree_sum):
+        return
+    n, degrees = d.n, d.degrees
+    residual = list(degrees)
+    i = next((v for v in range(n) if residual[v]), n)
+    if i == n:
+        yield Graph._trusted(n, frozenset(), None, degrees)
+        return
+    # the root's completions are streamed, one combination of its first
+    # vertex at a time, so no list of every realization is held
+    memo: dict[State, list[Completion]] = {}
+    need = residual[i]
+    residual[i] = 0
+    for combo in combinations([j for j in range(i + 1, n) if residual[j]], need):
+        for j in combo:
+            residual[j] -= 1
+        tails = _completions(residual, i + 1, n, memo)
+        for j in combo:
+            residual[j] += 1
+        head = tuple([(i, j) for j in combo])
+        for tail in tails:
+            # each pair (i, j), i < j, is chosen once: the edges are normalized
+            yield Graph._trusted(n, frozenset(head + tail), None, degrees)
 
 
 def count_realizations(
@@ -156,20 +294,19 @@ def count_realizations(
     max_n: int = DEFAULT_MAX_N,
     max_degree_sum: int = DEFAULT_MAX_DEGREE_SUM,
 ) -> int:
-    """The number of labelled realizations of d, counted off the walk's
-    leaves without building a graph per leaf."""
-    return sum(1 for _ in _realizations_in_kn(d, max_n, max_degree_sum))
+    """The number of labelled realizations of d, counted per residual state
+    without building a graph or an edge list per realization."""
+    if not _walkable(d, max_n, max_degree_sum):
+        return 0
+    return _fold_states(list(d.degrees), 0, d.n, {}, 1, int, lambda count, v, combo, below: count + below)
 
 
-def _realizations_in_kn(d: DegreeSequence, max_n: int, max_degree_sum: int) -> Iterator[list[Edge]]:
-    """The caps check, then the walk of ``_realize_in_host`` with host K_n,
-    in index order. Erdos-Gallai runs once, at entry, so a non-graphic
-    sequence yields nothing without a search."""
+def _walkable(d: DegreeSequence, max_n: int, max_degree_sum: int) -> bool:
+    """The caps check, then whether d has a realization to walk to.
+    Erdos-Gallai runs once, at entry, so a non-graphic sequence is answered
+    without a search."""
     _check_caps(d, max_n, max_degree_sum)
-    if not is_graphic_eg(d).is_graphic:
-        return iter(())
-    n = d.n
-    return _realize_in_host(list(d.degrees), [range(i + 1, n) for i in range(n)])
+    return is_graphic_eg(d).is_graphic
 
 
 def nu_star_brute(

@@ -442,20 +442,19 @@ def max_matching_exhaustive(g: Graph, cap: int = EXHAUSTIVE_MATCHING_CAP) -> Mat
     return Matching(frozenset(best), n)
 
 
-def _greedy_matching(edges: Iterable[Edge], size: Optional[int] = None) -> list[Edge]:
-    """Take each edge, in the given order, whose endpoints are both free;
-    stop once ``size`` edges are taken."""
+def _greedy_matching(n: int, edges: Iterable[Edge], size: Optional[int] = None) -> list[Edge]:
+    """Take each edge, in the given order, of a graph on n vertices whose
+    endpoints are both free; stop once ``size`` edges are taken."""
     if size == 0:
         return []
-    matched: set[int] = set()
+    matched = [False] * n
     chosen = []
     for u, v in edges:
-        if u not in matched and v not in matched:
+        if not matched[u] and not matched[v]:
             chosen.append((u, v))
             if len(chosen) == size:
                 break
-            matched.add(u)
-            matched.add(v)
+            matched[u] = matched[v] = True
     return chosen
 
 
@@ -464,7 +463,7 @@ def greedy_maximal_matching(g: Graph, rng_seed: int = 0) -> Matching:
     rng = random.Random(rng_seed)
     edges = sorted(g.edges)
     rng.shuffle(edges)
-    return Matching._trusted(frozenset(_greedy_matching(edges)), g.vertex_count)
+    return Matching._trusted(frozenset(_greedy_matching(g.vertex_count, edges)), g.vertex_count)
 
 
 def min_maximal_matching(g: Graph, cap: int = MIN_MAXIMAL_CAP) -> Matching:

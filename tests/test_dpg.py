@@ -294,8 +294,8 @@ class TestOneBlossomPerStep:
             runs.append("ordered")
             return ranked(adj, rank)
 
-        def counting_greedy(edges, size=None):
-            pool = greedy(edges, size)
+        def counting_greedy(n, edges, size=None):
+            pool = greedy(n, edges, size)
             runs.append("greedy" if len(pool) == size else "greedy short")
             return pool
 

@@ -289,6 +289,156 @@ class TestFlatWalk:
             self.assert_same_walk([rng.randrange(n) for _ in range(n)], host)
 
 
+def walk_states(residual, later):
+    """Reference for the state memos: every state the full walk reaches at
+    a vertex of positive demand, as the residual vector with 0 before that
+    vertex, mapped to whether the vertex has enough candidates to try a
+    combination."""
+    n = len(residual)
+    residual = list(residual)
+    states = {}
+
+    def rec(i):
+        while i < n and not residual[i]:
+            i += 1
+        if i == n:
+            return
+        need = residual[i]
+        cands = [j for j in later[i] if residual[j] > 0]
+        states[tuple(residual)] = need <= len(cands)
+        residual[i] = 0
+        for combo in itertools.combinations(cands, need):
+            for j in combo:
+                residual[j] -= 1
+            rec(i + 1)
+            for j in combo:
+                residual[j] += 1
+        residual[i] = need
+
+    rec(0)
+    return states
+
+
+@pytest.fixture
+def combination_calls(monkeypatch):
+    """Count the ``combinations`` iterators the walks start."""
+    calls = []
+    original = enumeration.combinations
+
+    def counting(pool, r):
+        calls.append(r)
+        return original(pool, r)
+
+    monkeypatch.setattr(enumeration, "combinations", counting)
+    return calls
+
+
+class TestCompletions:
+    """``_completions`` gives exactly the leaves of the recursive walk on
+    K_n, in order, and the enumeration and the count built on it try each
+    residual state's combinations once."""
+
+    @staticmethod
+    def assert_same_leaves(vec):
+        residual = list(vec)
+        found = enumeration._completions(residual, 0, len(vec), {})
+        assert residual == list(vec)
+        expected = [tuple(edges) for edges in recursive_walk(list(vec), complete_later(len(vec)))]
+        assert found == expected
+        return len(found)
+
+    def test_every_graphic_row_up_to_7(self):
+        assert sum(self.assert_same_leaves(d.degrees) for d in all_graphic_sequences(7)) == 16757
+
+    def test_rows_with_zero_entries(self):
+        # every vector with a zero and entries below n, n <= 5, graphic or not
+        leaves = 0
+        for n in range(1, 6):
+            for vec in itertools.product(range(n), repeat=n):
+                if 0 in vec:
+                    leaves += self.assert_same_leaves(vec)
+        assert leaves > 0
+
+    def test_count_is_the_number_enumerated_up_to_7(self):
+        for d in all_graphic_sequences(7):
+            caps = {"max_degree_sum": 42}
+            assert count_realizations(d, **caps) == sum(1 for _ in enumerate_realizations(d, **caps)), d
+
+    @pytest.mark.parametrize("text", ["4,4,4,4,4,4,4,4", "3,3,2,2,2,0,0", "6,6,6,6,6,6,3,3", "5,5,5,5,5,2,2,1"])
+    def test_each_state_is_tried_once(self, combination_calls, text):
+        d = parse_sequence(text)
+        states = walk_states(d.degrees, complete_later(d.n))
+        graphs_found = list(enumerate_realizations(d, max_degree_sum=56))
+        assert len(combination_calls) == len(states)
+        combination_calls.clear()
+        assert count_realizations(d, max_degree_sum=56) == len(graphs_found)
+        assert len(combination_calls) == len(states)
+
+    def test_deep_walk_needs_no_recursion(self):
+        # a threshold graph on 2,200 vertices, odd vertices joined to every
+        # earlier one: its degree sequence has one realization, reached
+        # through about 1,100 vertices with demand, one below the other
+        degrees = [0] * 2200
+        for v in range(1, 2200, 2):
+            degrees[v] += v
+            for u in range(v):
+                degrees[u] += 1
+        d = make_sequence(degrees)
+        assert count_realizations(d, max_n=2200, max_degree_sum=d.degree_sum) == 1
+
+    def test_interleaved_and_restarted_generators(self):
+        texts = ["3,3,2,2,2,2,2", "4,4,3,3,2,2,2", "2,2,2,2,2,2,0"]
+        alone = {t: [g.edges for g in enumerate_realizations(parse_sequence(t))] for t in texts}
+        walks = {t: enumerate_realizations(parse_sequence(t)) for t in texts}
+        together = {t: [] for t in texts}
+        for rounds in itertools.zip_longest(*walks.values()):
+            for t, g in zip(texts, rounds):
+                if g is not None:
+                    together[t].append(g.edges)
+        assert together == alone
+        for t in texts:
+            dropped = enumerate_realizations(parse_sequence(t))
+            first = [g.edges for g in itertools.islice(dropped, len(alone[t]) // 2)]
+            assert first == alone[t][: len(first)]
+            assert [g.edges for g in enumerate_realizations(parse_sequence(t))] == alone[t]
+            assert first + [g.edges for g in dropped] == alone[t]
+
+
+class TestDeadStates:
+    """With its dead-state memo, ``_realize_in_host`` still yields the
+    recursive walk's leaves in order on the split searches' hosts, and a
+    host with no realization has each reachable state's combinations tried
+    once."""
+
+    @pytest.fixture
+    def hosts(self, monkeypatch):
+        """The (residual, later) of every walk ``_split_witness`` asks for,
+        answering none, as in ``TestFlatWalk.hosts``."""
+        asked = []
+
+        def record(residual, later):
+            asked.append((list(residual), [list(row) for row in later]))
+            return iter(())
+
+        monkeypatch.setattr(enumeration, "_realize_in_host", record)
+        return asked
+
+    def test_every_split_witness_host_at_7(self, hosts, combination_calls):
+        for d in all_graphic_sequences(7, min_n=7):
+            degs = d.degrees
+            for ell in range(1, d.n // 2 + 1):
+                for cover in enumeration._cover_splits(degs, 2 * ell):
+                    for pairs in enumeration._pair_classes(degs, cover):
+                        enumeration._split_witness(degs, cover, list(pairs))
+        leafless = 0
+        for residual, later in hosts:
+            combination_calls.clear()
+            if TestFlatWalk.assert_same_walk(residual, later) == 0:
+                leafless += 1
+                assert len(combination_calls) == sum(walk_states(residual, later).values())
+        assert (len(hosts), leafless) == (7920, 5700)
+
+
 class TestNuStarBrute:
     @pytest.mark.parametrize(
         "degrees,expected",

@@ -470,10 +470,10 @@ class TestGreedyMaximal:
 
     def test_greedy_pass_stops_at_size(self):
         edges = [(0, 1), (1, 2), (2, 3), (4, 5)]
-        assert _greedy_matching(edges, 0) == []
-        assert _greedy_matching(edges, 1) == [(0, 1)]
-        assert _greedy_matching(edges, 2) == [(0, 1), (2, 3)]
-        assert _greedy_matching(edges) == _greedy_matching(edges, 5) == [(0, 1), (2, 3), (4, 5)]
+        assert _greedy_matching(6, edges, 0) == []
+        assert _greedy_matching(6, edges, 1) == [(0, 1)]
+        assert _greedy_matching(6, edges, 2) == [(0, 1), (2, 3)]
+        assert _greedy_matching(6, edges) == _greedy_matching(6, edges, 5) == [(0, 1), (2, 3), (4, 5)]
 
 
 def brute_min_maximal(g):
