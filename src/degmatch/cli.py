@@ -3,6 +3,11 @@
 Every operation is exposed as a subcommand with machine-readable output
 (``--format json|csv|text``). Domain failures exit 1 with a one-line
 ``ERROR <code>: message`` on stderr; usage errors exit 2.
+
+The parser needs only ``constants`` for its choices and defaults, and each
+``_cmd_*`` imports the kernels it calls in its own body, so a call loads
+only the modules its command runs: ``check``, ``extend``, ``nu-star`` and
+``delta-star`` load ``sequences`` and ``graphicality`` and nothing else.
 """
 
 from __future__ import annotations
@@ -14,21 +19,8 @@ from functools import cache
 from pathlib import Path
 
 from . import __version__
-from .bounds import bound_report
-from .dpg import MATCHING_POLICIES, grow
-from .enumeration import (
-    DEFAULT_MAX_DEGREE_SUM,
-    DEFAULT_MAX_N,
-    SPLIT_MAX_N,
-    conjecture_scan,
-    enumerate_realizations,
-    rows_to_csv,
-)
+from .constants import DEFAULT_MAX_DEGREE_SUM, DEFAULT_MAX_N, FAMILY_KINDS, MATCHING_POLICIES
 from .errors import DegmatchError
-from .families import FAMILY_KINDS, make_family
-from .graphicality import delta_star, extension_feasible, is_graphic_eg, nu_star, realize_hh
-from .graphs import Graph, max_matching
-from .sequences import DegreeSequence, parse_sequence
 
 EXACT_NU_CAP = 64  # bounds --graph reports exact nu up to this many vertices
 _FAMILY_FLAGS = ("n", "t", "l", "r", "a", "b", "k")  # the family command's parameters, in --help order
@@ -60,19 +52,25 @@ def _emit_record(record: dict, fmt: str, out: str | None) -> None:
         _emit(_record_text(record), out)
 
 
-def _load_graph(path: str) -> Graph:
+def _load_graph(path: str):
+    from .graphs import Graph
+
     return Graph.from_edge_list_text(Path(path).read_text())
 
 
-def _resolve_sequence(args: argparse.Namespace) -> DegreeSequence:
+def _resolve_sequence(args: argparse.Namespace):
     """The --seq or --seq-file sequence; the parser requires one of them.
     ``grow`` has no --seq-file, and calls this only when --seq is given."""
+    from .sequences import parse_sequence
+
     if args.seq is not None:
         return parse_sequence(args.seq)
     return parse_sequence(Path(args.seq_file).read_text())
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .graphicality import is_graphic_eg
+
     d = _resolve_sequence(args)
     verdict = is_graphic_eg(d, check_all_k=args.all_k)
     record = {
@@ -94,6 +92,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
+    from .graphicality import realize_hh
+
     d = _resolve_sequence(args)
     g = realize_hh(d)
     if args.format == "json":
@@ -112,11 +112,15 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from .bounds import bound_report
+
     graph = _load_graph(args.graph) if args.graph else None
     d = graph.degree_sequence() if graph is not None else _resolve_sequence(args)
     report = bound_report(d)
     record: dict = {"n": d.n, "m": d.edge_count_if_graphic}
     if graph is not None and graph.vertex_count <= EXACT_NU_CAP:
+        from .graphs import max_matching
+
         record["nu"] = max_matching(graph).size
     record.update(report.as_record())
     _emit_record(record, args.format, args.out)
@@ -124,6 +128,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_delta_star(args: argparse.Namespace) -> int:
+    from .graphicality import delta_star
+
     d = _resolve_sequence(args)
     record = {"delta_star": delta_star(d)}
     _emit_record(record, args.format, args.out)
@@ -131,6 +137,8 @@ def _cmd_delta_star(args: argparse.Namespace) -> int:
 
 
 def _cmd_nu_star(args: argparse.Namespace) -> int:
+    from .graphicality import nu_star
+
     d = _resolve_sequence(args)
     value = nu_star(d)
     record = {"nu_star": value, "delta_star": 2 * value}
@@ -139,6 +147,8 @@ def _cmd_nu_star(args: argparse.Namespace) -> int:
 
 
 def _cmd_extend(args: argparse.Namespace) -> int:
+    from .graphicality import extension_feasible
+
     d = _resolve_sequence(args)
     feasible = extension_feasible(d, args.delta)
     if args.format == "text":
@@ -149,9 +159,13 @@ def _cmd_extend(args: argparse.Namespace) -> int:
 
 
 def _cmd_grow(args: argparse.Namespace) -> int:
+    from .dpg import grow
+
     if args.graph:
         g0 = _load_graph(args.graph)
     else:
+        from .graphicality import realize_hh
+
         g0 = realize_hh(_resolve_sequence(args))
     trace = grow(
         g0,
@@ -180,6 +194,8 @@ def _cmd_grow(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
+    from .families import make_family
+
     params = {
         key: getattr(args, key)
         for key in _FAMILY_FLAGS
@@ -191,6 +207,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .enumeration import enumerate_realizations
+
     d = _resolve_sequence(args)
     realizations = list(
         enumerate_realizations(d, max_n=args.max_n, max_degree_sum=args.max_sum)
@@ -211,6 +229,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan_conjecture(args: argparse.Namespace) -> int:
+    from .enumeration import SPLIT_MAX_N, conjecture_scan, rows_to_csv
+
     rows = conjecture_scan(args.max_n, max_n=SPLIT_MAX_N)
     if args.format == "json":
         lines = [

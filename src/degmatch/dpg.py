@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Optional, Sequence
 
+from .constants import MATCHING_POLICIES
 from .errors import InfeasibleDeltaError, ValidationError
 from .graphs import (
     Edge,
@@ -64,8 +65,6 @@ __all__ = [
     "dp_step",
     "grow",
 ]
-
-MATCHING_POLICIES = ("random", "first", "max-degree")
 
 
 def feasible_deltas(g: Graph) -> set[int]:

@@ -59,6 +59,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .bounds import _gale_ryser_bound, _maximality_bound
+from .constants import DEFAULT_MAX_DEGREE_SUM, DEFAULT_MAX_N
 from .errors import CapExceededError, InternalConsistencyError, ValidationError
 from .graphicality import is_graphic_eg, require_graphic
 from .graphs import Edge, Graph, Matching, max_matching
@@ -79,8 +80,6 @@ __all__ = [
     "rows_to_csv",
 ]
 
-DEFAULT_MAX_N = 8
-DEFAULT_MAX_DEGREE_SUM = 24
 # every row with n = 10 takes about 4 s in all, the slowest 21-28 ms; the
 # n = 11 rows take about 35 s, the slowest 0.47 s
 SPLIT_MAX_N = 10

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .constants import FAMILY_KINDS
 from .errors import ValidationError
 from .graphs import Graph
 
@@ -100,7 +101,8 @@ def regular_circulant(n: int, r: int) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-# each kind's constructor and the names of its parameters, in call order
+# each kind's constructor and the names of its parameters, in call order;
+# the keys are FAMILY_KINDS, in its order
 _FAMILIES = {
     "half-graph": (half_graph, ("n",)),
     "windmill": (windmill, ("t", "l")),
@@ -111,8 +113,6 @@ _FAMILIES = {
     "disjoint-cliques": (disjoint_cliques, ("k", "l")),
     "regular-circulant": (regular_circulant, ("n", "r")),
 }
-
-FAMILY_KINDS = tuple(_FAMILIES)
 
 
 def make_family(kind: str, **params: int) -> Graph:

@@ -19,11 +19,13 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate
 from operator import neg
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import InternalConsistencyError, NotGraphicError, ValidationError
-from .graphs import Graph
 from .sequences import DegreeSequence
+
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 __all__ = [
     "GraphicVerdict",
@@ -156,6 +158,8 @@ def realize_hh(d: DegreeSequence) -> Graph:
     and then v's k targets, and pushes back each target whose demand is
     still positive, at key + n. So each edge costs O(log n).
     """
+    from .graphs import Graph
+
     require_graphic(d)
     n = d.n
     # arranged, so the keys ascend: the list is already a heap

@@ -28,10 +28,12 @@ import random
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import CapExceededError, InternalConsistencyError, ValidationError
-from .sequences import DegreeSequence, make_sequence
+
+if TYPE_CHECKING:
+    from .sequences import DegreeSequence
 
 __all__ = [
     "Edge",
@@ -126,6 +128,8 @@ class Graph:
         return max(self._degrees, default=0)
 
     def degree_sequence(self) -> DegreeSequence:
+        from .sequences import make_sequence
+
         return make_sequence(self._degrees)
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

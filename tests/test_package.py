@@ -1,0 +1,205 @@
+"""The package namespace, the modules each import loads, and the one home
+of each constant the command-line parser shows."""
+
+import argparse
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import degmatch
+from degmatch import cli, constants, dpg, enumeration, families
+
+# the exported names as the package listed them when it imported every
+# submodule up front, grouped by the module that defines them
+EXPORTS = {
+    "errors": [
+        "DegmatchError",
+        "ValidationError",
+        "NotGraphicError",
+        "InfeasibleDeltaError",
+        "CapExceededError",
+        "InternalConsistencyError",
+    ],
+    "sequences": [
+        "DegreeSequence",
+        "SupportSet",
+        "make_sequence",
+        "parse_sequence",
+        "t_d",
+        "left_shift_leq",
+        "reduce_top",
+        "augment",
+    ],
+    "graphs": [
+        "Graph",
+        "Matching",
+        "max_matching",
+        "max_matching_exhaustive",
+        "greedy_maximal_matching",
+        "min_maximal_matching",
+        "pinch",
+        "hh_swap",
+        "verify_matching",
+    ],
+    "graphicality": [
+        "GraphicVerdict",
+        "is_graphic_eg",
+        "is_graphic_hh",
+        "realize_hh",
+        "extension_feasible",
+        "delta_star",
+        "nu_star_formula",
+        "nu_star",
+    ],
+    "bounds": [
+        "BoundReport",
+        "maximality_bound",
+        "vizing_bound",
+        "posa_bound",
+        "gale_ryser_bound",
+        "matching_lower_bound",
+        "bound_report",
+    ],
+    "families": [
+        "half_graph",
+        "windmill",
+        "cycle",
+        "path",
+        "complete_bipartite",
+        "disjoint_cliques",
+        "disjoint_triangles",
+        "regular_circulant",
+        "make_family",
+    ],
+    "enumeration": [
+        "ConjectureRow",
+        "enumerate_realizations",
+        "count_realizations",
+        "nu_star_brute",
+        "nu_bar_sequence",
+        "strong_extension_check",
+        "all_graphic_sequences",
+        "conjecture_scan",
+        "rows_to_csv",
+    ],
+    "dpg": ["DpStepRecord", "GrowthTrace", "feasible_deltas", "dp_step", "grow"],
+}
+SUBMODULES = [
+    "errors", "constants", "sequences", "graphs", "graphicality", "bounds", "families", "enumeration", "dpg", "cli",
+]
+
+
+class TestNamespace:
+    def test_all_is_unchanged(self):
+        assert degmatch.__all__ == ["__version__", *(name for names in EXPORTS.values() for name in names)]
+
+    @pytest.mark.parametrize("home", list(EXPORTS))
+    def test_each_name_is_its_home_modules_object(self, home):
+        module = importlib.import_module(f"degmatch.{home}")
+        for name in EXPORTS[home]:
+            assert getattr(degmatch, name) is getattr(module, name), name
+            assert getattr(module, name).__module__ == module.__name__, name
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from degmatch import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(degmatch.__all__)
+        assert namespace["__version__"] == degmatch.__version__
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match=r"^module 'degmatch' has no attribute 'nope'$"):
+            degmatch.nope
+        assert not hasattr(degmatch, "nope")
+
+    def test_dir_lists_all(self):
+        assert set(degmatch.__all__) <= set(dir(degmatch))
+
+    def test_submodule_list_is_complete(self):
+        assert sorted(info.name for info in pkgutil.iter_modules(degmatch.__path__)) == sorted(SUBMODULES)
+
+
+def fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that finds this degmatch; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(degmatch.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+LOADED = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'degmatch')))"
+
+
+class TestFreshInterpreter:
+    """Each case runs in its own interpreter, so nothing is preloaded."""
+
+    @pytest.mark.parametrize("name", SUBMODULES)
+    def test_each_submodule_imports_first(self, name):
+        fresh(f"import degmatch.{name}")
+
+    def test_import_loads_no_submodule(self):
+        assert json.loads(fresh(f"import degmatch\n{LOADED}")) == ["degmatch"]
+
+    def test_a_submodule_resolves_on_attribute_access(self):
+        fresh(
+            "import sys, degmatch\n"
+            "assert 'degmatch.enumeration' not in sys.modules\n"
+            "assert degmatch.enumeration is sys.modules['degmatch.enumeration']\n"
+            "assert degmatch.count_realizations is degmatch.enumeration.count_realizations\n"
+        )
+
+    def test_the_parser_loads_only_the_constants(self):
+        loaded = json.loads(fresh(f"import degmatch.cli\ndegmatch.cli.build_parser()\n{LOADED}"))
+        assert loaded == ["degmatch", "degmatch.cli", "degmatch.constants", "degmatch.errors"]
+
+    @pytest.mark.parametrize(
+        "argv, kernels",
+        [
+            (["check", "--seq", "3,3,2,2"], ["graphicality", "sequences"]),
+            (["extend", "--seq", "3,3,2,2", "--delta", "2"], ["graphicality", "sequences"]),
+            (["nu-star", "--seq", "3,3,2,2"], ["graphicality", "sequences"]),
+            (["delta-star", "--seq", "3,3,2,2"], ["graphicality", "sequences"]),
+            (["family", "--kind", "cycle", "--n", "6"], ["families", "graphs"]),
+        ],
+    )
+    def test_a_command_loads_only_what_it_runs(self, argv, kernels):
+        out = fresh(
+            "import contextlib, io, degmatch.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    degmatch.cli.main({argv!r})\n{LOADED}"
+        )
+        parser = ["degmatch", "degmatch.cli", "degmatch.constants", "degmatch.errors"]
+        assert json.loads(out) == sorted(parser + [f"degmatch.{name}" for name in kernels])
+
+
+def subparser(name: str) -> argparse.ArgumentParser:
+    (commands,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices[name]
+
+
+class TestParseTimeConstants:
+    """Each constant the parser shows has one definition, in ``constants``;
+    the modules that use it export that very object."""
+
+    def test_the_kinds_are_the_family_table(self):
+        assert constants.FAMILY_KINDS == tuple(families._FAMILIES)
+        assert families.FAMILY_KINDS is constants.FAMILY_KINDS
+
+    def test_one_object_per_constant(self):
+        assert dpg.MATCHING_POLICIES is constants.MATCHING_POLICIES
+        assert enumeration.DEFAULT_MAX_N is constants.DEFAULT_MAX_N
+        assert enumeration.DEFAULT_MAX_DEGREE_SUM is constants.DEFAULT_MAX_DEGREE_SUM
+
+    def test_the_parser_shows_them(self):
+        (policy,) = (a for a in subparser("grow")._actions if a.dest == "matching_policy")
+        assert policy.choices == constants.MATCHING_POLICIES
+        args = cli.build_parser().parse_args(["enumerate", "--seq", "1,1"])
+        assert (args.max_n, args.max_sum) == (constants.DEFAULT_MAX_N, constants.DEFAULT_MAX_DEGREE_SUM)
+        (kind,) = (a for a in subparser("family")._actions if a.dest == "kind")
+        assert kind.help == f"one of: {', '.join(constants.FAMILY_KINDS)}"
