@@ -245,7 +245,7 @@ def _cmd_scan_conjecture(args: argparse.Namespace) -> int:
             )
             for r in rows
         ]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("".join(line + "\n" for line in lines), args.out)
     elif args.format == "text":
         lines = [f"{'sequence':<16} nu_bar ell_star k_star equal"]
         for r in rows:

@@ -3,26 +3,25 @@
 These functions are the ground truth the closed forms and bounds are
 measured against. ``enumerate_realizations`` walks every labelled
 realization (vertex i has degree d_i exactly) with no isomorphism
-reduction. Every walk is the same backtracking: each vertex, in index
+reduction. There is one walk, ``_fold_states``: each vertex, in index
 order, takes exactly its residual demand from the later vertices the host
 lets it join, so every leaf is a realization inside that host and a dead
 branch ends at the first vertex whose demand exceeds its remaining
 candidates. Every vertex before the one whose turn it is has residual 0
 and the host is fixed for the call, so the residual vector alone decides
-the subtree below it, and the walks remember states per call:
+the subtree below it: the fold keeps one value per state and tries each
+state's combinations once however many paths reach it, on an explicit
+stack, so a deep walk costs no Python frames.
 
-- ``enumerate_realizations`` and ``count_realizations`` walk K_n.
+- ``enumerate_realizations`` and ``count_realizations`` fold K_n.
   ``_completions`` keeps, per state, the list of edge tuples that complete
-  it, so each state's combinations are tried once however many paths reach
   it; the enumeration streams the first vertex's combinations, one graph
   per realization, and the count keeps one number per state and builds no
-  edge list. Both fold the states on an explicit stack, so a deep walk
-  costs no Python frames. Erdos-Gallai runs once, at entry.
-- ``_realize_in_host`` walks a restricted host for the split searches
-  below, which want its first leaf. It runs as one generator frame over an
-  explicit stack of the combinations each vertex has taken, and records a
-  state as dead once its subtree is done with no leaf, so it never walks
-  that state again; the leaves and their order are those of the full walk.
+  edge list. Erdos-Gallai runs once, at entry.
+- The split searches below fold a restricted host and want one
+  realization: ``_completions`` with ``first`` stops each state at its
+  first completion, which is the first leaf of the full walk, so a state
+  worth nothing is a subtree with no leaf, walked once.
 
 Both realization questions are decided by a split search instead of a
 walk. d splits into C and I, M is a perfect matching on C, and a
@@ -99,103 +98,35 @@ Completion = tuple[Edge, ...]
 _T = TypeVar("_T")
 
 
-def _realize_in_host(residual: list[int], later: Sequence[Sequence[int]]) -> Iterator[list[Edge]]:
-    """Yield the edges (i, j), i < j, of every realization of ``residual``
-    inside a host graph, where ``later[i]`` lists, in increasing order, the
-    vertices after i that i may join.
-
-    Backtracking over the neighbor set of each vertex in index order:
-    vertex i takes exactly its residual demand from the vertices in
-    ``later[i]`` whose residual is still positive, one combination at a
-    time in ``combinations`` order, and its own residual is 0 until the
-    walk backs out of it. Later vertices never touch i again, so at i = n
-    every demand is met and each leaf is a realization; a dead branch ends
-    at the first vertex whose demand exceeds its remaining candidates. The
-    walk is one loop over an explicit stack, one entry per vertex of
-    positive demand: going down it takes each vertex's first combination,
-    going up it gives back the top entry's and takes its next.
-
-    Every vertex before i has residual 0 and the host is fixed, so the
-    residual vector alone decides what lies below it. A state whose entry
-    runs out of combinations with no leaf since it was pushed is recorded
-    as dead, and the walk backs up at once when it reaches it again: only
-    subtrees without a leaf are skipped, so the leaves and their order are
-    those of the full walk. ``residual`` is restored once the generator is
-    exhausted and left changed if it is abandoned, and the yielded list is
-    valid until the next step of the generator.
-    """
-    n = len(residual)
-    edges: list[Edge] = []
-    # (vertex, its demand, its combinations, the one taken, the state on
-    # arrival, the leaves yielded before it)
-    stack: list[tuple[int, int, Iterator[tuple[int, ...]], tuple[int, ...], State, int]] = []
-    dead: set[State] = set()
-    leaves = 0
-    i = 0
-    while True:
-        while i < n:
-            need = residual[i]
-            if need:
-                cands = [j for j in later[i] if residual[j] > 0]
-                if need > len(cands):
-                    break
-                state = tuple(residual)
-                if state in dead:
-                    break
-                choices = combinations(cands, need)
-                combo = next(choices)
-                residual[i] = 0
-                for j in combo:
-                    residual[j] -= 1
-                    edges.append((i, j))
-                stack.append((i, need, choices, combo, state, leaves))
-            i += 1
-        else:
-            leaves += 1
-            yield edges
-        while stack:
-            i, need, choices, combo, state, before = stack.pop()
-            for j in combo:
-                residual[j] += 1
-            del edges[-need:]
-            combo = next(choices, None)
-            if combo is not None:
-                for j in combo:
-                    residual[j] -= 1
-                    edges.append((i, j))
-                stack.append((i, need, choices, combo, state, before))
-                i += 1
-                break
-            residual[i] = need
-            if leaves == before:
-                dead.add(state)
-        else:
-            return
-
-
 def _fold_states(
     residual: list[int],
     i: int,
-    n: int,
+    later: Sequence[Sequence[int]],
     memo: dict[State, _T],
     leaf: _T,
     empty: Callable[[], _T],
     add: Callable[[_T, int, tuple[int, ...], _T], _T],
+    first: bool = False,
 ) -> _T:
-    """The value of the state ``residual`` inside K_n, where every vertex
-    before i has residual 0, folded over the walk below it.
+    """The value of the state ``residual`` inside a host, where every vertex
+    before i has residual 0, folded over the walk below it. ``later[v]``
+    lists, in increasing order, the vertices after v that v may join; K_n
+    is ``range(v + 1, n)``.
 
     A state with no demand left is worth ``leaf``. Otherwise its first
-    vertex v with positive demand takes it, one combination of the later
-    vertices with positive residual at a time in ``combinations`` order,
-    and the state is worth ``empty()`` passed through ``add(value, v,
-    combination, worth of the state left)`` for each combination whose
-    state left has a true worth. The state alone decides its worth, so
-    ``memo`` holds it per state and each state's combinations are tried
-    once. The walk keeps an explicit stack, one entry per state being
-    folded, so its depth costs no Python frames; ``residual`` is restored
-    on return.
+    vertex v with positive demand takes it, one combination of ``later[v]``
+    with positive residual at a time in ``combinations`` order, and the
+    state is worth ``empty()`` passed through ``add(value, v, combination,
+    worth of the state left)`` for each combination whose state left has a
+    true worth. A state whose vertex v has fewer candidates than its demand
+    is worth ``empty()`` with no combination tried, and with ``first`` a
+    state stops at its first combination that gives it a true worth. The
+    state alone decides its worth, so ``memo`` holds it per state and each
+    state's combinations are tried once. The walk keeps an explicit stack,
+    one entry per state being folded, so its depth costs no Python frames;
+    ``residual`` is restored on return.
     """
+    n = len(residual)
     # [vertex, its demand, the state on arrival, its combinations, the one
     # taken, the value so far]
     stack: list[list] = []
@@ -209,9 +140,12 @@ def _fold_states(
             worth = memo.get(state)
             if worth is None:
                 need = residual[i]
-                residual[i] = 0
-                cands = [j for j in range(i + 1, n) if residual[j]]
-                stack.append([i, need, state, combinations(cands, need), (), empty()])
+                cands = [j for j in later[i] if residual[j]]
+                if need > len(cands):
+                    worth = memo[state] = empty()
+                else:
+                    residual[i] = 0
+                    stack.append([i, need, state, combinations(cands, need), (), empty()])
         # hand the worth found to the top entry and take its next combination
         while stack:
             top = stack[-1]
@@ -220,7 +154,7 @@ def _fold_states(
                 residual[j] += 1
             if worth:
                 value = top[5] = add(value, v, combo, worth)
-            combo = top[4] = next(choices, None)
+            combo = top[4] = None if first and value else next(choices, None)
             if combo is not None:
                 for j in combo:
                     residual[j] -= 1
@@ -246,13 +180,21 @@ def _add_completions(
     return found
 
 
-def _completions(residual: list[int], i: int, n: int, memo: dict[State, list[Completion]]) -> list[Completion]:
-    """The edge tuples that complete the state ``residual`` inside K_n, in
-    the order ``_realize_in_host`` reaches them, where every vertex before i
-    has residual 0: each is the first vertex's edges to one combination
-    followed by one completion of the state they leave."""
+def _completions(
+    residual: list[int],
+    i: int,
+    later: Sequence[Sequence[int]],
+    memo: dict[State, list[Completion]],
+    first: bool = False,
+) -> list[Completion]:
+    """The edge tuples (i, j), i < j, that complete the state ``residual``
+    inside the host ``later`` of ``_fold_states``, where every vertex
+    before i has residual 0: each is the first vertex's edges to one
+    combination followed by one completion of the state they leave, in the
+    order of the backtracking walk's leaves. With ``first`` only the first
+    of them, if any."""
     # a state with no demand left has one completion, with no edges
-    return _fold_states(residual, i, n, memo, [()], list, _add_completions)
+    return _fold_states(residual, i, later, memo, [()], list, _add_completions, first)
 
 
 def enumerate_realizations(
@@ -272,13 +214,14 @@ def enumerate_realizations(
         return
     # the root's completions are streamed, one combination of its first
     # vertex at a time, so no list of every realization is held
+    later = [range(v + 1, n) for v in range(n)]
     memo: dict[State, list[Completion]] = {}
     need = residual[i]
     residual[i] = 0
-    for combo in combinations([j for j in range(i + 1, n) if residual[j]], need):
+    for combo in combinations([j for j in later[i] if residual[j]], need):
         for j in combo:
             residual[j] -= 1
-        tails = _completions(residual, i + 1, n, memo)
+        tails = _completions(residual, i + 1, later, memo)
         for j in combo:
             residual[j] += 1
         head = tuple([(i, j) for j in combo])
@@ -297,7 +240,8 @@ def count_realizations(
     without building a graph or an edge list per realization."""
     if not _walkable(d, max_n, max_degree_sum):
         return 0
-    return _fold_states(list(d.degrees), 0, d.n, {}, 1, int, lambda count, v, combo, below: count + below)
+    later = [range(v + 1, d.n) for v in range(d.n)]
+    return _fold_states(list(d.degrees), 0, later, {}, 1, int, lambda count, v, combo, below: count + below)
 
 
 def _walkable(d: DegreeSequence, max_n: int, max_degree_sum: int) -> bool:
@@ -444,10 +388,10 @@ def _split_witness(degs: tuple[int, ...], cover: Sequence[int], pairs: Sequence[
     r = n - len(cover)
     later = [range(r, n)] * r + [[j for j in range(k + 1, n) if j != mate[k]] for k in range(r, n)]
     residual = [degs[v] - 1 if in_cover[v] else degs[v] for v in order]
-    found = next(_realize_in_host(residual, later), None)
-    if found is None:
+    found = _completions(residual, 0, later, {}, first=True)
+    if not found:
         return None
-    edges = {(order[i], order[j]) if order[i] < order[j] else (order[j], order[i]) for i, j in found}
+    edges = {(order[i], order[j]) if order[i] < order[j] else (order[j], order[i]) for i, j in found[0]}
     edges.update(pairs)
     return Graph._trusted(n, frozenset(edges), None, degs)
 
@@ -487,10 +431,10 @@ def _extension_witness(degs: tuple[int, ...], delta: int) -> Optional[Witness]:
         m = frozenset(pairs)
         later = [[j for j in range(i + 1, n) if (i, j) not in m] for i in range(n)]
         residual = [x - 1 if i < delta else x for i, x in enumerate(degs)]
-        found = next(_realize_in_host(residual, later), None)
-        if found is not None:
+        found = _completions(residual, 0, later, {}, first=True)
+        if found:
             # in index order each edge (i, j) has i < j: it is normalized
-            return Graph._trusted(n, m.union(found), None, degs), Matching(m, n)
+            return Graph._trusted(n, m.union(found[0]), None, degs), Matching(m, n)
     return None
 
 

@@ -266,8 +266,11 @@ class TestScanConjecture:
     def test_json_lines(self, capsys):
         code, out, _ = run(capsys, "scan-conjecture", "--max-n", "3", "--format", "json")
         assert code == 0
-        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert out.endswith("}\n")
+        rows = [json.loads(line) for line in out.splitlines()]
         assert {"sequence": "2,2,2", "nu_bar": 1, "ell_star": 1, "k_star": 1, "equal": True} in rows
+        # no rows: no line at all, not a blank one
+        assert run(capsys, "scan-conjecture", "--max-n", "1", "--format", "json") == (0, "", "")
 
     def test_text_table(self, capsys):
         code, out, _ = run(capsys, "scan-conjecture", "--max-n", "3", "--format", "text")
@@ -280,7 +283,7 @@ class TestScanConjecture:
         )
 
     def test_max_n_above_the_scan_cap_is_refused(self, capsys):
-        # each added vertex costs roughly 10-20x: the n = 11 rows alone take about 72 s
+        # each added vertex costs roughly 10x: the n = 11 rows alone take about 35 s
         code, out, err = run(capsys, "scan-conjecture", "--max-n", "11")
         assert code == 1 and out == ""
         assert err.startswith("ERROR CAP_EXCEEDED: n_max=11 exceeds enumeration cap 10")

@@ -33,7 +33,7 @@ from degmatch import (
     strong_extension_check,
 )
 from degmatch import enumeration, graphicality, graphs
-from degmatch.enumeration import ConjectureRow, _realize_in_host
+from degmatch.enumeration import ConjectureRow, _completions
 
 SCAN_UNIVERSE = Path(__file__).resolve().parent.parent / "bench" / "data" / "scan_universe.json"
 
@@ -173,8 +173,8 @@ class TestEnumerationChecksOnce:
 
 
 def recursive_walk(residual, later):
-    """Reference for ``enumeration._realize_in_host``: the same backtracking
-    written as nested generators, one frame per vertex."""
+    """Reference for the leaves of ``enumeration._fold_states``: the same
+    backtracking written as nested generators, one frame per vertex."""
     n = len(residual)
     edges = []
 
@@ -203,23 +203,37 @@ def complete_later(n):
     return [range(i + 1, n) for i in range(n)]
 
 
+@pytest.fixture
+def hosts(monkeypatch):
+    """Record the (residual, later) of every walk the split searches ask
+    for, and answer none, so a caller goes on to build every host it can;
+    the tests walk the hosts through the kernel imported above. Each search
+    asks for the first completion of a whole residual vector."""
+    asked = []
+
+    def record(residual, i, later, memo, first=False):
+        assert (i, memo, first) == (0, {}, True)
+        asked.append((list(residual), [list(row) for row in later]))
+        return []
+
+    monkeypatch.setattr(enumeration, "_completions", record)
+    return asked
+
+
 class TestFlatWalk:
-    """``_realize_in_host`` yields exactly the leaves of the recursive walk,
-    in the same order, sharing one edge list, and gives ``residual`` back
-    once it is exhausted."""
+    """On any host, ``_completions`` gives exactly the leaves of the
+    recursive walk, in the same order, and with ``first`` the first of
+    them or nothing; either way it gives ``residual`` back."""
 
     @staticmethod
     def assert_same_walk(residual, later):
         residual = list(residual)
         before = list(residual)
-        shared = set()
-        leaves = []
-        for edges in _realize_in_host(residual, later):
-            shared.add(id(edges))
-            leaves.append(tuple(edges))
+        leaves = [tuple(edges) for edges in recursive_walk(list(before), later)]
+        assert _completions(residual, 0, later, {}) == leaves
         assert residual == before
-        assert len(shared) <= 1
-        assert leaves == [tuple(edges) for edges in recursive_walk(list(before), later)]
+        assert _completions(residual, 0, later, {}, first=True) == leaves[:1]
+        assert residual == before
         return len(leaves)
 
     def test_every_graphic_row_up_to_7(self):
@@ -240,20 +254,6 @@ class TestFlatWalk:
         for vec, count in (((3, 3, 2, 2, 2, 0, 0), 7), ((0, 3, 3, 2, 2, 2, 0), 7), ((0, 2, 0, 2, 2, 0), 1),
                            ((0, 0, 0), 1), ((3, 0, 3, 1, 1, 0, 0), 0)):
             assert self.assert_same_walk(vec, complete_later(len(vec))) == count
-
-    @pytest.fixture
-    def hosts(self, monkeypatch):
-        """Record the (residual, later) of every walk the split searches ask
-        for, and answer none, so a caller goes on to build every host it
-        can; the tests walk the hosts through the kernel imported above."""
-        asked = []
-
-        def record(residual, later):
-            asked.append((list(residual), [list(row) for row in later]))
-            return iter(())
-
-        monkeypatch.setattr(enumeration, "_realize_in_host", record)
-        return asked
 
     def test_every_split_witness_host_up_to_6(self, hosts):
         for d in all_graphic_sequences(6):
@@ -334,30 +334,9 @@ def combination_calls(monkeypatch):
 
 
 class TestCompletions:
-    """``_completions`` gives exactly the leaves of the recursive walk on
-    K_n, in order, and the enumeration and the count built on it try each
-    residual state's combinations once."""
-
-    @staticmethod
-    def assert_same_leaves(vec):
-        residual = list(vec)
-        found = enumeration._completions(residual, 0, len(vec), {})
-        assert residual == list(vec)
-        expected = [tuple(edges) for edges in recursive_walk(list(vec), complete_later(len(vec)))]
-        assert found == expected
-        return len(found)
-
-    def test_every_graphic_row_up_to_7(self):
-        assert sum(self.assert_same_leaves(d.degrees) for d in all_graphic_sequences(7)) == 16757
-
-    def test_rows_with_zero_entries(self):
-        # every vector with a zero and entries below n, n <= 5, graphic or not
-        leaves = 0
-        for n in range(1, 6):
-            for vec in itertools.product(range(n), repeat=n):
-                if 0 in vec:
-                    leaves += self.assert_same_leaves(vec)
-        assert leaves > 0
+    """The enumeration and the count, which fold K_n, agree and try the
+    combinations of each residual state with enough candidates once; their
+    leaves on K_n are checked in ``TestFlatWalk``."""
 
     def test_count_is_the_number_enumerated_up_to_7(self):
         for d in all_graphic_sequences(7):
@@ -369,10 +348,10 @@ class TestCompletions:
         d = parse_sequence(text)
         states = walk_states(d.degrees, complete_later(d.n))
         graphs_found = list(enumerate_realizations(d, max_degree_sum=56))
-        assert len(combination_calls) == len(states)
+        assert len(combination_calls) == sum(states.values())
         combination_calls.clear()
         assert count_realizations(d, max_degree_sum=56) == len(graphs_found)
-        assert len(combination_calls) == len(states)
+        assert len(combination_calls) == sum(states.values())
 
     def test_deep_walk_needs_no_recursion(self):
         # a threshold graph on 2,200 vertices, odd vertices joined to every
@@ -405,23 +384,10 @@ class TestCompletions:
 
 
 class TestDeadStates:
-    """With its dead-state memo, ``_realize_in_host`` still yields the
-    recursive walk's leaves in order on the split searches' hosts, and a
-    host with no realization has each reachable state's combinations tried
-    once."""
-
-    @pytest.fixture
-    def hosts(self, monkeypatch):
-        """The (residual, later) of every walk ``_split_witness`` asks for,
-        answering none, as in ``TestFlatWalk.hosts``."""
-        asked = []
-
-        def record(residual, later):
-            asked.append((list(residual), [list(row) for row in later]))
-            return iter(())
-
-        monkeypatch.setattr(enumeration, "_realize_in_host", record)
-        return asked
+    """The split searches' hosts at n = 7 give the recursive walk's leaves,
+    and on a host with no realization each reachable state whose vertex has
+    enough candidates starts one ``combinations`` iterator, with ``first``
+    or without."""
 
     def test_every_split_witness_host_at_7(self, hosts, combination_calls):
         for d in all_graphic_sequences(7, min_n=7):
@@ -432,10 +398,13 @@ class TestDeadStates:
                         enumeration._split_witness(degs, cover, list(pairs))
         leafless = 0
         for residual, later in hosts:
-            combination_calls.clear()
             if TestFlatWalk.assert_same_walk(residual, later) == 0:
                 leafless += 1
-                assert len(combination_calls) == sum(walk_states(residual, later).values())
+                tried = sum(walk_states(residual, later).values())
+                for first in (False, True):
+                    combination_calls.clear()
+                    _completions(list(residual), 0, later, {}, first=first)
+                    assert len(combination_calls) == tried
         assert (len(hosts), leafless) == (7920, 5700)
 
 
