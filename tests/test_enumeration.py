@@ -334,9 +334,27 @@ def combination_calls(monkeypatch):
 
 
 class TestCompletions:
-    """The enumeration and the count, which fold K_n, agree and try the
-    combinations of each residual state with enough candidates once; their
-    leaves on K_n are checked in ``TestFlatWalk``."""
+    """The enumeration and the count, which fold K_n, give exactly the
+    leaves of the recursive walk on K_n, in order, and try the combinations
+    of each residual state with enough candidates once."""
+
+    @staticmethod
+    def assert_same_leaves(d):
+        expected = [frozenset(edges) for edges in recursive_walk(list(d.degrees), complete_later(d.n))]
+        caps = {"max_degree_sum": 42}
+        assert [g.edges for g in enumerate_realizations(d, **caps)] == expected, d
+        assert count_realizations(d, **caps) == len(expected), d
+        return len(expected)
+
+    def test_every_graphic_row_up_to_7(self):
+        assert sum(self.assert_same_leaves(d) for d in all_graphic_sequences(7)) == 16757
+
+    def test_rows_with_zero_entries(self):
+        # every row with a zero and entries below n, n <= 5, graphic or not:
+        # a row that is not graphic has no leaf, and the enumeration none
+        rows = {make_sequence(vec) for n in range(1, 6) for vec in itertools.product(range(n), repeat=n) if 0 in vec}
+        leaves = [self.assert_same_leaves(d) for d in sorted(rows, key=lambda d: d.degrees)]
+        assert 0 in leaves and sum(leaves) > 0
 
     def test_count_is_the_number_enumerated_up_to_7(self):
         for d in all_graphic_sequences(7):
