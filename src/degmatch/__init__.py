@@ -35,11 +35,9 @@ _EXPORTS = {
         "Graph",
         "Matching",
         "max_matching",
-        "max_matching_exhaustive",
         "greedy_maximal_matching",
         "min_maximal_matching",
         "pinch",
-        "hh_swap",
         "verify_matching",
     ),
     "graphicality": (
@@ -76,7 +74,6 @@ _EXPORTS = {
         "ConjectureRow",
         "enumerate_realizations",
         "count_realizations",
-        "nu_star_brute",
         "nu_bar_sequence",
         "strong_extension_check",
         "all_graphic_sequences",

@@ -22,7 +22,6 @@ from . import __version__
 from .constants import DEFAULT_MAX_DEGREE_SUM, DEFAULT_MAX_N, FAMILY_KINDS, MATCHING_POLICIES
 from .errors import DegmatchError
 
-EXACT_NU_CAP = 64  # bounds --graph reports exact nu up to this many vertices
 _FAMILY_FLAGS = ("n", "t", "l", "r", "a", "b", "k")  # the family command's parameters, in --help order
 
 
@@ -118,7 +117,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     d = graph.degree_sequence() if graph is not None else _resolve_sequence(args)
     report = bound_report(d)
     record: dict = {"n": d.n, "m": d.edge_count_if_graphic}
-    if graph is not None and graph.vertex_count <= EXACT_NU_CAP:
+    if graph is not None:
         from .graphs import max_matching
 
         record["nu"] = max_matching(graph).size
@@ -229,9 +228,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan_conjecture(args: argparse.Namespace) -> int:
-    from .enumeration import SPLIT_MAX_N, conjecture_scan, rows_to_csv
+    from .enumeration import conjecture_scan, rows_to_csv
 
-    rows = conjecture_scan(args.max_n, max_n=SPLIT_MAX_N)
+    rows = conjecture_scan(args.max_n)
     if args.format == "json":
         lines = [
             json.dumps(

@@ -61,7 +61,7 @@ from .bounds import _gale_ryser_bound, _maximality_bound
 from .constants import DEFAULT_MAX_DEGREE_SUM, DEFAULT_MAX_N
 from .errors import CapExceededError, InternalConsistencyError, ValidationError
 from .graphicality import is_graphic_eg, require_graphic
-from .graphs import Edge, Graph, Matching, max_matching
+from .graphs import Edge, Graph, Matching
 from .sequences import DegreeSequence
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "ConjectureRow",
     "enumerate_realizations",
     "count_realizations",
-    "nu_star_brute",
     "nu_bar_sequence",
     "strong_extension_check",
     "all_graphic_sequences",
@@ -250,21 +249,6 @@ def _walkable(d: DegreeSequence, max_n: int, max_degree_sum: int) -> bool:
     without a search."""
     _check_caps(d, max_n, max_degree_sum)
     return is_graphic_eg(d).is_graphic
-
-
-def nu_star_brute(
-    d: DegreeSequence,
-    *,
-    max_n: int = DEFAULT_MAX_N,
-    max_degree_sum: int = DEFAULT_MAX_DEGREE_SUM,
-) -> int:
-    """Maximum matching number over all realizations, by enumerating them."""
-    require_graphic(d)
-    realizations = enumerate_realizations(d, max_n=max_n, max_degree_sum=max_degree_sum)
-    best = max((max_matching(g).size for g in realizations), default=-1)
-    if best < 0:
-        raise InternalConsistencyError(f"graphic sequence {d} produced no realizations")
-    return best
 
 
 def nu_bar_sequence(
@@ -478,7 +462,7 @@ class ConjectureRow:
             )
 
 
-def conjecture_scan(n_max: int, *, max_n: int = DEFAULT_MAX_N) -> list[ConjectureRow]:
+def conjecture_scan(n_max: int, *, max_n: int = SPLIT_MAX_N) -> list[ConjectureRow]:
     """Tabulate nu_bar(d) against ell* for every graphic sequence with n <= n_max.
 
     Equality is recorded, never asserted: whether it always holds is open.

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .errors import CapExceededError, InternalConsistencyError, ValidationError
+from .errors import CapExceededError, ValidationError
 
 if TYPE_CHECKING:
     from .sequences import DegreeSequence
@@ -40,17 +40,14 @@ __all__ = [
     "Graph",
     "Matching",
     "max_matching",
-    "max_matching_exhaustive",
     "greedy_maximal_matching",
     "min_maximal_matching",
     "pinch",
-    "hh_swap",
     "verify_matching",
 ]
 
 Edge = tuple[int, int]
 
-EXHAUSTIVE_MATCHING_CAP = 10
 MIN_MAXIMAL_CAP = 16
 
 
@@ -404,48 +401,6 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
     return match
 
 
-def max_matching_exhaustive(g: Graph, cap: int = EXHAUSTIVE_MATCHING_CAP) -> Matching:
-    """Naive exhaustive maximum matching; the independent oracle for tests.
-
-    Branches on the lowest-indexed free vertex: leave it unmatched or pair
-    it with each free later-indexed neighbor.
-    """
-    n = g.vertex_count
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds exhaustive matching cap {cap}")
-    adj = g.adjacency()
-    best: list[Edge] = []
-    chosen: list[Edge] = []
-    status = [False] * n  # matched flag
-
-    def rec(v: int) -> None:
-        nonlocal best
-        while v < n and status[v]:
-            v += 1
-        if v >= n:
-            if len(chosen) > len(best):
-                best = list(chosen)
-            return
-        free = sum(1 for i in range(v, n) if not status[i])
-        if len(chosen) + free // 2 <= len(best):
-            return
-        # v stays unmatched
-        rec(v + 1)
-        # v matched to a later free neighbor
-        status[v] = True
-        for u in adj[v]:
-            if u > v and not status[u]:
-                status[u] = True
-                chosen.append((v, u))
-                rec(v + 1)
-                chosen.pop()
-                status[u] = False
-        status[v] = False
-
-    rec(0)
-    return Matching(frozenset(best), n)
-
-
 def _greedy_matching(n: int, edges: Iterable[Edge], size: Optional[int] = None) -> list[Edge]:
     """Take each edge, in the given order, of a graph on n vertices whose
     endpoints are both free; stop once ``size`` edges are taken."""
@@ -568,39 +523,6 @@ def _pinch_lists(adj: list[list[int]], deg: list[int], edges: Iterable[Edge]) ->
     star.sort()
     adj.append(star)
     deg.append(len(star))
-
-
-def hh_swap(g: Graph, u: int, v_i: int, v_j: int) -> Graph:
-    """Exchange one neighbor of u for a higher-degree non-neighbor.
-
-    Requires u ~ v_i, u !~ v_j and deg(v_j) >= deg(v_i). A two-edge
-    exchange then moves u's edge from v_i to v_j while preserving every
-    vertex degree and leaving the rest of u's neighborhood unchanged.
-    """
-    if len({u, v_i, v_j}) != 3:
-        raise ValidationError("u, v_i, v_j must be three distinct vertices")
-    for x in (u, v_i, v_j):
-        if not 0 <= x < g.vertex_count:
-            raise ValidationError(f"vertex {x} out of range")
-    if not g.is_edge(u, v_i):
-        raise ValidationError(f"u={u} must be adjacent to v_i={v_i}")
-    if g.is_edge(u, v_j):
-        raise ValidationError(f"u={u} must not be adjacent to v_j={v_j}")
-    deg = g.degrees()
-    if deg[v_j] < deg[v_i]:
-        raise ValidationError(
-            f"deg(v_j)={deg[v_j]} must be at least deg(v_i)={deg[v_i]}"
-        )
-    ni = set(g.neighbors(v_i))
-    w = next(
-        (x for x in g.neighbors(v_j) if x not in ni and x not in (u, v_i)),
-        None,
-    )
-    if w is None:
-        # counting shows such a vertex always exists under the preconditions
-        raise InternalConsistencyError("no exchange partner found despite valid preconditions")
-    removed = {(min(e), max(e)) for e in ((u, v_i), (w, v_j))}
-    return Graph(g.vertex_count, (g.edges - removed) | {(u, v_j), (w, v_i)})
 
 
 def verify_matching(g: Graph, m: Matching, require_maximal: bool = False) -> bool:

@@ -37,7 +37,6 @@ from degmatch import (
     matching_lower_bound,
     max_matching,
     maximality_bound,
-    nu_star_brute,
     nu_star_formula,
     pinch,
     posa_bound,
@@ -46,6 +45,7 @@ from degmatch import (
     vizing_bound,
     windmill,
 )
+from oracles import nu_star_brute
 
 N7_DEGREE_SUM_CAP = 24  # default enumeration cap, applied to the n = 7 slice
 

@@ -77,6 +77,13 @@ class TestBounds:
         record = json.loads(out)
         assert record["nu"] == 3 and record["posa"] == 3
 
+    def test_graph_input_reports_exact_nu_at_any_size(self, tmp_path, capsys):
+        path = tmp_path / "c100.txt"
+        run(capsys, "family", "--kind", "cycle", "--n", "100", "--out", str(path))
+        code, out, _ = run(capsys, "bounds", "--graph", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["nu"] == 50
+
     def test_round_trip_matches_sequence_input(self, tmp_path, capsys):
         path = tmp_path / "hg.txt"
         run(capsys, "family", "--kind", "half-graph", "--n", "6", "--out", str(path))

@@ -26,14 +26,14 @@ from degmatch import (
     max_matching,
     min_maximal_matching,
     nu_bar_sequence,
-    nu_star_brute,
     nu_star_formula,
     parse_sequence,
     rows_to_csv,
     strong_extension_check,
 )
 from degmatch import enumeration, graphicality, graphs
-from degmatch.enumeration import ConjectureRow, _completions
+from degmatch.enumeration import SPLIT_MAX_N, ConjectureRow, _completions
+from oracles import nu_star_brute
 
 SCAN_UNIVERSE = Path(__file__).resolve().parent.parent / "bench" / "data" / "scan_universe.json"
 
@@ -766,9 +766,9 @@ class TestStrongExtensionBySplits:
 
     def test_no_realization_walk_and_no_blossom(self, monkeypatch):
         counts = Counter()
+        assert not hasattr(enumeration, "max_matching")
         for module, name in (
             (enumeration, "enumerate_realizations"),
-            (enumeration, "max_matching"),
             (graphs, "max_matching"),
         ):
             original = getattr(module, name)
@@ -836,7 +836,7 @@ class TestConjectureScan:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            conjecture_scan(9)
+            conjecture_scan(SPLIT_MAX_N + 1)
 
     def test_csv_at_7_is_pinned(self):
         text = rows_to_csv(conjecture_scan(7))

@@ -21,10 +21,8 @@ from degmatch import (
     greedy_maximal_matching,
     grow,
     half_graph,
-    hh_swap,
     make_sequence,
     max_matching,
-    max_matching_exhaustive,
     min_maximal_matching,
     path,
     pinch,
@@ -35,6 +33,7 @@ import degmatch
 from degmatch import dpg
 from degmatch.enumeration import conjecture_scan, enumerate_realizations
 from degmatch.graphs import _greedy_matching, _index_order_blossom, _ranked_blossom
+from oracles import max_matching_exhaustive
 
 
 def all_graphs(n):
@@ -610,44 +609,6 @@ class TestPinchAndDelete:
         restored = {e for e in grown.edges if v_new not in e}
         assert restored == g.edges - m.edges
         assert Graph(g.vertex_count, frozenset(restored | m.edges)) == g
-
-
-class TestHhSwap:
-    def test_documented_exchange(self):
-        # vertices u=0, a=1, b=2, c=3 with edges ub, ab, ac
-        g = Graph(4, frozenset([(0, 2), (1, 2), (1, 3)]))
-        swapped = hh_swap(g, u=0, v_i=2, v_j=1)
-        assert sorted(swapped.edges) == [(0, 1), (1, 2), (2, 3)]
-        assert sorted(swapped.degrees()) == sorted(g.degrees())
-
-    def test_precondition_errors(self):
-        g = Graph(4, frozenset([(0, 2), (1, 2), (1, 3)]))
-        with pytest.raises(ValidationError):
-            hh_swap(g, 0, 2, 2)  # not distinct
-        with pytest.raises(ValidationError):
-            hh_swap(g, 0, 1, 3)  # u not adjacent to v_i
-        with pytest.raises(ValidationError):
-            hh_swap(g, 1, 2, 3)  # u already adjacent to v_j
-        with pytest.raises(ValidationError):
-            hh_swap(g, 2, 1, 0)  # deg(v_j) < deg(v_i)
-
-    def test_swap_preserves_degrees_everywhere(self):
-        # brute check over all graphs on up to 5 vertices and all valid triples
-        for n in range(3, 6):
-            pairs = list(itertools.combinations(range(n), 2))
-            for mask in range(0, 1 << len(pairs), 3):  # stride keeps it quick
-                g = Graph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
-                deg = g.degrees()
-                for u, v_i, v_j in itertools.permutations(range(n), 3):
-                    if not g.is_edge(u, v_i) or g.is_edge(u, v_j):
-                        continue
-                    if deg[v_j] < deg[v_i]:
-                        continue
-                    swapped = hh_swap(g, u, v_i, v_j)
-                    assert swapped.degrees() == deg
-                    assert swapped.is_edge(u, v_j) and not swapped.is_edge(u, v_i)
-                    others = set(g.neighbors(u)) - {v_i}
-                    assert set(swapped.neighbors(u)) == others | {v_j}
 
 
 class TestVerifyMatching:

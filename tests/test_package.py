@@ -40,11 +40,9 @@ EXPORTS = {
         "Graph",
         "Matching",
         "max_matching",
-        "max_matching_exhaustive",
         "greedy_maximal_matching",
         "min_maximal_matching",
         "pinch",
-        "hh_swap",
         "verify_matching",
     ],
     "graphicality": [
@@ -81,7 +79,6 @@ EXPORTS = {
         "ConjectureRow",
         "enumerate_realizations",
         "count_realizations",
-        "nu_star_brute",
         "nu_bar_sequence",
         "strong_extension_check",
         "all_graphic_sequences",
