@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import InternalConsistencyError
-from .graphicality import _capped_sum, require_graphic
+from .graphicality import require_graphic
 from .sequences import DegreeSequence
 
 __all__ = [
@@ -141,7 +141,7 @@ def _gale_ryser_bound(degs: tuple[int, ...]) -> int:
     shrinks. So the feasible ell form a suffix of 0..n // 2.
 
     Probing ell = 0, 1, 3, 7, ... and bisecting the last bracket finds the
-    first feasible ell in O(log ell*) feasibility checks, each O(n log n):
+    first feasible ell in O(log ell*) feasibility checks, each O(n):
     cheap both when ell* is near n / 4 (random graphs) and when it is a
     handful (a few hubs over many low degrees).
     """
@@ -150,8 +150,13 @@ def _gale_ryser_bound(degs: tuple[int, ...]) -> int:
 
     def feasible(ell: int) -> bool:
         top = 2 * ell
-        return all(_capped_sum(degs, prefix, 0, top, k + 1) - top >= prefix[top + k] - prefix[top]
-                   for k in range(1, n - top + 1))
+        w = top  # #{i < top : d_i >= k + 1} only falls as k grows, so no bisect per k
+        for k in range(1, n - top + 1):
+            while w and degs[w - 1] <= k:
+                w -= 1
+            if (k + 1) * w + prefix[top] - prefix[w] - top < prefix[top + k] - prefix[top]:
+                return False
+        return True
 
     lo, hi = -1, 0  # lo is infeasible (or below the range), hi is the probe
     while not feasible(hi):

@@ -6,8 +6,9 @@ Every operation is exposed as a subcommand with machine-readable output
 
 The parser needs only ``constants`` for its choices and defaults, and each
 ``_cmd_*`` imports the kernels it calls in its own body, so a call loads
-only the modules its command runs: ``check``, ``extend``, ``nu-star`` and
-``delta-star`` load ``sequences`` and ``graphicality`` and nothing else.
+only the modules its command runs: ``check``, ``extend``, ``nu-star``,
+``delta-star`` and ``realize`` load ``sequences`` and ``graphicality`` and
+nothing else.
 """
 
 from __future__ import annotations
@@ -91,22 +92,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
-    from .graphicality import realize_hh
+    from .graphicality import _hh_rows, require_graphic
 
     d = _resolve_sequence(args)
-    g = realize_hh(d)
+    require_graphic(d)
+    names = [str(v) for v in range(d.n)]
+    sep = {"json": "-", "csv": ","}.get(args.format, " ")
+    # the rows list each edge once, in sorted order; one comprehension that builds each
+    # row's prefix (u and the separator) once takes about half the time of a loop over the rows
+    rows = _hh_rows(d.degrees)
+    edges = [head + names[v] for u, row in enumerate(rows) for head in (names[u] + sep,) for v in row]
     if args.format == "json":
-        record = {
-            "n": g.vertex_count,
-            "m": g.m,
-            "edges": ";".join(f"{u}-{v}" for u, v in sorted(g.edges)),
-        }
-        _emit_record(record, "json", args.out)
-    elif args.format == "csv":
-        lines = ["u,v"] + [f"{u},{v}" for u, v in sorted(g.edges)]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit_record({"n": d.n, "m": len(edges), "edges": ";".join(edges)}, "json", args.out)
     else:
-        _emit(g.to_edge_list_text(), args.out)
+        header = "u,v" if args.format == "csv" else f"n {d.n}"
+        _emit("\n".join([header, *edges]) + "\n", args.out)
     return 0
 
 

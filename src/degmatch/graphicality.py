@@ -151,20 +151,32 @@ def realize_hh(d: DegreeSequence) -> Graph:
     Deterministic rule: repeatedly take the vertex with the largest
     remaining demand (lowest id on ties) and connect it to the vertices
     with the next-largest demands (again lowest id on ties).
+    """
+    from .graphs import Graph
+
+    require_graphic(d)
+    rows = _hh_rows(d.degrees)
+    # each pair is written once, as (lower, higher), so vertex i has degree d_i
+    edges = frozenset((u, v) for u, row in enumerate(rows) for v in row)
+    return Graph._trusted(d.n, edges, None, d.degrees)
+
+
+def _hh_rows(degs: tuple[int, ...]) -> list[list[int]]:
+    """Kernel of realize_hh on an arranged graphic ``degs``: row u lists the
+    neighbours v > u of vertex u, ascending, so reading the rows in order
+    gives the edges sorted.
 
     One min-heap holds the vertices whose remaining demand r is positive,
     keyed by the integer i - r*n: it pops the largest demand first, and the
     lowest id among equal demands, which is the rule's order. A step pops v
     and then v's k targets, and pushes back each target whose demand is
-    still positive, at key + n. So each edge costs O(log n).
+    still positive, at key + n. So each edge costs O(log n), and sorting the
+    rows O(m log n) more.
     """
-    from .graphs import Graph
-
-    require_graphic(d)
-    n = d.n
+    n = len(degs)
     # arranged, so the keys ascend: the list is already a heap
-    heap = [i - r * n for i, r in enumerate(d.degrees) if r]
-    edges = []
+    heap = [i - r * n for i, r in enumerate(degs) if r]
+    rows: list[list[int]] = [[] for _ in range(n)]
     while heap:
         key = heappop(heap)
         v = key % n
@@ -172,14 +184,19 @@ def realize_hh(d: DegreeSequence) -> Graph:
         if k > len(heap):
             raise InternalConsistencyError("realization ran out of targets on a graphic sequence")
         targets = [heappop(heap) for _ in range(k)]
+        row = rows[v]
         for t in targets:
             j = t % n
-            edges.append((v, j) if v < j else (j, v))
+            if v < j:
+                row.append(j)
+            else:
+                rows[j].append(v)
             if t + n < 0:  # a key is negative exactly while its demand is positive
                 heappush(heap, t + n)
-    # the heap empties only when every demand is met, so there is no unmet demand to check;
-    # each pair is taken once and normalized, so vertex i has degree d_i
-    return Graph._trusted(n, frozenset(edges), None, d.degrees)
+    # the heap empties only when every demand is met, so there is no unmet demand to check
+    for row in rows:
+        row.sort()
+    return rows
 
 
 def extension_feasible(d: DegreeSequence, delta: int) -> bool:
@@ -235,40 +252,52 @@ def _delta_star(degs: tuple[int, ...]) -> int:
     return 2 * best
 
 
-def _closed_form_holds(degs: tuple[int, ...], mu: int, prefix: Optional[list[int]] = None) -> bool:
-    """Check the inequality family certifying a matching of size ``mu``.
+def _small_k_holds(degs: tuple[int, ...], prefix: list[int], mu: int) -> bool:
+    """The small-k family of the closed form for a matching of size ``mu``:
+    every 1 <= k < mu has prefix[k] <= k*k + tail(k), where tail(k) is the
+    sum of min(d_i, k) over i >= k with d_i - 1 for i < 2*mu.
 
-    ``degs`` must be arranged, positive, with 2*mu <= len(degs). Two parts:
-    the small-k family for 1 <= k < mu, and a single corrected inequality
-    at the index where reducing the top 2*mu entries can break the
-    arrangement (k = 2*mu + t_d(2*mu)). ``prefix``, the prefix sums of
-    ``degs``, is built here when not given; a scan over mu builds it once.
+    ``degs`` must be arranged and positive, with 2*mu <= len(degs), and
+    ``prefix`` its prefix sums. The two capped sums share one pointer:
+    w = #{d_i >= k + 1} only falls as k grows, and before it moves it is
+    #{d_i >= k}, so no k bisects.
     """
     delta = 2 * mu
     n = len(degs)
-    if prefix is None:
-        prefix = [0, *accumulate(degs)]
+    w = n  # every entry is >= 1
+    for k in range(1, mu):
+        q = max(w, delta)  # entries of [delta, n) that are >= k end at q
+        while w and degs[w - 1] <= k:
+            w -= 1
+        p = min(max(w, k), delta)  # entries of [k, delta) that are >= k + 1 end at p
+        # tail(k): min(d_i, k + 1) - 1 summed over [k, delta), plus min(d_i, k) over [delta, n)
+        tail = (k + 1) * (p - k) + prefix[delta] - prefix[p] - (delta - k)
+        tail += k * (q - delta) + prefix[n] - prefix[q]
+        if prefix[k] > k * k + tail:
+            return False
+    return True
 
-    def tail(k: int, b: int) -> int:  # sum of min(d_i, k) over i >= k, with d_i - 1 for i < b
-        return _capped_sum(degs, prefix, k, b, k + 1) - (b - k) + _capped_sum(degs, prefix, b, n, k)
 
-    if any(prefix[k] > k * k + tail(k, delta) for k in range(1, mu)):
-        return False
+def _corrected_holds(degs: tuple[int, ...], prefix: list[int], mu: int) -> bool:
+    """The closed form's single corrected inequality for a matching of size
+    ``mu``, at the index where reducing the top 2*mu entries can break the
+    arrangement (k = 2*mu + t_d(2*mu)); same input contract as _small_k_holds."""
+    delta = 2 * mu
+    n = len(degs)
     dd = degs[delta - 1]
     after = bisect_right(degs, -dd, delta, key=neg) - delta
     k = bisect_left(degs, -dd, 0, delta, key=neg) + after  # delta + (after - upto)
     if k < 0:
         raise InternalConsistencyError("negative corrected index in closed form")
-    # k is at or past the first dd, so the entries equal to dd from k on end at delta + after
-    return prefix[k] - k + after <= k * (k - 1) + tail(k, delta + after)
+    # k is at or past the first dd, so the entries equal to dd from k on end at b
+    b = delta + after
+    tail = _capped_sum(degs, prefix, k, b, k + 1) - (b - k) + _capped_sum(degs, prefix, b, n, k)
+    return prefix[k] - k + after <= k * (k - 1) + tail
 
 
 def nu_star_formula(d: DegreeSequence) -> int:
-    """Closed-form maximum matching number over all realizations.
-
-    Evaluated by a descending scan of candidate sizes; the first size whose
-    inequality family holds wins.
-    """
+    """Closed-form maximum matching number over all realizations: the
+    largest size whose inequality family holds."""
     require_graphic(d)
     if d.max_degree == 0:
         raise ValidationError("nu_star undefined for an empty or all-zero sequence")
@@ -276,10 +305,36 @@ def nu_star_formula(d: DegreeSequence) -> int:
 
 
 def _nu_star_formula(degs: tuple[int, ...]) -> int:
-    """Kernel of nu_star_formula; ``degs`` is non-empty with positive entries."""
+    """Kernel of nu_star_formula; ``degs`` is non-empty with positive entries.
+
+    The answer is the largest mu <= n // 2 at which both the small-k family
+    and the corrected inequality hold (0 if none does).
+
+    Lemma: the small-k family is downward closed in mu. Proof: going from
+    mu to mu - 1, each k's tail, the sum over i >= k of
+    min(d_i - [i < 2*mu], k), decrements two fewer entries before capping,
+    so it cannot shrink; the left sides prefix[k] do not depend on mu; and
+    the range of k only shrinks. So the mu at which the family holds form a
+    prefix 1..top of 1..n // 2 (mu = 1 checks no k).
+
+    Probing mu = n // 2, n // 2 - 1, n // 2 - 3, ... and bisecting the last
+    bracket finds top in O(log n) family checks, each O(n); below top only
+    the corrected inequality, O(log n) each, is left to test, from top
+    down. That returns what a descending scan over every mu returns.
+    """
     prefix = [0, *accumulate(degs)]
-    for mu in range(len(degs) // 2, 0, -1):
-        if _closed_form_holds(degs, mu, prefix):
+    # the family fails at bad (n // 2 + 1 is past the range), and holds at probe once the gallop stops
+    bad, probe, step = len(degs) // 2 + 1, len(degs) // 2, 1
+    while not _small_k_holds(degs, prefix, probe):
+        bad, probe, step = probe, max(probe - step, 1), 2 * step
+    while bad - probe > 1:
+        mid = (probe + bad) // 2
+        if _small_k_holds(degs, prefix, mid):
+            probe = mid
+        else:
+            bad = mid
+    for mu in range(probe, 0, -1):
+        if _corrected_holds(degs, prefix, mu):
             return mu
     return 0
 

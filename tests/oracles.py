@@ -1,18 +1,26 @@
-"""Exhaustive oracles that only the tests run.
+"""Slow oracles that only the tests run.
 
 The package answers each question below by a fast kernel; these answer it
-by exhaustion, independently, so the tests can check the kernel against
-them: ``max_matching_exhaustive`` against the blossom ``max_matching``, and
+the slow way, so the tests can check the kernel against them:
+``max_matching_exhaustive`` against the blossom ``max_matching``;
 ``nu_star_brute`` against the closed form ``nu_star_formula`` and
-``delta_star``.
+``delta_star``; ``nu_star_scan``, the closed form (``closed_form_holds``)
+tried at every size from the top down, against the galloping
+``_nu_star_formula``; and
+``realize_output``, the text of ``sorted(realize_hh(d).edges)``, against
+``degmatch realize``, which prints from the Havel-Hakimi rows.
 """
 
 from __future__ import annotations
 
+import json
+from itertools import accumulate
+from typing import Optional
+
 from degmatch.constants import DEFAULT_MAX_DEGREE_SUM, DEFAULT_MAX_N
 from degmatch.enumeration import enumerate_realizations
 from degmatch.errors import CapExceededError, InternalConsistencyError
-from degmatch.graphicality import require_graphic
+from degmatch.graphicality import _corrected_holds, _small_k_holds, realize_hh, require_graphic
 from degmatch.graphs import Edge, Graph, Matching, max_matching
 from degmatch.sequences import DegreeSequence
 
@@ -74,3 +82,38 @@ def nu_star_brute(
     if best < 0:
         raise InternalConsistencyError(f"graphic sequence {d} produced no realizations")
     return best
+
+
+def closed_form_holds(degs: tuple[int, ...], mu: int, prefix: Optional[list[int]] = None) -> bool:
+    """Check the inequality family certifying a matching of size ``mu``.
+
+    ``degs`` must be arranged, positive, with 2*mu <= len(degs). Two parts:
+    the small-k family for 1 <= k < mu, and a single corrected inequality.
+    ``prefix``, the prefix sums of ``degs``, is built here when not given.
+    """
+    if prefix is None:
+        prefix = [0, *accumulate(degs)]
+    return _small_k_holds(degs, prefix, mu) and _corrected_holds(degs, prefix, mu)
+
+
+def nu_star_scan(degs: tuple[int, ...]) -> int:
+    """The closed form by a descending scan of candidate sizes: the first size
+    whose inequality family holds wins. ``degs`` is non-empty and positive."""
+    prefix = [0, *accumulate(degs)]
+    for mu in range(len(degs) // 2, 0, -1):
+        if closed_form_holds(degs, mu, prefix):
+            return mu
+    return 0
+
+
+def realize_output(d: DegreeSequence, fmt: str) -> str:
+    """What ``degmatch realize --format fmt`` prints for a graphic ``d``,
+    formatted from ``sorted(realize_hh(d).edges)``."""
+    g = realize_hh(d)
+    edges = sorted(g.edges)
+    if fmt == "json":
+        record = {"n": g.vertex_count, "m": g.m, "edges": ";".join(f"{u}-{v}" for u, v in edges)}
+        return json.dumps(record) + "\n"
+    if fmt == "csv":
+        return "\n".join(["u,v"] + [f"{u},{v}" for u, v in edges]) + "\n"
+    return g.to_edge_list_text()

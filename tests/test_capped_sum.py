@@ -1,8 +1,10 @@
 """The Erdos-Gallai-type kernels against the loops that define them.
 
-``_eg_first_violation``, ``_closed_form_holds`` and ``_gale_ryser_bound``
-evaluate every capped sum sum(min(d_i, c)) through prefix sums. The slow
-oracles below write each sum out term by term, as the definitions do.
+``_eg_first_violation``, the closed form's two parts (``_small_k_holds`` and
+``_corrected_holds``, joined in ``oracles.closed_form_holds``) and
+``_gale_ryser_bound`` evaluate every capped sum sum(min(d_i, c)) through
+prefix sums. The slow oracles below write each sum out term by term, as the
+definitions do.
 """
 
 import random
@@ -14,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from degmatch import bound_report, make_sequence, nu_star
 from degmatch.bounds import _gale_ryser_bound
 from degmatch.enumeration import all_graphic_sequences
-from degmatch.graphicality import _capped_sum, _closed_form_holds, _eg_first_violation
+from degmatch.graphicality import _capped_sum, _eg_first_violation
+from oracles import closed_form_holds
 
 
 def eg_first_violation_oracle(degs, check_all_k=False):
@@ -44,8 +47,8 @@ def eg_first_violation_oracle(degs, check_all_k=False):
     return None
 
 
-def closed_form_oracle(degs, mu):
-    """The nu* inequality family for a matching of size mu, term by term."""
+def small_k_family_oracle(degs, mu):
+    """The nu* small-k family for a matching of size mu, term by term."""
     delta = 2 * mu
     n = len(degs)
     for k in range(1, mu):
@@ -53,6 +56,15 @@ def closed_form_oracle(degs, mu):
         rhs = k * k + sum(min(degs[i] - (1 if i < delta else 0), k) for i in range(k, n))
         if lhs > rhs:
             return False
+    return True
+
+
+def closed_form_oracle(degs, mu):
+    """The nu* inequality family for a matching of size mu, term by term."""
+    if not small_k_family_oracle(degs, mu):
+        return False
+    delta = 2 * mu
+    n = len(degs)
     dd = degs[delta - 1]
     after = sum(1 for i in range(delta, n) if degs[i] == dd)
     upto = sum(1 for i in range(delta) if degs[i] == dd)
@@ -107,7 +119,7 @@ def assert_eg_matches(degs):
 def assert_graphic_kernels_match(positive):
     """Closed form at every mu, and ell*, on the positive part of a graphic sequence."""
     for mu in range(1, len(positive) // 2 + 1):
-        assert _closed_form_holds(positive, mu) == closed_form_oracle(positive, mu), (positive, mu)
+        assert closed_form_holds(positive, mu) == closed_form_oracle(positive, mu), (positive, mu)
     assert _gale_ryser_bound(positive) == gale_ryser_oracle(positive), positive
 
 

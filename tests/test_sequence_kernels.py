@@ -2,10 +2,17 @@
 
 ``_gale_ryser_bound`` finds ell* by galloping and bisection, which is
 sound only because its feasibility condition is monotone in ell (the
-lemma in its docstring); ``_posa_bound`` reads r off prefix maxima; and
-``parse_sequence`` validates its entries in one pass. Each is checked
-here against a literal loop, and the lemma against every row it covers.
+lemma in its docstring); ``_nu_star_formula`` gallops the same way to the
+largest mu its small-k family admits, which is sound only because that
+family is downward closed in mu; ``_posa_bound`` reads r off prefix maxima;
+``parse_sequence`` converts its entries in one pass; and ``degmatch
+realize`` prints straight from the Havel-Hakimi rows. Each is checked here
+against a literal loop or the form it replaced, and each lemma against
+every row it covers.
 """
+
+import re
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,10 +25,13 @@ from degmatch import (
     nu_bar_sequence,
     parse_sequence,
 )
+from degmatch import graphicality
 from degmatch.bounds import _gale_ryser_bound, _posa_bound
 from degmatch.cli import main
 from degmatch.enumeration import all_graphic_sequences
-from test_capped_sum import GNM, gale_ryser_oracle, gnm_degree_sequence
+from degmatch.graphicality import _nu_star_formula, _small_k_holds
+from oracles import nu_star_scan, realize_output
+from test_capped_sum import GNM, gale_ryser_oracle, gnm_degree_sequence, small_k_family_oracle
 
 GRAPHIC_UP_TO_9 = [d.degrees for d in all_graphic_sequences(9)]
 
@@ -110,16 +120,16 @@ class TestSearchedKernelsAgainstLoops:
 
 def parse_oracle(text):
     """Parse part by part, as the text format is defined: strip each part,
-    convert it, and arrange the values with ``make_sequence``."""
+    match it against an optional sign and ASCII decimal digits, convert it,
+    and arrange the values with ``make_sequence``."""
     stripped = text.strip()
     if not stripped:
         return DegreeSequence()
     values = []
     for i, p in enumerate(part.strip() for part in stripped.split(",")):
-        try:
-            values.append(int(p))
-        except ValueError:
-            raise ValidationError(f"entry {i} is not an integer: {p!r}") from None
+        if not re.fullmatch(r"[+-]?[0-9]+", p):
+            raise ValidationError(f"entry {i} is not an integer: {p!r}")
+        values.append(int(p))
     return make_sequence(values)
 
 
@@ -149,12 +159,92 @@ class TestParseSequence:
     def test_first_bad_entry_is_named(self):
         assert outcome(parse_sequence, "3, -1, x") == "entry 2 is not an integer: 'x'"
         assert outcome(parse_sequence, "3, -1, -2") == "negative degree at position 1: -1"
+        # int() reads these as 10 and 3; the text format takes ASCII decimal digits only
+        assert outcome(parse_sequence, "1_0") == "entry 0 is not an integer: '1_0'"
+        assert outcome(parse_sequence, "3, ٣") == "entry 1 is not an integer: '٣'"
+
+    @pytest.mark.parametrize(
+        "text",
+        [" 3 ,2 , 1 ", "\t2,\n2", "+3,1,1,1", "", "   ", "x", "3,x", "2.5", "1e3", "-1", "3,-1", "3,2,", ",3",
+         "1_0", "٣", "3, ٣", "3,\u3000 1"],
+    )
+    def test_corpus(self, text):
+        assert outcome(parse_sequence, text) == outcome(parse_oracle, text)
 
     def test_direct_construction_keeps_its_checks(self):
         with pytest.raises(ValidationError):
             DegreeSequence((1, 2))
         with pytest.raises(ValidationError):
             DegreeSequence((2, -1))
+
+
+def small_k_values(degs):
+    """The small-k family's verdict at every mu = 1 .. n // 2."""
+    prefix = [0, *accumulate(degs)]
+    return [_small_k_holds(degs, prefix, mu) for mu in range(1, len(degs) // 2 + 1)]
+
+
+class TestNuStarGallop:
+    def test_every_graphic_row_up_to_10(self):
+        rows = 0
+        for d in all_graphic_sequences(10):
+            assert _nu_star_formula(d.degrees) == nu_star_scan(d.degrees), d
+            rows += 1
+        assert rows == 4360 + 11655
+
+    def test_hubs(self):
+        hubs = [skewed(n, k) for n in range(2, 41) for k in range(1, n)]
+        hubs += [skewed(800, k) for k in (6, 8, 10, 12, 100, 399, 400, 799)]
+        for degs in hubs:
+            assert _nu_star_formula(degs) == nu_star_scan(degs), degs
+
+    def test_small_k_family_is_downward_closed(self):
+        for degs in GRAPHIC_UP_TO_9:
+            values = small_k_values(degs)
+            assert values == [small_k_family_oracle(degs, mu) for mu in range(1, len(degs) // 2 + 1)], degs
+            assert values == sorted(values, reverse=True), degs
+        for degs in [*SKEWED, *(d.strip_zeros()[0].degrees for d in GNM)]:
+            values = small_k_values(degs)
+            assert values == sorted(values, reverse=True), degs
+
+    @pytest.mark.parametrize("n,k", [(3200, 12), (3200, 1600), (25600, 20)])
+    def test_family_checks_are_logarithmic(self, monkeypatch, n, k):
+        calls = []
+        original = graphicality._small_k_holds
+
+        def counting(degs, prefix, mu):
+            calls.append(mu)
+            return original(degs, prefix, mu)
+
+        monkeypatch.setattr(graphicality, "_small_k_holds", counting)
+        assert _nu_star_formula(skewed(n, k)) == min(k, n // 2)
+        # at most one gallop probe and one bisection step per bit of n // 2
+        assert len(calls) <= 2 * (n // 2).bit_length() + 1, calls
+
+
+class TestRealizeOutput:
+    """Every format of ``degmatch realize`` must equal the text the command
+    wrote from ``sorted(realize_hh(d).edges)``, byte for byte."""
+
+    @staticmethod
+    def assert_same(capsys, d):
+        for fmt in ("json", "csv", "text"):
+            assert main(["realize", "--seq=" + d.to_text(), "--format", fmt]) == 0
+            assert capsys.readouterr().out == realize_output(d, fmt), (d, fmt)
+
+    def test_every_graphic_row_up_to_7(self, capsys):
+        for d in all_graphic_sequences(7):
+            self.assert_same(capsys, d)
+
+    def test_zeros_and_empty(self, capsys):
+        for degs in [(), (0,), (0, 0, 0), (1, 1, 0), (2, 2, 2, 0, 0)]:
+            self.assert_same(capsys, DegreeSequence(degs))
+
+    @pytest.mark.parametrize("n", [100, 200, 400, 800])
+    def test_seeded(self, capsys, n):
+        self.assert_same(capsys, gnm_degree_sequence(n, 4 * n, n))
+        self.assert_same(capsys, DegreeSequence((5,) * n))
+        self.assert_same(capsys, DegreeSequence(skewed(n, n // 80 + 6)))
 
 
 class TestCaps:
