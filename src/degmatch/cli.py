@@ -6,9 +6,8 @@ Every operation is exposed as a subcommand with machine-readable output
 
 The parser needs only ``constants`` for its choices and defaults, and each
 ``_cmd_*`` imports the kernels it calls in its own body, so a call loads
-only the modules its command runs: ``check``, ``extend``, ``nu-star``,
-``delta-star`` and ``realize`` load ``sequences`` and ``graphicality`` and
-nothing else.
+only the modules its command runs: ``check``, ``extend``, ``nu-star`` and
+``delta-star`` load ``sequences`` and ``graphicality`` and nothing else.
 """
 
 from __future__ import annotations
@@ -93,20 +92,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_realize(args: argparse.Namespace) -> int:
     from .graphicality import _hh_rows, require_graphic
+    from .graphs import _edge_lines, _edge_list_text
 
     d = _resolve_sequence(args)
     require_graphic(d)
-    names = [str(v) for v in range(d.n)]
-    sep = {"json": "-", "csv": ","}.get(args.format, " ")
-    # the rows list each edge once, in sorted order; one comprehension that builds each
-    # row's prefix (u and the separator) once takes about half the time of a loop over the rows
     rows = _hh_rows(d.degrees)
-    edges = [head + names[v] for u, row in enumerate(rows) for head in (names[u] + sep,) for v in row]
     if args.format == "json":
+        edges = _edge_lines(rows, "-")
         _emit_record({"n": d.n, "m": len(edges), "edges": ";".join(edges)}, "json", args.out)
+    elif args.format == "csv":
+        _emit("\n".join(["u,v", *_edge_lines(rows, ",")]) + "\n", args.out)
     else:
-        header = "u,v" if args.format == "csv" else f"n {d.n}"
-        _emit("\n".join([header, *edges]) + "\n", args.out)
+        _emit(_edge_list_text(rows), args.out)
     return 0
 
 

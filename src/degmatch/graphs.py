@@ -63,6 +63,20 @@ def _normalize_edges(edges: Iterable[Sequence[int]], n: int) -> frozenset[Edge]:
     return frozenset(out)
 
 
+def _edge_lines(rows: Sequence[Sequence[int]], sep: str) -> list[str]:
+    """The edges as ``u<sep>v`` strings, row by row: ``rows[u]`` lists the
+    neighbours v > u of vertex u, so sorted rows give the edges sorted."""
+    names = [str(v) for v in range(len(rows))]
+    # one comprehension that builds each row's prefix (u and sep) once takes
+    # about half the time of a loop over the rows
+    return [head + names[v] for u, row in enumerate(rows) for head in (names[u] + sep,) for v in row]
+
+
+def _edge_list_text(rows: Sequence[Sequence[int]]) -> str:
+    """The edge-list text format, from sorted rows as ``_edge_lines`` reads them."""
+    return "\n".join([f"n {len(rows)}", *_edge_lines(rows, " ")]) + "\n"
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..vertex_count-1."""
@@ -142,9 +156,7 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def to_edge_list_text(self) -> str:
-        lines = [f"n {self.vertex_count}"]
-        lines.extend(f"{u} {v}" for u, v in sorted(self.edges))
-        return "\n".join(lines) + "\n"
+        return _edge_list_text([[v for v in nbrs if v > u] for u, nbrs in enumerate(self._adj)])
 
     @staticmethod
     def from_edge_list_text(text: str) -> "Graph":

@@ -124,41 +124,27 @@ def make_sequence(values: Iterable[int]) -> DegreeSequence:
 def parse_sequence(text: str) -> DegreeSequence:
     """Parse the comma-separated text format, e.g. ``"3, 2,2,1"``.
 
-    An entry is ASCII decimal digits with an optional sign; ``int`` would
-    also take ``1_0`` and non-ASCII digits, so text holding either goes to
-    the per-entry check. Raises ValidationError naming the first entry that
-    is not an integer, or else the first negative one.
+    An entry is ASCII decimal digits with an optional sign: ``int`` would
+    also read ``1_0`` and non-ASCII digits such as ``٣``. Raises
+    ValidationError naming the first entry that is not an integer, or else
+    the first negative one.
     """
     stripped = text.strip()
     if not stripped:
         return DegreeSequence()
-    values = None
-    if stripped.isascii() and "_" not in stripped:
+    parts = [p.strip() for p in stripped.split(",")]
+    values = []
+    for i, p in enumerate(parts):
         try:
-            values = list(map(int, stripped.split(",")))
+            if not p.isascii() or "_" in p:
+                raise ValueError(p)
+            values.append(int(p))
         except ValueError:
-            pass
-    if values is None:
-        values = _parse_entries(stripped)
+            raise ValidationError(f"entry {i} is not an integer: {p!r}") from None
     # every value is an int; the full check runs only to name a negative one
     if min(values) < 0:
         _check_degrees(values)
     return DegreeSequence._trusted(tuple(sorted(values, reverse=True)))
-
-
-def _parse_entries(stripped: str) -> list[int]:
-    """Convert each entry of ``parse_sequence``'s text on its own, so that the
-    first one that is not a decimal integer can be named."""
-    values = []
-    for i, part in enumerate(stripped.split(",")):
-        p = part.strip()
-        try:
-            if not p.isascii() or "_" in p:
-                raise ValueError
-            values.append(int(p))
-        except ValueError:
-            raise ValidationError(f"entry {i} is not an integer: {p!r}") from None
-    return values
 
 
 @dataclass(frozen=True)

@@ -116,4 +116,4 @@ def realize_output(d: DegreeSequence, fmt: str) -> str:
         return json.dumps(record) + "\n"
     if fmt == "csv":
         return "\n".join(["u,v"] + [f"{u},{v}" for u, v in edges]) + "\n"
-    return g.to_edge_list_text()
+    return "\n".join([f"n {g.vertex_count}"] + [f"{u} {v}" for u, v in edges]) + "\n"

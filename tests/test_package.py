@@ -162,6 +162,7 @@ class TestFreshInterpreter:
             (["extend", "--seq", "3,3,2,2", "--delta", "2"], ["graphicality", "sequences"]),
             (["nu-star", "--seq", "3,3,2,2"], ["graphicality", "sequences"]),
             (["delta-star", "--seq", "3,3,2,2"], ["graphicality", "sequences"]),
+            (["realize", "--seq", "3,3,2,2"], ["graphicality", "graphs", "sequences"]),
             (["family", "--kind", "cycle", "--n", "6"], ["families", "graphs"]),
         ],
     )
