@@ -13,6 +13,14 @@ Zero entries (isolated vertices) are stripped before evaluation since the
 bounds concern graphs without isolated vertices; ``bound_report`` records
 whether stripping happened.
 
+Each kernel makes one C-speed pass over the arranged degrees (prefix sums by
+``accumulate``, or the runs of equal degrees, one bisect each) and then
+takes O(log n) or O(r log n) Python steps for r distinct degrees: k* and noP3
+bisect their rising left sides, Posa reads its worst case at the distinct
+degrees and bisects, and ell* gallops up from k*, a proven lower bound,
+checking each ell at run ends only (the lemmas are in
+``_gale_ryser_bound``).
+
 Validation contract: public functions validate their input once, through
 ``graphicality.require_graphic``; the ``_``-prefixed kernels take the
 arranged positive degrees of a graphic sequence and never re-validate.
@@ -21,13 +29,14 @@ arranged positive degrees of a graphic sequence and never re-validate.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import neg
 
 from .errors import InternalConsistencyError
-from .graphicality import require_graphic
+from .graphicality import _run_ends, require_graphic
 from .sequences import DegreeSequence
 
 __all__ = [
@@ -70,21 +79,27 @@ def _positive_degrees(d: DegreeSequence) -> tuple[int, ...]:
 def maximality_bound(d: DegreeSequence) -> int:
     """Smallest k whose deficiency sum(top 2k) - m - k is non-negative.
 
-    The deficiency is strictly increasing in k, so a linear scan stops at
-    the first hit.
+    The deficiency rises with k up to the first hit, so one bisect finds it.
     """
     require_graphic(d)
     return _maximality_bound(_positive_degrees(d))
 
 
 def _maximality_bound(degs: tuple[int, ...]) -> int:
-    n = len(degs)
-    prefix = [0, *accumulate(degs)]
-    m = prefix[n] // 2
-    for k in range(0, n + 1):
-        if prefix[min(2 * k, n)] - m - k >= 0:
-            return k
-    raise InternalConsistencyError("maximality bound scan ran past n")
+    """The first k with sum(top min(2k, n)) - m - k >= 0, by bisection.
+
+    On positive degrees sum(top 2k) - k rises with k while 2k <= n, by
+    d_{2k} + d_{2k+1} - 1 >= 1 per step, so a bisection over k = 0..n // 2
+    finds the first value >= m in O(log n) steps. If none is, the answer is
+    (n + 1) // 2, just past that range: n is odd, and there the deficiency
+    is m - (n + 1) // 2 >= 0, since the degree sum is even and at least n.
+    """
+    return _k_star([0, *accumulate(degs)])
+
+
+def _k_star(prefix: list[int]) -> int:
+    """k* from the prefix sums of arranged positive degrees."""
+    return bisect_left(range((len(prefix) + 1) // 2), prefix[-1] // 2, key=lambda k: prefix[2 * k] - k)
 
 
 def vizing_bound(d: DegreeSequence) -> tuple[Fraction, int]:
@@ -111,12 +126,23 @@ def posa_bound(d: DegreeSequence) -> int:
 def _posa_bound(degs: tuple[int, ...]) -> int:
     """r is the first ell whose condition t(q) - q + 1 <= ell holds for every
     q < (n - ell + 1) // 2, where t(q) counts the degrees <= q. With
-    worst[j] = max(0, t(q) - q + 1 over q < j), that is the first ell with
-    worst[(n - ell + 1) // 2] <= ell; the 0 changes nothing, since ell >= 1."""
+    worst(j) = max(0, t(q) - q + 1 over q < j), that is the first ell with
+    worst((n - ell + 1) // 2) <= ell; the 0 changes nothing, since ell >= 1.
+
+    t(q) only changes where q reaches a degree value, and between two such
+    points t(q) - q + 1 falls as q grows. So worst(j) is the largest value
+    at the distinct degrees q < j, or at q = 0, where it is 1 on positive
+    degrees and changes nothing either: a prefix maximum over the r
+    distinct degrees, read by one bisect. As ell grows, (n - ell + 1) // 2
+    falls, so worst falls and the condition, once it holds, keeps holding:
+    r is found by bisection over 1..n, O(r log n).
+    """
     n = len(degs)
-    asc = sorted(degs)
-    worst = list(accumulate((bisect_right(asc, q) - q + 1 for q in range(n // 2)), max, initial=0))
-    r = next((ell for ell in range(1, n + 1) if worst[(n - ell + 1) // 2] <= ell), n)
+    # the distinct degrees ascending; the run of v starts at a, so t(v) = n - a
+    starts = [0, *_run_ends(degs)][-2::-1]
+    points = [degs[a] for a in starts]
+    best = list(accumulate((n - a - degs[a] + 1 for a in starts), max, initial=0))  # best[c]: c points below j
+    r = 1 + bisect_left(range(1, n + 1), True, key=lambda ell: best[bisect_left(points, (n - ell + 1) // 2)] <= ell)
     return (n - r + 1) // 2
 
 
@@ -131,38 +157,64 @@ def _gale_ryser_bound(degs: tuple[int, ...]) -> int:
     """The first feasible ell, found by galloping and then bisection.
 
     feasible(ell) holds when, with top = 2*ell, every k in 1..n - top has
-    sum(min(d_i - 1, k), i < top) >= sum(d_top .. d_{top+k-1}).
+    slack f(k) = sum(min(d_i - 1, k), i < top) - sum(d_top .. d_{top+k-1}) >= 0.
 
-    Lemma: on positive arranged degrees, feasible(ell) implies
+    Lemma (monotone): on positive arranged degrees, feasible(ell) implies
     feasible(ell + 1). Proof: going from ell to ell + 1, each k's left side
     gains min(d_top, k + 1) - 1 + min(d_{top+1}, k + 1) - 1 >= 0, because
     every d_i >= 1; each k's right-hand window moves two places down a
     non-increasing list, so its sum cannot grow; and the range of k only
     shrinks. So the feasible ell form a suffix of 0..n // 2.
 
-    Probing ell = 0, 1, 3, 7, ... and bisecting the last bracket finds the
-    first feasible ell in O(log ell*) feasibility checks, each O(n):
-    cheap both when ell* is near n / 4 (random graphs) and when it is a
-    handful (a few hubs over many low degrees).
+    Lemma (run ends): f(k) >= 0 for every k in 1..n - top exactly when
+    f(e - top) >= 0 at every run end e > top (e = n among them). Proof:
+    f(0) = 0, and f(k + 1) - f(k) = #{i < top : d_i >= k + 2} - d_{top+k}.
+    Take two consecutive points of 0 and the e - top. Between them, for
+    k from one point up to the next minus one, top + k stays inside one run,
+    so d_{top+k} is constant, while the count only falls as k grows: the
+    increments do not rise, f is concave there, and it is smallest at one
+    of the two points. Every k in 1..n - top lies between two such points.
+
+    Lemma (k*): feasible(ell) implies ell >= k*. Proof: if top < n, the
+    check at k = n - top bounds its left side by sum(d_i - 1, i < top) =
+    prefix[top] - top and makes its right side 2m - prefix[top], so
+    prefix[2*ell] - m - ell >= 0, which is k*'s condition at ell; if
+    top = n, then ell = n / 2 >= k*, since m >= n / 2 on positive degrees.
+
+    So a check walks the runs below top, two bisects each, not one step
+    per k: one finds the run end e, and at k = e - top the window sum is
+    prefix[e] - prefix[top], while the w top entries >= k + 1, found by the
+    other, give sum(min(d_i, k + 1), i < top) = (k + 1)*w + prefix[top] -
+    prefix[w]. Probing ell = k*, k* + 1, k* + 3, k* + 7, ... and bisecting
+    the last bracket finds the first feasible ell in O(log(ell* - k* + 2))
+    checks of O(r log n) each, for r distinct degrees, after one C pass for
+    the prefix sums. On every graphic sequence with n <= 10, ell* - k* is
+    0, 1 or 2.
     """
     n = len(degs)
     prefix = [0, *accumulate(degs)]
 
     def feasible(ell: int) -> bool:
         top = 2 * ell
-        w = top  # #{i < top : d_i >= k + 1} only falls as k grows, so no bisect per k
-        for k in range(1, n - top + 1):
-            while w and degs[w - 1] <= k:
-                w -= 1
-            if (k + 1) * w + prefix[top] - prefix[w] - top < prefix[top + k] - prefix[top]:
+        base = 2 * prefix[top] - top
+        e = top
+        while e < n:
+            e = bisect_right(degs, -degs[e], e, n, key=neg)  # the next run end
+            # f(k) at k = e - top is (k + 1)*w - prefix[w] + base - prefix[e],
+            # with w = #{i < top : d_i >= k + 1}
+            k = e - top
+            w = bisect_right(degs, -k - 1, 0, top, key=neg)
+            if (k + 1) * w - prefix[w] + base < prefix[e]:
                 return False
         return True
 
-    lo, hi = -1, 0  # lo is infeasible (or below the range), hi is the probe
+    # lo is infeasible (or below the range), hi is the probe
+    hi = min(_k_star(prefix), n // 2)
+    lo, step = hi - 1, 1
     while not feasible(hi):
         if hi == n // 2:
             raise InternalConsistencyError("gale-ryser scan found no feasible ell")
-        lo, hi = hi, min(2 * hi + 1, n // 2)
+        lo, hi, step = hi, min(hi + step, n // 2), 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if feasible(mid):
@@ -179,14 +231,14 @@ def matching_lower_bound(d: DegreeSequence) -> int:
 
 
 def _matching_lower_bound(degs: tuple[int, ...]) -> int:
-    n = len(degs)
+    """The first k with 2*sum(top k) + sum(next k) >= degree sum, by
+    bisection. The left side is sum(top k) + sum(top min(2k, n)), which
+    rises with k, so a bisection over k = 0..n // 2 finds it in O(log n)
+    steps. If no k there reaches the degree sum, the answer is (n + 1) // 2,
+    just past that range: n is odd, and there the second sum is the whole
+    degree sum."""
     prefix = [0, *accumulate(degs)]
-    total = prefix[n]
-    for k in range(0, n + 1):
-        lhs = 2 * prefix[min(k, n)] + (prefix[min(2 * k, n)] - prefix[min(k, n)])
-        if lhs >= total:
-            return k
-    raise InternalConsistencyError("matching lower bound scan ran past n")
+    return bisect_left(range((len(prefix) + 1) // 2), prefix[-1], key=lambda k: prefix[k] + prefix[2 * k])
 
 
 def bound_report(d: DegreeSequence) -> BoundReport:

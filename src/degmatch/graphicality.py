@@ -4,8 +4,16 @@ Two independent deciders (Erdos-Gallai inequalities and Havel-Hakimi
 reduction) plus a deterministic Havel-Hakimi realization builder on one
 integer-keyed heap, O((n + m) log n). The extension
 machinery answers "can this sequence absorb a new vertex of even degree
-delta", culminating in delta_star and the closed-form evaluation of the
-maximum matching number over all realizations, nu_star.
+delta", culminating in delta_star and with it the maximum matching number
+over all realizations, nu_star = delta_star / 2; ``nu_star_formula`` is the
+paper's closed form for the same number.
+
+The Erdos-Gallai guard is one C-speed pass over the degrees (prefix sums
+by ``accumulate``), and its pointer jumps a run of equal degrees by one
+bisect. Behind it the extension kernels work on the run form, the r <=
+2*sqrt(m) + 1 distinct degrees with the end and prefix sum of each run
+(``_run_form``): lowering the top delta entries maps runs to runs, so a
+delta_star probe costs O(r) and sorts nothing.
 
 Validation contract: public functions validate their input once;
 ``require_graphic`` is the only place that raises NotGraphicError; the
@@ -57,6 +65,18 @@ def _capped_sum(degs: tuple[int, ...], prefix: list[int], a: int, b: int, c: int
     return c * (p - a) + prefix[b] - prefix[p]
 
 
+def _run_ends(degs: tuple[int, ...]) -> list[int]:
+    """Where each run of equal values ends (exclusive) in an arranged
+    ``degs``, ascending: one bisect per run, so O(r log n) for r distinct
+    values. The run ending at e has the value degs[e - 1]."""
+    ends = []
+    i, n = 0, len(degs)
+    while i < n:
+        i = bisect_right(degs, -degs[i], i, n, key=neg)
+        ends.append(i)
+    return ends
+
+
 def _eg_first_violation(degs: tuple[int, ...], check_all_k: bool = False) -> Optional[int]:
     """Smallest checked k violating the Erdos-Gallai inequality, or None.
 
@@ -74,16 +94,44 @@ def _eg_first_violation(degs: tuple[int, ...], check_all_k: bool = False) -> Opt
         if s == 0:  # all entries zero
             return None
         ks = [k for k in range(1, s + 1) if k == s or degs[k - 1] > degs[k]]
-    # _capped_sum with c = k, inline: w = #{d_i >= k} only falls as k grows, so no bisect per k
+    # _capped_sum with c = k, inline: w = #{d_i >= k} only falls as k grows, and
+    # jumps a whole run by one bisect; once w <= k the tail holds no entry >= k,
+    # so w can rest. With p = max(w, k) the right side is
+    # k(k - 1) + k(p - k) + prefix[n] - prefix[p] = k(p - 1) + prefix[n] - prefix[p].
     prefix = [0, *accumulate(degs)]
+    total = prefix[n]
     w = n
     for k in ks:
-        while w and degs[w - 1] < k:
-            w -= 1
-        p = max(w, k)
-        if prefix[k] > k * (k - 1) + k * (p - k) + prefix[n] - prefix[p]:
+        if w > k and degs[w - 1] < k:
+            w = bisect_right(degs, -k, k, w, key=neg)
+        p = w if w > k else k
+        if prefix[k] > k * (p - 1) + total - prefix[p]:
             return k
     return None
+
+
+def _eg_holds_on_runs(vals: list[int], ends: list[int], sums: list[int]) -> bool:
+    """Erdos-Gallai on an arranged sequence in run form: non-increasing
+    ``vals``, run ends ``ends`` and the prefix sums ``sums`` at those ends.
+    Two neighbouring runs may share a value.
+
+    The inequality is checked at every run end, O(r): Tripathi and Vijay
+    (Discrete Math. 2003) show that the k with d_k > d_{k+1}, and k = n,
+    are the only ones that need it. All of them are run ends here; a run
+    end between two runs of one value is checked without need, which is
+    harmless. At k, the entries >= k are the runs ``[:t]``; t only falls as
+    k grows.
+    """
+    total = sums[-1]
+    t = len(vals)
+    for k, lhs in zip(ends, sums):
+        while t and vals[t - 1] < k:
+            t -= 1
+        c = ends[t - 1] if t else 0  # #{d_i >= k}
+        tail = k * (c - k) + total - sums[t - 1] if c > k else total - lhs
+        if lhs > k * (k - 1) + tail:
+            return False
+    return True
 
 
 def is_graphic_eg(d: DegreeSequence, *, check_all_k: bool = False) -> GraphicVerdict:
@@ -215,13 +263,49 @@ def extension_feasible(d: DegreeSequence, delta: int) -> bool:
 
 def _extension_feasible(degs: tuple[int, ...], delta: int) -> bool:
     """Kernel of extension_feasible; ``delta`` is even and in [1, len(degs)]."""
-    if degs[delta - 1] < 1:
+    return _reduced_graphic(*_run_form(degs), delta)
+
+
+def _run_form(degs: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+    """The run form of an arranged ``degs``: its distinct values,
+    descending, the end of each value's run, and the prefix sum at each run
+    end; O(r log n)."""
+    ends = _run_ends(degs)
+    vals = [degs[e - 1] for e in ends]
+    return vals, ends, list(accumulate(v * (e - a) for v, a, e in zip(vals, [0, *ends], ends)))
+
+
+def _reduced_graphic(vals: list[int], ends: list[int], sums: list[int], delta: int) -> bool:
+    """Is the sequence with its first ``delta`` entries decremented graphic?
+    Input: the run form of an arranged graphic sequence, with its sums.
+
+    With v = d_delta in the run [a, b), every run above v drops by one and
+    stays >= v; the run of v splits into its b - delta entries that keep v
+    and the delta - a entries that become v - 1, in that order; the runs
+    below keep their values, all <= v - 1. So the reduced sequence is
+    arranged in run form in O(r), with no sort, and Erdos-Gallai runs on its
+    run ends. Its sum is even: the input is graphic and delta is even.
+    """
+    j = bisect_left(ends, delta)  # the run holding position delta - 1
+    v = vals[j]
+    if v < 1:
         # fewer than delta positive entries: the reduced sequence would go
         # negative, so the augmented sequence cannot be graphic
         return False
-    # the reduced sum is even: degs is graphic and delta is even
-    reduced = [x - 1 for x in degs[:delta]] + list(degs[delta:])
-    return _eg_first_violation(tuple(sorted(reduced, reverse=True))) is None
+    a = ends[j - 1] if j else 0
+    below = sums[j - 1] if j else 0
+    r_vals = [x - 1 for x in vals[:j]]
+    r_ends = ends[:j]
+    r_sums = [x - e for x, e in zip(sums, r_ends)]
+    b = ends[j]
+    if b > delta:
+        r_vals.append(v)
+        r_ends.append(a + b - delta)
+        r_sums.append(below - a + v * (b - delta))
+    r_vals += [v - 1, *vals[j + 1 :]]
+    r_ends += ends[j:]
+    r_sums += [x - delta for x in sums[j:]]
+    return _eg_holds_on_runs(r_vals, r_ends, r_sums)
 
 
 def delta_star(d: DegreeSequence) -> int:
@@ -237,12 +321,15 @@ def delta_star(d: DegreeSequence) -> int:
 
 
 def _delta_star(degs: tuple[int, ...]) -> int:
-    """Kernel of delta_star; ``degs`` has at least one positive entry."""
+    """Kernel of delta_star; ``degs`` has at least one positive entry.
+
+    The run form is built once, O(r log n); each probe then costs O(r)."""
+    runs = _run_form(degs)
     lo, hi = 1, len(degs) // 2
     best = 0
     while lo <= hi:
         mid = (lo + hi) // 2
-        if _extension_feasible(degs, 2 * mid):
+        if _reduced_graphic(*runs, 2 * mid):
             best = mid
             lo = mid + 1
         else:
@@ -260,15 +347,16 @@ def _small_k_holds(degs: tuple[int, ...], prefix: list[int], mu: int) -> bool:
     ``degs`` must be arranged and positive, with 2*mu <= len(degs), and
     ``prefix`` its prefix sums. The two capped sums share one pointer:
     w = #{d_i >= k + 1} only falls as k grows, and before it moves it is
-    #{d_i >= k}, so no k bisects.
+    #{d_i >= k}; it moves by one bisect, across a whole run of equal
+    degrees, so a check costs O(mu + r log n) for r distinct degrees.
     """
     delta = 2 * mu
     n = len(degs)
     w = n  # every entry is >= 1
     for k in range(1, mu):
         q = max(w, delta)  # entries of [delta, n) that are >= k end at q
-        while w and degs[w - 1] <= k:
-            w -= 1
+        if w and degs[w - 1] <= k:
+            w = bisect_right(degs, -(k + 1), 0, w, key=neg)
         p = min(max(w, k), delta)  # entries of [k, delta) that are >= k + 1 end at p
         # tail(k): min(d_i, k + 1) - 1 summed over [k, delta), plus min(d_i, k) over [delta, n)
         tail = (k + 1) * (p - k) + prefix[delta] - prefix[p] - (delta - k)
@@ -340,20 +428,14 @@ def _nu_star_formula(degs: tuple[int, ...]) -> int:
 
 
 def nu_star(d: DegreeSequence) -> int:
-    """Maximum matching number over all realizations, computed two ways.
+    """Maximum matching number over all realizations: delta_star / 2.
 
-    Runs both the extension search (delta_star / 2) and the closed form and
-    insists they agree; a disagreement is a defect, not a result.
+    The paper's first theorem: d extends by a new vertex of degree delta
+    exactly when some realization has a matching of delta / 2 edges, so the
+    extension search answers. The closed form ``nu_star_formula`` gives the
+    same number (tested on every graphic sequence with n <= 10).
     """
     require_graphic(d)
     if d.max_degree == 0:
-        # the extension search runs first, so its error is the one reported
         raise ValidationError("delta_star undefined for an empty or all-zero sequence")
-    via_search = _delta_star(d.degrees) // 2
-    via_formula = _nu_star_formula(d.strip_zeros()[0].degrees)
-    if via_search != via_formula:
-        raise InternalConsistencyError(
-            f"nu_star mismatch on {d}: extension search gives {via_search}, "
-            f"closed form gives {via_formula}"
-        )
-    return via_formula
+    return _delta_star(d.degrees) // 2

@@ -6,9 +6,16 @@ the slow way, so the tests can check the kernel against them:
 ``nu_star_brute`` against the closed form ``nu_star_formula`` and
 ``delta_star``; ``nu_star_scan``, the closed form (``closed_form_holds``)
 tried at every size from the top down, against the galloping
-``_nu_star_formula``; and
+``_nu_star_formula``;
 ``realize_output``, the text of ``sorted(realize_hh(d).edges)``, against
-``degmatch realize``, which prints from the Havel-Hakimi rows.
+``degmatch realize``, which prints from the Havel-Hakimi rows; and the
+forms the run-form sequence kernels replaced, kept as they were:
+``eg_first_violation_walk``, the Erdos-Gallai pointer walked one entry at
+a time, against ``_eg_first_violation``; ``extension_feasible_sorted`` and
+``delta_star_sorted``, which sort the reduced sequence at every probe,
+against ``_extension_feasible`` and ``_delta_star``; and the linear scans
+``maximality_scan`` and ``matching_lower_scan`` against the bisections
+``_maximality_bound`` and ``_matching_lower_bound``.
 """
 
 from __future__ import annotations
@@ -117,3 +124,80 @@ def realize_output(d: DegreeSequence, fmt: str) -> str:
     if fmt == "csv":
         return "\n".join(["u,v"] + [f"{u},{v}" for u, v in edges]) + "\n"
     return "\n".join([f"n {g.vertex_count}"] + [f"{u} {v}" for u, v in edges]) + "\n"
+
+
+def eg_first_violation_walk(degs: tuple[int, ...], check_all_k: bool = False) -> Optional[int]:
+    """Smallest checked k violating the Erdos-Gallai inequality, or None.
+
+    Assumes ``degs`` arranged non-increasing with non-negative entries.
+    By default only the indices that can matter are checked: k <= s with
+    d_k > d_{k+1}, plus k = s, where s = max{i : d_i >= i}.
+    """
+    n = len(degs)
+    if check_all_k:
+        ks = list(range(1, n + 1))
+    else:
+        s = 0
+        while s < n and degs[s] > s:
+            s += 1
+        if s == 0:  # all entries zero
+            return None
+        ks = [k for k in range(1, s + 1) if k == s or degs[k - 1] > degs[k]]
+    # _capped_sum with c = k, inline: w = #{d_i >= k} only falls as k grows, so no bisect per k
+    prefix = [0, *accumulate(degs)]
+    w = n
+    for k in ks:
+        while w and degs[w - 1] < k:
+            w -= 1
+        p = max(w, k)
+        if prefix[k] > k * (k - 1) + k * (p - k) + prefix[n] - prefix[p]:
+            return k
+    return None
+
+
+def extension_feasible_sorted(degs: tuple[int, ...], delta: int) -> bool:
+    """``delta`` is even and in [1, len(degs)]."""
+    if degs[delta - 1] < 1:
+        # fewer than delta positive entries: the reduced sequence would go
+        # negative, so the augmented sequence cannot be graphic
+        return False
+    # the reduced sum is even: degs is graphic and delta is even
+    reduced = [x - 1 for x in degs[:delta]] + list(degs[delta:])
+    return eg_first_violation_walk(tuple(sorted(reduced, reverse=True))) is None
+
+
+def delta_star_sorted(degs: tuple[int, ...]) -> int:
+    """``degs`` has at least one positive entry."""
+    lo, hi = 1, len(degs) // 2
+    best = 0
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if extension_feasible_sorted(degs, 2 * mid):
+            best = mid
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    if best == 0:
+        raise InternalConsistencyError("no feasible extension for a non-zero graphic sequence")
+    return 2 * best
+
+
+def maximality_scan(degs: tuple[int, ...]) -> int:
+    n = len(degs)
+    prefix = [0, *accumulate(degs)]
+    m = prefix[n] // 2
+    for k in range(0, n + 1):
+        if prefix[min(2 * k, n)] - m - k >= 0:
+            return k
+    raise InternalConsistencyError("maximality bound scan ran past n")
+
+
+def matching_lower_scan(degs: tuple[int, ...]) -> int:
+    n = len(degs)
+    prefix = [0, *accumulate(degs)]
+    total = prefix[n]
+    for k in range(0, n + 1):
+        lhs = 2 * prefix[min(k, n)] + (prefix[min(2 * k, n)] - prefix[min(k, n)])
+        if lhs >= total:
+            return k
+    raise InternalConsistencyError("matching lower bound scan ran past n")

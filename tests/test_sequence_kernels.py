@@ -2,10 +2,15 @@
 
 ``_gale_ryser_bound`` finds ell* by galloping and bisection, which is
 sound only because its feasibility condition is monotone in ell (the
-lemma in its docstring); ``_nu_star_formula`` gallops the same way to the
+lemma in its docstring), and checks that condition only at run ends,
+which is sound only because the slack is concave between them (the second
+lemma); ``_nu_star_formula`` gallops the same way to the
 largest mu its small-k family admits, which is sound only because that
-family is downward closed in mu; ``_posa_bound`` reads r off prefix maxima;
-``parse_sequence`` converts its entries in one pass; and ``degmatch
+family is downward closed in mu; ``_posa_bound`` reads r off prefix maxima
+at the distinct degrees; ``_maximality_bound`` and ``_matching_lower_bound``
+bisect; ``_delta_star`` probes the run form without sorting, and
+``_eg_first_violation`` jumps runs; ``nu_star`` answers by delta_star / 2
+alone; ``parse_sequence`` converts its entries in one pass; and ``degmatch
 realize`` prints straight from the Havel-Hakimi rows. Each is checked here
 against a literal loop or the form it replaced, and each lemma against
 every row it covers.
@@ -25,13 +30,28 @@ from degmatch import (
     nu_bar_sequence,
     parse_sequence,
 )
+from degmatch import delta_star, nu_star, nu_star_formula
 from degmatch import graphicality
-from degmatch.bounds import _gale_ryser_bound, _posa_bound
+from degmatch.bounds import _gale_ryser_bound, _matching_lower_bound, _maximality_bound, _posa_bound
 from degmatch.cli import main
 from degmatch.enumeration import all_graphic_sequences
-from degmatch.graphicality import _nu_star_formula, _small_k_holds
-from oracles import nu_star_scan, realize_output
-from test_capped_sum import GNM, gale_ryser_oracle, gnm_degree_sequence, small_k_family_oracle
+from degmatch.graphicality import (
+    _delta_star,
+    _eg_first_violation,
+    _extension_feasible,
+    _nu_star_formula,
+    _small_k_holds,
+)
+from oracles import (
+    delta_star_sorted,
+    eg_first_violation_walk,
+    extension_feasible_sorted,
+    matching_lower_scan,
+    maximality_scan,
+    nu_star_scan,
+    realize_output,
+)
+from test_capped_sum import GNM, arranged, gale_ryser_oracle, gnm_degree_sequence, small_k_family_oracle
 
 GRAPHIC_UP_TO_9 = [d.degrees for d in all_graphic_sequences(9)]
 
@@ -116,6 +136,163 @@ class TestSearchedKernelsAgainstLoops:
     def test_empty(self):
         assert _gale_ryser_bound(()) == gale_ryser_oracle(()) == 0
         assert _posa_bound(()) == posa_oracle(()) == 0
+
+
+def run_ends(degs):
+    """Where each run of equal degrees ends, written out entry by entry."""
+    n = len(degs)
+    return [i for i in range(1, n + 1) if i == n or degs[i - 1] != degs[i]]
+
+
+class TestGaleRyserRunEnds:
+    """The second lemma of ``_gale_ryser_bound``: with f(0) = 0, the slack's
+    minimum over k = 0 .. n - 2*ell is its minimum over k = 0 and the
+    k = e - 2*ell for run ends e > 2*ell."""
+
+    def test_every_ell_of_every_graphic_row_up_to_9(self):
+        checked = 0
+        for degs in GRAPHIC_UP_TO_9:
+            for ell in range(len(degs) // 2 + 1):
+                top = 2 * ell
+                slacks = ell_star_slacks(degs, ell)  # slacks[k - 1] is f(k)
+                at_run_ends = [slacks[e - top - 1] for e in run_ends(degs) if e > top]
+                assert min([0, *slacks]) == min([0, *at_run_ends]), (degs, ell)
+                checked += 1
+        assert checked == 21426
+
+
+class TestGaleRyserAboveKStar:
+    """The third lemma of ``_gale_ryser_bound``: no ell below k* is
+    feasible, so the search starts at k*."""
+
+    def test_every_ell_of_every_graphic_row_up_to_9(self):
+        for degs in GRAPHIC_UP_TO_9:
+            k_star = maximality_scan(degs)
+            for ell in range(len(degs) // 2 + 1):
+                if min(ell_star_slacks(degs, ell), default=0) >= 0:
+                    assert ell >= k_star, (degs, ell)
+
+    def test_gap_up_to_10(self):
+        gaps = {_gale_ryser_bound(d.degrees) - _maximality_bound(d.degrees) for d in all_graphic_sequences(10)}
+        assert gaps == {0, 1, 2}
+
+
+def graphic_blocks(blocks, zeros):
+    """Disjoint union of regular blocks r^c and hub blocks (n-1)^k, k^(n-k),
+    plus isolated vertices, arranged: graphic, with long runs and few values."""
+    values = []
+    for kind, size, degree in blocks:
+        if kind == "regular":
+            degree = min(degree, size - 1)
+            degree -= degree * size % 2  # an odd degree needs an even size
+            values += [degree] * size
+        else:
+            values += skewed(size + 1, min(degree, size) or 1)
+    return tuple(sorted(values + [0] * zeros, reverse=True))
+
+
+BLOCKS = st.lists(
+    st.tuples(st.sampled_from(["regular", "hub"]), st.integers(1, 60), st.integers(0, 60)), min_size=1, max_size=4
+)
+GRAPHIC_RUNS = st.builds(graphic_blocks, BLOCKS, st.integers(0, 30))
+ARRANGED_RUNS = st.lists(st.tuples(st.integers(0, 50), st.integers(1, 40)), max_size=6).map(
+    lambda runs: tuple(sorted((v for v, c in runs for _ in range(c)), reverse=True))
+)
+
+EDGE_CASES = [
+    (),
+    (0,),
+    (0, 0, 0),
+    (1, 1),
+    (1, 1, 0, 0),
+    (2, 2, 2, 0, 0),
+    (1,) * 10,  # r = 1, delta = n feasible
+    (5,) * 12,
+    (3,) * 4,  # K_4: delta = n infeasible
+    (7,) * 8,
+]
+GRAPHIC_ROWS = [*GRAPHIC_UP_TO_9, *SKEWED, *(d.degrees for d in GNM), *EDGE_CASES]
+
+
+def assert_run_form_kernels(degs):
+    """Every new sequence kernel equals the form it replaced, on a graphic ``degs``."""
+    for check_all_k in (False, True):
+        assert _eg_first_violation(degs, check_all_k) == eg_first_violation_walk(degs, check_all_k) is None, degs
+    for delta in range(2, len(degs) + 1, 2):
+        assert _extension_feasible(degs, delta) == extension_feasible_sorted(degs, delta), (degs, delta)
+    if any(degs):
+        assert _delta_star(degs) == delta_star_sorted(degs), degs
+    positive = tuple(x for x in degs if x)
+    assert _maximality_bound(positive) == maximality_scan(positive), degs
+    assert _matching_lower_bound(positive) == matching_lower_scan(positive), degs
+    assert _posa_bound(positive) == posa_oracle(positive), degs
+    if len(positive) <= 60:
+        assert _gale_ryser_bound(positive) == gale_ryser_oracle(positive), degs
+
+
+class TestRunFormKernelsAgainstOracles:
+    """The run-form kernels against the forms they replaced, kept in
+    ``tests/oracles.py``: the sort per delta_star probe, the Erdos-Gallai
+    pointer walked one entry at a time, and the linear k* and noP3 scans."""
+
+    def test_graphic_rows(self):
+        for degs in GRAPHIC_ROWS:
+            assert_run_form_kernels(degs)
+
+    @given(GRAPHIC_RUNS)
+    @settings(max_examples=300)
+    def test_long_runs_and_zeros(self, degs):
+        assert_run_form_kernels(degs)
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_eg_on_every_arranged_sequence(self, n):
+        # entries up to n: one above the largest graphic degree
+        for degs in arranged(n, n):
+            for check_all_k in (False, True):
+                assert _eg_first_violation(degs, check_all_k) == eg_first_violation_walk(degs, check_all_k), degs
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_run_form_eg_on_every_arranged_sequence(self, n):
+        for degs in arranged(n, n):
+            if sum(degs) % 2 == 0:
+                assert graphicality._eg_holds_on_runs(*graphicality._run_form(degs)) == (
+                    eg_first_violation_walk(degs) is None
+                ), degs
+
+    @given(ARRANGED_RUNS)
+    @settings(max_examples=300)
+    def test_eg_on_long_runs(self, degs):
+        for check_all_k in (False, True):
+            assert _eg_first_violation(degs, check_all_k) == eg_first_violation_walk(degs, check_all_k), degs
+
+    def test_delta_probes_sort_nothing(self, monkeypatch):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("a delta_star probe sorted")
+
+        monkeypatch.setattr(graphicality, "sorted", no_sort, raising=False)
+        assert _delta_star(skewed(800, 10)) == 20
+        assert _delta_star((5,) * 600) == 600
+
+
+class TestNuStarIsHalfDeltaStar:
+    """``nu_star`` answers by the extension search alone; the closed form
+    must give the same number (the paper's first theorem)."""
+
+    def test_every_graphic_row_up_to_10(self):
+        rows = 0
+        for d in all_graphic_sequences(10):
+            assert delta_star(d) == 2 * nu_star_formula(d) == 2 * nu_star(d), d
+            rows += 1
+        assert rows == 4360 + 11655
+
+    def test_hubs_and_gnm(self):
+        for d in [*(DegreeSequence(degs) for degs in SKEWED), *GNM]:
+            assert delta_star(d) == 2 * nu_star_formula(d) == 2 * nu_star(d), d
+
+    def test_all_zero_message(self):
+        for degs in [(), (0, 0)]:
+            with pytest.raises(ValidationError, match="^delta_star undefined for an empty or all-zero sequence$"):
+                nu_star(DegreeSequence(degs))
 
 
 def parse_oracle(text):
