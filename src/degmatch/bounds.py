@@ -13,13 +13,15 @@ Zero entries (isolated vertices) are stripped before evaluation since the
 bounds concern graphs without isolated vertices; ``bound_report`` records
 whether stripping happened.
 
-Each kernel makes one C-speed pass over the arranged degrees (prefix sums by
-``accumulate``, or the runs of equal degrees, one bisect each) and then
-takes O(log n) or O(r log n) Python steps for r distinct degrees: k* and noP3
-bisect their rising left sides, Posa reads its worst case at the distinct
-degrees and bisects, and ell* gallops up from k*, a proven lower bound,
+The kernels read what one pass over the arranged degrees yields: the prefix
+sums, one C-speed ``accumulate`` per call, and the run ends of
+``graphicality._run_form``, one bisect per run. After it each takes O(log n)
+or O(r log n) Python steps for r distinct degrees: k* and noP3 bisect their
+rising left sides, Posa reads its worst case at the distinct degrees and
+bisects, and ell* gallops up from k*, a proven lower bound it is handed,
 checking each ell at run ends only (the lemmas are in
-``_gale_ryser_bound``).
+``_gale_ryser_bound``). ``bound_report`` computes the prefix sums and k*
+once for all of them.
 
 Validation contract: public functions validate their input once, through
 ``graphicality.require_graphic``; the ``_``-prefixed kernels take the
@@ -36,7 +38,7 @@ from itertools import accumulate
 from operator import neg
 
 from .errors import InternalConsistencyError
-from .graphicality import _run_ends, require_graphic
+from .graphicality import _run_form, require_graphic
 from .sequences import DegreeSequence
 
 __all__ = [
@@ -82,11 +84,12 @@ def maximality_bound(d: DegreeSequence) -> int:
     The deficiency rises with k up to the first hit, so one bisect finds it.
     """
     require_graphic(d)
-    return _maximality_bound(_positive_degrees(d))
+    return _k_star([0, *accumulate(_positive_degrees(d))])
 
 
-def _maximality_bound(degs: tuple[int, ...]) -> int:
-    """The first k with sum(top min(2k, n)) - m - k >= 0, by bisection.
+def _k_star(prefix: list[int]) -> int:
+    """k* from the prefix sums of arranged positive degrees: the first k
+    with sum(top min(2k, n)) - m - k >= 0, by bisection.
 
     On positive degrees sum(top 2k) - k rises with k while 2k <= n, by
     d_{2k} + d_{2k+1} - 1 >= 1 per step, so a bisection over k = 0..n // 2
@@ -94,11 +97,6 @@ def _maximality_bound(degs: tuple[int, ...]) -> int:
     (n + 1) // 2, just past that range: n is odd, and there the deficiency
     is m - (n + 1) // 2 >= 0, since the degree sum is even and at least n.
     """
-    return _k_star([0, *accumulate(degs)])
-
-
-def _k_star(prefix: list[int]) -> int:
-    """k* from the prefix sums of arranged positive degrees."""
     return bisect_left(range((len(prefix) + 1) // 2), prefix[-1] // 2, key=lambda k: prefix[2 * k] - k)
 
 
@@ -139,7 +137,7 @@ def _posa_bound(degs: tuple[int, ...]) -> int:
     """
     n = len(degs)
     # the distinct degrees ascending; the run of v starts at a, so t(v) = n - a
-    starts = [0, *_run_ends(degs)][-2::-1]
+    starts = [0, *_run_form(degs)[1]][-2::-1]
     points = [degs[a] for a in starts]
     best = list(accumulate((n - a - degs[a] + 1 for a in starts), max, initial=0))  # best[c]: c points below j
     r = 1 + bisect_left(range(1, n + 1), True, key=lambda ell: best[bisect_left(points, (n - ell + 1) // 2)] <= ell)
@@ -150,11 +148,14 @@ def gale_ryser_bound(d: DegreeSequence) -> int:
     """Smallest ell such that the top 2*ell degrees, each capped at k after
     discounting one matching edge, dominate the next k degrees for every k."""
     require_graphic(d)
-    return _gale_ryser_bound(_positive_degrees(d))
+    degs = _positive_degrees(d)
+    prefix = [0, *accumulate(degs)]
+    return _gale_ryser_bound(degs, prefix, _k_star(prefix))
 
 
-def _gale_ryser_bound(degs: tuple[int, ...]) -> int:
-    """The first feasible ell, found by galloping and then bisection.
+def _gale_ryser_bound(degs: tuple[int, ...], prefix: list[int], k_star: int) -> int:
+    """The first feasible ell, found by galloping and then bisection, given
+    the prefix sums of ``degs`` and its k* (``_k_star``).
 
     feasible(ell) holds when, with top = 2*ell, every k in 1..n - top has
     slack f(k) = sum(min(d_i - 1, k), i < top) - sum(d_top .. d_{top+k-1}) >= 0.
@@ -181,25 +182,22 @@ def _gale_ryser_bound(degs: tuple[int, ...]) -> int:
     prefix[2*ell] - m - ell >= 0, which is k*'s condition at ell; if
     top = n, then ell = n / 2 >= k*, since m >= n / 2 on positive degrees.
 
-    So a check walks the runs below top, two bisects each, not one step
-    per k: one finds the run end e, and at k = e - top the window sum is
+    So a check walks the run ends e > top (from ``_run_form``, built once),
+    one bisect each, not one step per k: at k = e - top the window sum is
     prefix[e] - prefix[top], while the w top entries >= k + 1, found by the
-    other, give sum(min(d_i, k + 1), i < top) = (k + 1)*w + prefix[top] -
+    bisect, give sum(min(d_i, k + 1), i < top) = (k + 1)*w + prefix[top] -
     prefix[w]. Probing ell = k*, k* + 1, k* + 3, k* + 7, ... and bisecting
     the last bracket finds the first feasible ell in O(log(ell* - k* + 2))
-    checks of O(r log n) each, for r distinct degrees, after one C pass for
-    the prefix sums. On every graphic sequence with n <= 10, ell* - k* is
-    0, 1 or 2.
+    checks of O(r log n) each, for r distinct degrees. On every graphic
+    sequence with n <= 10, ell* - k* is 0, 1 or 2.
     """
     n = len(degs)
-    prefix = [0, *accumulate(degs)]
+    ends = _run_form(degs)[1]
 
     def feasible(ell: int) -> bool:
         top = 2 * ell
         base = 2 * prefix[top] - top
-        e = top
-        while e < n:
-            e = bisect_right(degs, -degs[e], e, n, key=neg)  # the next run end
+        for e in ends[bisect_right(ends, top) :]:
             # f(k) at k = e - top is (k + 1)*w - prefix[w] + base - prefix[e],
             # with w = #{i < top : d_i >= k + 1}
             k = e - top
@@ -209,35 +207,28 @@ def _gale_ryser_bound(degs: tuple[int, ...]) -> int:
         return True
 
     # lo is infeasible (or below the range), hi is the probe
-    hi = min(_k_star(prefix), n // 2)
+    hi = min(k_star, n // 2)
     lo, step = hi - 1, 1
     while not feasible(hi):
         if hi == n // 2:
             raise InternalConsistencyError("gale-ryser scan found no feasible ell")
         lo, hi, step = hi, min(hi + step, n // 2), 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return lo + 1 + bisect_left(range(lo + 1, hi), True, key=feasible)
 
 
 def matching_lower_bound(d: DegreeSequence) -> int:
     """Smallest k with 2*sum(top k) + sum(next k) >= degree sum."""
     require_graphic(d)
-    return _matching_lower_bound(_positive_degrees(d))
+    return _matching_lower_bound([0, *accumulate(_positive_degrees(d))])
 
 
-def _matching_lower_bound(degs: tuple[int, ...]) -> int:
-    """The first k with 2*sum(top k) + sum(next k) >= degree sum, by
-    bisection. The left side is sum(top k) + sum(top min(2k, n)), which
+def _matching_lower_bound(prefix: list[int]) -> int:
+    """From the prefix sums of arranged positive degrees: the first k with
+    2*sum(top k) + sum(next k) >= degree sum, by bisection. The left side is sum(top k) + sum(top min(2k, n)), which
     rises with k, so a bisection over k = 0..n // 2 finds it in O(log n)
     steps. If no k there reaches the degree sum, the answer is (n + 1) // 2,
     just past that range: n is odd, and there the second sum is the whole
     degree sum."""
-    prefix = [0, *accumulate(degs)]
     return bisect_left(range((len(prefix) + 1) // 2), prefix[-1], key=lambda k: prefix[k] + prefix[2 * k])
 
 
@@ -246,19 +237,17 @@ def bound_report(d: DegreeSequence) -> BoundReport:
     require_graphic(d)
     stripped, had_zeros = d.strip_zeros()
     degs = stripped.degrees
-    k_star = _maximality_bound(degs)
-    ell_star = _gale_ryser_bound(degs)
-    nop3 = _matching_lower_bound(degs)
+    prefix = [0, *accumulate(degs)]
+    k_star = _k_star(prefix)
+    ell_star = _gale_ryser_bound(degs, prefix, k_star)
+    nop3 = _matching_lower_bound(prefix)
     posa = _posa_bound(degs)
     viz, viz_ceil = _vizing_bound(degs)
-    m = sum(degs) // 2
-    if m > 0:
-        delta = degs[0]
-        if m > k_star * (2 * delta - 1):
-            raise InternalConsistencyError(
-                f"k* fell below m/(2*max_degree - 1) on {stripped}: "
-                f"m={m}, k*={k_star}, max degree={delta}"
-            )
+    m = prefix[-1] // 2
+    if m and m > k_star * (2 * degs[0] - 1):
+        raise InternalConsistencyError(
+            f"k* fell below m/(2*max_degree - 1) on {stripped}: m={m}, k*={k_star}, max degree={degs[0]}"
+        )
     return BoundReport(
         k_star=k_star,
         ell_star=ell_star,

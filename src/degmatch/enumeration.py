@@ -54,10 +54,10 @@ re-check caps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
-from .bounds import _gale_ryser_bound, _maximality_bound
+from .bounds import _gale_ryser_bound, _k_star
 from .constants import DEFAULT_MAX_DEGREE_SUM, DEFAULT_MAX_N
 from .errors import CapExceededError, InternalConsistencyError, ValidationError
 from .graphicality import is_graphic_eg, require_graphic
@@ -266,8 +266,9 @@ def nu_bar_sequence(
     require_graphic(d)
     _check_caps(d, max_n, max_degree_sum)
     degs = d.strip_zeros()[0].degrees
-    floor = max(_gale_ryser_bound(degs), _maximality_bound(degs))
-    return _nu_bar(d.degrees, floor)[0]
+    prefix = [0, *accumulate(degs)]
+    k_star = _k_star(prefix)
+    return _nu_bar(d.degrees, max(_gale_ryser_bound(degs, prefix, k_star), k_star))[0]
 
 
 Witness = tuple[Graph, Matching]
@@ -476,8 +477,9 @@ def conjecture_scan(n_max: int, *, max_n: int = SPLIT_MAX_N) -> list[ConjectureR
     rows = []
     for d in all_graphic_sequences(n_max):
         # all_graphic_sequences yields graphic sequences without zero entries
-        ell = _gale_ryser_bound(d.degrees)
-        ks = _maximality_bound(d.degrees)
+        prefix = [0, *accumulate(d.degrees)]
+        ks = _k_star(prefix)
+        ell = _gale_ryser_bound(d.degrees, prefix, ks)
         nb, witness = _nu_bar(d.degrees, max(ell, ks))
         rows.append(ConjectureRow(d, nb, ell, ks, nb == ell, witness))
     return rows

@@ -8,12 +8,13 @@ delta", culminating in delta_star and with it the maximum matching number
 over all realizations, nu_star = delta_star / 2; ``nu_star_formula`` is the
 paper's closed form for the same number.
 
-The Erdos-Gallai guard is one C-speed pass over the degrees (prefix sums
-by ``accumulate``), and its pointer jumps a run of equal degrees by one
-bisect. Behind it the extension kernels work on the run form, the r <=
-2*sqrt(m) + 1 distinct degrees with the end and prefix sum of each run
-(``_run_form``): lowering the top delta entries maps runs to runs, so a
-delta_star probe costs O(r) and sorts nothing.
+One evaluator, ``_eg_first_violation``, answers every Erdos-Gallai
+question: the guard's and each delta_star probe's. It works on the run
+form (``_run_form``), the r <= 2*sqrt(m) + 1 distinct degrees with the end
+and prefix sum of each run, found in one pass with one bisect per run, and
+checks O(r) indices. Lowering the top delta entries maps runs to runs, so a
+delta_star probe builds its reduced sequence in run form in O(r), sorts
+nothing, and asks the same evaluator.
 
 Validation contract: public functions validate their input once;
 ``require_graphic`` is the only place that raises NotGraphicError; the
@@ -65,73 +66,68 @@ def _capped_sum(degs: tuple[int, ...], prefix: list[int], a: int, b: int, c: int
     return c * (p - a) + prefix[b] - prefix[p]
 
 
-def _run_ends(degs: tuple[int, ...]) -> list[int]:
-    """Where each run of equal values ends (exclusive) in an arranged
-    ``degs``, ascending: one bisect per run, so O(r log n) for r distinct
-    values. The run ending at e has the value degs[e - 1]."""
-    ends = []
-    i, n = 0, len(degs)
+Runs = tuple[list[int], list[int], list[int]]
+
+
+def _run_form(degs: tuple[int, ...]) -> Runs:
+    """The run form of an arranged ``degs``: its distinct values,
+    descending, the end (exclusive) of each value's run, and the prefix sum
+    at each run end; one pass with one bisect per run, O(r log n)."""
+    vals, ends, sums = [], [], []
+    i = total = 0
+    n = len(degs)
     while i < n:
-        i = bisect_right(degs, -degs[i], i, n, key=neg)
-        ends.append(i)
-    return ends
+        v = degs[i]
+        e = bisect_right(degs, -v, i + 1, n, key=neg)
+        total += v * (e - i)
+        vals.append(v)
+        ends.append(e)
+        sums.append(total)
+        i = e
+    return vals, ends, sums
 
 
-def _eg_first_violation(degs: tuple[int, ...], check_all_k: bool = False) -> Optional[int]:
+def _eg_first_violation(runs: Runs, check_all_k: bool = False) -> Optional[int]:
     """Smallest checked k violating the Erdos-Gallai inequality, or None.
 
-    Assumes ``degs`` arranged non-increasing with non-negative entries.
-    By default only the indices that can matter are checked: k <= s with
-    d_k > d_{k+1}, plus k = s, where s = max{i : d_i >= i}.
+    ``runs`` is an arranged sequence in run form (``_run_form``): values
+    non-increasing and non-negative, run ends, and the prefix sums at the
+    run ends. Two neighbouring runs may share a value.
+
+    By default only the run ends below s = max{i : d_i >= i} are checked,
+    plus s: Tripathi and Vijay (Discrete Math. 2003) show this is enough on
+    any arranged sequence. A run end between two runs of one value is
+    checked without need, which is harmless. ``check_all_k`` checks every
+    k = 1..n instead. Both walk k upward on two one-way pointers: the run
+    that holds k, and t, where the runs ``[:t]`` hold the entries >= k.
     """
-    n = len(degs)
-    if check_all_k:
-        ks = list(range(1, n + 1))
-    else:
-        s = 0
-        while s < n and degs[s] > s:
-            s += 1
-        if s == 0:  # all entries zero
-            return None
-        ks = [k for k in range(1, s + 1) if k == s or degs[k - 1] > degs[k]]
-    # _capped_sum with c = k, inline: w = #{d_i >= k} only falls as k grows, and
-    # jumps a whole run by one bisect; once w <= k the tail holds no entry >= k,
-    # so w can rest. With p = max(w, k) the right side is
-    # k(k - 1) + k(p - k) + prefix[n] - prefix[p] = k(p - 1) + prefix[n] - prefix[p].
-    prefix = [0, *accumulate(degs)]
-    total = prefix[n]
-    w = n
-    for k in ks:
-        if w > k and degs[w - 1] < k:
-            w = bisect_right(degs, -k, k, w, key=neg)
-        p = w if w > k else k
-        if prefix[k] > k * (p - 1) + total - prefix[p]:
-            return k
-    return None
-
-
-def _eg_holds_on_runs(vals: list[int], ends: list[int], sums: list[int]) -> bool:
-    """Erdos-Gallai on an arranged sequence in run form: non-increasing
-    ``vals``, run ends ``ends`` and the prefix sums ``sums`` at those ends.
-    Two neighbouring runs may share a value.
-
-    The inequality is checked at every run end, O(r): Tripathi and Vijay
-    (Discrete Math. 2003) show that the k with d_k > d_{k+1}, and k = n,
-    are the only ones that need it. All of them are run ends here; a run
-    end between two runs of one value is checked without need, which is
-    harmless. At k, the entries >= k are the runs ``[:t]``; t only falls as
-    k grows.
-    """
-    total = sums[-1]
+    vals, ends, sums = runs
+    total = sums[-1] if sums else 0
     t = len(vals)
-    for k, lhs in zip(ends, sums):
-        while t and vals[t - 1] < k:
-            t -= 1
-        c = ends[t - 1] if t else 0  # #{d_i >= k}
-        tail = k * (c - k) + total - sums[t - 1] if c > k else total - lhs
-        if lhs > k * (k - 1) + tail:
-            return False
-    return True
+    a = below = 0  # the end of the previous run and the prefix sum there
+    for v, e, at_e in zip(vals, ends, sums):
+        if check_all_k:
+            k, last = a + 1, e
+        else:
+            # d_i >= i here exactly for i <= v: check e if v >= e (so s >= e),
+            # else s = v if v > a, or s = a, already checked, if v <= a
+            k = last = v if v < e else e
+            if k <= a:
+                return None
+        while k <= last:
+            while t and vals[t - 1] < k:
+                t -= 1
+            c = ends[t - 1] if t else 0  # #{d_i >= k}
+            lhs = below + v * (k - a)
+            # k(k - 1) + sum(min(d_i, k), i > k): past k, the c - k entries >= k count k each
+            rhs = k * (c - 1) + total - sums[t - 1] if c > k else k * (k - 1) + total - lhs
+            if lhs > rhs:
+                return k
+            k += 1
+        if v < e and not check_all_k:
+            return None  # s was checked
+        a, below = e, at_e
+    return None
 
 
 def is_graphic_eg(d: DegreeSequence, *, check_all_k: bool = False) -> GraphicVerdict:
@@ -140,9 +136,10 @@ def is_graphic_eg(d: DegreeSequence, *, check_all_k: bool = False) -> GraphicVer
     ``check_all_k`` forces the inequality at every k = 1..n instead of the
     restricted index set; both modes must agree (tested).
     """
-    if d.degree_sum % 2:
+    runs = _run_form(d.degrees)
+    if runs[2] and runs[2][-1] % 2:  # the degree sum is odd
         return GraphicVerdict(is_graphic=False, failing_k=None, parity_ok=False)
-    k = _eg_first_violation(d.degrees, check_all_k=check_all_k)
+    k = _eg_first_violation(runs, check_all_k=check_all_k)
     return GraphicVerdict(is_graphic=k is None, failing_k=k)
 
 
@@ -258,34 +255,24 @@ def extension_feasible(d: DegreeSequence, delta: int) -> bool:
     if not 1 <= delta <= d.n:
         raise ValidationError(f"delta={delta} out of range [1, {d.n}]")
     require_graphic(d)
-    return _extension_feasible(d.degrees, delta)
+    return _reduced_graphic(_run_form(d.degrees), delta)
 
 
-def _extension_feasible(degs: tuple[int, ...], delta: int) -> bool:
-    """Kernel of extension_feasible; ``delta`` is even and in [1, len(degs)]."""
-    return _reduced_graphic(*_run_form(degs), delta)
-
-
-def _run_form(degs: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
-    """The run form of an arranged ``degs``: its distinct values,
-    descending, the end of each value's run, and the prefix sum at each run
-    end; O(r log n)."""
-    ends = _run_ends(degs)
-    vals = [degs[e - 1] for e in ends]
-    return vals, ends, list(accumulate(v * (e - a) for v, a, e in zip(vals, [0, *ends], ends)))
-
-
-def _reduced_graphic(vals: list[int], ends: list[int], sums: list[int], delta: int) -> bool:
+def _reduced_graphic(runs: Runs, delta: int) -> bool:
     """Is the sequence with its first ``delta`` entries decremented graphic?
-    Input: the run form of an arranged graphic sequence, with its sums.
+    The kernel of extension_feasible and of each delta_star probe. Input:
+    the run form of an arranged graphic sequence, and an even ``delta`` in
+    [1, n].
 
     With v = d_delta in the run [a, b), every run above v drops by one and
     stays >= v; the run of v splits into its b - delta entries that keep v
     and the delta - a entries that become v - 1, in that order; the runs
     below keep their values, all <= v - 1. So the reduced sequence is
-    arranged in run form in O(r), with no sort, and Erdos-Gallai runs on its
-    run ends. Its sum is even: the input is graphic and delta is even.
+    arranged in run form in O(r), with no sort, where two neighbouring runs
+    may share a value, and ``_eg_first_violation`` decides it. Its sum is
+    even: the input is graphic and delta is even.
     """
+    vals, ends, sums = runs
     j = bisect_left(ends, delta)  # the run holding position delta - 1
     v = vals[j]
     if v < 1:
@@ -305,7 +292,7 @@ def _reduced_graphic(vals: list[int], ends: list[int], sums: list[int], delta: i
     r_vals += [v - 1, *vals[j + 1 :]]
     r_ends += ends[j:]
     r_sums += [x - delta for x in sums[j:]]
-    return _eg_holds_on_runs(r_vals, r_ends, r_sums)
+    return _eg_first_violation((r_vals, r_ends, r_sums)) is None
 
 
 def delta_star(d: DegreeSequence) -> int:
@@ -322,18 +309,9 @@ def delta_star(d: DegreeSequence) -> int:
 
 def _delta_star(degs: tuple[int, ...]) -> int:
     """Kernel of delta_star; ``degs`` has at least one positive entry.
-
-    The run form is built once, O(r log n); each probe then costs O(r)."""
+    The run form is built once, O(r log n), and each probe costs O(r)."""
     runs = _run_form(degs)
-    lo, hi = 1, len(degs) // 2
-    best = 0
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if _reduced_graphic(*runs, 2 * mid):
-            best = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
+    best = bisect_left(range(1, len(degs) // 2 + 1), True, key=lambda mu: not _reduced_graphic(runs, 2 * mu))
     if best == 0:
         raise InternalConsistencyError("no feasible extension for a non-zero graphic sequence")
     return 2 * best

@@ -11,11 +11,12 @@ tried at every size from the top down, against the galloping
 ``degmatch realize``, which prints from the Havel-Hakimi rows; and the
 forms the run-form sequence kernels replaced, kept as they were:
 ``eg_first_violation_walk``, the Erdos-Gallai pointer walked one entry at
-a time, against ``_eg_first_violation``; ``extension_feasible_sorted`` and
-``delta_star_sorted``, which sort the reduced sequence at every probe,
-against ``_extension_feasible`` and ``_delta_star``; and the linear scans
-``maximality_scan`` and ``matching_lower_scan`` against the bisections
-``_maximality_bound`` and ``_matching_lower_bound``.
+a time over the flat sequence, against ``_eg_first_violation`` on the run
+form; ``extension_feasible_sorted`` and ``delta_star_sorted``, which sort
+the reduced sequence at every probe, against ``_reduced_graphic`` and
+``_delta_star``; and the linear scans ``maximality_scan`` and
+``matching_lower_scan`` against the bisections ``_k_star`` and
+``_matching_lower_bound``.
 """
 
 from __future__ import annotations

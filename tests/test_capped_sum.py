@@ -1,8 +1,9 @@
 """The Erdos-Gallai-type kernels against the loops that define them.
 
-``_eg_first_violation``, the closed form's two parts (``_small_k_holds`` and
-``_corrected_holds``, joined in ``oracles.closed_form_holds``) and
-``_gale_ryser_bound`` evaluate every capped sum sum(min(d_i, c)) through
+The Erdos-Gallai evaluator ``_eg_first_violation`` reads every capped sum
+sum(min(d_i, c)) off the run form, the prefix sums at run ends; the closed
+form's two parts (``_small_k_holds`` and ``_corrected_holds``, joined in
+``oracles.closed_form_holds``) and ``_gale_ryser_bound`` read them off the
 prefix sums. The slow oracles below write each sum out term by term, as the
 definitions do.
 """
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from degmatch import bound_report, make_sequence, nu_star
-from degmatch.bounds import _gale_ryser_bound
+from degmatch.bounds import _gale_ryser_bound, _k_star
 from degmatch.enumeration import all_graphic_sequences
-from degmatch.graphicality import _capped_sum, _eg_first_violation
+from degmatch.graphicality import _capped_sum, _eg_first_violation, _run_form
 from oracles import closed_form_holds
 
 
@@ -87,6 +88,17 @@ def gale_ryser_oracle(degs):
     raise AssertionError("no feasible ell")
 
 
+def eg(degs, check_all_k=False):
+    """The Erdos-Gallai evaluator on the run form of an arranged ``degs``."""
+    return _eg_first_violation(_run_form(degs), check_all_k)
+
+
+def ell_star(positive):
+    """``_gale_ryser_bound`` handed the prefix sums and k* of ``positive``."""
+    prefix = [0, *accumulate(positive)]
+    return _gale_ryser_bound(positive, prefix, _k_star(prefix))
+
+
 def arranged(n, top):
     """Every non-increasing tuple of length n with entries in [0, top]."""
     return combinations_with_replacement(range(top, -1, -1), n)
@@ -110,7 +122,7 @@ GNM = [gnm_degree_sequence(n, 4 * n, seed) for n in (10, 20, 40, 80, 120) for se
 
 def assert_eg_matches(degs):
     for check_all_k in (False, True):
-        assert _eg_first_violation(degs, check_all_k) == eg_first_violation_oracle(degs, check_all_k), (
+        assert eg(degs, check_all_k) == eg_first_violation_oracle(degs, check_all_k), (
             degs,
             check_all_k,
         )
@@ -120,7 +132,7 @@ def assert_graphic_kernels_match(positive):
     """Closed form at every mu, and ell*, on the positive part of a graphic sequence."""
     for mu in range(1, len(positive) // 2 + 1):
         assert closed_form_holds(positive, mu) == closed_form_oracle(positive, mu), (positive, mu)
-    assert _gale_ryser_bound(positive) == gale_ryser_oracle(positive), positive
+    assert ell_star(positive) == gale_ryser_oracle(positive), positive
 
 
 class TestCappedSum:

@@ -39,6 +39,11 @@ class TestCheck:
     def test_all_k_flag(self, capsys):
         code, out, _ = run(capsys, "check", "--seq", "2,2,2", "--all-k")
         assert code == 0 and out == "graphic\n"
+        # degree 4 on four vertices, one above n - 1: the restricted index set
+        # checks only k = s = 4, while checking every k fails first at k = 1
+        for flags, k in (((), 4), (("--all-k",), 1)):
+            code, out, _ = run(capsys, "check", "--seq", "4,4,4,4", "--format", "json", *flags)
+            assert code == 1 and json.loads(out)["failing_k"] == k
 
 
 class TestNuStarAndDeltaStar:

@@ -7,11 +7,12 @@ which is sound only because the slack is concave between them (the second
 lemma); ``_nu_star_formula`` gallops the same way to the
 largest mu its small-k family admits, which is sound only because that
 family is downward closed in mu; ``_posa_bound`` reads r off prefix maxima
-at the distinct degrees; ``_maximality_bound`` and ``_matching_lower_bound``
-bisect; ``_delta_star`` probes the run form without sorting, and
-``_eg_first_violation`` jumps runs; ``nu_star`` answers by delta_star / 2
-alone; ``parse_sequence`` converts its entries in one pass; and ``degmatch
-realize`` prints straight from the Havel-Hakimi rows. Each is checked here
+at the distinct degrees; ``_k_star`` and ``_matching_lower_bound`` bisect;
+``_delta_star`` probes the run form without sorting, and the one
+Erdos-Gallai evaluator, ``_eg_first_violation``, checks the run form it is
+given, with or without runs that share a value; ``nu_star`` answers by
+delta_star / 2 alone; ``parse_sequence`` converts its entries in one pass;
+and ``degmatch realize`` prints straight from the Havel-Hakimi rows. Each is checked here
 against a literal loop or the form it replaced, and each lemma against
 every row it covers.
 """
@@ -32,14 +33,15 @@ from degmatch import (
 )
 from degmatch import delta_star, nu_star, nu_star_formula
 from degmatch import graphicality
-from degmatch.bounds import _gale_ryser_bound, _matching_lower_bound, _maximality_bound, _posa_bound
+from degmatch.bounds import _k_star, _matching_lower_bound, _posa_bound
 from degmatch.cli import main
 from degmatch.enumeration import all_graphic_sequences
 from degmatch.graphicality import (
     _delta_star,
     _eg_first_violation,
-    _extension_feasible,
     _nu_star_formula,
+    _reduced_graphic,
+    _run_form,
     _small_k_holds,
 )
 from oracles import (
@@ -51,7 +53,15 @@ from oracles import (
     nu_star_scan,
     realize_output,
 )
-from test_capped_sum import GNM, arranged, gale_ryser_oracle, gnm_degree_sequence, small_k_family_oracle
+from test_capped_sum import (
+    GNM,
+    arranged,
+    eg,
+    ell_star,
+    gale_ryser_oracle,
+    gnm_degree_sequence,
+    small_k_family_oracle,
+)
 
 GRAPHIC_UP_TO_9 = [d.degrees for d in all_graphic_sequences(9)]
 
@@ -89,7 +99,7 @@ def assert_lemma(degs):
         assert all(b >= a for a, b in zip(slacks[ell], slacks[ell + 1])), (degs, ell)
     feasible = [min(s, default=0) >= 0 for s in slacks]
     assert feasible == sorted(feasible), degs
-    assert feasible.index(True) == _gale_ryser_bound(degs), degs
+    assert feasible.index(True) == ell_star(degs), degs
 
 
 def posa_oracle(degs):
@@ -127,14 +137,14 @@ INPUTS = [
 class TestSearchedKernelsAgainstLoops:
     def test_gale_ryser_bound(self):
         for degs in INPUTS:
-            assert _gale_ryser_bound(degs) == gale_ryser_oracle(degs), degs
+            assert ell_star(degs) == gale_ryser_oracle(degs), degs
 
     def test_posa_bound(self):
         for degs in INPUTS:
             assert _posa_bound(degs) == posa_oracle(degs), degs
 
     def test_empty(self):
-        assert _gale_ryser_bound(()) == gale_ryser_oracle(()) == 0
+        assert ell_star(()) == gale_ryser_oracle(()) == 0
         assert _posa_bound(()) == posa_oracle(()) == 0
 
 
@@ -173,7 +183,7 @@ class TestGaleRyserAboveKStar:
                     assert ell >= k_star, (degs, ell)
 
     def test_gap_up_to_10(self):
-        gaps = {_gale_ryser_bound(d.degrees) - _maximality_bound(d.degrees) for d in all_graphic_sequences(10)}
+        gaps = {ell_star(d.degrees) - _k_star([0, *accumulate(d.degrees)]) for d in all_graphic_sequences(10)}
         assert gaps == {0, 1, 2}
 
 
@@ -217,17 +227,34 @@ GRAPHIC_ROWS = [*GRAPHIC_UP_TO_9, *SKEWED, *(d.degrees for d in GNM), *EDGE_CASE
 def assert_run_form_kernels(degs):
     """Every new sequence kernel equals the form it replaced, on a graphic ``degs``."""
     for check_all_k in (False, True):
-        assert _eg_first_violation(degs, check_all_k) == eg_first_violation_walk(degs, check_all_k) is None, degs
+        assert eg(degs, check_all_k) == eg_first_violation_walk(degs, check_all_k) is None, degs
     for delta in range(2, len(degs) + 1, 2):
-        assert _extension_feasible(degs, delta) == extension_feasible_sorted(degs, delta), (degs, delta)
+        assert _reduced_graphic(_run_form(degs), delta) == extension_feasible_sorted(degs, delta), (degs, delta)
     if any(degs):
         assert _delta_star(degs) == delta_star_sorted(degs), degs
     positive = tuple(x for x in degs if x)
-    assert _maximality_bound(positive) == maximality_scan(positive), degs
-    assert _matching_lower_bound(positive) == matching_lower_scan(positive), degs
+    prefix = [0, *accumulate(positive)]
+    assert _k_star(prefix) == maximality_scan(positive), degs
+    assert _matching_lower_bound(prefix) == matching_lower_scan(positive), degs
     assert _posa_bound(positive) == posa_oracle(positive), degs
     if len(positive) <= 60:
-        assert _gale_ryser_bound(positive) == gale_ryser_oracle(positive), degs
+        assert ell_star(positive) == gale_ryser_oracle(positive), degs
+
+
+def split_run_forms(degs):
+    """Run forms of an arranged ``degs`` whose neighbouring runs share a
+    value, the shape ``_reduced_graphic`` builds: each run of ``_run_form``
+    cut in two at each inner point in turn, then every entry a run of its own."""
+    vals, ends, sums = _run_form(degs)
+    for j, (v, a, e) in enumerate(zip(vals, [0, *ends], ends)):
+        below = sums[j] - v * (e - a)
+        for cut in range(a + 1, e):
+            yield (
+                vals[:j] + [v, *vals[j:]],
+                ends[:j] + [cut, *ends[j:]],
+                sums[:j] + [below + v * (cut - a), *sums[j:]],
+            )
+    yield list(degs), list(range(1, len(degs) + 1)), list(accumulate(degs))
 
 
 class TestRunFormKernelsAgainstOracles:
@@ -249,21 +276,26 @@ class TestRunFormKernelsAgainstOracles:
         # entries up to n: one above the largest graphic degree
         for degs in arranged(n, n):
             for check_all_k in (False, True):
-                assert _eg_first_violation(degs, check_all_k) == eg_first_violation_walk(degs, check_all_k), degs
+                assert eg(degs, check_all_k) == eg_first_violation_walk(degs, check_all_k), degs
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_run_form_eg_on_every_arranged_sequence(self, n):
-        for degs in arranged(n, n):
-            if sum(degs) % 2 == 0:
-                assert graphicality._eg_holds_on_runs(*graphicality._run_form(degs)) == (
-                    eg_first_violation_walk(degs) is None
-                ), degs
+    def test_eg_on_split_runs(self):
+        checked = 0
+        for n in range(1, 9):
+            for degs in arranged(n, n):
+                first, every = eg_first_violation_walk(degs), eg_first_violation_walk(degs, True)
+                for runs in split_run_forms(degs):
+                    # an extra run end below s may fail before the first k of the
+                    # arranged index set, so only the verdict must agree there
+                    assert (_eg_first_violation(runs) is None) == (first is None), (degs, runs)
+                    assert _eg_first_violation(runs, True) == every, (degs, runs)
+                    checked += 1
+        assert checked == 75859
 
     @given(ARRANGED_RUNS)
     @settings(max_examples=300)
     def test_eg_on_long_runs(self, degs):
         for check_all_k in (False, True):
-            assert _eg_first_violation(degs, check_all_k) == eg_first_violation_walk(degs, check_all_k), degs
+            assert eg(degs, check_all_k) == eg_first_violation_walk(degs, check_all_k), degs
 
     def test_delta_probes_sort_nothing(self, monkeypatch):
         def no_sort(*args, **kwargs):
