@@ -23,13 +23,8 @@ _EXPORTS = {
     ),
     "sequences": (
         "DegreeSequence",
-        "SupportSet",
         "make_sequence",
         "parse_sequence",
-        "t_d",
-        "left_shift_leq",
-        "reduce_top",
-        "augment",
     ),
     "graphs": (
         "Graph",

@@ -13,15 +13,15 @@ Zero entries (isolated vertices) are stripped before evaluation since the
 bounds concern graphs without isolated vertices; ``bound_report`` records
 whether stripping happened.
 
-The kernels read what one pass over the arranged degrees yields: the prefix
-sums, one C-speed ``accumulate`` per call, and the run ends of
-``graphicality._run_form``, one bisect per run. After it each takes O(log n)
-or O(r log n) Python steps for r distinct degrees: k* and noP3 bisect their
-rising left sides, Posa reads its worst case at the distinct degrees and
-bisects, and ell* gallops up from k*, a proven lower bound it is handed,
-checking each ell at run ends only (the lemmas are in
-``_gale_ryser_bound``). ``bound_report`` computes the prefix sums and k*
-once for all of them.
+The kernels read the prefix sums of the arranged degrees, one C-speed
+``accumulate`` per call, and the run ends, one bisect per run. After that
+each takes O(log n) or O(r log n) Python steps for r distinct degrees: k*
+and noP3 bisect their rising left sides, Posa reads its worst case at the
+distinct degrees of ``graphicality._run_form`` and bisects, and ell*
+gallops up from k*, a proven lower bound it is handed, checking each ell
+at the run ends past 2*ell only, each found from the last by a bisect (the
+lemmas are in ``_gale_ryser_bound``). ``bound_report`` computes the prefix
+sums, k* and m once for all of them.
 
 Validation contract: public functions validate their input once, through
 ``graphicality.require_graphic``; the ``_``-prefixed kernels take the
@@ -103,13 +103,14 @@ def _k_star(prefix: list[int]) -> int:
 def vizing_bound(d: DegreeSequence) -> tuple[Fraction, int]:
     """Edge count over (max degree + 1), as an exact rational and its ceiling."""
     require_graphic(d)
-    return _vizing_bound(_positive_degrees(d))
+    degs = _positive_degrees(d)
+    return _vizing_bound(degs, sum(degs) // 2)
 
 
-def _vizing_bound(degs: tuple[int, ...]) -> tuple[Fraction, int]:
+def _vizing_bound(degs: tuple[int, ...], m: int) -> tuple[Fraction, int]:
+    """From arranged positive degrees and their edge count m."""
     if not degs:
         return Fraction(0), 0
-    m = sum(degs) // 2
     frac = Fraction(m, degs[0] + 1)
     return frac, math.ceil(frac)
 
@@ -182,8 +183,8 @@ def _gale_ryser_bound(degs: tuple[int, ...], prefix: list[int], k_star: int) -> 
     prefix[2*ell] - m - ell >= 0, which is k*'s condition at ell; if
     top = n, then ell = n / 2 >= k*, since m >= n / 2 on positive degrees.
 
-    So a check walks the run ends e > top (from ``_run_form``, built once),
-    one bisect each, not one step per k: at k = e - top the window sum is
+    So a check walks the run ends e > top, each found from the last by one
+    bisect, not one step per k: at k = e - top the window sum is
     prefix[e] - prefix[top], while the w top entries >= k + 1, found by the
     bisect, give sum(min(d_i, k + 1), i < top) = (k + 1)*w + prefix[top] -
     prefix[w]. Probing ell = k*, k* + 1, k* + 3, k* + 7, ... and bisecting
@@ -192,14 +193,14 @@ def _gale_ryser_bound(degs: tuple[int, ...], prefix: list[int], k_star: int) -> 
     sequence with n <= 10, ell* - k* is 0, 1 or 2.
     """
     n = len(degs)
-    ends = _run_form(degs)[1]
 
     def feasible(ell: int) -> bool:
-        top = 2 * ell
+        top = e = 2 * ell
         base = 2 * prefix[top] - top
-        for e in ends[bisect_right(ends, top) :]:
-            # f(k) at k = e - top is (k + 1)*w - prefix[w] + base - prefix[e],
-            # with w = #{i < top : d_i >= k + 1}
+        while e < n:
+            # the end of the run that holds e; f(k) at k = e - top is
+            # (k + 1)*w - prefix[w] + base - prefix[e], with w = #{i < top : d_i >= k + 1}
+            e = bisect_right(degs, -degs[e], e + 1, n, key=neg)
             k = e - top
             w = bisect_right(degs, -k - 1, 0, top, key=neg)
             if (k + 1) * w - prefix[w] + base < prefix[e]:
@@ -242,8 +243,8 @@ def bound_report(d: DegreeSequence) -> BoundReport:
     ell_star = _gale_ryser_bound(degs, prefix, k_star)
     nop3 = _matching_lower_bound(prefix)
     posa = _posa_bound(degs)
-    viz, viz_ceil = _vizing_bound(degs)
     m = prefix[-1] // 2
+    viz, viz_ceil = _vizing_bound(degs, m)
     if m and m > k_star * (2 * degs[0] - 1):
         raise InternalConsistencyError(
             f"k* fell below m/(2*max_degree - 1) on {stripped}: m={m}, k*={k_star}, max degree={degs[0]}"

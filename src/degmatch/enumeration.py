@@ -431,10 +431,11 @@ def all_graphic_sequences(n_max: int, *, min_n: int = 1) -> Iterator[DegreeSeque
     """
     for n in range(min_n, n_max + 1):
         found = []
+        # drawn from a descending range, each combo is already arranged and positive
         for combo in combinations_with_replacement(range(n - 1, 0, -1), n):
             if sum(combo) % 2:
                 continue
-            d = DegreeSequence(combo)
+            d = DegreeSequence._trusted(combo)
             if is_graphic_eg(d).is_graphic:
                 found.append(d)
         found.sort(key=lambda s: s.degrees)

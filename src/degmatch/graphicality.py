@@ -347,7 +347,9 @@ def _small_k_holds(degs: tuple[int, ...], prefix: list[int], mu: int) -> bool:
 def _corrected_holds(degs: tuple[int, ...], prefix: list[int], mu: int) -> bool:
     """The closed form's single corrected inequality for a matching of size
     ``mu``, at the index where reducing the top 2*mu entries can break the
-    arrangement (k = 2*mu + t_d(2*mu)); same input contract as _small_k_holds."""
+    arrangement: k = delta + t_d(delta) with delta = 2*mu, where t_d(delta)
+    counts the entries equal to d_delta after position delta (1-based),
+    minus those at or before it. Same input contract as _small_k_holds."""
     delta = 2 * mu
     n = len(degs)
     dd = degs[delta - 1]

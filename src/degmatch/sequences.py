@@ -1,9 +1,7 @@
-"""Degree sequences and the sequence-level primitives everything else builds on.
+"""Degree sequences: the arranged type everything else builds on, and its constructors.
 
 Sequences are kept arranged (sorted non-increasing), i.e. the usual
-convention d_1 >= d_2 >= ... >= d_n. Operations that take a *position*
-take it 1-based to match that notation; plain Python indexing on
-``degrees`` stays 0-based.
+convention d_1 >= d_2 >= ... >= d_n.
 
 Text format: comma-separated decimal integers (ASCII digits, an optional
 sign) with optional whitespace, e.g. ``"3,2,2,1"``.
@@ -18,13 +16,8 @@ from .errors import ValidationError
 
 __all__ = [
     "DegreeSequence",
-    "SupportSet",
     "make_sequence",
     "parse_sequence",
-    "t_d",
-    "left_shift_leq",
-    "reduce_top",
-    "augment",
 ]
 
 
@@ -145,81 +138,3 @@ def parse_sequence(text: str) -> DegreeSequence:
     if min(values) < 0:
         _check_degrees(values)
     return DegreeSequence._trusted(tuple(sorted(values, reverse=True)))
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    """A strictly increasing set of 1-based positions."""
-
-    indices: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        idx = tuple(self.indices)
-        object.__setattr__(self, "indices", idx)
-        for i, x in enumerate(idx):
-            if isinstance(x, bool) or not isinstance(x, int) or x < 1:
-                raise ValidationError(f"support index at position {i} must be a positive integer: {x!r}")
-        if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-            raise ValidationError("support indices must be strictly increasing")
-
-    @classmethod
-    def of(cls, indices: Iterable[int]) -> "SupportSet":
-        return cls(tuple(sorted(set(indices))))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
-
-
-def left_shift_leq(a: SupportSet, b: SupportSet) -> bool:
-    """True iff ``a`` can be obtained from ``b`` by shifting positions left.
-
-    Positionwise comparison of equal-size index sets: |a| == |b| and
-    a[j] <= b[j] for every j. Size mismatch compares as False.
-    """
-    if len(a) != len(b):
-        return False
-    return all(x <= y for x, y in zip(a.indices, b.indices))
-
-
-def t_d(d: DegreeSequence, delta: int) -> int:
-    """Count entries equal to d_delta after position delta, minus those at or before it.
-
-    ``delta`` is 1-based; the result may be negative.
-    """
-    if not 1 <= delta <= d.n:
-        raise ValidationError(f"delta={delta} out of range [1, {d.n}]")
-    value = d.degrees[delta - 1]
-    after = sum(1 for i in range(delta, d.n) if d.degrees[i] == value)
-    upto = sum(1 for i in range(delta) if d.degrees[i] == value)
-    return after - upto
-
-
-def reduce_top(d: DegreeSequence, delta: int) -> list[int]:
-    """Subtract 1 from the first ``delta`` entries, returning the raw list.
-
-    The result is possibly no longer arranged; callers re-arrange when they
-    need to. ``delta`` may be 0 (identity copy).
-    """
-    if delta < 0:
-        raise ValidationError(f"delta={delta} must be non-negative")
-    if delta > d.n:
-        raise ValidationError(f"delta={delta} exceeds sequence length n={d.n}")
-    if delta >= 1 and d.degrees[delta - 1] < 1:
-        pos = next(i for i in range(delta) if d.degrees[i] < 1)
-        raise ValidationError(f"sequence entry would go negative at position {pos}")
-    out = list(d.degrees)
-    for i in range(delta):
-        out[i] -= 1
-    return out
-
-
-def augment(d: DegreeSequence, delta: int) -> DegreeSequence:
-    """Append a new degree ``delta`` and re-arrange."""
-    if delta < 1:
-        raise ValidationError(f"delta={delta} must be at least 1")
-    if delta > d.n:
-        raise ValidationError(f"delta={delta} exceeds n={d.n}")
-    return make_sequence(list(d.degrees) + [delta])

@@ -17,20 +17,29 @@ the reduced sequence at every probe, against ``_reduced_graphic`` and
 ``_delta_star``; and the linear scans ``maximality_scan`` and
 ``matching_lower_scan`` against the bisections ``_k_star`` and
 ``_matching_lower_bound``.
+
+The package has no position-based sequence operations; the tests keep
+the ones they need here. ``SupportSet`` and ``left_shift_leq`` are the
+vocabulary of the left-shift lemma tests, and ``augment``, the sequence
+with one new entry, is what ``extension_feasible`` is checked against.
+``check_witness`` and ``check_extension_witness`` re-check a split
+search's (G, M) witness from its edge sets alone; the CI scan steps run
+them too, with ``PYTHONPATH=src:tests``.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from degmatch.constants import DEFAULT_MAX_DEGREE_SUM, DEFAULT_MAX_N
 from degmatch.enumeration import enumerate_realizations
-from degmatch.errors import CapExceededError, InternalConsistencyError
+from degmatch.errors import CapExceededError, InternalConsistencyError, ValidationError
 from degmatch.graphicality import _corrected_holds, _small_k_holds, realize_hh, require_graphic
 from degmatch.graphs import Edge, Graph, Matching, max_matching
-from degmatch.sequences import DegreeSequence
+from degmatch.sequences import DegreeSequence, make_sequence
 
 EXHAUSTIVE_MATCHING_CAP = 10
 
@@ -202,3 +211,90 @@ def matching_lower_scan(degs: tuple[int, ...]) -> int:
         if lhs >= total:
             return k
     raise InternalConsistencyError("matching lower bound scan ran past n")
+
+
+@dataclass(frozen=True)
+class SupportSet:
+    """A strictly increasing set of 1-based positions."""
+
+    indices: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        idx = tuple(self.indices)
+        object.__setattr__(self, "indices", idx)
+        for i, x in enumerate(idx):
+            if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+                raise ValidationError(f"support index at position {i} must be a positive integer: {x!r}")
+        if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
+            raise ValidationError("support indices must be strictly increasing")
+
+    @classmethod
+    def of(cls, indices: Iterable[int]) -> "SupportSet":
+        return cls(tuple(sorted(set(indices))))
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.indices)
+
+
+def left_shift_leq(a: SupportSet, b: SupportSet) -> bool:
+    """True iff ``a`` can be obtained from ``b`` by shifting positions left.
+
+    Positionwise comparison of equal-size index sets: |a| == |b| and
+    a[j] <= b[j] for every j. Size mismatch compares as False.
+    """
+    if len(a) != len(b):
+        return False
+    return all(x <= y for x, y in zip(a.indices, b.indices))
+
+
+def augment(d: DegreeSequence, delta: int) -> DegreeSequence:
+    """Append a new degree ``delta`` and re-arrange."""
+    if delta < 1:
+        raise ValidationError(f"delta={delta} must be at least 1")
+    if delta > d.n:
+        raise ValidationError(f"delta={delta} exceeds n={d.n}")
+    return make_sequence(list(d.degrees) + [delta])
+
+
+def check_witness(degrees, size, witness):
+    """Independent checker for a (G, M) witness, reading only edge sets:
+    G's degrees are ``degrees``, M is a matching of G with ``size`` edges,
+    and every edge of G meets M."""
+    g, m = witness
+    n = len(degrees)
+    assert g.vertex_count == m.host_vertex_count == n
+    deg = [0] * n
+    for u, v in g.edges:
+        assert 0 <= u < v < n
+        deg[u] += 1
+        deg[v] += 1
+    assert deg == list(degrees)
+    covered = set()
+    for u, v in m.edges:
+        assert (min(u, v), max(u, v)) in g.edges
+        assert u not in covered and v not in covered
+        covered.update((u, v))
+    assert len(m.edges) == size
+    assert all(u in covered or v in covered for u, v in g.edges)
+
+
+def check_extension_witness(degrees, delta, witness):
+    """Independent checker for a strong-extension witness (G, M), reading
+    only edge sets: G's degrees are ``degrees``, M is delta/2 disjoint edges
+    of G, and the degrees M covers are the delta largest, as a multiset."""
+    g, m = witness
+    n = len(degrees)
+    assert g.vertex_count == m.host_vertex_count == n
+    deg = [0] * n
+    for u, v in g.edges:
+        assert 0 <= u < v < n
+        deg[u] += 1
+        deg[v] += 1
+    assert deg == list(degrees)
+    covered = [x for u, v in m.edges for x in (u, v)]
+    assert all((min(u, v), max(u, v)) in g.edges for u, v in m.edges)
+    assert len(m.edges) == delta // 2 and len(set(covered)) == delta
+    assert sorted(degrees[v] for v in covered) == sorted(degrees)[len(degrees) - delta:]

@@ -18,7 +18,6 @@ from itertools import combinations, combinations_with_replacement
 from degmatch import (
     Graph,
     Matching,
-    SupportSet,
     all_graphic_sequences,
     bound_report,
     conjecture_scan,
@@ -32,7 +31,6 @@ from degmatch import (
     half_graph,
     is_graphic_eg,
     is_graphic_hh,
-    left_shift_leq,
     make_sequence,
     matching_lower_bound,
     max_matching,
@@ -45,7 +43,7 @@ from degmatch import (
     vizing_bound,
     windmill,
 )
-from oracles import nu_star_brute
+from oracles import SupportSet, left_shift_leq, nu_star_brute
 
 N7_DEGREE_SUM_CAP = 24  # default enumeration cap, applied to the n = 7 slice
 

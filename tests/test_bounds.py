@@ -24,6 +24,7 @@ from degmatch import (
     vizing_bound,
     windmill,
 )
+from degmatch import bounds, graphicality
 from degmatch.enumeration import all_graphic_sequences, enumerate_realizations
 
 
@@ -238,3 +239,26 @@ class TestEveryBoundIsGuarded:
     def test_non_graphic_rejected(self, fn, degrees):
         with pytest.raises(NotGraphicError):
             fn(make_sequence(degrees))
+
+
+class TestRunFormsBuilt:
+    """The run form is built once for the guard and once for Posa's distinct
+    degrees; ell* finds its run ends by bisection and builds none."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        original = graphicality._run_form
+
+        def counting(degs):
+            calls.append(1)
+            return original(degs)
+
+        for module in (graphicality, bounds):
+            monkeypatch.setattr(module, "_run_form", counting)
+        return calls
+
+    @pytest.mark.parametrize("fn,expected", [(bound_report, 2), (gale_ryser_bound, 1)])
+    def test_count(self, built, fn, expected):
+        fn(make_sequence([5, 5, 4, 3, 3, 2, 2, 2, 1, 1]))
+        assert len(built) == expected

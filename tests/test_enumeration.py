@@ -31,9 +31,9 @@ from degmatch import (
     rows_to_csv,
     strong_extension_check,
 )
-from degmatch import enumeration, graphicality, graphs
+from degmatch import enumeration, graphicality, graphs, sequences
 from degmatch.enumeration import SPLIT_MAX_N, ConjectureRow, _completions
-from oracles import nu_star_brute
+from oracles import check_extension_witness, check_witness, nu_star_brute
 
 SCAN_UNIVERSE = Path(__file__).resolve().parent.parent / "bench" / "data" / "scan_universe.json"
 
@@ -498,28 +498,6 @@ class TestNuBar:
             assert nu_bar_sequence(make_sequence(degrees + [0, 0])) == nu_bar_sequence(d)
 
 
-def check_witness(degrees, size, witness):
-    """Independent checker for a (G, M) witness, reading only edge sets:
-    G's degrees are ``degrees``, M is a matching of G with ``size`` edges,
-    and every edge of G meets M."""
-    g, m = witness
-    n = len(degrees)
-    assert g.vertex_count == m.host_vertex_count == n
-    deg = [0] * n
-    for u, v in g.edges:
-        assert 0 <= u < v < n
-        deg[u] += 1
-        deg[v] += 1
-    assert deg == list(degrees)
-    covered = set()
-    for u, v in m.edges:
-        assert (min(u, v), max(u, v)) in g.edges
-        assert u not in covered and v not in covered
-        covered.update((u, v))
-    assert len(m.edges) == size
-    assert all(u in covered or v in covered for u, v in g.edges)
-
-
 def perfect_matchings(vertices):
     """Every perfect matching of a vertex list, as lists of pairs."""
     if not vertices:
@@ -673,25 +651,6 @@ class TestStrongExtension:
                 assert (delta // 2 <= best) == extension_feasible(d, delta), (d, delta)
 
 
-def check_extension_witness(degrees, delta, witness):
-    """Independent checker for a strong-extension witness (G, M), reading
-    only edge sets: G's degrees are ``degrees``, M is delta/2 disjoint edges
-    of G, and the degrees M covers are the delta largest, as a multiset."""
-    g, m = witness
-    n = len(degrees)
-    assert g.vertex_count == m.host_vertex_count == n
-    deg = [0] * n
-    for u, v in g.edges:
-        assert 0 <= u < v < n
-        deg[u] += 1
-        deg[v] += 1
-    assert deg == list(degrees)
-    covered = [x for u, v in m.edges for x in (u, v)]
-    assert all((min(u, v), max(u, v)) in g.edges for u, v in m.edges)
-    assert len(m.edges) == delta // 2 and len(set(covered)) == delta
-    assert sorted(degrees[v] for v in covered) == sorted(degrees)[len(degrees) - delta:]
-
-
 def walk_extension_oracle(d, max_n):
     """Independent oracle: the deltas for which some realization has a
     perfect matching on the edges inside some vertex set whose degrees are
@@ -801,6 +760,13 @@ class TestGraphicSequenceIteration:
         seqs = list(all_graphic_sequences(4))
         assert seqs == sorted(seqs, key=lambda d: (d.n, d.degrees))
         assert all(min(d.degrees) >= 1 for d in seqs)
+
+    def test_candidates_are_not_revalidated(self, monkeypatch):
+        # each candidate is drawn arranged and positive, so none is checked again
+        calls = []
+        monkeypatch.setattr(sequences, "_check_degrees", lambda values: calls.append(values))
+        assert sum(1 for _ in all_graphic_sequences(6)) > 0
+        assert calls == []
 
 
 class TestConjectureScan:

@@ -13,7 +13,6 @@ from degmatch import (
     InternalConsistencyError,
     NotGraphicError,
     ValidationError,
-    augment,
     bound_report,
     delta_star,
     extension_feasible,
@@ -26,6 +25,7 @@ from degmatch import (
 )
 from degmatch import graphicality
 from degmatch.cli import main
+from oracles import SupportSet, augment, left_shift_leq
 
 
 def brute_realization_exists(degrees):
@@ -331,7 +331,7 @@ class TestLeftShiftLemma:
     left-shifted support set does too. Full scan up to n = 7."""
 
     def test_shifted_reductions_stay_graphic(self):
-        from degmatch import SupportSet, all_graphic_sequences, left_shift_leq
+        from degmatch import all_graphic_sequences
 
         # the same vectors and support sets recur across masks; decide each once
         @lru_cache(maxsize=None)

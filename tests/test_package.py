@@ -28,13 +28,8 @@ EXPORTS = {
     ],
     "sequences": [
         "DegreeSequence",
-        "SupportSet",
         "make_sequence",
         "parse_sequence",
-        "t_d",
-        "left_shift_leq",
-        "reduce_top",
-        "augment",
     ],
     "graphs": [
         "Graph",

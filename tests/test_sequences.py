@@ -1,21 +1,12 @@
-"""Unit tests for the degree-sequence primitives."""
-
-from collections import Counter
+"""Unit tests for the degree-sequence type and its constructors, and for the
+position-based oracles (support sets, the left-shift order, ``augment``) that
+the graphicality and acceptance tests speak in."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from degmatch import (
-    DegreeSequence,
-    SupportSet,
-    ValidationError,
-    augment,
-    left_shift_leq,
-    make_sequence,
-    parse_sequence,
-    reduce_top,
-    t_d,
-)
+from degmatch import DegreeSequence, ValidationError, make_sequence, parse_sequence
+from oracles import SupportSet, augment, left_shift_leq
 
 
 class TestMakeSequence:
@@ -69,36 +60,6 @@ class TestDegreeSequenceType:
             parse_sequence("3,x,1")
 
 
-class TestTd:
-    @pytest.mark.parametrize(
-        "degrees,delta,expected",
-        [
-            ([3, 2, 2, 2, 1], 2, 1),
-            ([2, 2, 2], 2, -1),
-            ([3, 3, 2, 2, 2, 2], 4, 0),
-        ],
-    )
-    def test_examples(self, degrees, delta, expected):
-        assert t_d(make_sequence(degrees), delta) == expected
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            t_d(make_sequence([2, 2]), 3)
-        with pytest.raises(ValidationError):
-            t_d(make_sequence([2, 2]), 0)
-
-    @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=10))
-    def test_block_formula(self, values):
-        # on an arranged sequence the equal entries form one block [a, b];
-        # the count difference collapses to a + b - 2*delta
-        d = make_sequence(values)
-        for delta in range(1, d.n + 1):
-            value = d.degrees[delta - 1]
-            positions = [i + 1 for i in range(d.n) if d.degrees[i] == value]
-            a, b = positions[0], positions[-1]
-            assert t_d(d, delta) == (b - delta) - (delta - a + 1)
-
-
 class TestLeftShift:
     def test_examples(self):
         assert left_shift_leq(SupportSet.of([1, 3]), SupportSet.of([2, 3]))
@@ -134,33 +95,6 @@ class TestLeftShift:
         a, b, c = (SupportSet.of(s) for s in (xs, ys, zs))
         if left_shift_leq(a, b) and left_shift_leq(b, c):
             assert left_shift_leq(a, c)
-
-
-class TestReduceTop:
-    @pytest.mark.parametrize(
-        "degrees,delta,expected",
-        [
-            ([3, 3, 2, 2], 2, [2, 2, 2, 2]),
-            ([2, 2, 2], 2, [1, 1, 2]),  # raw output is not re-arranged, by design
-            ([2, 2, 2], 0, [2, 2, 2]),
-        ],
-    )
-    def test_examples(self, degrees, delta, expected):
-        assert reduce_top(make_sequence(degrees), delta) == expected
-
-    def test_errors(self):
-        with pytest.raises(ValidationError, match="exceeds"):
-            reduce_top(make_sequence([2, 2]), 3)
-        with pytest.raises(ValidationError, match="negative"):
-            reduce_top(make_sequence([1, 0]), 2)
-
-    @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=10), st.data())
-    def test_multiset_round_trip(self, values, data):
-        d = make_sequence(values)
-        delta = data.draw(st.integers(min_value=0, max_value=d.n))
-        raw = reduce_top(d, delta)
-        restored = [x + 1 for x in raw[:delta]] + raw[delta:]
-        assert Counter(restored) == Counter(d.degrees)
 
 
 class TestAugment:
