@@ -356,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegmatchError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"ERROR IO: {exc}", file=sys.stderr)
         return 1
 

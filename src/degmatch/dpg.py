@@ -19,15 +19,17 @@ there every step runs the index-order blossom first, reads nu off it, and
 hands its partner list to the policy, where ``first`` pinches its lowest
 edges and ``max-degree`` falls back to it.
 
-``grow`` runs on one mutable state: sorted neighbor lists, a degree list
-and the degrees in ascending order. A pinch edits them in place
-(``graphs._pinch_lists``, the arithmetic the public ``pinch`` runs on a
-copy); each record's degree sequence is the ascending list reversed, and
-one ``Graph`` is built, the final one. Under ``max-degree``, ``grow``
-also keeps the edges sorted in that policy's order for the whole run. A
-pinch keeps every old degree, so the surviving edges keep their order:
-each step deletes the edges it removed and inserts the new vertex's by
-bisection instead of sorting all m edges.
+``grow`` runs on sorted neighbor lists, and every degree it reads is the
+length of one. A pinch edits them in place (``graphs._pinch_lists``, the
+arithmetic the public ``pinch`` runs on a copy); the degrees are also
+kept in ascending order, each record's degree sequence is that list
+reversed, and one ``Graph`` is built, the final one (``graphs._graph_of``,
+which also builds ``pinch``'s result). Under ``max-degree``, ``grow``
+also keeps the edges sorted in that policy's order for the whole run, as
+plain tuples (-(deg u + deg v), u, v) whose natural order it is. A pinch
+keeps every old degree, so a surviving edge keeps its tuple and its
+place: each step deletes the edges it removed and inserts the new
+vertex's by bisection instead of sorting all m edges.
 
 ``dp_step`` and ``pinch`` stay public, on immutable graphs, and serve as
 the oracle for ``grow``: they share the policies' selection,
@@ -41,7 +43,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .constants import MATCHING_POLICIES
 from .errors import InfeasibleDeltaError, ValidationError
@@ -49,6 +51,7 @@ from .graphs import (
     Edge,
     Graph,
     Matching,
+    _graph_of,
     _greedy_matching,
     _index_order_blossom,
     _pinch_lists,
@@ -79,25 +82,39 @@ def _check_matching_policy(policy: str) -> None:
         raise ValidationError(f"unknown matching policy {policy!r}; known: {', '.join(MATCHING_POLICIES)}")
 
 
+Ranked = tuple[int, int, int]  # an edge (u, v) as (-(deg u + deg v), u, v)
+
+
+def _ranked(adj: Sequence[Sequence[int]], u: int, v: int) -> Ranked:
+    """The edge (u, v) of the graph with neighbor lists ``adj`` as a tuple
+    whose natural order is the max-degree order: higher degree sum first,
+    then (u, v)."""
+    return (-(len(adj[u]) + len(adj[v])), u, v)
+
+
+def _max_degree_order(adj: Sequence[Sequence[int]], edges: Iterable[Edge]) -> list[Ranked]:
+    """``edges`` in max-degree order, ranked by ``_ranked``."""
+    return sorted([_ranked(adj, u, v) for u, v in edges])
+
+
 def _select_matching(
     adj: Sequence[Sequence[int]],
-    deg: Sequence[int],
     size: Optional[int],
     rng: random.Random,
     *,
     policy: str,
     match: Optional[list[int]] = None,
-    edge_order: Optional[list[Edge]] = None,
+    edge_order: Optional[list[Ranked]] = None,
 ) -> Optional[list[Edge]]:
     """The sorted edges of a matching of ``size`` edges per ``policy``,
-    on the graph with sorted neighbor lists ``adj`` and degrees ``deg``, or
-    None if it has no such matching. A ``size`` of None asks for ν edges,
-    which the policy's own search finds, and None comes back when ν = 0.
+    on the graph with sorted neighbor lists ``adj``, or None if it has no
+    such matching. A ``size`` of None asks for ν edges, which the policy's
+    own search finds, and None comes back when ν = 0.
 
     A caller may pass what it already holds: ``match``, the partner list of
     the index-order blossom's matching (``first`` takes its lowest edges,
-    ``max-degree`` falls back to it), and ``edge_order``, the edges sorted
-    by ``_max_degree_weight``."""
+    ``max-degree`` falls back to it), and ``edge_order``, the edges in
+    max-degree order as ``_max_degree_order`` gives them."""
     n = len(adj)
     if policy == "random":
         # run the exact matcher in a random vertex order, then keep a random
@@ -122,27 +139,18 @@ def _select_matching(
         size = (n - match.count(-1)) // 2
         if size == 0:
             return None
-    weight = _max_degree_weight(n, deg)
     if edge_order is None:
-        edge_order = sorted(((u, v) for u in range(n) for v in adj[u] if v > u), key=weight)
-    # max-degree: the greedy matching is taken in weight order; else the
-    # heaviest edges of the index-order matching
+        edge_order = _max_degree_order(adj, ((u, v) for u in range(n) for v in adj[u] if v > u))
+    # max-degree: the greedy matching is taken in max-degree order; else the
+    # first edges of the index-order matching in that order
     pool = _greedy_matching(n, edge_order, size)
     if len(pool) < size:
         if match is None:
             match = _index_order_blossom(adj)
-        pool = sorted(((u, w) for u, w in enumerate(match) if w > u), key=weight)
+        pool = [(u, v) for _, u, v in _max_degree_order(adj, ((u, w) for u, w in enumerate(match) if w > u))]
         if len(pool) < size:
             return None
     return sorted(pool[:size])
-
-
-def _max_degree_weight(n: int, deg: Sequence[int]) -> Callable[[Edge], int]:
-    """The sort key of the max-degree order on the edges of a graph with n
-    vertices and degrees ``deg``: higher degree sum first, then (u, v), as
-    one integer (u*n + v < n*n)."""
-    nn = n * n
-    return lambda e: e[0] * n + e[1] - (deg[e[0]] + deg[e[1]]) * nn
 
 
 @dataclass(frozen=True)
@@ -177,7 +185,7 @@ def dp_step(
         raise ValidationError(f"delta={delta} must be a positive even integer")
     _check_matching_policy(policy)
     rng = random.Random(rng_seed)
-    edges = _select_matching(g.adjacency(), g.degrees(), delta // 2, rng, policy=policy)
+    edges = _select_matching(g.adjacency(), delta // 2, rng, policy=policy)
     if edges is None:
         raise InfeasibleDeltaError(
             f"delta={delta} is not feasible here", feasible=feasible_deltas(g)
@@ -272,18 +280,17 @@ def grow(
     kind, fixed_value = _parse_delta_policy(delta_policy)
     _check_matching_policy(matching_policy)
     rng = random.Random(rng_seed)
-    # the mutable state of the grown graph: sorted neighbor lists, degrees,
-    # and the degrees in ascending order; a pinch edits all three in place
+    # the mutable state of the grown graph: sorted neighbor lists, which a
+    # pinch edits in place, and the degrees in ascending order
     adj = [list(a) for a in g0.adjacency()]
-    deg = list(g0.degrees())
-    ascending = sorted(deg)
+    ascending = sorted(g0.degrees())
     records: list[DpStepRecord] = []
     # the edges in max-degree order, kept for the whole run: a pinch keeps
-    # every old degree, so the surviving edges keep their order, and each
+    # every old degree, so the surviving edges keep their ranks, and each
     # step only moves the edges it removes and adds
-    edge_order: Optional[list[Edge]] = None
+    edge_order: Optional[list[Ranked]] = None
     if matching_policy == "max-degree":
-        edge_order = sorted(g0.edges, key=_max_degree_weight(g0.vertex_count, deg))
+        edge_order = _max_degree_order(adj, g0.edges)
     for idx in range(steps):
         n = len(adj)
         match = None
@@ -300,11 +307,11 @@ def grow(
             size = rng.choice(range(2, 2 * nu + 1, 2)) // 2
         step_rng = random.Random(rng.randrange(2**32))
         edges = _select_matching(
-            adj, deg, size, step_rng, policy=matching_policy, match=match, edge_order=edge_order
+            adj, size, step_rng, policy=matching_policy, match=match, edge_order=edge_order
         )
         if edges is None:
             break
-        _pinch_lists(adj, deg, edges)
+        _pinch_lists(adj, edges)
         insort(ascending, 2 * len(edges))
         records.append(
             DpStepRecord(
@@ -316,22 +323,15 @@ def grow(
             )
         )
         if edge_order is not None:
-            weight = _max_degree_weight(n + 1, deg)
-            for e in edges:
-                del edge_order[bisect_left(edge_order, weight(e), key=weight)]
-                for u in e:
-                    insort(edge_order, (u, n), key=weight)
+            for u, v in edges:
+                del edge_order[bisect_left(edge_order, _ranked(adj, u, v))]
+                insort(edge_order, _ranked(adj, u, n))
+                insort(edge_order, _ranked(adj, v, n))
     return GrowthTrace(
         seed_vertex_count=g0.vertex_count,
         seed_edge_count=g0.m,
         seed_degree_sequence=g0.degree_sequence().degrees,
         requested_steps=steps,
         steps=tuple(records),
-        final_graph=_graph_of(adj, deg),
+        final_graph=_graph_of(adj),
     )
-
-
-def _graph_of(adj: list[list[int]], deg: list[int]) -> Graph:
-    """The graph with sorted neighbor lists ``adj`` and degrees ``deg``."""
-    edges = frozenset((u, v) for u, nbrs in enumerate(adj) for v in nbrs if v > u)
-    return Graph._trusted(len(adj), edges, tuple(map(tuple, adj)), tuple(deg))

@@ -15,9 +15,9 @@ stack, so a deep walk costs no Python frames.
 
 - ``enumerate_realizations`` and ``count_realizations`` fold K_n.
   ``_completions`` keeps, per state, the list of edge tuples that complete
-  it; the enumeration streams the first vertex's combinations, one graph
-  per realization, and the count keeps one number per state and builds no
-  edge list. Erdos-Gallai runs once, at entry.
+  it; the enumeration yields one graph per completion of the root state,
+  and the count keeps one number per state and builds no edge list.
+  Erdos-Gallai runs once, at entry.
 - The split searches below fold a restricted host and want one
   realization: ``_completions`` with ``first`` stops each state at its
   first completion, which is the first leaf of the full walk, so a state
@@ -206,27 +206,10 @@ def enumerate_realizations(
     if not _walkable(d, max_n, max_degree_sum):
         return
     n, degrees = d.n, d.degrees
-    residual = list(degrees)
-    i = next((v for v in range(n) if residual[v]), n)
-    if i == n:
-        yield Graph._trusted(n, frozenset(), None, degrees)
-        return
-    # the root's completions are streamed, one combination of its first
-    # vertex at a time, so no list of every realization is held
     later = [range(v + 1, n) for v in range(n)]
-    memo: dict[State, list[Completion]] = {}
-    need = residual[i]
-    residual[i] = 0
-    for combo in combinations([j for j in later[i] if residual[j]], need):
-        for j in combo:
-            residual[j] -= 1
-        tails = _completions(residual, i + 1, later, memo)
-        for j in combo:
-            residual[j] += 1
-        head = tuple([(i, j) for j in combo])
-        for tail in tails:
-            # each pair (i, j), i < j, is chosen once: the edges are normalized
-            yield Graph._trusted(n, frozenset(head + tail), None, degrees)
+    for edges in _completions(list(degrees), 0, later, {}):
+        # each pair (i, j), i < j, is chosen once: the edges are normalized
+        yield Graph._trusted(n, frozenset(edges), None, degrees)
 
 
 def count_realizations(

@@ -415,7 +415,4 @@ def nu_star(d: DegreeSequence) -> int:
     extension search answers. The closed form ``nu_star_formula`` gives the
     same number (tested on every graphic sequence with n <= 10).
     """
-    require_graphic(d)
-    if d.max_degree == 0:
-        raise ValidationError("delta_star undefined for an empty or all-zero sequence")
-    return _delta_star(d.degrees) // 2
+    return delta_star(d) // 2

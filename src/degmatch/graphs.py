@@ -2,11 +2,10 @@
 
 Graphs are immutable: a vertex count plus a frozenset of normalized edges
 (u, v) with u < v. Matchings carry their host vertex count so covered and
-uncovered vertex sets are well defined. ``pinch`` derives its result from
-the parent graph: only the pinched vertices get new neighbor tuples. Its
-arithmetic, ``_pinch_lists``, edits sorted neighbor lists and a degree
-list in place, which is how growth pinches without building a graph per
-step.
+uncovered vertex sets are well defined. ``pinch`` copies the parent's
+sorted neighbor lists and runs its arithmetic, ``_pinch_lists``, on them
+in place, which is how growth pinches without building a graph per step;
+``_graph_of`` builds a graph from such lists, degrees included.
 
 Maximum matching is Edmonds' blossom algorithm: a greedy warm start, then
 one breadth-first search per free vertex, each costing what its
@@ -413,14 +412,17 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
     return match
 
 
-def _greedy_matching(n: int, edges: Iterable[Edge], size: Optional[int] = None) -> list[Edge]:
+def _greedy_matching(n: int, edges: Iterable[tuple[int, ...]], size: Optional[int] = None) -> list[Edge]:
     """Take each edge, in the given order, of a graph on n vertices whose
-    endpoints are both free; stop once ``size`` edges are taken."""
+    endpoints are both free; stop once ``size`` edges are taken. An edge is
+    any tuple that ends in its endpoints (u, v), so ranked edges are walked
+    as they are, without a pair built for each."""
     if size == 0:
         return []
     matched = [False] * n
     chosen = []
-    for u, v in edges:
+    for e in edges:
+        u, v = e[-2], e[-1]
         if not matched[u] and not matched[v]:
             chosen.append((u, v))
             if len(chosen) == size:
@@ -506,24 +508,16 @@ def pinch(g: Graph, m: Matching) -> Graph:
         raise ValidationError("matching is not a sub-matching of the graph")
     if not m.edges:
         warnings.warn("pinching an empty matching only adds an isolated vertex", stacklevel=2)
-    v_new = g.vertex_count
-    # only the matched vertices' neighbor tuples change, so only they are
-    # copied into lists
-    adj: list = list(g.adjacency())
-    for e in m.edges:
-        for u in e:
-            adj[u] = list(adj[u])
-    deg = list(g.degrees())
-    _pinch_lists(adj, deg, m.edges)
-    edges = (g.edges - m.edges) | {(u, v_new) for u in adj[v_new]}
-    return Graph._trusted(v_new + 1, edges, tuple(map(tuple, adj)), tuple(deg))
+    adj = [list(nbrs) for nbrs in g.adjacency()]
+    _pinch_lists(adj, m.edges)
+    return _graph_of(adj)
 
 
-def _pinch_lists(adj: list[list[int]], deg: list[int], edges: Iterable[Edge]) -> None:
-    """Pinch a matching of the graph with sorted neighbor lists ``adj`` and
-    degrees ``deg`` in place. Each endpoint drops its partner and gains the
-    new vertex, whose id is the largest, at the end, so every list stays
-    sorted; the old degrees do not change."""
+def _pinch_lists(adj: list[list[int]], edges: Iterable[Edge]) -> None:
+    """Pinch a matching of the graph with sorted neighbor lists ``adj`` in
+    place. Each endpoint drops its partner and gains the new vertex, whose
+    id is the largest, at the end, so every list stays sorted and keeps its
+    length: the old degrees do not change."""
     v_new = len(adj)
     star: list[int] = []
     for u, v in edges:
@@ -534,7 +528,12 @@ def _pinch_lists(adj: list[list[int]], deg: list[int], edges: Iterable[Edge]) ->
         star += (u, v)
     star.sort()
     adj.append(star)
-    deg.append(len(star))
+
+
+def _graph_of(adj: list[list[int]]) -> Graph:
+    """The graph with sorted neighbor lists ``adj``."""
+    edges = frozenset((u, v) for u, nbrs in enumerate(adj) for v in nbrs if v > u)
+    return Graph._trusted(len(adj), edges, tuple(map(tuple, adj)), tuple(map(len, adj)))
 
 
 def verify_matching(g: Graph, m: Matching, require_maximal: bool = False) -> bool:

@@ -300,6 +300,20 @@ class TestScanConjecture:
         assert code == 1 and out == ""
         assert err.startswith("ERROR CAP_EXCEEDED: n_max=11 exceeds enumeration cap 10")
 
+class TestUndecodableFiles:
+    """A file that is not UTF-8 text is an IO error, reported on one coded
+    line like a missing file."""
+
+    @pytest.mark.parametrize("command, flag", [("check", "--seq-file"), ("bounds", "--graph")])
+    def test_non_utf8_file_is_io_error(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(b"\xff\xfe3,2")
+        code, out, err = run(capsys, command, flag, str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("ERROR IO:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:

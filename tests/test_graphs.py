@@ -164,7 +164,7 @@ class TestTrustedMatchings:
                 for size in list(range(1, full.size + 1)) + [None]:
                     for known in ({}, {"match": index_order}):
                         edges = dpg._select_matching(
-                            g.adjacency(), g.degrees(), size, random.Random(size), policy=policy, **known
+                            g.adjacency(), size, random.Random(size), policy=policy, **known
                         )
                         if full.size == 0:
                             assert edges is None, (g, policy)
