@@ -51,10 +51,19 @@ def _emit_record(record: dict, fmt: str, out: str | None) -> None:
         _emit(_record_text(record), out)
 
 
+def _read_text(path: str) -> str:
+    """The text of an input file. A file that is not UTF-8 is an IO error
+    that names the file, as a missing file's is."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"not UTF-8 text: {path!r} ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_graph(path: str):
     from .graphs import Graph
 
-    return Graph.from_edge_list_text(Path(path).read_text())
+    return Graph.from_edge_list_text(_read_text(path))
 
 
 def _resolve_sequence(args: argparse.Namespace):
@@ -64,7 +73,7 @@ def _resolve_sequence(args: argparse.Namespace):
 
     if args.seq is not None:
         return parse_sequence(args.seq)
-    return parse_sequence(Path(args.seq_file).read_text())
+    return parse_sequence(_read_text(args.seq_file))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -356,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegmatchError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 1
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"ERROR IO: {exc}", file=sys.stderr)
         return 1
 

@@ -12,8 +12,10 @@ one breadth-first search per free vertex, each costing what its
 alternating tree costs rather than O(n). A search that fails leaves a
 Hungarian tree: no augmenting path can later pass through it, and the
 only way into it from outside is through its inner vertices, which lead
-to dead ends. So later searches skip its vertices, and return the same
-matching, edge for edge (the proof is in ``_index_order_blossom``).
+to dead ends. So later searches skip its vertices, a free vertex whose
+neighbours are all in such trees is not searched at all, and the result
+is the same matching, edge for edge (the proof is in
+``_index_order_blossom``).
 
 Edge-list text format: one edge per line as two whitespace-separated
 0-based integers, each edge once in either orientation; lines starting
@@ -299,6 +301,11 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
     (d) A later failed tree of the unpruned searches is the pruned one
         plus the parts of earlier dead trees it walked, so the unpruned
         searches' failed trees cover exactly the pruned dead set.
+    (e) A free root whose neighbours are all dead is marked dead without a
+        search: the pruned search from it would skip every neighbour and
+        fail with the one-vertex tree {root}. Its neighbours are in D, no
+        later augmentation touches D, so no later search reaches the root
+        either.
     """
     n = len(adj)
     match = [-1] * n
@@ -311,6 +318,8 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
                     match[u] = v
                     matched += 1
                     break
+    if matched == n // 2:
+        return match
     p = [-1] * n
     base = list(range(n))
     used = [False] * n
@@ -322,9 +331,13 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
     touched: list[int] = []
 
     for root in range(n):
-        if matched == n // 2:
-            break
         if match[root] != -1:
+            continue
+        for u in adj[root]:
+            if not dead[u]:
+                break
+        else:
+            dead[root] = True  # (e)
             continue
         for i in touched:
             used[i] = False
@@ -334,14 +347,13 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
         touched = [root]
         used[root] = True
         queue = [root]
-        head = 0
-        augmented = False
-        while head < len(queue) and not augmented:
-            v = queue[head]
-            head += 1
+        # the for loop also walks the vertices appended while it runs; it
+        # breaks only on an augmentation
+        for v in queue:
             mate = match[v]
+            bv = base[v]
             for to in adj[v]:
-                if to == mate or dead[to] or base[v] == base[to]:
+                if to == mate or dead[to] or bv == base[to]:
                     continue
                 w = match[to]
                 if to == root or (w != -1 and p[w] != -1):
@@ -364,27 +376,64 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
                     # re-parent both paths up to cur_base, collecting their bases
                     stamp += 1
                     absorbed = []
-                    for x, child in ((v, to), (to, v)):
-                        while base[x] != cur_base:
-                            for y in (base[x], base[match[x]]):
-                                if mark[y] != stamp:
-                                    mark[y] = stamp
-                                    absorbed.append(y)
-                            p[x] = child
-                            child = match[x]
-                            x = p[child]
-                    moved: list[int] = []
-                    for y in absorbed:
-                        moved.extend(members[y] or (y,))
-                    for i in moved:
-                        base[i] = cur_base
-                    for i in sorted([i for i in moved if not used[i]]):
-                        used[i] = True
-                        queue.append(i)
+                    x = v
+                    child = to
+                    while True:
+                        y = base[x]
+                        if y == cur_base:
+                            break
+                        if mark[y] != stamp:
+                            mark[y] = stamp
+                            absorbed.append(y)
+                        mx = match[x]
+                        y = base[mx]
+                        if mark[y] != stamp:
+                            mark[y] = stamp
+                            absorbed.append(y)
+                        p[x] = child
+                        child = mx
+                        x = p[mx]
+                    x = to
+                    child = v
+                    while True:
+                        y = base[x]
+                        if y == cur_base:
+                            break
+                        if mark[y] != stamp:
+                            mark[y] = stamp
+                            absorbed.append(y)
+                        mx = match[x]
+                        y = base[mx]
+                        if mark[y] != stamp:
+                            mark[y] = stamp
+                            absorbed.append(y)
+                        p[x] = child
+                        child = mx
+                        x = p[mx]
                     # cur_base heads an outer blossom, so it is never absorbed
-                    merged = members[cur_base] or [cur_base]
-                    merged.extend(moved)
-                    members[cur_base] = merged
+                    merged = members[cur_base]
+                    if merged is None:
+                        merged = members[cur_base] = [cur_base]
+                    fresh = []
+                    for y in absorbed:
+                        ys = members[y]
+                        if ys is None:
+                            base[y] = cur_base
+                            merged.append(y)
+                            if not used[y]:
+                                fresh.append(y)
+                        else:
+                            for i in ys:
+                                base[i] = cur_base
+                                if not used[i]:
+                                    fresh.append(i)
+                            merged.extend(ys)
+                    if fresh:
+                        fresh.sort()
+                        for i in fresh:
+                            used[i] = True
+                        queue.extend(fresh)
+                    bv = cur_base  # v now lies in the new blossom
                 elif p[to] == -1:
                     p[to] = v
                     touched.append(to)
@@ -396,19 +445,23 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
                             match[u] = pv
                             match[pv] = u
                             u = ppv
-                        augmented = True
                         break
                     used[w] = True
                     touched.append(w)
                     queue.append(w)
-        if augmented:
-            matched += 1
+            else:
+                continue  # no augmenting path through v
+            break  # augmented
         else:
             # a Hungarian tree: no later search can use its vertices, so they
             # are not reset either, and their labels are never read again
             for i in touched:
                 dead[i] = True
             touched = []
+            continue
+        matched += 1
+        if matched == n // 2:
+            break
     return match
 
 

@@ -2,7 +2,11 @@
 
 The package answers each question below by a fast kernel; these answer it
 the slow way, so the tests can check the kernel against them:
-``max_matching_exhaustive`` against the blossom ``max_matching``;
+``max_matching_exhaustive`` against the blossom ``max_matching``, and
+``blossom_oracle``, the blossom kernel as it was before its searches were
+bounded by their alternating trees, against ``max_matching`` and
+``_ranked_blossom`` edge for edge (the CI step "Blossom matches its oracle
+on grown graphs" runs it too);
 ``nu_star_brute`` against the closed form ``nu_star_formula`` and
 ``delta_star``; ``nu_star_scan``, the closed form (``closed_form_holds``)
 tried at every size from the top down, against the galloping
@@ -30,6 +34,7 @@ them too, with ``PYTHONPATH=src:tests``.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Optional
@@ -84,6 +89,95 @@ def max_matching_exhaustive(g: Graph, cap: int = EXHAUSTIVE_MATCHING_CAP) -> Mat
 
     rec(0)
     return Matching(frozenset(best), n)
+
+
+def blossom_oracle(g, rank=None):
+    """The rank-ordered blossom kernel as it was before its searches were
+    bounded by their alternating trees: every search resets all n vertices
+    and every contraction scans all n vertices in rank order."""
+    n = g.vertex_count
+    adj = g.adjacency()
+    order = range(n)
+    if rank is not None:
+        order = sorted(order, key=rank.__getitem__)
+        adj = [sorted(nbrs, key=rank.__getitem__) for nbrs in adj]
+    match = [-1] * n
+    # greedy warm start, deterministic
+    for v in order:
+        if match[v] == -1:
+            for u in adj[v]:
+                if match[u] == -1:
+                    match[v] = u
+                    match[u] = v
+                    break
+    p = [-1] * n
+    base = list(range(n))
+    used = [False] * n
+
+    def lca(a, b):
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if match[a] == -1:
+                break
+            a = p[match[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                return b
+            b = p[match[b]]
+
+    def mark_path(v, b, child, in_blossom):
+        while base[v] != b:
+            in_blossom[base[v]] = True
+            in_blossom[base[match[v]]] = True
+            p[v] = child
+            child = match[v]
+            v = p[match[v]]
+
+    def try_augment(root):
+        for i in range(n):
+            used[i] = False
+            p[i] = -1
+            base[i] = i
+        used[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and p[match[to]] != -1):
+                    cur_base = lca(v, to)
+                    in_blossom = [False] * n
+                    mark_path(v, cur_base, to, in_blossom)
+                    mark_path(to, cur_base, v, in_blossom)
+                    for i in order:
+                        if in_blossom[base[i]]:
+                            base[i] = cur_base
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                elif p[to] == -1:
+                    p[to] = v
+                    if match[to] == -1:
+                        u = to
+                        while u != -1:
+                            pv = p[u]
+                            ppv = match[pv]
+                            match[u] = pv
+                            match[pv] = u
+                            u = ppv
+                        return True
+                    used[match[to]] = True
+                    queue.append(match[to])
+        return False
+
+    for v in order:
+        if match[v] == -1:
+            try_augment(v)
+    return frozenset((v, match[v]) for v in range(n) if match[v] > v)
 
 
 def nu_star_brute(

@@ -302,7 +302,7 @@ class TestScanConjecture:
 
 class TestUndecodableFiles:
     """A file that is not UTF-8 text is an IO error, reported on one coded
-    line like a missing file."""
+    line that names the file, like a missing file."""
 
     @pytest.mark.parametrize("command, flag", [("check", "--seq-file"), ("bounds", "--graph")])
     def test_non_utf8_file_is_io_error(self, tmp_path, capsys, command, flag):
@@ -312,6 +312,7 @@ class TestUndecodableFiles:
         assert code == 1 and out == ""
         assert err.startswith("ERROR IO:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
+        assert str(path) in err
 
 
 class TestUsageErrors:

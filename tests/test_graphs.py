@@ -6,7 +6,7 @@ import inspect
 import itertools
 import pkgutil
 import random
-from collections import deque
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,7 +33,7 @@ import degmatch
 from degmatch import dpg
 from degmatch.enumeration import conjecture_scan, enumerate_realizations
 from degmatch.graphs import _greedy_matching, _index_order_blossom, _ranked_blossom
-from oracles import max_matching_exhaustive
+from oracles import blossom_oracle, max_matching_exhaustive
 
 
 def all_graphs(n):
@@ -270,104 +270,15 @@ class TestBlossomVisitOrder:
         self.assert_same_as_relabelled(g, random.Random(g.vertex_count), shuffles=20)
 
 
-def blossom_oracle(g, rank=None):
-    """The rank-ordered blossom kernel as it was before its searches were
-    bounded by their alternating trees: every search resets all n vertices
-    and every contraction scans all n vertices in rank order."""
-    n = g.vertex_count
-    adj = g.adjacency()
-    order = range(n)
-    if rank is not None:
-        order = sorted(order, key=rank.__getitem__)
-        adj = [sorted(nbrs, key=rank.__getitem__) for nbrs in adj]
-    match = [-1] * n
-    # greedy warm start, deterministic
-    for v in order:
-        if match[v] == -1:
-            for u in adj[v]:
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    break
-    p = [-1] * n
-    base = list(range(n))
-    used = [False] * n
-
-    def lca(a, b):
-        seen = [False] * n
-        while True:
-            a = base[a]
-            seen[a] = True
-            if match[a] == -1:
-                break
-            a = p[match[a]]
-        while True:
-            b = base[b]
-            if seen[b]:
-                return b
-            b = p[match[b]]
-
-    def mark_path(v, b, child, in_blossom):
-        while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
-            p[v] = child
-            child = match[v]
-            v = p[match[v]]
-
-    def try_augment(root):
-        for i in range(n):
-            used[i] = False
-            p[i] = -1
-            base[i] = i
-        used[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    cur_base = lca(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, cur_base, to, in_blossom)
-                    mark_path(to, cur_base, v, in_blossom)
-                    for i in order:
-                        if in_blossom[base[i]]:
-                            base[i] = cur_base
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif p[to] == -1:
-                    p[to] = v
-                    if match[to] == -1:
-                        u = to
-                        while u != -1:
-                            pv = p[u]
-                            ppv = match[pv]
-                            match[u] = pv
-                            match[pv] = u
-                            u = ppv
-                        return True
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return False
-
-    for v in order:
-        if match[v] == -1:
-            try_augment(v)
-    return frozenset((v, match[v]) for v in range(n) if match[v] > v)
-
-
 def gnm(n, m, seed):
     pairs = list(itertools.combinations(range(n), 2))
     return Graph(n, frozenset(random.Random(seed).sample(pairs, m)))
 
 
-def c6_chain_graphs(steps, every):
-    """Every ``every``-th graph of a seeded C6 chain grown by fixed:4 / first."""
-    trace = grow(cycle(6), steps, "fixed:4", 17, "first")
-    g = cycle(6)
+def chain_graphs(g0, steps, delta_policy, matching_policy, every, rng_seed=17):
+    """Every ``every``-th graph of a seeded chain grown from ``g0``."""
+    trace = grow(g0, steps, delta_policy, rng_seed, matching_policy)
+    g = g0
     out = []
     for rec in trace.steps:
         g = pinch(g, Matching(frozenset(rec.removed_matching), g.vertex_count))
@@ -375,6 +286,38 @@ def c6_chain_graphs(steps, every):
             out.append(g)
     assert g == trace.final_graph
     return out
+
+
+def c6_chain_graphs(steps, every):
+    """Every ``every``-th graph of a seeded C6 chain grown by fixed:4 / first."""
+    return chain_graphs(cycle(6), steps, "fixed:4", "first", every)
+
+
+def star(t, centre):
+    """K_{1,t} on vertices 0..t, its centre at label ``centre``."""
+    return Graph(t + 1, frozenset((centre, v) for v in range(t + 1) if v != centre))
+
+
+def broom(path_length, leaves, seed):
+    """A path with ``leaves`` pendant leaves, each hung on a seeded path
+    vertex, under seeded labels."""
+    rng = random.Random(seed)
+    edges = [(i, i + 1) for i in range(path_length - 1)]
+    edges += [(rng.randrange(path_length), path_length + j) for j in range(leaves)]
+    label = list(range(path_length + leaves))
+    rng.shuffle(label)
+    return Graph(len(label), frozenset((label[u], label[v]) for u, v in edges))
+
+
+def stars_among_isolated(n, sizes, seed):
+    """Disjoint stars K_{1,t}, one per t in ``sizes``, at seeded labels
+    among n vertices; the rest are isolated."""
+    ids = iter(random.Random(seed).sample(range(n), sum(sizes) + len(sizes)))
+    edges = []
+    for t in sizes:
+        centre = next(ids)
+        edges += [(centre, next(ids)) for _ in range(t)]
+    return Graph(n, frozenset(edges))
 
 
 class TestBlossomOracle:
@@ -404,11 +347,36 @@ class TestBlossomOracle:
     @pytest.mark.parametrize(
         "g",
         [cycle(3), cycle(5), cycle(31), cycle(101), windmill(3, 3), windmill(6, 3),
-         windmill(4, 5), windmill(7, 4), half_graph(10), half_graph(24), half_graph(60)],
+         windmill(4, 5), windmill(7, 4), half_graph(10), half_graph(24), half_graph(60),
+         # most free roots of these see only vertices of failed trees, so
+         # the kernel marks them dead without a search
+         *(pytest.param(star(t, c), id=f"star{t}-centre{c}") for t in (1, 2, 10, 50) for c in sorted({0, t // 2, t})),
+         *(pytest.param(broom(k, leaves, seed), id=f"broom{k}-leaves{leaves}-seed{seed}")
+           for k, leaves in ((2, 9), (5, 40), (12, 60), (30, 90)) for seed in (1, 2)),
+         *(pytest.param(stars_among_isolated(n, sizes, n), id=f"stars-among{n}")
+           for n, sizes in ((30, [3, 1, 5]), (120, [2, 8, 1, 13, 4]), (400, [40, 3, 17, 1, 1, 25, 9])))],
         ids=lambda g: f"n{g.vertex_count}m{g.m}",
     )
     def test_families(self, g):
         self.assert_matches_oracle(g, random.Random(g.vertex_count))
+
+    @pytest.mark.parametrize(
+        "seed, matching_policy",
+        [("gnm", "first"), ("gnm", "random"), ("half-graph", "first"), ("half-graph", "max-degree"),
+         ("half-graph", "random")],
+    )
+    def test_max_chain(self, seed, matching_policy):
+        # every 4th of 20 --policy max steps from a sparse gnm seed: ν falls
+        # to 9-21 on 104-120 vertices, so most free roots see only vertices
+        # of failed trees; every 5th of 40 from the half graph: near-perfect
+        # matchings whose searches contract up to 70 blossoms per graph
+        if seed == "gnm":
+            g0, steps, every = gnm(100, 200, 100), 20, 4
+        else:
+            g0, steps, every = half_graph(40), 40, 5
+        rng = random.Random(g0.vertex_count)
+        for g in chain_graphs(g0, steps, "max", matching_policy, every):
+            self.assert_matches_oracle(g, rng)
 
     def test_mostly_isolated_vertices(self):
         # a few odd cycles and a path among 1000 vertices
@@ -442,6 +410,53 @@ class TestBlossomOracle:
                     assert _ranked_blossom(g.adjacency(), rank) == blossom_oracle(g, rank), (g, rank)
                 count += 1
         assert count == 33867
+
+
+def contraction_sizes(adj):
+    """The number of bases each blossom contraction of
+    ``_index_order_blossom(adj)`` absorbs, read from the kernel's frame on
+    the line after its two path walks."""
+    code = _index_order_blossom.__code__
+    lines, first = inspect.getsourcelines(_index_order_blossom)
+    target = first + next(i for i, line in enumerate(lines) if "merged = members[cur_base]" in line)
+    sizes = []
+
+    def in_kernel(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            sizes.append(len(frame.f_locals["absorbed"]))
+        return in_kernel
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_kernel if frame.f_code is code else None)
+    try:
+        _index_order_blossom(adj)
+    finally:
+        sys.settrace(previous)
+    return sizes
+
+
+class TestBlossomContractions:
+    """A contraction runs only for an edge between two different bases, so
+    it absorbs at least one base. One that absorbs none was started from a
+    stale base of the scanned vertex: the answer is the same, the work is
+    wasted."""
+
+    @pytest.mark.parametrize(
+        "graphs",
+        [lambda: chain_graphs(half_graph(40), 40, "max", "first", 5), lambda: c6_chain_graphs(300, 25)],
+        ids=["half-graph-max", "c6-fixed4"],
+    )
+    def test_every_contraction_absorbs_a_base(self, graphs):
+        rng = random.Random(9)
+        sizes = []
+        for g in graphs():
+            rank = list(range(g.vertex_count))
+            rng.shuffle(rank)
+            order = sorted(range(g.vertex_count), key=rank.__getitem__)
+            relabelled = [sorted(rank[u] for u in g.adjacency()[v]) for v in order]
+            for adj in (g.adjacency(), relabelled):
+                sizes += contraction_sizes(adj)
+        assert sizes and min(sizes) >= 1
 
 
 class TestGreedyMaximal:
