@@ -19,6 +19,11 @@ there every step runs the index-order blossom first, reads nu off it, and
 hands its partner list to the policy, where ``first`` pinches its lowest
 edges and ``max-degree`` falls back to it.
 
+Every step draws one seed from the run's Random, whatever its policies,
+so the run's stream is the same under all of them. A step builds a Random
+of its own from that seed only under the ``random`` matching policy, the
+one policy that draws.
+
 ``grow`` runs on sorted neighbor lists, and every degree it reads is the
 length of one. A pinch edits them in place (``graphs._pinch_lists``, the
 arithmetic the public ``pinch`` runs on a copy); the degrees are also
@@ -100,7 +105,7 @@ def _max_degree_order(adj: Sequence[Sequence[int]], edges: Iterable[Edge]) -> li
 def _select_matching(
     adj: Sequence[Sequence[int]],
     size: Optional[int],
-    rng: random.Random,
+    seed: int,
     *,
     policy: str,
     match: Optional[list[int]] = None,
@@ -109,7 +114,8 @@ def _select_matching(
     """The sorted edges of a matching of ``size`` edges per ``policy``,
     on the graph with sorted neighbor lists ``adj``, or None if it has no
     such matching. A ``size`` of None asks for ν edges, which the policy's
-    own search finds, and None comes back when ν = 0.
+    own search finds, and None comes back when ν = 0. ``seed`` seeds the
+    Random of the ``random`` policy; the other policies draw nothing.
 
     A caller may pass what it already holds: ``match``, the partner list of
     the index-order blossom's matching (``first`` takes its lowest edges,
@@ -119,13 +125,15 @@ def _select_matching(
     if policy == "random":
         # run the exact matcher in a random vertex order, then keep a random
         # subset of the matching it finds
+        rng = random.Random(seed)
         rank = list(range(n))
         rng.shuffle(rank)
         edges = sorted(_ranked_blossom(adj, rank))
         size = len(edges) if size is None else size
         if not 0 < size <= len(edges):
             return None
-        return sorted(rng.sample(edges, size))
+        # all of the matching needs no sample: the step's Random is not read again
+        return edges if size == len(edges) else sorted(rng.sample(edges, size))
     if match is None and (policy == "first" or size is None):
         match = _index_order_blossom(adj)
     if policy == "first":
@@ -184,8 +192,7 @@ def dp_step(
     if delta < 2 or delta % 2:
         raise ValidationError(f"delta={delta} must be a positive even integer")
     _check_matching_policy(policy)
-    rng = random.Random(rng_seed)
-    edges = _select_matching(g.adjacency(), delta // 2, rng, policy=policy)
+    edges = _select_matching(g.adjacency(), delta // 2, rng_seed, policy=policy)
     if edges is None:
         raise InfeasibleDeltaError(
             f"delta={delta} is not feasible here", feasible=feasible_deltas(g)
@@ -284,6 +291,7 @@ def grow(
     # pinch edits in place, and the degrees in ascending order
     adj = [list(a) for a in g0.adjacency()]
     ascending = sorted(g0.degrees())
+    seed_degree_sequence = tuple(reversed(ascending))
     records: list[DpStepRecord] = []
     # the edges in max-degree order, kept for the whole run: a pinch keeps
     # every old degree, so the surviving edges keep their ranks, and each
@@ -305,9 +313,10 @@ def grow(
             if nu == 0:
                 break
             size = rng.choice(range(2, 2 * nu + 1, 2)) // 2
-        step_rng = random.Random(rng.randrange(2**32))
+        # every step draws a seed, so the stream is the same under every
+        # policy; only random builds a Random from it
         edges = _select_matching(
-            adj, size, step_rng, policy=matching_policy, match=match, edge_order=edge_order
+            adj, size, rng.randrange(2**32), policy=matching_policy, match=match, edge_order=edge_order
         )
         if edges is None:
             break
@@ -330,7 +339,7 @@ def grow(
     return GrowthTrace(
         seed_vertex_count=g0.vertex_count,
         seed_edge_count=g0.m,
-        seed_degree_sequence=g0.degree_sequence().degrees,
+        seed_degree_sequence=seed_degree_sequence,
         requested_steps=steps,
         steps=tuple(records),
         final_graph=_graph_of(adj),

@@ -13,9 +13,10 @@ alternating tree costs rather than O(n). A search that fails leaves a
 Hungarian tree: no augmenting path can later pass through it, and the
 only way into it from outside is through its inner vertices, which lead
 to dead ends. So later searches skip its vertices, a free vertex whose
-neighbours are all in such trees is not searched at all, and the result
-is the same matching, edge for edge (the proof is in
-``_index_order_blossom``).
+neighbours are all in such trees is not searched at all, and the loop
+stops once fewer than two free vertices lie outside those trees, since an
+augmenting path needs two. The result is the same matching, edge for
+edge (the proof is in ``_index_order_blossom``).
 
 Edge-list text format: one edge per line as two whitespace-separated
 0-based integers, each edge once in either orientation; lines starting
@@ -140,9 +141,10 @@ class Graph:
         return max(self._degrees, default=0)
 
     def degree_sequence(self) -> DegreeSequence:
-        from .sequences import make_sequence
+        from .sequences import DegreeSequence
 
-        return make_sequence(self._degrees)
+        # degrees are list lengths: non-negative ints, with nothing to check
+        return DegreeSequence._trusted(tuple(sorted(self._degrees, reverse=True)))
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuples, built once per graph."""
@@ -269,8 +271,8 @@ def _ranked_blossom(adj: Sequence[Sequence[int]], rank: Sequence[int]) -> frozen
 def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
     """Partner of each vertex (-1 if free) in a maximum matching: a greedy
     warm start, then one breadth-first augmenting-path search from each
-    free vertex in index order (Edmonds 1965), until the matching has
-    n // 2 edges.
+    free vertex in index order (Edmonds 1965), until fewer than two free
+    vertices are left outside the failed trees (f).
 
     A search costs what its alternating tree costs. Only the vertices the
     previous search touched are reset, and a blossom is contracted by
@@ -306,6 +308,14 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
         fail with the one-vertex tree {root}. Its neighbours are in D, no
         later augmentation touches D, so no later search reaches the root
         either.
+    (f) A failed tree holds one free vertex, its root, and (e) marks one
+        free vertex, so ``lost`` counts the free vertices that are dead.
+        Every free vertex below the current root is matched or dead, and
+        stays so (by (c)), so n - 2 * matched - lost free vertices are
+        live. An augmenting path joins two live free vertices, so with
+        fewer than two there is none: every search left would fail and
+        leave ``match`` as it is, and the loop stops. With lost = 0 this
+        is the stop at n // 2 edges.
     """
     n = len(adj)
     match = [-1] * n
@@ -318,7 +328,7 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
                     match[u] = v
                     matched += 1
                     break
-    if matched == n // 2:
+    if n - 2 * matched < 2:  # (f) with lost = 0
         return match
     p = [-1] * n
     base = list(range(n))
@@ -329,6 +339,7 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
     mark = [0] * n
     stamp = 0
     touched: list[int] = []
+    lost = 0  # free vertices marked dead
 
     for root in range(n):
         if match[root] != -1:
@@ -338,6 +349,9 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
                 break
         else:
             dead[root] = True  # (e)
+            lost += 1
+            if n - 2 * matched - lost < 2:  # (f)
+                break
             continue
         for i in touched:
             used[i] = False
@@ -458,24 +472,26 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
             for i in touched:
                 dead[i] = True
             touched = []
+            lost += 1
+            if n - 2 * matched - lost < 2:  # (f)
+                break
             continue
         matched += 1
-        if matched == n // 2:
+        if n - 2 * matched - lost < 2:  # (f)
             break
     return match
 
 
-def _greedy_matching(n: int, edges: Iterable[tuple[int, ...]], size: Optional[int] = None) -> list[Edge]:
+def _greedy_matching(n: int, edges: Iterable[tuple[int, int, int]], size: Optional[int] = None) -> list[Edge]:
     """Take each edge, in the given order, of a graph on n vertices whose
     endpoints are both free; stop once ``size`` edges are taken. An edge is
-    any tuple that ends in its endpoints (u, v), so ranked edges are walked
-    as they are, without a pair built for each."""
+    a triple (key, u, v) whose key is not read, so the max-degree policy's
+    ranked edges are walked as they are, without a pair built for each."""
     if size == 0:
         return []
     matched = [False] * n
     chosen = []
-    for e in edges:
-        u, v = e[-2], e[-1]
+    for _, u, v in edges:
         if not matched[u] and not matched[v]:
             chosen.append((u, v))
             if len(chosen) == size:
@@ -487,7 +503,7 @@ def _greedy_matching(n: int, edges: Iterable[tuple[int, ...]], size: Optional[in
 def greedy_maximal_matching(g: Graph, rng_seed: int = 0) -> Matching:
     """Randomized greedy maximal matching, reproducible from the seed."""
     rng = random.Random(rng_seed)
-    edges = sorted(g.edges)
+    edges = [(0, u, v) for u, v in sorted(g.edges)]
     rng.shuffle(edges)
     return Matching._trusted(frozenset(_greedy_matching(g.vertex_count, edges)), g.vertex_count)
 

@@ -396,7 +396,7 @@ class TestCarriedEdgeOrder:
         sampled = {}
         select = dpg._select_matching
 
-        def spy(adj, size, rng, **kwargs):
+        def spy(adj, size, seed, **kwargs):
             # grow passes its state, which later steps change in place
             edges = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if v > u]
             deg = [len(nbrs) for nbrs in adj]
@@ -404,7 +404,7 @@ class TestCarriedEdgeOrder:
             if len(reads) % (steps // 12) == 0:
                 sampled[len(reads)] = graph_of_lists(adj)
             reads.append(kwargs["edge_order"])
-            return select(adj, size, rng, **kwargs)
+            return select(adj, size, seed, **kwargs)
 
         with monkeypatch.context() as patch:
             patch.setattr(dpg, "_select_matching", spy)

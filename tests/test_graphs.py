@@ -18,6 +18,7 @@ from degmatch import (
     Matching,
     ValidationError,
     cycle,
+    disjoint_cliques,
     greedy_maximal_matching,
     grow,
     half_graph,
@@ -164,7 +165,7 @@ class TestTrustedMatchings:
                 for size in list(range(1, full.size + 1)) + [None]:
                     for known in ({}, {"match": index_order}):
                         edges = dpg._select_matching(
-                            g.adjacency(), size, random.Random(size), policy=policy, **known
+                            g.adjacency(), size, size or 0, policy=policy, **known
                         )
                         if full.size == 0:
                             assert edges is None, (g, policy)
@@ -320,6 +321,15 @@ def stars_among_isolated(n, sizes, seed):
     return Graph(n, frozenset(edges))
 
 
+def disjoint_union(*parts):
+    """The graphs side by side, each shifted past the ones before it."""
+    edges, offset = [], 0
+    for g in parts:
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.vertex_count
+    return Graph(offset, frozenset(edges))
+
+
 class TestBlossomOracle:
     """The tree-bounded kernel returns the oracle's matching edge for edge,
     in index order and under shuffled ranks."""
@@ -354,7 +364,12 @@ class TestBlossomOracle:
          *(pytest.param(broom(k, leaves, seed), id=f"broom{k}-leaves{leaves}-seed{seed}")
            for k, leaves in ((2, 9), (5, 40), (12, 60), (30, 90)) for seed in (1, 2)),
          *(pytest.param(stars_among_isolated(n, sizes, n), id=f"stars-among{n}")
-           for n, sizes in ((30, [3, 1, 5]), (120, [2, 8, 1, 13, 4]), (400, [40, 3, 17, 1, 1, 25, 9])))],
+           for n, sizes in ((30, [3, 1, 5]), (120, [2, 8, 1, 13, 4]), (400, [40, 3, 17, 1, 1, 25, 9]))),
+         # two or more vertices stay unmatched and none is isolated, so the
+         # kernel stops once one live free vertex is left (f)
+         pytest.param(disjoint_union(disjoint_cliques(2, 5), disjoint_cliques(1, 7)), id="K5+K5+K7"),
+         pytest.param(disjoint_union(*map(cycle, (3, 5, 7, 9, 11))), id="odd-cycles"),
+         pytest.param(disjoint_union(disjoint_cliques(1, 5), path(21)), id="K5+P21")],
         ids=lambda g: f"n{g.vertex_count}m{g.m}",
     )
     def test_families(self, g):
@@ -412,18 +427,17 @@ class TestBlossomOracle:
         assert count == 33867
 
 
-def contraction_sizes(adj):
-    """The number of bases each blossom contraction of
-    ``_index_order_blossom(adj)`` absorbs, read from the kernel's frame on
-    the line after its two path walks."""
+def kernel_line_reads(adj, marker, read):
+    """``read`` of the kernel's locals each time ``_index_order_blossom(adj)``
+    reaches the line that contains ``marker``."""
     code = _index_order_blossom.__code__
     lines, first = inspect.getsourcelines(_index_order_blossom)
-    target = first + next(i for i, line in enumerate(lines) if "merged = members[cur_base]" in line)
-    sizes = []
+    target = first + next(i for i, line in enumerate(lines) if marker in line)
+    reads = []
 
     def in_kernel(frame, event, arg):
         if event == "line" and frame.f_lineno == target:
-            sizes.append(len(frame.f_locals["absorbed"]))
+            reads.append(read(frame.f_locals))
         return in_kernel
 
     previous = sys.gettrace()
@@ -432,7 +446,19 @@ def contraction_sizes(adj):
         _index_order_blossom(adj)
     finally:
         sys.settrace(previous)
-    return sizes
+    return reads
+
+
+def contraction_sizes(adj):
+    """The number of bases each blossom contraction of
+    ``_index_order_blossom(adj)`` absorbs, read on the line after its two
+    path walks."""
+    return kernel_line_reads(adj, "merged = members[cur_base]", lambda f: len(f["absorbed"]))
+
+
+def search_roots(adj):
+    """The root of each search ``_index_order_blossom(adj)`` sets up."""
+    return kernel_line_reads(adj, "touched = [root]", lambda f: f["root"])
 
 
 class TestBlossomContractions:
@@ -459,6 +485,28 @@ class TestBlossomContractions:
         assert sizes and min(sizes) >= 1
 
 
+class TestBlossomStop:
+    """The kernel stops once fewer than two free vertices lie outside the
+    failed trees, counting the roots of failed searches and the free roots
+    marked dead unsearched (f). The greedy warm start leaves one free
+    vertex in each odd clique here, and a search from it fails."""
+
+    @pytest.mark.parametrize(
+        "g, roots",
+        [
+            # the search from 4 fails, leaving 9 the one live free vertex
+            pytest.param(disjoint_cliques(2, 5), [4], id="K5+K5"),
+            pytest.param(disjoint_union(disjoint_cliques(2, 5), disjoint_cliques(1, 7)), [4, 9], id="K5+K5+K7"),
+            # the search from 2 fails and 3 sees only its dead tree, so 3 is
+            # marked dead unsearched, leaving 8 the one live free vertex
+            pytest.param(disjoint_union(star(3, 0), disjoint_cliques(1, 5)), [2], id="K1,3+K5"),
+        ],
+    )
+    def test_searches(self, g, roots):
+        assert search_roots(g.adjacency()) == roots
+        assert max_matching(g).edges == blossom_oracle(g)
+
+
 class TestGreedyMaximal:
     def test_path_always_maximal(self):
         g = path(4)
@@ -483,7 +531,7 @@ class TestGreedyMaximal:
         assert greedy_maximal_matching(g, 9).edges == greedy_maximal_matching(g, 9).edges
 
     def test_greedy_pass_stops_at_size(self):
-        edges = [(0, 1), (1, 2), (2, 3), (4, 5)]
+        edges = [(0, 0, 1), (0, 1, 2), (0, 2, 3), (0, 4, 5)]
         assert _greedy_matching(6, edges, 0) == []
         assert _greedy_matching(6, edges, 1) == [(0, 1)]
         assert _greedy_matching(6, edges, 2) == [(0, 1), (2, 3)]
