@@ -2,7 +2,9 @@
 
 Two independent deciders (Erdos-Gallai inequalities and Havel-Hakimi
 reduction) plus a deterministic Havel-Hakimi realization builder on one
-integer-keyed heap, O((n + m) log n). The extension
+integer-keyed heap of runs of equal remaining demand: a step moves each run
+it touches in one heap operation and writes each edge in O(1), so it is
+O((n + m) log n) at worst and far less when runs are long. The extension
 machinery answers "can this sequence absorb a new vertex of even degree
 delta", culminating in delta_star and with it the maximum matching number
 over all realizations, nu_star = delta_star / 2; ``nu_star_formula`` is the
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from itertools import accumulate
 from operator import neg
 from typing import TYPE_CHECKING, Optional
@@ -195,7 +197,8 @@ def realize_hh(d: DegreeSequence) -> Graph:
 
     Deterministic rule: repeatedly take the vertex with the largest
     remaining demand (lowest id on ties) and connect it to the vertices
-    with the next-largest demands (again lowest id on ties).
+    with the next-largest demands (again lowest id on ties). The kernel,
+    ``_hh_rows``, applies the rule to whole runs of ids with equal demand.
     """
     from .graphs import Graph
 
@@ -211,31 +214,68 @@ def _hh_rows(degs: tuple[int, ...]) -> list[list[int]]:
     neighbours v > u of vertex u, ascending, so reading the rows in order
     gives the edges sorted.
 
-    One min-heap holds the vertices whose remaining demand r is positive,
-    keyed by the integer i - r*n: it pops the largest demand first, and the
-    lowest id among equal demands, which is the rule's order. A step pops v
-    and then v's k targets, and pushes back each target whose demand is
-    still positive, at key + n. So each edge costs O(log n), and sorting the
-    rows O(m log n) more.
+    One min-heap holds runs: a run is an interval of ids s .. end[s] - 1
+    that share one remaining demand r > 0, keyed by the integer s - r*n.
+
+    Invariant: every vertex of positive demand lies in exactly one run on
+    the heap, and ``end`` holds the end of each run at its start. The runs
+    of one demand are then disjoint intervals of ids, so key order is the
+    rule's order, largest demand first and then lowest id, and taking runs
+    from the heap top in key order takes vertices in the order a heap of
+    single vertices keyed i - r*n would pop them.
+
+    A step pops the top run; its first id v, with demand k, is the vertex
+    to connect, and the rest v + 1 .. end takes its place on the heap. Whole runs
+    are then taken from the heap top until v has k targets; if only part of
+    the last one is needed, its first ids are taken and the rest keeps its
+    place through one heapreplace. Only after the k-th target is taken does
+    each taken piece whose demand is still positive go back, at key + n, so
+    no vertex is taken twice in a step. A step costs O(log n) per run it
+    touches and O(1) per edge, so at worst O((n + m) log n); sorting the
+    rows costs O(m log n) more.
     """
     n = len(degs)
-    # arranged, so the keys ascend: the list is already a heap
-    heap = [i - r * n for i, r in enumerate(degs) if r]
+    end = [0] * n
+    heap = []  # arranged, so the keys ascend: the list is already a heap
+    vals, ends, _ = _run_form(degs)
+    s = 0
+    for r, e in zip(vals, ends):
+        if r:
+            end[s] = e
+            heap.append(s - r * n)
+        s = e
     rows: list[list[int]] = [[] for _ in range(n)]
     while heap:
-        key = heappop(heap)
+        key = heap[0]
         v = key % n
         k = (v - key) // n
-        if k > len(heap):
-            raise InternalConsistencyError("realization ran out of targets on a graphic sequence")
-        targets = [heappop(heap) for _ in range(k)]
+        if end[v] > v + 1:
+            end[v + 1] = end[v]
+            heapreplace(heap, key + 1)
+        else:
+            heappop(heap)
         row = rows[v]
-        for t in targets:
-            j = t % n
-            if v < j:
-                row.append(j)
+        taken = []
+        while k:
+            if not heap:
+                raise InternalConsistencyError("realization ran out of targets on a graphic sequence")
+            t = heap[0]
+            a = t % n
+            e = end[a]
+            if e - a > k:  # split: a .. a + k - 1 is taken, the rest keeps its demand
+                end[a + k] = e
+                e = end[a] = a + k
+                heapreplace(heap, t + k)
             else:
-                rows[j].append(v)
+                heappop(heap)
+            k -= e - a
+            taken.append(t)
+            if v < a:
+                row.extend(range(a, e))
+            else:
+                for j in range(a, e):
+                    rows[j].append(v)
+        for t in taken:
             if t + n < 0:  # a key is negative exactly while its demand is positive
                 heappush(heap, t + n)
     # the heap empties only when every demand is met, so there is no unmet demand to check

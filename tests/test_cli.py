@@ -1,11 +1,16 @@
 """Tests for the command-line surface."""
 
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from degmatch import cli
 from degmatch.cli import main
+from degmatch.sequences import parse_sequence
 
 
 def run(capsys, *argv):
@@ -313,6 +318,76 @@ class TestUndecodableFiles:
         assert err.startswith("ERROR IO:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert str(path) in err
+
+
+def degree_text(n, pairs):
+    """The degree sequence of the simple graph on the pairs, self-loops and
+    repeats dropped, as --seq text in vertex order."""
+    degrees = [0] * n
+    for u, v in {(min(p), max(p)) for p in pairs if p[0] != p[1]}:
+        degrees[u] += 1
+        degrees[v] += 1
+    return ",".join(map(str, degrees))
+
+
+graphic_texts = st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4 * n).map(
+        lambda pairs: degree_text(n, pairs)
+    )
+)
+token_texts = st.lists(
+    st.one_of(
+        st.integers(0, 45).map(str),
+        st.sampled_from(["", " 3 ", "+2", "-1", "x", "1_0", "2.5", "٣", "0x1", "\n", "123456789012"]),
+    ),
+    max_size=40,
+).map(",".join)
+
+
+class TestRealizeAnyText:
+    """``degmatch realize`` on any --seq text exits 0, 1 or 2 without a
+    traceback, and its three formats agree on a realization of the parsed
+    sequence."""
+
+    @staticmethod
+    def realize(text, fmt):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(["realize", "--seq=" + text, "--format", fmt])
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @given(st.one_of(graphic_texts, token_texts))
+    @settings(max_examples=100, deadline=None)
+    def test_exit_codes_and_formats_agree(self, text):
+        runs = {fmt: self.realize(text, fmt) for fmt in ("json", "csv", "text")}
+        codes = {code for code, _, _ in runs.values()}
+        assert len(codes) == 1 and codes <= {0, 1, 2}, runs
+        code = codes.pop()
+        for _, out, err in runs.values():
+            assert "Traceback" not in err
+            if code == 1:
+                assert out == "" and re.fullmatch(r"ERROR [A-Z_]+: [^\n]*\n", err), err
+        if code != 0:
+            return
+        d = parse_sequence(text)
+        record = json.loads(runs["json"][1])
+        json_edges = record["edges"].split(";") if record["edges"] else []
+        assert (record["n"], record["m"]) == (d.n, len(json_edges))
+        csv_lines = runs["csv"][1].splitlines()
+        text_lines = runs["text"][1].splitlines()
+        assert csv_lines[0] == "u,v" and text_lines[0] == f"n {d.n}"
+        edges = [tuple(map(int, e.split("-"))) for e in json_edges]
+        assert [tuple(map(int, line.split(","))) for line in csv_lines[1:]] == edges
+        assert [tuple(map(int, line.split(" "))) for line in text_lines[1:]] == edges
+        assert len(set(edges)) == len(edges) and all(0 <= u < v < d.n for u, v in edges)
+        degrees = [0] * d.n
+        for u, v in edges:
+            degrees[u] += 1
+            degrees[v] += 1
+        assert tuple(degrees) == d.degrees
 
 
 class TestUsageErrors:

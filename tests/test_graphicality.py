@@ -175,6 +175,44 @@ class TestRealizeMatchesOracle:
         if is_graphic_eg(d).is_graphic:
             assert realize_hh(d).edges == realize_hh_oracle(d)
 
+    @staticmethod
+    def long_run_families():
+        """Sequences whose runs of equal demand are long and get split often,
+        by family; the two-value family also holds some that are not graphic."""
+        rng = random.Random(2024)
+        hubs = [[n - 1] * k + [k] * (n - k) for n in range(2, 61, 3) for k in range(1, n, 4)]
+        regular = [[r] * n for n in range(1, 61, 3) for r in range(1, 8) if r < n and r * n % 2 == 0]
+        two_value = [
+            [a] * p + [b] * q
+            for a, b, p, q in itertools.product((3, 6, 11), (1, 2, 5), (4, 9, 20), (7, 16))
+            if a > b
+        ]
+        friendship = [[2 * t] + [2] * (2 * t) for t in range(1, 31, 2)]
+        gnm = []
+        for n in range(50, 151, 25):
+            degrees = [0] * n
+            for u, v in rng.sample(list(itertools.combinations(range(n), 2)), 4 * n):
+                degrees[u] += 1
+                degrees[v] += 1
+            gnm.append(degrees + [0] * rng.randint(1, 5))
+        return {"hubs": hubs, "regular": regular, "two-value": two_value, "friendship": friendship, "gnm": gnm}
+
+    @pytest.mark.parametrize("family", ["hubs", "regular", "two-value", "friendship", "gnm"])
+    def test_long_runs(self, family):
+        checked = 0
+        for degrees in self.long_run_families()[family]:
+            d = make_sequence(degrees)
+            if is_graphic_eg(d).is_graphic:
+                assert realize_hh(d).edges == realize_hh_oracle(d), degrees
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("degs", [(2, 2), (3, 1, 1), (4, 4, 1, 1, 1, 1), (5, 5, 5, 1, 1, 1)])
+    def test_kernel_runs_out_of_targets_on_non_graphic_input(self, degs):
+        # the unchecked kernel still notices when a step finds too few targets
+        with pytest.raises(InternalConsistencyError, match="ran out of targets"):
+            graphicality._hh_rows(degs)
+
 
 class TestRealizePins:
     """SHA-256 of ``degmatch realize --format json`` on the n = 3200 inputs of
