@@ -281,7 +281,7 @@ def _nu_bar(degs: tuple[int, ...], floor: int) -> tuple[int, Witness]:
     raise InternalConsistencyError(f"graphic sequence {degs} has no maximal matching")
 
 
-def _cover_splits(degs: tuple[int, ...], size: int) -> Iterator[list[int]]:
+def _cover_splits(degs: tuple[int, ...], size: int) -> Iterator[tuple[int, ...]]:
     """One cover C of ``size`` positive-degree vertices per multiset of
     degrees, as ascending vertex ids: from each degree value, its first
     vertices. ``degs`` is arranged, so the first C is the top split."""
@@ -290,10 +290,10 @@ def _cover_splits(degs: tuple[int, ...], size: int) -> Iterator[list[int]]:
     count = [degs.count(x) for x in values]
     chosen: list[int] = []
 
-    def rec(k: int, left: int) -> Iterator[list[int]]:
+    def rec(k: int, left: int) -> Iterator[tuple[int, ...]]:
         if k == len(values):
             if left == 0:
-                yield chosen
+                yield tuple(chosen)
             return
         for t in range(min(count[k], left), -1, -1):
             chosen.extend(range(first[k], first[k] + t))
@@ -303,7 +303,7 @@ def _cover_splits(degs: tuple[int, ...], size: int) -> Iterator[list[int]]:
     return rec(0, size)
 
 
-def _pair_classes(degs: tuple[int, ...], cover: list[int]) -> Iterator[list[Edge]]:
+def _pair_classes(degs: tuple[int, ...], cover: Sequence[int]) -> Iterator[tuple[Edge, ...]]:
     """One perfect matching of ``cover`` per multiset of degree pairs.
 
     The first free vertex, whose degree a is the largest left, is paired
@@ -313,10 +313,10 @@ def _pair_classes(degs: tuple[int, ...], cover: list[int]) -> Iterator[list[Edge
     free = [True] * len(cover)
     pairs: list[Edge] = []
 
-    def rec(prev: tuple[int, int]) -> Iterator[list[Edge]]:
+    def rec(prev: tuple[int, int]) -> Iterator[tuple[Edge, ...]]:
         i = next((i for i, f in enumerate(free) if f), None)
         if i is None:
-            yield pairs
+            yield tuple(pairs)
             return
         free[i] = False
         a = degs[cover[i]]

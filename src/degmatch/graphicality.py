@@ -1,14 +1,15 @@
 """Graphicality decisions, realization construction, and the largest extension degree.
 
-Two independent deciders (Erdos-Gallai inequalities and Havel-Hakimi
-reduction) plus a deterministic Havel-Hakimi realization builder on one
-integer-keyed heap of runs of equal remaining demand: a step moves each run
-it touches in one heap operation and writes each edge in O(1), so it is
-O((n + m) log n) at worst and far less when runs are long. The extension
-machinery answers "can this sequence absorb a new vertex of even degree
-delta", culminating in delta_star and with it the maximum matching number
-over all realizations, nu_star = delta_star / 2; ``nu_star_formula`` is the
-paper's closed form for the same number.
+Erdos-Gallai decides graphicality, and so does the deterministic
+Havel-Hakimi realization builder, run for its verdict: on one integer-keyed
+heap of runs of equal remaining demand, a step moves each run it touches in
+one heap operation and writes each edge in O(1), so it is O((n + m) log n)
+at worst and far less when runs are long, and it runs out of targets
+exactly on a non-graphic sequence. The extension machinery answers "can this
+sequence absorb a new vertex of even degree delta", culminating in
+delta_star and with it the maximum matching number over all realizations,
+nu_star = delta_star / 2; ``nu_star_formula`` is the paper's closed form
+for the same number.
 
 One evaluator, ``_eg_first_violation``, answers every Erdos-Gallai
 question: the guard's and each delta_star probe's. It works on the run
@@ -20,7 +21,8 @@ nothing, and asks the same evaluator.
 
 Validation contract: public functions validate their input once;
 ``require_graphic`` is the only place that raises NotGraphicError; the
-``_``-prefixed kernels take an arranged graphic tuple and never re-validate.
+``_``-prefixed kernels take an arranged graphic tuple and never re-validate
+(``_hh_rows`` takes any arranged tuple and raises on a non-graphic one).
 """
 
 from __future__ import annotations
@@ -153,43 +155,13 @@ def require_graphic(d: DegreeSequence) -> None:
 
 
 def is_graphic_hh(d: DegreeSequence) -> bool:
-    """Decide graphicality by iterated Havel-Hakimi reduction.
-
-    Works on degree counts, since a reduction step depends only on the
-    multiset of residual degrees: ``count[r]`` vertices have residual r.
-    A step removes one vertex of the largest residual k and lowers k
-    others by one: it walks down from level k, takes whole levels and
-    then part of the last one reached, and only then moves each taken
-    run down one level. The walk passes at most k levels, so a step costs
-    O(k) and the whole reduction O(n + m).
-    """
-    if d.max_degree >= d.n > 0:
-        return False  # the first step fails; this also keeps ``count`` to n levels
-    count = [0] * (d.max_degree + 1)
-    for x in d.degrees:
-        count[x] += 1
-    top = d.max_degree
-    while True:
-        while top and not count[top]:
-            top -= 1
-        if not top:
-            return True
-        count[top] -= 1
-        need = top
-        level = top
-        taken = []
-        while need:
-            while level and not count[level]:
-                level -= 1
-            if not level:
-                return False
-            take = min(count[level], need)
-            taken.append((level, take))
-            need -= take
-            level -= 1
-        for level, take in taken:
-            count[level] -= take
-            count[level - 1] += take
+    """Decide graphicality by Havel-Hakimi: run the realizer's kernel, whose
+    steps all find their targets exactly when ``d`` is graphic."""
+    try:
+        _hh_rows(d.degrees)
+    except InternalConsistencyError:
+        return False
+    return True
 
 
 def realize_hh(d: DegreeSequence) -> Graph:
@@ -210,9 +182,11 @@ def realize_hh(d: DegreeSequence) -> Graph:
 
 
 def _hh_rows(degs: tuple[int, ...]) -> list[list[int]]:
-    """Kernel of realize_hh on an arranged graphic ``degs``: row u lists the
-    neighbours v > u of vertex u, ascending, so reading the rows in order
-    gives the edges sorted.
+    """Kernel of realize_hh and is_graphic_hh on an arranged ``degs``: row u
+    lists the neighbours v > u of vertex u, ascending, so reading the rows
+    in order gives the edges sorted. By Havel and Hakimi's theorem a step
+    runs out of targets, raising InternalConsistencyError, exactly when
+    ``degs`` is not graphic, odd sums and degrees >= n included.
 
     One min-heap holds runs: a run is an interval of ids s .. end[s] - 1
     that share one remaining demand r > 0, keyed by the integer s - r*n.
@@ -258,7 +232,7 @@ def _hh_rows(degs: tuple[int, ...]) -> list[list[int]]:
         taken = []
         while k:
             if not heap:
-                raise InternalConsistencyError("realization ran out of targets on a graphic sequence")
+                raise InternalConsistencyError("realization ran out of targets: the sequence is not graphic")
             t = heap[0]
             a = t % n
             e = end[a]

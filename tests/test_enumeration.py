@@ -595,6 +595,34 @@ class TestSplitSearch:
                 expected = {key(pairs) for pairs in perfect_matchings(list(cover))}
                 assert len(got) == len(set(got)) and set(got) == expected, (text, cover)
 
+    @pytest.mark.parametrize("text", ["3,2,2,1,1,1", "4,4,3,3,3,2,2,1", "2,2,2,2,2,2", "5,3,3,3,2,2,1,1,0"])
+    def test_collected_splits_match_brute_oracles(self, text):
+        # collected before they are read: each split the generators yield
+        # must stay as it was when later ones are built
+        degs = parse_sequence(text).degrees
+        positive = [v for v in range(len(degs)) if degs[v] > 0]
+
+        def first_ids(c):
+            counts = Counter(degs[v] for v in c)
+            return tuple(sorted(degs.index(x) + i for x, t in counts.items() for i in range(t)))
+
+        def key(pairs):
+            return tuple(sorted(tuple(sorted((degs[u], degs[v]))) for u, v in pairs))
+
+        for size in range(len(positive) + 1):
+            covers = list(enumeration._cover_splits(degs, size))
+            assert covers == sorted({first_ids(c) for c in itertools.combinations(positive, size)})
+            if size % 2:
+                continue
+            for cover in covers:
+                # itertools gives the perfect matchings in lexicographic order;
+                # the generator yields the first of each degree-pair multiset
+                first_of = {}
+                for m in itertools.combinations(itertools.combinations(cover, 2), size // 2):
+                    if len({v for pair in m for v in pair}) == size:
+                        first_of.setdefault(key(m), m)
+                assert list(enumeration._pair_classes(degs, cover)) == list(first_of.values()), (text, cover)
+
     def test_witness_is_not_part_of_the_row(self, scan_8):
         row = scan_8[-1]
         bare = ConjectureRow(row.sequence, row.nu_bar_d, row.ell_star, row.k_star, row.equal)

@@ -213,6 +213,22 @@ class TestRealizeMatchesOracle:
         with pytest.raises(InternalConsistencyError, match="ran out of targets"):
             graphicality._hh_rows(degs)
 
+    def test_kernel_fails_exactly_on_non_graphic_input_up_to_8(self):
+        # every arranged tuple with entries <= n, odd sums and degrees >= n included
+        checked = failed = 0
+        for n in range(9):
+            for degs in itertools.combinations_with_replacement(range(n, -1, -1), n):
+                graphic = is_graphic_eg(make_sequence(list(degs))).is_graphic
+                checked += 1
+                try:
+                    graphicality._hh_rows(degs)
+                except InternalConsistencyError as exc:
+                    assert "ran out of targets" in str(exc) and not graphic, degs
+                    failed += 1
+                else:
+                    assert graphic, degs
+        assert (checked, checked - failed) == (17577, 1707)
+
 
 class TestRealizePins:
     """SHA-256 of ``degmatch realize --format json`` on the n = 3200 inputs of
