@@ -4,7 +4,10 @@ Sequences are kept arranged (sorted non-increasing), i.e. the usual
 convention d_1 >= d_2 >= ... >= d_n.
 
 Text format: comma-separated decimal integers (ASCII digits, an optional
-sign) with optional whitespace, e.g. ``"3,2,2,1"``.
+sign) with optional whitespace, e.g. ``"3,2,2,1"``. ``parse_sequence`` reads
+it in one bulk pass of C-level calls (split, strip, one ASCII check of the
+joined entries, ``int``), with no Python step per entry; only a rejected
+text is searched further, by halving, to name the first bad entry.
 """
 
 from __future__ import annotations
@@ -114,27 +117,51 @@ def make_sequence(values: Iterable[int]) -> DegreeSequence:
     return DegreeSequence._trusted(tuple(sorted(vals, reverse=True)))
 
 
+def _integers(entries: list[str]) -> list[int]:
+    """Convert stripped entry texts to ints, all in one pass.
+
+    An entry is ASCII decimal digits with an optional sign: ``int`` would
+    also read ``1_0`` and non-ASCII digits such as ``٣``, so the joined text
+    must be ASCII with no ``_``. It is exactly when every entry is, so this
+    is the per-entry rule applied to the whole list. Raises ValueError if
+    any entry breaks it.
+    """
+    joined = "".join(entries)
+    if not joined.isascii() or "_" in joined:
+        raise ValueError("an entry is not ASCII decimal digits")
+    return list(map(int, entries))
+
+
 def parse_sequence(text: str) -> DegreeSequence:
     """Parse the comma-separated text format, e.g. ``"3, 2,2,1"``.
 
-    An entry is ASCII decimal digits with an optional sign: ``int`` would
-    also read ``1_0`` and non-ASCII digits such as ``٣``. Raises
-    ValidationError naming the first entry that is not an integer, or else
-    the first negative one.
+    Every entry is stripped, checked and converted by one bulk pass of
+    :func:`_integers`. Only a rejected text is searched, by halving with the
+    same rule, for the first entry that is not an integer; otherwise a
+    negative value names the first negative entry. Raises ValidationError
+    in either case.
     """
     stripped = text.strip()
     if not stripped:
         return DegreeSequence()
-    parts = [p.strip() for p in stripped.split(",")]
-    values = []
-    for i, p in enumerate(parts):
-        try:
-            if not p.isascii() or "_" in p:
-                raise ValueError(p)
-            values.append(int(p))
-        except ValueError:
-            raise ValidationError(f"entry {i} is not an integer: {p!r}") from None
+    entries = list(map(str.strip, stripped.split(",")))
+    try:
+        values = _integers(entries)
+    except ValueError:
+        # entries[:lo] all pass and entries[lo:hi] holds a rejected one; each
+        # probe checks half of that span, so the search costs about one more
+        # bulk pass and O(log n) Python steps
+        lo, hi = 0, len(entries)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _integers(entries[lo:mid])
+                lo = mid
+            except ValueError:
+                hi = mid
+        raise ValidationError(f"entry {lo} is not an integer: {entries[lo]!r}") from None
     # every value is an int; the full check runs only to name a negative one
     if min(values) < 0:
         _check_degrees(values)
-    return DegreeSequence._trusted(tuple(sorted(values, reverse=True)))
+    values.sort(reverse=True)
+    return DegreeSequence._trusted(tuple(values))

@@ -344,25 +344,41 @@ token_texts = st.lists(
 ).map(",".join)
 
 
-class TestRealizeAnyText:
-    """``degmatch realize`` on any --seq text exits 0, 1 or 2 without a
-    traceback, and its three formats agree on a realization of the parsed
-    sequence."""
+def run_text(*argv):
+    """Run the CLI in process and return (exit code, stdout, stderr), with
+    argparse's usage exits caught."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
-    @staticmethod
-    def realize(text, fmt):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(["realize", "--seq=" + text, "--format", fmt])
-            except SystemExit as exc:
-                code = exc.code
-        return code, out.getvalue(), err.getvalue()
+
+class TestRealizeAnyText:
+    """Every sequence command on any --seq text exits 0, 1 or 2 without a
+    traceback, and ``degmatch realize``'s three formats agree on a
+    realization of the parsed sequence."""
+
+    @pytest.mark.parametrize(
+        "command", [["check"], ["bounds"], ["nu-star"], ["delta-star"], ["extend", "--delta", "2"]],
+        ids=lambda command: command[0],
+    )
+    @given(text=st.one_of(graphic_texts, token_texts))
+    @settings(max_examples=100, deadline=None)
+    def test_every_sequence_command_exits_with_a_code(self, command, text):
+        code, out, err = run_text(*command, "--seq=" + text)
+        assert code in {0, 1, 2} and "Traceback" not in err, (code, err)
+        if code == 1 and command == ["check"] and err == "":
+            assert out.startswith("not graphic"), out  # check's verdict, not an error
+        elif code == 1:
+            assert out == "" and re.fullmatch(r"ERROR [A-Z_]+: [^\n]*\n", err), err
 
     @given(st.one_of(graphic_texts, token_texts))
     @settings(max_examples=100, deadline=None)
     def test_exit_codes_and_formats_agree(self, text):
-        runs = {fmt: self.realize(text, fmt) for fmt in ("json", "csv", "text")}
+        runs = {fmt: run_text("realize", "--seq=" + text, "--format", fmt) for fmt in ("json", "csv", "text")}
         codes = {code for code, _, _ in runs.values()}
         assert len(codes) == 1 and codes <= {0, 1, 2}, runs
         code = codes.pop()

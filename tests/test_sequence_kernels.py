@@ -375,9 +375,24 @@ class TestParseSequence:
     @pytest.mark.parametrize(
         "text",
         [" 3 ,2 , 1 ", "\t2,\n2", "+3,1,1,1", "", "   ", "x", "3,x", "2.5", "1e3", "-1", "3,-1", "3,2,", ",3",
-         "1_0", "٣", "3, ٣", "3,\u3000 1"],
+         "1_0", "٣", "3, ٣", "3,\u3000 1", "3,\x1c1", "1 2", "+-1", "٣,x", "x,-1", "-1,x"],
     )
     def test_corpus(self, text):
+        assert outcome(parse_sequence, text) == outcome(parse_oracle, text)
+
+    @pytest.mark.parametrize(
+        "position, entry",
+        [(None, None), (-1, "x"), (0, "x"), (-1, "-1"), (50_000, "٣"), (50_000, "1_0")],
+        ids=["accepted", "bad-last", "bad-first", "negative-last", "arabic-indic-middle", "underscore-middle"],
+    )
+    def test_long_texts(self, position, entry):
+        # 100,000 entries, far beyond the texts Hypothesis builds: the bulk
+        # conversion and the halving search for a rejected entry run over a
+        # long list
+        entries = [str(i % 9) for i in range(100_000)]
+        if position is not None:
+            entries[position] = entry
+        text = " , ".join(entries)
         assert outcome(parse_sequence, text) == outcome(parse_oracle, text)
 
     def test_direct_construction_keeps_its_checks(self):
