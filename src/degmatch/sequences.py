@@ -117,6 +117,9 @@ def make_sequence(values: Iterable[int]) -> DegreeSequence:
     return DegreeSequence._trusted(tuple(sorted(vals, reverse=True)))
 
 
+_SHOWN = 32  # a rejected entry is echoed up to this many characters, then "…"
+
+
 def _integers(entries: list[str]) -> list[int]:
     """Convert stripped entry texts to ints, all in one pass.
 
@@ -137,7 +140,8 @@ def parse_sequence(text: str) -> DegreeSequence:
 
     Every entry is stripped, checked and converted by one bulk pass of
     :func:`_integers`. Only a rejected text is searched, by halving with the
-    same rule, for the first entry that is not an integer; otherwise a
+    same rule, for the first entry that is not an integer, and an entry of
+    ASCII digits is named as having too many digits for ``int``; otherwise a
     negative value names the first negative entry. Raises ValidationError
     in either case.
     """
@@ -159,7 +163,13 @@ def parse_sequence(text: str) -> DegreeSequence:
                 lo = mid
             except ValueError:
                 hi = mid
-        raise ValidationError(f"entry {lo} is not an integer: {entries[lo]!r}") from None
+        entry = entries[lo]
+        shown = repr(entry) if len(entry) <= _SHOWN else f"{entry[:_SHOWN]!r}…"
+        digits = entry[1:] if entry[:1] in ("+", "-") else entry
+        if digits.isascii() and digits.isdigit():
+            # int refuses more digits than sys.get_int_max_str_digits() (Python 3.11, 3.10.7+)
+            raise ValidationError(f"entry {lo} has too many digits ({len(digits)}): {shown}") from None
+        raise ValidationError(f"entry {lo} is not an integer: {shown}") from None
     # every value is an int; the full check runs only to name a negative one
     if min(values) < 0:
         _check_degrees(values)

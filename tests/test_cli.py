@@ -1,5 +1,6 @@
 """Tests for the command-line surface."""
 
+import hashlib
 import io
 import json
 import re
@@ -493,3 +494,107 @@ class TestOneParserPerProcess:
         assert forward[7][1] == "" and forward[7][3].startswith("n 6\n")
         assert forward[10][2].startswith("usage: degmatch realize")
         assert forward[11][1].startswith("degmatch ")
+
+
+GOLDEN_GRAPH = "n 7\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n"  # C6 and an isolated vertex
+
+
+def golden_outcome(tmp_path, command):
+    """Run one golden command, with ``{tmp}`` standing for ``tmp_path``, and
+    return the SHA-256 of (exit code, stdout, stderr, text of out.txt)."""
+    (tmp_path / "g.txt").write_text(GOLDEN_GRAPH)
+    out = tmp_path / "out.txt"
+    out.unlink(missing_ok=True)
+    code, stdout, stderr = run_text(*command.replace("{tmp}", str(tmp_path)).split())
+    written = out.read_text() if out.exists() else None
+    return hashlib.sha256(json.dumps([code, stdout, stderr, written]).encode()).hexdigest()
+
+
+GOLDEN = {
+    "check --seq 3,3,2,2": "5d16df3feb784ab0dbb663b7f698fe9f50ffe4cc900081ba6c1934a186739156",
+    "check --seq 3,3,1,1": "8842f36c5333dd5ad674f1dd6fba7d6f39915ebf357c0442c339af7daaac754a",
+    "check --seq 3,2,2": "60bcd916c6cf8d086d95011a9d0a8aaa51baaa3f715f9d7949e5437a1ef1d0c4",
+    "check --seq 4,4,4,4 --all-k --format json": "7f288afceed18f54b6781be4eab763516908bcace366ef9e93d64647cda1f84d",
+    "check --seq 3,3,1,1 --format json": "a5ba368d387bda335b1df693cbbfe72902206920b57a67b85f5d28493ab2d82a",
+    "check --seq 3,3,1,1 --format csv": "8e19efb31ce92e6bc621724eb583047364c4bcecb7b3ea4e9822551ac9b41bbb",
+    "check --seq 3,3,2,2 --format csv --out {tmp}/out.txt": "54ff6b0dcbe3ed012ee12cc84541fab1bf17532530918c5f478d274c50649891",
+    "realize --seq 3,2,2,2,1": "bb9618b44cd4b5a40b14a4b3152f20d0c6d8230fb05bfc1918bd6a2156ce058d",
+    "realize --seq 3,2,2,2,1 --format json": "390ccf27843f9c4adcdd91c3257a7a4fad2c9ffe63fc545586d6265d6a5412e5",
+    "realize --seq 3,2,2,2,1 --format csv": "8ffbc5390052ec8b1e98ee513cab33b9536f2662e052586c60a25f772cdf0e39",
+    "realize --seq 3,2,2,2,1 --out {tmp}/out.txt": "b6733d4e343d5419aff2e1a866d39bcff3361c6dfcc8ec295bb027c10747d2e8",
+    "bounds --seq 4,2,2,2,2": "8becd1b323d74ec7797d435b77a98caa96a8fc35d66305c1697050af770f9cee",
+    "bounds --seq 4,2,2,2,2 --format json": "1c979848aab0ce5f67aa517201d69708c2a3af7406e437a66f42b755053d2d54",
+    "bounds --seq 4,2,2,2,2 --format csv": "49419455cb3c6d94874570cea33a60c61be9e4a5c176bf7f1373bfb1710abb29",
+    "bounds --graph {tmp}/g.txt": "11eb9c1c1736e86c827629d6444bb9aaab72cf573d12b1337b4af71d25dd1da6",
+    "bounds --graph {tmp}/g.txt --format csv --out {tmp}/out.txt": "010d00663b32e9975344ddca96352d91fef214118ba870b76d02461640182b3f",
+    "delta-star --seq 2,2,1,1": "a05b9aab1877c8eddd3273cd373fcb6088279e1ec2eee29b98569d777ff35ae8",
+    "delta-star --seq 2,2,1,1 --format json": "e76ddc6e5f67bfc7ba4e5907a2035f0a3b371b0dd4c8552e97994ba00416cc9f",
+    "delta-star --seq 2,2,1,1 --format csv": "733c2492dc86c852f6ef25ff79e469db746e248d352ececa67c9749841e7f732",
+    "delta-star --seq 2,2,1,1 --out {tmp}/out.txt": "94c1d332168d4763c94457c2974396a79b22d7f0eca06d7394c74dc41bd7942e",
+    "nu-star --seq 2,2,2,2,2,2": "854a54a25a5524a094aece9760e59b7ffbca057e432581bc8bc393089f51c121",
+    "nu-star --seq 2,2,2,2,2,2 --format json": "a653115810ce13f8d63fd6d464a4bd8a1c4484f0b347c447b462031c2197e941",
+    "nu-star --seq 2,2,2,2,2,2 --format csv": "a6312e47f380b1456171a1fd4191f625bb40c8068dab57d3aa2d10b975201952",
+    "nu-star --seq 3,3,1,1 --format csv": "31e63776eeb9598205573ca6cbbb1e6fa62ab93a5f69da34a7ea7660585b3bf6",
+    "nu-star --seq 2,2,2,2,2,2 --out {tmp}/out.txt": "408d8a1b9544f20f1b4b0ae28cb141811f3842f78ba3997a269e80a00db1e8ea",
+    "extend --seq 2,2,2 --delta 2": "3956953b98d26c38aaf4806322c660c4d7708692b0f62baa8dad59315274847d",
+    "extend --seq 3,1,1,1 --delta 4": "d690dc6a2689e48ec2a11d7bbcb84d84179f205dceda7e8bf0f9afd516308842",
+    "extend --seq 2,2,2 --delta 2 --format json": "d7a577eb642ebf4c8a8da51f949c289546e1a396fc0b52239d23f55482837684",
+    "extend --seq 2,2,2 --delta 2 --format csv": "37992716744639cd71b1f620ef87e8ef6b9d56458a55b26f061ec5774f04fba2",
+    "extend --seq 2,2,2 --delta 2 --format json --out {tmp}/out.txt": "1bd68bb31af4f415b1eaaa5c176a889d3709faaf4515dfb081ee9c1a9e9494b7",
+    "grow --seq 2,2,2 --steps 2 --policy fixed:2": "33bb1a34e17aa83a82ecf04bbe2d3651b39fb06a0b1e8638b549433a00a79b54",
+    "grow --seq 2,2,2 --steps 2 --policy fixed:2 --format json": "468dfcb52d13f5f08b514e7399288f287d5b822fbe6881218c354b8a810bf82a",
+    "grow --seq 2,2,2 --steps 2 --policy fixed:2 --format text": "3f2cc175e9a32791c5760f7c834ce5f3c07b13ee336b1d8661382ce23da8eb72",
+    "grow --graph {tmp}/g.txt --steps 3 --format text": "fc3e82eb3b36ae0522a67f83f5893ebc981cb8ee9cffbbaddc230d29b6427c9d",
+    "grow --seq 2,2,2 --steps 2 --out {tmp}/out.txt": "34898bb2748f9569054d52af0a65ab45625767fc2b510e1fbd3f8547f063c79e",
+    "family --kind cycle --n 5": "6376f466de1ac180964a9fb1aa7962c6681a90d0dc56edf64e4aa0b9ce1f9ffc",
+    "family --kind half-graph --n 4 --out {tmp}/out.txt": "d07da25b284c395cf99eeaeb6abd435871dd059295d7ab101e8f7fc89fc75118",
+    "enumerate --seq 1,1,1,1": "51b6a6a0fc64bbb8b3a577134e36c0ba20fd06c7b874f6328b651cb81c9d5af5",
+    "enumerate --seq 1,1,1,1 --format json": "35c18070aeafedc8cfea02bd17922a94a676693ea70b099704009a1f6a4bb3c3",
+    "enumerate --seq 1,1,1,1 --format csv": "8a6f1b6c95b38b47f8d3844e84bf94cee169519032d046f6c653f57204f51801",
+    "enumerate --seq 0,0": "1b7cd5f508bdb6c9c2e77ad299cb722a96b98ca94009d4190073155383c4d295",
+    "enumerate --seq 0,0 --format csv": "ff6b40a1263b70e4d3a425255294302f99543898aba96933739588e4f1435847",
+    "enumerate --seq 2,2,2,2 --format csv --out {tmp}/out.txt": "d088771941789bbe5347994b8fbb44a8bf6e6162b0378d4fbb809948b424d316",
+    "scan-conjecture --max-n 3": "394785b36050673e5aef149d0e6f6cecf83d1ec23fc5eae73c3fddf058d4b85e",
+    "scan-conjecture --max-n 3 --format json": "35f61f878d43040a38922f6f7758f8c35c00e8c2f3c9b4d1a6476d286496c372",
+    "scan-conjecture --max-n 3 --format text": "b903a436cc802d83da9de3692d21301ac90d48fea5b8920fa1ce74057e6fc94c",
+    "scan-conjecture --max-n 3 --format json --out {tmp}/out.txt": "29dbf4a0bd9c583dd9e72f66eecea575a75abf526033b755c63d658c44089d82",
+}
+
+
+class TestGoldenOutput:
+    """Every subcommand, in each --format it takes and once with --out, on a
+    tiny input, gives the bytes pinned here: exit code, stdout, stderr and
+    the written file."""
+
+    @pytest.mark.parametrize("command", GOLDEN)
+    def test_pinned(self, tmp_path, command):
+        assert golden_outcome(tmp_path, command) == GOLDEN[command]
+
+
+class TestOutIntoMissingDirectory:
+    """A write to a path whose directory does not exist is one coded IO error
+    line, exit 1 and nothing on stdout, whatever the command's own exit code
+    would have been."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "check --seq 3,3,2,2",
+            "check --seq 3,3,1,1",
+            "realize --seq 3,2,2,2,1 --format json",
+            "bounds --seq 4,2,2,2,2",
+            "delta-star --seq 2,2,1,1 --format csv",
+            "nu-star --seq 2,2,2,2,2,2",
+            "extend --seq 2,2,2 --delta 2",
+            "grow --seq 2,2,2 --steps 2",
+            "family --kind cycle --n 5",
+            "enumerate --seq 1,1,1,1 --format csv",
+            "scan-conjecture --max-n 3 --format json",
+        ],
+    )
+    def test_one_io_error(self, tmp_path, command):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run_text(*command.split(), "--out", str(target))
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"ERROR IO: [^\n]*\n", err), err
+        assert not target.parent.exists()

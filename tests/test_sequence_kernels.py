@@ -18,6 +18,7 @@ every row it covers.
 """
 
 import re
+import sys
 from itertools import accumulate
 
 import pytest
@@ -394,6 +395,20 @@ class TestParseSequence:
             entries[position] = entry
         text = " , ".join(entries)
         assert outcome(parse_sequence, text) == outcome(parse_oracle, text)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int has no digit limit")
+    def test_overlong_entries(self):
+        # int refuses more digits than its limit (4300 by default); such an
+        # entry is named for its digit count, and any long entry is echoed
+        # only in part
+        over = sys.get_int_max_str_digits() + 1
+        head = "9" * 31
+        assert outcome(parse_sequence, "1," + "9" * over) == f"entry 1 has too many digits ({over}): '9{head}'…"
+        assert outcome(parse_sequence, "-" + "9" * over) == f"entry 0 has too many digits ({over}): '-{head}'…"
+        assert outcome(parse_sequence, "+" + "9" * over) == f"entry 0 has too many digits ({over}): '+{head}'…"
+        assert outcome(parse_sequence, "3," + "9" * over + "x") == f"entry 1 is not an integer: '9{head}'…"
+        assert outcome(parse_sequence, "x" * 33) == f"entry 0 is not an integer: '{'x' * 32}'…"
+        assert outcome(parse_sequence, "x" * 32) == f"entry 0 is not an integer: '{'x' * 32}'"
 
     def test_direct_construction_keeps_its_checks(self):
         with pytest.raises(ValidationError):
