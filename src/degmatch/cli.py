@@ -15,15 +15,17 @@ The parser needs only ``constants`` for its choices and defaults, and each
 ``_cmd_*`` imports the kernels it calls in its own body, so a call loads
 only the modules its command runs: ``check``, ``extend``, ``nu-star`` and
 ``delta-star`` load ``sequences`` and ``graphicality`` and nothing else.
+The same rule holds for the standard library: files are read and written
+with ``open``, not ``pathlib``, and ``json`` is imported only where JSON is
+written, so a text or CSV call, ``--help``, ``--version`` and a usage error
+load neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
-from pathlib import Path
 
 from . import __version__
 from .constants import DEFAULT_MAX_DEGREE_SUM, DEFAULT_MAX_N, FAMILY_KINDS, MATCHING_POLICIES
@@ -35,6 +37,8 @@ _FAMILY_FLAGS = ("n", "t", "l", "r", "a", "b", "k")  # the family command's para
 def _render(record: dict, fmt: str) -> str:
     """A record as one JSON line, a CSV header and row, or ``key: value`` lines."""
     if fmt == "json":
+        import json
+
         return json.dumps(record) + "\n"
     if fmt == "csv":
         return ",".join(record) + "\n" + ",".join(map(str, record.values())) + "\n"
@@ -45,7 +49,8 @@ def _read_text(path: str) -> str:
     """The text of an input file. A file that is not UTF-8 is an IO error
     that names the file, as a missing file's is."""
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise OSError(f"not UTF-8 text: {path!r} ({exc.reason} at byte {exc.start})") from None
 
@@ -103,7 +108,7 @@ def _cmd_realize(args: argparse.Namespace) -> str | dict:
 def _cmd_bounds(args: argparse.Namespace) -> dict:
     from .bounds import bound_report
 
-    graph = _load_graph(args.graph) if args.graph else None
+    graph = _load_graph(args.graph) if args.graph is not None else None
     d = graph.degree_sequence() if graph is not None else _resolve_sequence(args)
     report = bound_report(d)
     record: dict = {"n": d.n, "m": d.edge_count_if_graphic}
@@ -139,7 +144,7 @@ def _cmd_extend(args: argparse.Namespace) -> str | dict:
 def _cmd_grow(args: argparse.Namespace) -> str:
     from .dpg import grow
 
-    if args.graph:
+    if args.graph is not None:
         g0 = _load_graph(args.graph)
     else:
         from .graphicality import realize_hh
@@ -310,7 +315,8 @@ def main(argv: list[str] | None = None) -> int:
         result, code = result if isinstance(result, tuple) else (result, 0)
         text = result if isinstance(result, str) else _render(result, args.format)
         if args.out:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as f:
+                f.write(text)
         else:
             sys.stdout.write(text)
         return code

@@ -43,7 +43,6 @@ the oracle for ``grow``: they share the policies' selection,
 
 from __future__ import annotations
 
-import json
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -233,6 +232,8 @@ class GrowthTrace:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json
+
         payload = {
             "seed": {
                 "n": self.seed_vertex_count,

@@ -24,6 +24,20 @@ __all__ = [
 ]
 
 
+_SHOWN = 32  # a rejected entry is echoed up to this many characters, then "…"
+
+
+def _shown_int(x: int) -> str:
+    """``x`` in decimal, cut to its first ``_SHOWN`` characters and "…" if
+    longer. ``str`` refuses an int of more than sys.get_int_max_str_digits()
+    digits, so a long one loses its last ``drop`` digits first. It has at
+    least bit_length * 0.30102999566 digits (just under log10(2)), so more
+    than ``_SHOWN`` remain, and only a few more."""
+    drop = max(0, x.bit_length() * 30102999566 // 10**11 - _SHOWN - 1)
+    text = ("-" if x < 0 else "") + str(abs(x) // 10**drop)
+    return text if len(text) <= _SHOWN else text[:_SHOWN] + "…"
+
+
 def _check_degrees(values: Iterable[object]) -> None:
     """Raise ValidationError naming the position of the first entry that is
     not an integer or is negative."""
@@ -31,7 +45,7 @@ def _check_degrees(values: Iterable[object]) -> None:
         if isinstance(x, bool) or not isinstance(x, int):
             raise ValidationError(f"degree at position {i} is not an integer: {x!r}")
         if x < 0:
-            raise ValidationError(f"negative degree at position {i}: {x}")
+            raise ValidationError(f"negative degree at position {i}: {_shown_int(x)}")
 
 
 @dataclass(frozen=True)
@@ -115,9 +129,6 @@ def make_sequence(values: Iterable[int]) -> DegreeSequence:
     vals = list(values)
     _check_degrees(vals)
     return DegreeSequence._trusted(tuple(sorted(vals, reverse=True)))
-
-
-_SHOWN = 32  # a rejected entry is echoed up to this many characters, then "…"
 
 
 def _integers(entries: list[str]) -> list[int]:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from degmatch import cli
 from degmatch.cli import main
+from degmatch.constants import FAMILY_KINDS, MATCHING_POLICIES
 from degmatch.sequences import parse_sequence
 
 
@@ -357,6 +358,17 @@ def run_text(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_coded_exit(argv, code, out, err):
+    """The CLI's exit rule: exit 0, 1 or 2 and never a traceback; on exit 1,
+    one ``ERROR <CODE>:`` line and nothing on stdout, unless it is check's
+    "not graphic" verdict."""
+    assert code in {0, 1, 2} and "Traceback" not in err, (code, err)
+    if code == 1 and argv[0] == "check" and err == "":
+        assert out.startswith("not graphic"), out  # check's verdict, not an error
+    elif code == 1:
+        assert out == "" and re.fullmatch(r"ERROR [A-Z_]+: [^\n]*\n", err), err
+
+
 class TestRealizeAnyText:
     """Every sequence command on any --seq text exits 0, 1 or 2 without a
     traceback, and ``degmatch realize``'s three formats agree on a
@@ -369,12 +381,7 @@ class TestRealizeAnyText:
     @given(text=st.one_of(graphic_texts, token_texts))
     @settings(max_examples=100, deadline=None)
     def test_every_sequence_command_exits_with_a_code(self, command, text):
-        code, out, err = run_text(*command, "--seq=" + text)
-        assert code in {0, 1, 2} and "Traceback" not in err, (code, err)
-        if code == 1 and command == ["check"] and err == "":
-            assert out.startswith("not graphic"), out  # check's verdict, not an error
-        elif code == 1:
-            assert out == "" and re.fullmatch(r"ERROR [A-Z_]+: [^\n]*\n", err), err
+        assert_coded_exit(command, *run_text(*command, "--seq=" + text))
 
     @given(st.one_of(graphic_texts, token_texts))
     @settings(max_examples=100, deadline=None)
@@ -405,6 +412,63 @@ class TestRealizeAnyText:
             degrees[u] += 1
             degrees[v] += 1
         assert tuple(degrees) == d.degrees
+
+
+class TestFuzzedFlags:
+    """The inputs the tests above leave out, under the same exit rule:
+    --seq-file contents, and the flags of grow, family and scan-conjecture.
+    Sizes stay small, so that every case runs in process in milliseconds."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["check"], ["realize"], ["bounds"], ["nu-star"], ["delta-star"], ["extend", "--delta", "2"], ["enumerate"]],
+        ids=lambda command: command[0],
+    )
+    @given(data=st.one_of(st.one_of(graphic_texts, token_texts).map(str.encode), st.binary(max_size=40)))
+    @settings(max_examples=40, deadline=None)
+    def test_seq_file_contents(self, tmp_path_factory, command, data):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.seq"
+        path.write_bytes(data)
+        assert_coded_exit(command, *run_text(*command, "--seq-file", str(path)))
+
+    @given(
+        seq=st.one_of(graphic_texts, token_texts),
+        steps=st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["", "x", "1.5"])),
+        policy=st.one_of(
+            st.sampled_from(["max", "random", "fixed:2", "fixed:4", "fixed:3", "fixed:0", "fixed:-2", "fixed:", "fixed:x"]),
+            st.text(max_size=8),
+        ),
+        matching=st.one_of(st.sampled_from(MATCHING_POLICIES), st.text(max_size=8)),
+        rng_seed=st.integers(-(2**70), 2**70),
+        fmt=st.sampled_from(["csv", "json", "text", "yaml"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_grow_flags(self, seq, steps, policy, matching, rng_seed, fmt):
+        argv = ["grow", "--seq=" + seq, "--steps=" + steps, "--policy=" + policy,
+                "--matching-policy=" + matching, f"--rng-seed={rng_seed}", "--format=" + fmt]
+        assert_coded_exit(argv, *run_text(*argv))
+
+    @given(
+        kind=st.one_of(
+            st.sampled_from(FAMILY_KINDS),
+            st.sampled_from(FAMILY_KINDS).map(lambda kind: kind.replace("-", "_").upper()),
+            st.text(max_size=10),
+        ),
+        params=st.dictionaries(st.sampled_from(cli._FAMILY_FLAGS), st.integers(-3, 12), max_size=4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_family_flags(self, kind, params):
+        argv = ["family", "--kind=" + kind, *(f"--{flag}={value}" for flag, value in params.items())]
+        assert_coded_exit(argv, *run_text(*argv))
+
+    @given(
+        max_n=st.one_of(st.integers(-3, 6).map(str), st.integers(11, 10**30).map(str), st.sampled_from(["", "x", "6.0"])),
+        fmt=st.sampled_from(["csv", "json", "text", "yaml"]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_scan_conjecture_flags(self, max_n, fmt):
+        argv = ["scan-conjecture", "--max-n=" + max_n, "--format=" + fmt]
+        assert_coded_exit(argv, *run_text(*argv))
 
 
 class TestUsageErrors:
@@ -569,6 +633,15 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("command", GOLDEN)
     def test_pinned(self, tmp_path, command):
         assert golden_outcome(tmp_path, command) == GOLDEN[command]
+
+
+class TestEmptyGraphPath:
+    """``--graph ''`` names a file like any other path: an IO error, not a
+    fall-back to the --seq that was not given."""
+
+    @pytest.mark.parametrize("command", [["bounds"], ["grow", "--steps", "1"]], ids=lambda command: command[0])
+    def test_is_an_io_error(self, command):
+        assert run_text(*command, "--graph", "") == (1, "", "ERROR IO: [Errno 2] No such file or directory: ''\n")
 
 
 class TestOutIntoMissingDirectory:

@@ -3,7 +3,6 @@ of each constant the command-line parser shows."""
 
 import argparse
 import importlib
-import json
 import os
 import pkgutil
 import subprocess
@@ -118,14 +117,24 @@ class TestNamespace:
 
 
 def fresh(code: str) -> str:
-    """Run ``code`` in a new interpreter that finds this degmatch; its stdout."""
+    """Run ``code`` in a new interpreter that finds this degmatch; its stdout.
+    ``-S`` skips the site module, so no ``.pth`` file preloads a module."""
     env = dict(os.environ, PYTHONPATH=str(Path(degmatch.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
 
-LOADED = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'degmatch')))"
+# prints the degmatch modules loaded, and json and pathlib if loaded; it
+# imports no json itself
+LOADED = "import sys; print(*sorted(m for m in sys.modules if m.split('.')[0] in ('degmatch', 'json', 'pathlib')))"
+PARSER = ["degmatch", "degmatch.cli", "degmatch.constants", "degmatch.errors"]
+
+
+def loaded(code: str) -> tuple[list[str], set[str]]:
+    """The degmatch modules, and which of json and pathlib, ``code`` loads."""
+    names = fresh(f"{code}\n{LOADED}").split()
+    return [m for m in names if m.startswith("degmatch")], {m for m in names if m in ("json", "pathlib")}
 
 
 class TestFreshInterpreter:
@@ -136,7 +145,7 @@ class TestFreshInterpreter:
         fresh(f"import degmatch.{name}")
 
     def test_import_loads_no_submodule(self):
-        assert json.loads(fresh(f"import degmatch\n{LOADED}")) == ["degmatch"]
+        assert loaded("import degmatch") == (["degmatch"], set())
 
     def test_a_submodule_resolves_on_attribute_access(self):
         fresh(
@@ -147,8 +156,7 @@ class TestFreshInterpreter:
         )
 
     def test_the_parser_loads_only_the_constants(self):
-        loaded = json.loads(fresh(f"import degmatch.cli\ndegmatch.cli.build_parser()\n{LOADED}"))
-        assert loaded == ["degmatch", "degmatch.cli", "degmatch.constants", "degmatch.errors"]
+        assert loaded("import degmatch.cli\ndegmatch.cli.build_parser()") == (PARSER, set())
 
     @pytest.mark.parametrize(
         "argv, kernels",
@@ -159,16 +167,29 @@ class TestFreshInterpreter:
             (["delta-star", "--seq", "3,3,2,2"], ["graphicality", "sequences"]),
             (["realize", "--seq", "3,3,2,2"], ["graphicality", "graphs", "sequences"]),
             (["family", "--kind", "cycle", "--n", "6"], ["families", "graphs"]),
+            (["bounds", "--seq", "3,3,2,2"], ["bounds", "graphicality", "sequences"]),
+            (["grow", "--seq", "2,2,2", "--steps", "2"], ["dpg", "graphicality", "graphs", "sequences"]),
+            (["check", "--seq", "3,3,2,2", "--format", "json"], ["graphicality", "sequences"]),
+            (["grow", "--seq", "2,2,2", "--steps", "2", "--format", "json"],
+             ["dpg", "graphicality", "graphs", "sequences"]),
+            (["--help"], []),
+            (["--version"], []),
+            (["check", "--help"], []),
+            (["check"], []),  # usage error: no --seq
+            (["nope"], []),  # usage error: no such command
         ],
     )
     def test_a_command_loads_only_what_it_runs(self, argv, kernels):
-        out = fresh(
+        modules, stdlib = loaded(
             "import contextlib, io, degmatch.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    degmatch.cli.main({argv!r})\n{LOADED}"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        degmatch.cli.main({argv!r})\n"
+            "    except SystemExit:\n"
+            "        pass"
         )
-        parser = ["degmatch", "degmatch.cli", "degmatch.constants", "degmatch.errors"]
-        assert json.loads(out) == sorted(parser + [f"degmatch.{name}" for name in kernels])
+        assert modules == sorted(PARSER + [f"degmatch.{name}" for name in kernels])
+        assert stdlib == ({"json"} if "json" in argv else set())
 
 
 def subparser(name: str) -> argparse.ArgumentParser:

@@ -410,6 +410,14 @@ class TestParseSequence:
         assert outcome(parse_sequence, "x" * 33) == f"entry 0 is not an integer: '{'x' * 32}'…"
         assert outcome(parse_sequence, "x" * 32) == f"entry 0 is not an integer: '{'x' * 32}'"
 
+    def test_long_negative_degrees_are_echoed_in_part(self):
+        # through the same cap; an int of more digits than str allows is
+        # echoed as well, not refused by str while the message is formatted
+        assert outcome(parse_sequence, "1,-" + "9" * 4300) == f"negative degree at position 1: -{'9' * 31}…"
+        assert outcome(make_sequence, [3, -10**5000]) == f"negative degree at position 1: -1{'0' * 30}…"
+        assert outcome(make_sequence, [3, -10**31]) == f"negative degree at position 1: -1{'0' * 30}…"
+        assert outcome(make_sequence, [3, 1 - 10**31]) == f"negative degree at position 1: -{'9' * 31}"
+
     def test_direct_construction_keeps_its_checks(self):
         with pytest.raises(ValidationError):
             DegreeSequence((1, 2))
