@@ -63,6 +63,7 @@ from .graphs import (
     max_matching,
     pinch,
 )
+from .sequences import _integers, _shown, _shown_int
 
 __all__ = [
     "MATCHING_POLICIES",
@@ -259,13 +260,14 @@ def _parse_delta_policy(policy: str) -> tuple[str, Optional[int]]:
         return policy, None
     if policy.startswith("fixed:"):
         try:
-            value = int(policy.split(":", 1)[1])
+            # read as a --seq entry is: ASCII digits with an optional sign
+            value = _integers([policy.split(":", 1)[1].strip()])[0]
         except ValueError:
-            raise ValidationError(f"bad fixed delta in policy {policy!r}") from None
+            raise ValidationError(f"bad fixed delta in policy {_shown(policy, repr)}") from None
         if value < 2 or value % 2:
-            raise ValidationError(f"fixed delta must be a positive even integer, got {value}")
+            raise ValidationError(f"fixed delta must be a positive even integer, got {_shown_int(value)}")
         return "fixed", value
-    raise ValidationError(f"unknown delta policy {policy!r}; expected fixed:<delta>, random or max")
+    raise ValidationError(f"unknown delta policy {_shown(policy, repr)}; expected fixed:<delta>, random or max")
 
 
 def grow(

@@ -35,9 +35,17 @@ per multiset split and one M per multiset of degree pairs stand for all.
   max(ell*, k*), and each l tries every multiset split with |C| = 2l, the
   top split first; an l is rejected only after all fail, so the answer is
   exact without the unproved lemma that the top split suffices.
+  ``_nu_bar`` computes the floor itself and returns nu_bar with ell*, k*
+  and the witness, so ``nu_bar_sequence`` and each scan row make one call.
 - The paper's strong extension check (some realization has a matching of
   delta/2 edges covering the delta largest degrees): C is the top delta
   vertices, and H may use I x I pairs.
+
+The splits and the matchings come from flat generators: ``_cover_splits``
+walks the vectors of how many vertices each degree value gives, and
+``_pair_classes`` pairs the cover's first vertex and recurses on the tuple
+left. Each yield is a new tuple and no function refers to itself through a
+closure, so a search leaves no reference cycle for the cyclic collector.
 
 The realization walks these replaced are kept only as test oracles. Caps
 keep accidental big inputs from hanging the process; they are arguments,
@@ -54,7 +62,7 @@ re-check caps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement, product
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .bounds import _gale_ryser_bound, _k_star
@@ -248,92 +256,74 @@ def nu_bar_sequence(
     """
     require_graphic(d)
     _check_caps(d, max_n, max_degree_sum)
-    degs = d.strip_zeros()[0].degrees
-    prefix = [0, *accumulate(degs)]
-    k_star = _k_star(prefix)
-    return _nu_bar(d.degrees, max(_gale_ryser_bound(degs, prefix, k_star), k_star))[0]
+    return _nu_bar(d.degrees)[0]
 
 
 Witness = tuple[Graph, Matching]
 
 
-def _nu_bar(degs: tuple[int, ...], floor: int) -> tuple[int, Witness]:
-    """nu_bar and a witness (G, M) for the graphic ``degs``: a realization G
-    and a maximal matching M of G with nu_bar edges.
+def _nu_bar(degs: tuple[int, ...]) -> tuple[int, int, int, Witness]:
+    """(nu_bar, ell*, k*, witness) for the graphic ``degs``, the witness a
+    realization G and a maximal matching M of G with nu_bar edges.
 
     Some realization has a maximal matching of l edges exactly when a
     split of d into C (2l entries) and I admits a perfect matching M on C
     and a realization H of (d_C - 1, d_I) with no I x I pair and no pair of
-    M; then G = H + M. l runs upward from ``floor``, which no maximal
-    matching of any realization goes under, so the first l with a witness
-    is nu_bar. Each l tries every multiset split, the top split first, and
-    one M per multiset of degree pairs: equal degrees are interchangeable,
-    so these stand for every labelled C and every M, and an l is rejected
-    only after all of them fail.
+    M; then G = H + M. l runs upward from the floor max(ell*, k*), which no
+    maximal matching of any realization goes under, so the first l with a
+    witness is nu_bar. Each l tries every multiset split, the top split
+    first, and one M per multiset of degree pairs: equal degrees are
+    interchangeable, so these stand for every labelled C and every M, and
+    an l is rejected only after all of them fail.
     """
-    positive = sum(1 for x in degs if x > 0)
-    for ell in range(floor, positive // 2 + 1):
+    # degs is arranged, so its positive entries come first
+    positive = degs[: sum(1 for x in degs if x > 0)]
+    prefix = [0, *accumulate(positive)]
+    k_star = _k_star(prefix)
+    ell_star = _gale_ryser_bound(positive, prefix, k_star)
+    for ell in range(max(ell_star, k_star), len(positive) // 2 + 1):
         for cover in _cover_splits(degs, 2 * ell):
             for pairs in _pair_classes(degs, cover):
                 g = _split_witness(degs, cover, pairs)
                 if g is not None:
-                    return ell, (g, Matching._trusted(frozenset(pairs), len(degs)))
+                    return ell, ell_star, k_star, (g, Matching._trusted(frozenset(pairs), len(degs)))
     raise InternalConsistencyError(f"graphic sequence {degs} has no maximal matching")
 
 
 def _cover_splits(degs: tuple[int, ...], size: int) -> Iterator[tuple[int, ...]]:
     """One cover C of ``size`` positive-degree vertices per multiset of
     degrees, as ascending vertex ids: from each degree value, its first
-    vertices. ``degs`` is arranged, so the first C is the top split."""
+    vertices. A multiset is a vector of how many vertices each degree value
+    gives, largest value first, and each count runs downward; ``degs`` is
+    arranged, so the first C is the top split."""
     values = sorted({x for x in degs if x > 0}, reverse=True)
     first = [degs.index(x) for x in values]
-    count = [degs.count(x) for x in values]
-    chosen: list[int] = []
-
-    def rec(k: int, left: int) -> Iterator[tuple[int, ...]]:
-        if k == len(values):
-            if left == 0:
-                yield tuple(chosen)
-            return
-        for t in range(min(count[k], left), -1, -1):
-            chosen.extend(range(first[k], first[k] + t))
-            yield from rec(k + 1, left - t)
-            del chosen[len(chosen) - t:]
-
-    return rec(0, size)
+    for takes in product(*[range(min(degs.count(x), size), -1, -1) for x in values]):
+        if sum(takes) == size:
+            yield tuple(v for f, t in zip(first, takes) for v in range(f, f + t))
 
 
-def _pair_classes(degs: tuple[int, ...], cover: Sequence[int]) -> Iterator[tuple[Edge, ...]]:
+def _pair_classes(
+    degs: tuple[int, ...], cover: tuple[int, ...], prev: tuple[int, int] = (-1, -1)
+) -> Iterator[tuple[Edge, ...]]:
     """One perfect matching of ``cover`` per multiset of degree pairs.
 
-    The first free vertex, whose degree a is the largest left, is paired
-    with the first free vertex of each smaller or equal degree b; when the
-    previous pair was (a, b') too, only b <= b' is tried, so each multiset
-    is built once, as its pairs in non-increasing order."""
-    free = [True] * len(cover)
-    pairs: list[Edge] = []
-
-    def rec(prev: tuple[int, int]) -> Iterator[tuple[Edge, ...]]:
-        i = next((i for i, f in enumerate(free) if f), None)
-        if i is None:
-            yield tuple(pairs)
-            return
-        free[i] = False
-        a = degs[cover[i]]
-        tried = set()
-        for j in range(i + 1, len(cover)):
-            b = degs[cover[j]]
-            if not free[j] or b in tried or (prev[0] == a and b > prev[1]):
-                continue
-            tried.add(b)
-            free[j] = False
-            pairs.append((cover[i], cover[j]))
-            yield from rec((a, b))
-            pairs.pop()
-            free[j] = True
-        free[i] = True
-
-    return rec((-1, -1))
+    ``cover[0]``, whose degree a is the largest left, is paired with the
+    first vertex of each smaller or equal degree b; when the previous pair
+    ``prev`` was (a, b') too, only b <= b' is tried, so each multiset is
+    built once, as its pairs in non-increasing order."""
+    if not cover:
+        yield ()
+        return
+    u, a = cover[0], degs[cover[0]]
+    tried = set()
+    for j in range(1, len(cover)):
+        b = degs[cover[j]]
+        if b in tried or (prev[0] == a and b > prev[1]):
+            continue
+        tried.add(b)
+        for rest in _pair_classes(degs, cover[1:j] + cover[j + 1 :], (a, b)):
+            yield ((u, cover[j]), *rest)
 
 
 def _split_witness(degs: tuple[int, ...], cover: Sequence[int], pairs: Sequence[Edge]) -> Optional[Graph]:
@@ -395,7 +385,7 @@ def _extension_witness(degs: tuple[int, ...], delta: int) -> Optional[Witness]:
     if degs[delta - 1] == 0:  # C holds an isolated vertex: nothing covers it
         return None
     n = len(degs)
-    for pairs in _pair_classes(degs, list(range(delta))):
+    for pairs in _pair_classes(degs, tuple(range(delta))):
         m = frozenset(pairs)
         later = [[j for j in range(i + 1, n) if (i, j) not in m] for i in range(n)]
         residual = [x - 1 if i < delta else x for i, x in enumerate(degs)]
@@ -460,11 +450,7 @@ def conjecture_scan(n_max: int, *, max_n: int = SPLIT_MAX_N) -> list[ConjectureR
         raise CapExceededError(f"n_max={n_max} exceeds enumeration cap {max_n}")
     rows = []
     for d in all_graphic_sequences(n_max):
-        # all_graphic_sequences yields graphic sequences without zero entries
-        prefix = [0, *accumulate(d.degrees)]
-        ks = _k_star(prefix)
-        ell = _gale_ryser_bound(d.degrees, prefix, ks)
-        nb, witness = _nu_bar(d.degrees, max(ell, ks))
+        nb, ell, ks, witness = _nu_bar(d.degrees)
         rows.append(ConjectureRow(d, nb, ell, ks, nb == ell, witness))
     return rows
 

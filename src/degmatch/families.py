@@ -119,7 +119,9 @@ def make_family(kind: str, **params: int) -> Graph:
     """Dispatch by family name; hyphens and underscores are interchangeable."""
     key = kind.replace("_", "-").lower()
     if key not in _FAMILIES:
-        raise ValidationError(f"unknown family kind {kind!r}; known: {', '.join(FAMILY_KINDS)}")
+        from .sequences import _shown  # only a refused kind needs it
+
+        raise ValidationError(f"unknown family kind {_shown(kind, repr)}; known: {', '.join(FAMILY_KINDS)}")
     build, names = _FAMILIES[key]
     missing = [name for name in names if params.get(name) is None]
     if missing:

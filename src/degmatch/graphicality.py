@@ -35,7 +35,7 @@ from operator import neg
 from typing import TYPE_CHECKING, Optional
 
 from .errors import InternalConsistencyError, NotGraphicError, ValidationError
-from .sequences import DegreeSequence
+from .sequences import _SHOWN, DegreeSequence, _shown, _shown_int
 
 if TYPE_CHECKING:
     from .graphs import Graph
@@ -151,7 +151,10 @@ def require_graphic(d: DegreeSequence) -> None:
     """Raise NotGraphicError, carrying the Erdos-Gallai verdict, unless ``d`` is graphic."""
     verdict = is_graphic_eg(d)
     if not verdict.is_graphic:
-        raise NotGraphicError(f"sequence {d} is not graphic", verdict)
+        # a longer sequence is cut inside its first _SHOWN entries, which
+        # hold more than _SHOWN characters
+        shown = _shown(",".join(map(_shown_int, d.degrees[:_SHOWN])))
+        raise NotGraphicError(f"sequence ({shown}) is not graphic", verdict)
 
 
 def is_graphic_hh(d: DegreeSequence) -> bool:

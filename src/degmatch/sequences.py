@@ -13,7 +13,7 @@ text is searched further, by halving, to name the first bad entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import ValidationError
 
@@ -24,18 +24,24 @@ __all__ = [
 ]
 
 
-_SHOWN = 32  # a rejected entry is echoed up to this many characters, then "…"
+_SHOWN = 32  # an error message echoes an input up to this many characters, then "…"
+
+
+def _shown(text: str, form: Callable[[str], str] = str) -> str:
+    """``form(text)``, or ``form`` of its first ``_SHOWN`` characters and "…"
+    if it is longer: the one rule by which an error message echoes its
+    input, so a long input gives a short message."""
+    return form(text) if len(text) <= _SHOWN else form(text[:_SHOWN]) + "…"
 
 
 def _shown_int(x: int) -> str:
-    """``x`` in decimal, cut to its first ``_SHOWN`` characters and "…" if
-    longer. ``str`` refuses an int of more than sys.get_int_max_str_digits()
-    digits, so a long one loses its last ``drop`` digits first. It has at
-    least bit_length * 0.30102999566 digits (just under log10(2)), so more
-    than ``_SHOWN`` remain, and only a few more."""
+    """``x`` in decimal, shown by ``_shown``. ``str`` refuses an int of more
+    than sys.get_int_max_str_digits() digits, so a long one loses its last
+    ``drop`` digits first. It has at least bit_length * 0.30102999566 digits
+    (just under log10(2)), so more than ``_SHOWN`` remain, and only a few
+    more."""
     drop = max(0, x.bit_length() * 30102999566 // 10**11 - _SHOWN - 1)
-    text = ("-" if x < 0 else "") + str(abs(x) // 10**drop)
-    return text if len(text) <= _SHOWN else text[:_SHOWN] + "…"
+    return _shown(("-" if x < 0 else "") + str(abs(x) // 10**drop))
 
 
 def _check_degrees(values: Iterable[object]) -> None:
@@ -175,7 +181,7 @@ def parse_sequence(text: str) -> DegreeSequence:
             except ValueError:
                 hi = mid
         entry = entries[lo]
-        shown = repr(entry) if len(entry) <= _SHOWN else f"{entry[:_SHOWN]!r}…"
+        shown = _shown(entry, repr)
         digits = entry[1:] if entry[:1] in ("+", "-") else entry
         if digits.isascii() and digits.isdigit():
             # int refuses more digits than sys.get_int_max_str_digits() (Python 3.11, 3.10.7+)

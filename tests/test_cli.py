@@ -346,6 +346,12 @@ token_texts = st.lists(
 ).map(",".join)
 
 
+# texts longer than any message may echo: any characters, or a sequence of
+# up to 300 threes, graphic when its length is even
+long_texts = st.text(min_size=33, max_size=5000)
+long_sequences = st.integers(17, 300).map(lambda n: ",".join(["3"] * n))
+
+
 def run_text(*argv):
     """Run the CLI in process and return (exit code, stdout, stderr), with
     argparse's usage exits caught."""
@@ -358,15 +364,66 @@ def run_text(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# the longest ERROR line any input may give: a message echoes at most 32
+# characters of an input, which repr writes in at most 10 characters each
+# ("\U0001xxxx"), so a long input cannot make it longer; the longest fixed
+# part, family's list of kinds, is about 150 characters
+MAX_ERROR_LINE = 500
+
+
 def assert_coded_exit(argv, code, out, err):
     """The CLI's exit rule: exit 0, 1 or 2 and never a traceback; on exit 1,
-    one ``ERROR <CODE>:`` line and nothing on stdout, unless it is check's
-    "not graphic" verdict."""
+    one ``ERROR <CODE>:`` line of at most ``MAX_ERROR_LINE`` characters and
+    nothing on stdout, unless it is check's "not graphic" verdict."""
     assert code in {0, 1, 2} and "Traceback" not in err, (code, err)
     if code == 1 and argv[0] == "check" and err == "":
         assert out.startswith("not graphic"), out  # check's verdict, not an error
     elif code == 1:
         assert out == "" and re.fullmatch(r"ERROR [A-Z_]+: [^\n]*\n", err), err
+        assert len(err) <= MAX_ERROR_LINE + 1, len(err)
+
+
+class TestLongInputsAreCut:
+    """An error message echoes an input by ``parse_sequence``'s rule, its
+    first 32 characters and "…", however long the input; and fixed:<delta>
+    reads its value as a --seq entry is read."""
+
+    def assert_error(self, argv, expected):
+        code, out, err = run_text(*argv)
+        assert_coded_exit(argv, code, out, err)
+        assert code == 1 and err == expected + "\n", err[:300]
+
+    def test_not_graphic_sequence(self, tmp_path):
+        path = tmp_path / "threes.seq"
+        path.write_text(",".join(["3"] * 5001))
+        self.assert_error(["nu-star", "--seq-file", str(path)], f"ERROR NOT_GRAPHIC: sequence ({'3,' * 16}…) is not graphic")
+
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            ("fixed:" + "9" * 5000, f"bad fixed delta in policy 'fixed:{'9' * 26}'…"),
+            ("fixed:" + "9" * 4001, f"fixed delta must be a positive even integer, got {'9' * 32}…"),
+            ("fixed:-" + "9" * 4001, f"fixed delta must be a positive even integer, got -{'9' * 31}…"),
+            ("x" * 5000, f"unknown delta policy '{'x' * 32}'…; expected fixed:<delta>, random or max"),
+            ("fixed:١٢", "bad fixed delta in policy 'fixed:١٢'"),
+            ("fixed:1_0", "bad fixed delta in policy 'fixed:1_0'"),
+        ],
+        ids=["digits-over-int-limit", "odd", "negative", "unknown", "arabic-indic", "underscore"],
+    )
+    def test_grow_policy(self, policy, message):
+        self.assert_error(["grow", "--seq", "2,2,2", "--policy=" + policy], "ERROR VALIDATION: " + message)
+
+    @pytest.mark.parametrize("policy", ["fixed:2", "fixed:4", "fixed:+2", "fixed: 2 ", "max", "random"])
+    def test_grow_policies_still_read(self, policy):
+        argv = ["grow", "--seq", "2,2,2,2,2,2", "--steps", "2", "--policy=" + policy]
+        code, out, err = run_text(*argv)
+        assert code == 0 and err == "" and out.startswith("step_index,"), (code, err)
+
+    def test_family_kind(self):
+        self.assert_error(
+            ["family", "--kind", "x" * 5000],
+            f"ERROR VALIDATION: unknown family kind '{'x' * 32}'…; known: {', '.join(FAMILY_KINDS)}",
+        )
 
 
 class TestRealizeAnyText:
@@ -432,11 +489,13 @@ class TestFuzzedFlags:
         assert_coded_exit(command, *run_text(*command, "--seq-file", str(path)))
 
     @given(
-        seq=st.one_of(graphic_texts, token_texts),
+        seq=st.one_of(graphic_texts, token_texts, long_sequences),
         steps=st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["", "x", "1.5"])),
         policy=st.one_of(
             st.sampled_from(["max", "random", "fixed:2", "fixed:4", "fixed:3", "fixed:0", "fixed:-2", "fixed:", "fixed:x"]),
             st.text(max_size=8),
+            long_texts,
+            st.text("0123456789-_١٢", min_size=33, max_size=5000).map("fixed:".__add__),
         ),
         matching=st.one_of(st.sampled_from(MATCHING_POLICIES), st.text(max_size=8)),
         rng_seed=st.integers(-(2**70), 2**70),
@@ -453,6 +512,7 @@ class TestFuzzedFlags:
             st.sampled_from(FAMILY_KINDS),
             st.sampled_from(FAMILY_KINDS).map(lambda kind: kind.replace("-", "_").upper()),
             st.text(max_size=10),
+            long_texts,
         ),
         params=st.dictionaries(st.sampled_from(cli._FAMILY_FLAGS), st.integers(-3, 12), max_size=4),
     )

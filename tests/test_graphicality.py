@@ -119,6 +119,21 @@ class TestRealize:
             realize_hh(make_sequence([3, 3, 1, 1]))
         assert info.value.verdict is not None and info.value.verdict.failing_k == 2
 
+    @pytest.mark.parametrize(
+        "degrees, shown",
+        [
+            ([3, 3, 1, 1], "3,3,1,1"),
+            ([99] + [9] * 15, "99," + "9," * 14 + "9"),  # 32 characters: shown whole
+            ([9] * 17, "9," * 16 + "…"),
+            ([3] * 5001, "3," * 16 + "…"),
+            ([10**5000, 1], "1" + "0" * 31 + "…"),  # too long for str: shown from its digits
+        ],
+    )
+    def test_non_graphic_message_shows_at_most_32_characters(self, degrees, shown):
+        with pytest.raises(NotGraphicError) as info:
+            nu_star(make_sequence(degrees))
+        assert str(info.value) == f"sequence ({shown}) is not graphic"
+
     def test_isolated_vertices_allowed(self):
         g = realize_hh(make_sequence([1, 1, 0]))
         assert g.degrees() == (1, 1, 0)
