@@ -8,10 +8,14 @@ A command's ``_cmd_*`` returns what it prints: its finished text, or a
 record (a dict) that ``main`` renders in the chosen format with ``_render``;
 ``check`` also returns its exit code. ``main`` then writes the text once, to
 ``--out`` or stdout, inside the same error handling as the command.
-Every subcommand is a row of ``_COMMANDS``, and those that read
-``--seq | --seq-file`` are built from their row alone.
+Every subcommand is a row of ``_COMMANDS``: its handler, its required
+source group (``--seq | --seq-file``, bounds' extra ``--graph``, grow's own
+``--graph | --seq``, or none) and its other flags in --help order, so
+``build_parser`` is one loop over the rows. Every int flag is read by
+``_int``, the rule a --seq entry is read by.
 
-The parser needs only ``constants`` for its choices and defaults, and each
+The parser needs only ``constants`` for its choices and defaults (and
+``sequences`` to echo a refused int flag), and each
 ``_cmd_*`` imports the kernels it calls in its own body, so a call loads
 only the modules its command runs: ``check``, ``extend``, ``nu-star`` and
 ``delta-star`` load ``sequences`` and ``graphicality`` and nothing else.
@@ -186,14 +190,12 @@ def _cmd_family(args: argparse.Namespace) -> str:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> str | dict:
-    from .enumeration import enumerate_realizations
+    from .enumeration import count_realizations, enumerate_realizations
 
     d = _resolve_sequence(args)
-    realizations = list(
-        enumerate_realizations(d, max_n=args.max_n, max_degree_sum=args.max_sum)
-    )
-    if args.format == "json":
-        return {"count": len(realizations)}
+    if args.format == "json":  # the count alone: no realization is built
+        return {"count": count_realizations(d, max_n=args.max_n, max_degree_sum=args.max_sum)}
+    realizations = enumerate_realizations(d, max_n=args.max_n, max_degree_sum=args.max_sum)
     edges = [";".join(f"{u}-{v}" for u, v in sorted(g.edges)) for g in realizations]
     if args.format == "csv":
         lines = ["index,edges", *(f"{i},{e}" for i, e in enumerate(edges))]
@@ -229,29 +231,59 @@ def _cmd_scan_conjecture(args: argparse.Namespace) -> str:
     return rows_to_csv(rows)
 
 
-def _add_common(sub: argparse.ArgumentParser, *, fmt_default: str = "text") -> None:
-    sub.add_argument("--format", choices=("json", "csv", "text"), default=fmt_default)
-    sub.add_argument("--out", default=None, help="write output to this file instead of stdout")
+def _int(text: str) -> int:
+    """The type of every int flag: ASCII decimal digits with an optional
+    sign, the rule ``sequences._integers`` reads a --seq entry by, so ``int``'s
+    ``1_0`` and ``٣`` are refused. A refused value is a usage error that
+    echoes it by ``sequences._shown``, imported only then."""
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    from .sequences import _shown
+
+    raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text, repr)}")
 
 
-# Every subcommand in --help order: name, help, handler, and for a command
-# that reads --seq | --seq-file, its extra flags (added after the source);
-# None marks a command whose flags build_parser writes out.
+def _output(fmt_default: str = "text") -> list:
+    """The --format and --out flags, last in a command's --help."""
+    return [("--format", {"choices": ("json", "csv", "text"), "default": fmt_default}),
+            ("--out", {"help": "write output to this file instead of stdout"})]
+
+
+# a command's source: the flags of its required, mutually exclusive group
+_SEQ = (("--seq", "comma-separated degrees, e.g. 3,2,2,1"),
+        ("--seq-file", "file containing a comma-separated sequence"))
+
+# Every subcommand in --help order: name, help, handler, source (empty if
+# the command has none) and its other flags in --help order.
 _COMMANDS = (
-    ("check", "decide whether a sequence is graphic", _cmd_check,
-     [("--all-k", {"action": "store_true", "help": "check every index, not just the jump loci"})]),
-    ("realize", "build one realization of a graphic sequence", _cmd_realize, []),
-    ("bounds", "evaluate all matching bounds", _cmd_bounds, []),
-    ("delta-star", "largest feasible extension degree", _cmd_delta_star, []),
-    ("nu-star", "maximum matching number over realizations", _cmd_nu_star, []),
-    ("extend", "can the sequence absorb a new even degree?", _cmd_extend,
-     [("--delta", {"type": int, "required": True})]),
-    ("grow", "run degree-preserving growth", _cmd_grow, None),
-    ("family", "emit a named graph family as an edge list", _cmd_family, None),
-    ("enumerate", "list every labelled realization", _cmd_enumerate,
-     [("--max-n", {"type": int, "default": DEFAULT_MAX_N, "help": "vertex-count cap"}),
-      ("--max-sum", {"type": int, "default": DEFAULT_MAX_DEGREE_SUM, "help": "degree-sum cap"})]),
-    ("scan-conjecture", "tabulate nu_bar(d) against ell*", _cmd_scan_conjecture, None),
+    ("check", "decide whether a sequence is graphic", _cmd_check, _SEQ,
+     [("--all-k", {"action": "store_true", "help": "check every index, not just the jump loci"}), *_output()]),
+    ("realize", "build one realization of a graphic sequence", _cmd_realize, _SEQ, _output()),
+    ("bounds", "evaluate all matching bounds", _cmd_bounds, (*_SEQ, ("--graph", "edge-list file")), _output()),
+    ("delta-star", "largest feasible extension degree", _cmd_delta_star, _SEQ, _output()),
+    ("nu-star", "maximum matching number over realizations", _cmd_nu_star, _SEQ, _output()),
+    ("extend", "can the sequence absorb a new even degree?", _cmd_extend, _SEQ,
+     [("--delta", {"type": _int, "required": True}), *_output()]),
+    ("grow", "run degree-preserving growth", _cmd_grow,
+     (("--graph", "edge-list file with the seed graph"), ("--seq", "seed degree sequence (realized first)")),
+     [("--steps", {"type": _int, "default": 10}),
+      ("--policy", {"default": "max", "help": "fixed:<delta>, random, or max"}),
+      ("--matching-policy", {"choices": MATCHING_POLICIES, "default": "random"}),
+      ("--rng-seed", {"type": _int, "default": 0}),
+      *_output("csv")]),
+    ("family", "emit a named graph family as an edge list", _cmd_family, (),
+     [("--kind", {"required": True, "help": f"one of: {', '.join(FAMILY_KINDS)}"}),
+      *((f"--{flag}", {"type": _int}) for flag in _FAMILY_FLAGS),
+      ("--out", {})]),
+    ("enumerate", "list every labelled realization", _cmd_enumerate, _SEQ,
+     [("--max-n", {"type": _int, "default": DEFAULT_MAX_N, "help": "vertex-count cap"}),
+      ("--max-sum", {"type": _int, "default": DEFAULT_MAX_DEGREE_SUM, "help": "degree-sum cap"}),
+      *_output()]),
+    ("scan-conjecture", "tabulate nu_bar(d) against ell*", _cmd_scan_conjecture, (),
+     [("--max-n", {"type": _int, "default": 5}), *_output("csv")]),
 )
 
 
@@ -262,41 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-    sub = {}
-    for name, text, func, flags in _COMMANDS:
-        p = sub[name] = commands.add_parser(name, help=text)
+    for name, text, func, source, flags in _COMMANDS:
+        p = commands.add_parser(name, help=text)
         p.set_defaults(func=func)
-        if flags is None:
-            continue
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--seq", help="comma-separated degrees, e.g. 3,2,2,1")
-        group.add_argument("--seq-file", help="file containing a comma-separated sequence")
-        if name == "bounds":
-            group.add_argument("--graph", help="edge-list file")
+        if source:
+            group = p.add_mutually_exclusive_group(required=True)
+            for flag, flag_help in source:
+                group.add_argument(flag, help=flag_help)
         for flag, options in flags:
             p.add_argument(flag, **options)
-        _add_common(p)
-
-    p = sub["grow"]
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--graph", help="edge-list file with the seed graph")
-    group.add_argument("--seq", help="seed degree sequence (realized first)")
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--policy", default="max", help="fixed:<delta>, random, or max")
-    p.add_argument("--matching-policy", choices=MATCHING_POLICIES, default="random")
-    p.add_argument("--rng-seed", type=int, default=0)
-    _add_common(p, fmt_default="csv")
-
-    p = sub["family"]
-    p.add_argument("--kind", required=True, help=f"one of: {', '.join(FAMILY_KINDS)}")
-    for flag in _FAMILY_FLAGS:
-        p.add_argument(f"--{flag}", type=int, default=None)
-    p.add_argument("--out", default=None)
-
-    p = sub["scan-conjecture"]
-    p.add_argument("--max-n", type=int, default=5)
-    _add_common(p, fmt_default="csv")
-
     return parser
 
 

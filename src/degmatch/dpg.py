@@ -190,12 +190,12 @@ def dp_step(
     new vertex. Raises listing the feasible degrees when delta cannot be
     realized in this graph."""
     if delta < 2 or delta % 2:
-        raise ValidationError(f"delta={delta} must be a positive even integer")
+        raise ValidationError(f"delta={_shown_int(delta)} must be a positive even integer")
     _check_matching_policy(policy)
     edges = _select_matching(g.adjacency(), delta // 2, rng_seed, policy=policy)
     if edges is None:
         raise InfeasibleDeltaError(
-            f"delta={delta} is not feasible here", feasible=feasible_deltas(g)
+            f"delta={_shown_int(delta)} is not feasible here", feasible=feasible_deltas(g)
         )
     grown = pinch(g, Matching(frozenset(edges), g.vertex_count))
     record = DpStepRecord(
@@ -286,7 +286,7 @@ def grow(
     reproducible from (seed graph, policies, seed).
     """
     if steps < 0:
-        raise ValidationError(f"steps={steps} must be non-negative")
+        raise ValidationError(f"steps={_shown_int(steps)} must be non-negative")
     kind, fixed_value = _parse_delta_policy(delta_policy)
     _check_matching_policy(matching_policy)
     rng = random.Random(rng_seed)

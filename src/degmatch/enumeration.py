@@ -70,7 +70,7 @@ from .constants import DEFAULT_MAX_DEGREE_SUM, DEFAULT_MAX_N
 from .errors import CapExceededError, InternalConsistencyError, ValidationError
 from .graphicality import is_graphic_eg, require_graphic
 from .graphs import Edge, Graph, Matching
-from .sequences import DegreeSequence
+from .sequences import DegreeSequence, _shown_int
 
 __all__ = [
     "DEFAULT_MAX_N",
@@ -93,10 +93,10 @@ SPLIT_MAX_N = 10
 
 def _check_caps(d: DegreeSequence, max_n: int, max_degree_sum: Optional[int]) -> None:
     if d.n > max_n:
-        raise CapExceededError(f"n={d.n} exceeds enumeration cap {max_n}")
+        raise CapExceededError(f"n={d.n} exceeds enumeration cap {_shown_int(max_n)}")
     if max_degree_sum is not None and d.degree_sum > max_degree_sum:
         raise CapExceededError(
-            f"degree sum {d.degree_sum} exceeds enumeration cap {max_degree_sum}"
+            f"degree sum {_shown_int(d.degree_sum)} exceeds enumeration cap {_shown_int(max_degree_sum)}"
         )
 
 
@@ -370,9 +370,9 @@ def strong_extension_check(
     ``max_n`` caps the input.
     """
     if delta % 2 or delta < 2:
-        raise ValidationError(f"delta={delta} must be a positive even integer")
+        raise ValidationError(f"delta={_shown_int(delta)} must be a positive even integer")
     if delta > d.n:
-        raise ValidationError(f"delta={delta} exceeds n={d.n}")
+        raise ValidationError(f"delta={_shown_int(delta)} exceeds n={d.n}")
     require_graphic(d)
     _check_caps(d, max_n, max_degree_sum)
     return _extension_witness(d.degrees, delta) is not None
@@ -447,7 +447,7 @@ def conjecture_scan(n_max: int, *, max_n: int = SPLIT_MAX_N) -> list[ConjectureR
     no cap check of their own.
     """
     if n_max > max_n:
-        raise CapExceededError(f"n_max={n_max} exceeds enumeration cap {max_n}")
+        raise CapExceededError(f"n_max={_shown_int(n_max)} exceeds enumeration cap {_shown_int(max_n)}")
     rows = []
     for d in all_graphic_sequences(n_max):
         nb, ell, ks, witness = _nu_bar(d.degrees)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .constants import FAMILY_KINDS
 from .errors import ValidationError
-from .graphs import Graph
+from .graphs import Graph, _refused
 
 __all__ = [
     "half_graph",
@@ -23,7 +23,7 @@ __all__ = [
 def half_graph(n: int) -> Graph:
     """Vertices 1..n (stored 0-based); edge ij iff i,j <= n/2 or i + n/2 <= j."""
     if n < 2 or n % 2:
-        raise ValidationError(f"half graph needs an even n >= 2, got {n}")
+        raise _refused("half graph needs an even n >= 2, got {}", n)
     half = n // 2
     edges = []
     for i in range(1, n + 1):
@@ -36,9 +36,9 @@ def half_graph(n: int) -> Graph:
 def windmill(t: int, l: int) -> Graph:
     """t cliques on l vertices sharing one central vertex (id 0)."""
     if t < 1:
-        raise ValidationError(f"windmill needs t >= 1 blades, got {t}")
+        raise _refused("windmill needs t >= 1 blades, got {}", t)
     if l < 2:
-        raise ValidationError(f"windmill needs clique size l >= 2, got {l}")
+        raise _refused("windmill needs clique size l >= 2, got {}", l)
     n = t * (l - 1) + 1
     edges = []
     for b in range(t):
@@ -51,25 +51,25 @@ def windmill(t: int, l: int) -> Graph:
 
 def cycle(n: int) -> Graph:
     if n < 3:
-        raise ValidationError(f"cycle needs n >= 3, got {n}")
+        raise _refused("cycle needs n >= 3, got {}", n)
     return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
-        raise ValidationError(f"path needs n >= 1, got {n}")
+        raise _refused("path needs n >= 1, got {}", n)
     return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
-        raise ValidationError(f"complete bipartite needs both sides >= 1, got {a}, {b}")
+        raise _refused("complete bipartite needs both sides >= 1, got {}, {}", a, b)
     return Graph(a + b, frozenset((i, a + j) for i in range(a) for j in range(b)))
 
 
 def disjoint_cliques(count: int, size: int) -> Graph:
     if count < 1 or size < 1:
-        raise ValidationError(f"need count >= 1 and size >= 1, got {count}, {size}")
+        raise _refused("need count >= 1 and size >= 1, got {}, {}", count, size)
     edges = []
     for c in range(count):
         base = c * size
@@ -87,9 +87,9 @@ def regular_circulant(n: int, r: int) -> Graph:
     """r-regular circulant: i joined to i +- 1 .. i +- r//2 (mod n), plus the
     antipode when r is odd (which forces n even)."""
     if n < 1 or r < 0 or r >= n:
-        raise ValidationError(f"need 0 <= r < n, got n={n}, r={r}")
+        raise _refused("need 0 <= r < n, got n={}, r={}", n, r)
     if (n * r) % 2:
-        raise ValidationError(f"n*r must be even, got n={n}, r={r}")
+        raise _refused("n*r must be even, got n={}, r={}", n, r)
     edges = set()
     for i in range(n):
         for off in range(1, r // 2 + 1):
@@ -119,9 +119,7 @@ def make_family(kind: str, **params: int) -> Graph:
     """Dispatch by family name; hyphens and underscores are interchangeable."""
     key = kind.replace("_", "-").lower()
     if key not in _FAMILIES:
-        from .sequences import _shown  # only a refused kind needs it
-
-        raise ValidationError(f"unknown family kind {_shown(kind, repr)}; known: {', '.join(FAMILY_KINDS)}")
+        raise _refused("unknown family kind {}; known: " + ", ".join(FAMILY_KINDS), kind)
     build, names = _FAMILIES[key]
     missing = [name for name in names if params.get(name) is None]
     if missing:

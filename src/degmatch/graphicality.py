@@ -268,9 +268,9 @@ def extension_feasible(d: DegreeSequence, delta: int) -> bool:
     reduced sequence (first delta entries decremented).
     """
     if delta % 2:
-        raise ValidationError(f"delta={delta} must be even")
+        raise ValidationError(f"delta={_shown_int(delta)} must be even")
     if not 1 <= delta <= d.n:
-        raise ValidationError(f"delta={delta} out of range [1, {d.n}]")
+        raise ValidationError(f"delta={_shown_int(delta)} out of range [1, {d.n}]")
     require_graphic(d)
     return _reduced_graphic(_run_form(d.degrees), delta)
 

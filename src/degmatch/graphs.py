@@ -53,14 +53,24 @@ Edge = tuple[int, int]
 MIN_MAXIMAL_CAP = 16
 
 
+def _refused(message: str, *values: object) -> ValidationError:
+    """A ValidationError with ``values`` put in the ``{}`` of ``message`` by
+    the rule ``sequences`` echoes an input by: a text by ``_shown(value,
+    repr)``, anything else by ``_shown_int``, so a long value gives a short
+    message. ``sequences`` is imported here, because only a refusal needs it."""
+    from .sequences import _shown, _shown_int
+
+    return ValidationError(message.format(*(_shown(v, repr) if isinstance(v, str) else _shown_int(v) for v in values)))
+
+
 def _normalize_edges(edges: Iterable[Sequence[int]], n: int) -> frozenset[Edge]:
     out = set()
     for e in edges:
         u, v = e
         if u == v:
-            raise ValidationError(f"self-loop at vertex {u}")
+            raise _refused("self-loop at vertex {}", u)
         if not (0 <= u < n and 0 <= v < n):
-            raise ValidationError(f"edge ({u}, {v}) out of range for {n} vertices")
+            raise _refused("edge ({}, {}) out of range for {} vertices", u, v, n)
         out.add((u, v) if u < v else (v, u))
     return frozenset(out)
 
@@ -133,7 +143,7 @@ class Graph:
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.vertex_count:
-            raise ValidationError(f"vertex {v} out of range")
+            raise _refused("vertex {} out of range", v)
         return self._degrees[v]
 
     @property
@@ -152,7 +162,7 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.vertex_count:
-            raise ValidationError(f"vertex {v} out of range")
+            raise _refused("vertex {} out of range", v)
         return self._adj[v]
 
     def is_edge(self, u: int, v: int) -> bool:
@@ -173,20 +183,20 @@ class Graph:
             parts = line.split()
             if not saw_data and parts[0] == "n":
                 if len(parts) != 2:
-                    raise ValidationError(f"malformed vertex-count line: {line!r}")
+                    raise _refused("malformed vertex-count line: {}", line)
                 declared = int(parts[1])
                 saw_data = True
                 continue
             saw_data = True
             if len(parts) != 2:
-                raise ValidationError(f"malformed edge line: {line!r}")
+                raise _refused("malformed edge line: {}", line)
             try:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ValidationError(f"malformed edge line: {line!r}") from None
+                raise _refused("malformed edge line: {}", line) from None
             pair = (u, v) if u < v else (v, u)
             if pair in pairs:
-                raise ValidationError(f"repeated edge {pair[0]} {pair[1]} at line {line!r}")
+                raise _refused("repeated edge {} {} at line {}", pair[0], pair[1], line)
             pairs.add(pair)
         if declared is None:
             declared = 1 + max((max(e) for e in pairs), default=-1)
@@ -207,7 +217,7 @@ class Matching:
         seen: set[int] = set()
         for u, v in sorted(self.edges):
             if u in seen or v in seen:
-                raise ValidationError(f"matching edges are not vertex-disjoint at ({u}, {v})")
+                raise _refused("matching edges are not vertex-disjoint at ({}, {})", u, v)
             seen.add(u)
             seen.add(v)
 
@@ -299,7 +309,10 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
         inside D labels, re-bases or reorders a live vertex, the free
         root of T is adjacent to no live vertex, and no search augments
         into D: the live part of each search, its queue order included,
-        is the same with D skipped.
+        is the same with D skipped. Nor does absorbing a blossom queue
+        any of its members: every blossom was formed in the current search,
+        which made all its members outer then, and a dead tree's blossoms
+        are never absorbed.
     (d) A later failed tree of the unpruned searches is the pruned one
         plus the parts of earlier dead trees it walked, so the unpruned
         searches' failed trees cover exactly the pruned dead set.
@@ -436,11 +449,9 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
                             merged.append(y)
                             if not used[y]:
                                 fresh.append(y)
-                        else:
+                        else:  # its members are all outer already (c)
                             for i in ys:
                                 base[i] = cur_base
-                                if not used[i]:
-                                    fresh.append(i)
                             merged.extend(ys)
                     if fresh:
                         fresh.sort()
@@ -570,9 +581,7 @@ def pinch(g: Graph, m: Matching) -> Graph:
     gets degree 2|M|.
     """
     if m.host_vertex_count != g.vertex_count:
-        raise ValidationError(
-            f"matching host size {m.host_vertex_count} does not match graph size {g.vertex_count}"
-        )
+        raise _refused("matching host size {} does not match graph size {}", m.host_vertex_count, g.vertex_count)
     if not m.edges <= g.edges:
         raise ValidationError("matching is not a sub-matching of the graph")
     if not m.edges:

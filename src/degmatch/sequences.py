@@ -39,7 +39,10 @@ def _shown_int(x: int) -> str:
     than sys.get_int_max_str_digits() digits, so a long one loses its last
     ``drop`` digits first. It has at least bit_length * 0.30102999566 digits
     (just under log10(2)), so more than ``_SHOWN`` remain, and only a few
-    more."""
+    more. A value that is not an int, such as a library caller's float, is
+    shown by ``str``."""
+    if not isinstance(x, int):
+        return _shown(str(x))
     drop = max(0, x.bit_length() * 30102999566 // 10**11 - _SHOWN - 1)
     return _shown(("-" if x < 0 else "") + str(abs(x) // 10**drop))
 

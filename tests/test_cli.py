@@ -9,9 +9,15 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from degmatch import cli
+from degmatch import cli, enumeration
 from degmatch.cli import main
 from degmatch.constants import FAMILY_KINDS, MATCHING_POLICIES
+from degmatch.dpg import grow
+from degmatch.enumeration import conjecture_scan, enumerate_realizations, strong_extension_check
+from degmatch.errors import CapExceededError, ValidationError
+from degmatch.families import make_family
+from degmatch.graphicality import extension_feasible
+from degmatch.graphs import Graph
 from degmatch.sequences import parse_sequence
 
 
@@ -352,6 +358,21 @@ long_texts = st.text(min_size=33, max_size=5000)
 long_sequences = st.integers(17, 300).map(lambda n: ",".join(["3"] * n))
 
 
+def long_ints(signs, min_digits=1):
+    """Int-flag texts of ``min_digits`` to 4,400 digits, across int's
+    4,300-digit limit, with no leading zero and one of ``signs``."""
+    return st.tuples(
+        st.sampled_from(signs), st.sampled_from("123456789"), st.text("0123456789", min_size=min_digits - 1, max_size=4399)
+    ).map("".join)
+
+
+# int-flag texts that int reads and the --seq entry rule refuses: ASCII
+# digits around one "_" or non-ASCII digit
+odd_ints = st.tuples(
+    st.text("0123456789", max_size=4), st.sampled_from(["_", "٣", "١٢", "𝟗", "²"]), st.text("0123456789", max_size=4)
+).map("".join)
+
+
 def run_text(*argv):
     """Run the CLI in process and return (exit code, stdout, stderr), with
     argparse's usage exits caught."""
@@ -374,13 +395,19 @@ MAX_ERROR_LINE = 500
 def assert_coded_exit(argv, code, out, err):
     """The CLI's exit rule: exit 0, 1 or 2 and never a traceback; on exit 1,
     one ``ERROR <CODE>:`` line of at most ``MAX_ERROR_LINE`` characters and
-    nothing on stdout, unless it is check's "not graphic" verdict."""
+    nothing on stdout, unless it is check's "not graphic" verdict; on exit 2,
+    argparse's usage and then one error line of at most ``MAX_ERROR_LINE``
+    characters."""
     assert code in {0, 1, 2} and "Traceback" not in err, (code, err)
     if code == 1 and argv[0] == "check" and err == "":
         assert out.startswith("not graphic"), out  # check's verdict, not an error
     elif code == 1:
         assert out == "" and re.fullmatch(r"ERROR [A-Z_]+: [^\n]*\n", err), err
         assert len(err) <= MAX_ERROR_LINE + 1, len(err)
+    elif code == 2:
+        lines = err.splitlines()
+        assert out == "" and lines[0].startswith("usage: degmatch") and ": error: " in lines[-1], err[:300]
+        assert len(lines[-1]) <= MAX_ERROR_LINE, len(lines[-1])
 
 
 class TestLongInputsAreCut:
@@ -424,6 +451,167 @@ class TestLongInputsAreCut:
             ["family", "--kind", "x" * 5000],
             f"ERROR VALIDATION: unknown family kind '{'x' * 32}'…; known: {', '.join(FAMILY_KINDS)}",
         )
+
+
+NINES = "9" * 4000
+
+
+class TestHugeIntsAreCut:
+    """An int of any size, given to a library call or through an int flag,
+    and a --graph line of any length are echoed by the 32-character rule:
+    a short coded error, never the ValueError that ``str`` raises on an
+    int of more than 4,300 digits."""
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda g, d: grow(g, -(10**5000)), ValidationError),
+            (lambda g, d: extension_feasible(d, 10**5000), ValidationError),
+            (lambda g, d: conjecture_scan(10**5000), CapExceededError),
+            (lambda g, d: make_family("cycle", n=-(10**5000)), ValidationError),
+            (lambda g, d: list(enumerate_realizations(d, max_n=-(10**5000))), CapExceededError),
+            (lambda g, d: strong_extension_check(d, 10**5000), ValidationError),
+        ],
+        ids=["grow", "extension_feasible", "conjecture_scan", "make_family", "enumerate_realizations",
+             "strong_extension_check"],
+    )
+    def test_library_calls(self, call, error):
+        with pytest.raises(error) as info:
+            call(make_family("cycle", n=6), parse_sequence("2,2,2"))
+        assert len(str(info.value)) < 100 and "…" in str(info.value), str(info.value)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["grow", "--seq", "2,2,2", f"--steps=-{NINES}"], f"VALIDATION: steps=-{'9' * 31}… must be non-negative"),
+            (["extend", "--seq", "3,3,2,2", f"--delta={NINES}"], f"VALIDATION: delta={'9' * 32}… must be even"),
+            (["family", "--kind", "cycle", f"--n=-{NINES}"], f"VALIDATION: cycle needs n >= 3, got -{'9' * 31}…"),
+            (["scan-conjecture", f"--max-n={NINES}"], f"CAP_EXCEEDED: n_max={'9' * 32}… exceeds enumeration cap 10"),
+            (["enumerate", "--seq", "2,2,2", f"--max-n=-{NINES}"],
+             f"CAP_EXCEEDED: n=3 exceeds enumeration cap -{'9' * 31}…"),
+        ],
+        ids=["grow-steps", "extend-delta", "family-n", "scan-max-n", "enumerate-max-n"],
+    )
+    def test_int_flags(self, argv, message):
+        code, out, err = run_text(*argv)
+        assert_coded_exit(argv, code, out, err)
+        assert (code, err) == (1, f"ERROR {message}\n"), err[:300]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 " + "x" * 4998 + "\n", f"malformed edge line: '0 {'x' * 30}'…"),
+            ("0 1 " + "2 " * 2500 + "\n", f"malformed edge line: '0 1 {'2 ' * 14}'…"),
+            ("n " + "3 " * 2500 + "\n", f"malformed vertex-count line: 'n {'3 ' * 15}'…"),
+            (f"0 1\n1 0 {' ' * 4000}# x\n", "malformed edge line: '1 0" + " " * 29 + "'…"),
+            (f"n 3\n0 {NINES}\n", f"edge (0, {'9' * 32}…) out of range for 3 vertices"),
+            (f"0 {NINES}\n{NINES}    0\n", f"repeated edge 0 {'9' * 32}… at line '{'9' * 32}'…"),
+        ],
+        ids=["letters", "three-fields", "header", "spaces", "out-of-range", "repeated"],
+    )
+    def test_graph_file_lines(self, tmp_path, text, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        code, out, err = run_text("bounds", "--graph", str(path))
+        assert (code, out, err) == (1, "", f"ERROR VALIDATION: {message}\n"), err[:300]
+
+
+class TestIntFlags:
+    """Every int flag is read by the rule a --seq entry is read by: ASCII
+    decimal digits with an optional sign. Anything else is a usage error
+    that echoes the value by the 32-character rule."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, shown",
+        [
+            (["family", "--kind", "cycle", "--n=٣"], "--n", "'٣'"),
+            (["extend", "--seq", "2,2,2", "--delta=١٠"], "--delta", "'١٠'"),
+            (["grow", "--seq", "2,2,2,2", "--steps=1_0"], "--steps", "'1_0'"),
+            (["grow", "--seq", "2,2,2", "--rng-seed=𝟗"], "--rng-seed", "'𝟗'"),
+            (["enumerate", "--seq", "2,2", "--max-sum=2_4"], "--max-sum", "'2_4'"),
+            (["scan-conjecture", "--max-n=٣"], "--max-n", "'٣'"),
+            (["grow", "--seq", "2,2,2", f"--steps=x{NINES}"], "--steps", f"'x{'9' * 31}'…"),
+            (["extend", "--seq", "2,2,2", "--delta=" + "9" * 4301], "--delta", f"'{'9' * 32}'…"),
+            (["family", "--kind", "path", "--n=2.0"], "--n", "'2.0'"),
+        ],
+        ids=["arabic-indic", "arabic-indic-2", "underscore", "math-digit", "underscore-2", "scan", "long", "over-int-limit",
+             "float"],
+    )
+    def test_refused(self, argv, flag, shown):
+        code, out, err = run_text(*argv)
+        assert_coded_exit(argv, code, out, err)
+        assert code == 2 and err.endswith(f": error: argument {flag}: invalid int value: {shown}\n"), err[-300:]
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["family", "--kind", "path", "--n=+3"], "n 3\n0 1\n1 2\n"),
+            (["family", "--kind", "path", "--n", " 3 "], "n 3\n0 1\n1 2\n"),
+            (["extend", "--seq", "2,2,2", "--delta=+2"], "feasible\n"),
+            (["scan-conjecture", "--max-n=-1", "--format", "text"], "sequence         nu_bar ell_star k_star equal\n"),
+        ],
+        ids=["plus", "spaces", "delta-plus", "negative"],
+    )
+    def test_read(self, argv, expected):
+        assert run_text(*argv) == (0, expected, "")
+
+
+class TestEnumerateJsonCounts:
+    """``enumerate --format json`` counts the realizations with
+    ``count_realizations`` and builds none of them."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seq", "1,1,1,1"],
+            ["--seq", "3,3,3,3,3,3,3,3"],
+            ["--seq", "3,3,2,2,2,2,1,1,1,1", "--max-n", "10"],
+            ["--seq", "4,4,4,4,4,4,4,4", "--max-sum", "32"],
+            ["--seq", "3,3,1,1"],
+            ["--seq", "1,1,1,1,1,1,1,1,1,1"],
+            ["--seq", "4,4,4,4,4,4,4,4"],
+        ],
+        ids=["perfect-matchings", "cubic-8", "mixed-10", "quartic-8", "not-graphic", "over-n-cap", "over-sum-cap"],
+    )
+    def test_counts_without_building(self, monkeypatch, argv):
+        reference = run_text("enumerate", *argv, "--format", "csv")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate --format json built a realization")
+
+        monkeypatch.setattr(Graph, "_trusted", classmethod(refuse))
+        monkeypatch.setattr(enumeration, "enumerate_realizations", refuse)
+        code, out, err = run_text("enumerate", *argv, "--format", "json")
+        assert (code, err) == (reference[0], reference[2])
+        if code == 0:
+            assert json.loads(out) == {"count": len(reference[1].splitlines()) - 1}
+
+
+# SHA-256 of ``degmatch [<command>] --help`` at COLUMNS=80 (Python 3.11)
+HELP = {
+    "": "9334937e2dfac4c70b66153010f1bdf4f64eaa86b5fb0761712e484ad7efe8d1",
+    "check": "c2248e068228c38374074001c004550d5905f1782a6f73f8274bc8090467b37c",
+    "realize": "e5c3eabd58ea74ea7aa858f1349de02b291d937309a5937ae8518c3a0b89fef1",
+    "bounds": "de8680d06925ce3550bdae9e1c0983507f16d3e31ea1cf8a6754b646ed4ea128",
+    "delta-star": "970a9398fe42ea10845f06c8b723abdf1d174a4284c83baa58011e9ee02507d9",
+    "nu-star": "6038dc2d915b8e6bbf118fccd264983e07508fe8c196a67d0996008abc70de2d",
+    "extend": "76909601d128de34a3f3fbe2dcdde22072b6f5ea9be34939087e5fe87f4adfc0",
+    "grow": "96efb372b90f1299fba51e476713be11c90ebe68ee4081184f23eee92aab1e26",
+    "family": "49faa7d6315373a81cf66f4f9591307dc29eeb83338aece0f4b9c109abdac277",
+    "enumerate": "bb08ae1ab94d522b3b620c4ba9b7cd895479e06ff92a793f803a0ce7c579471d",
+    "scan-conjecture": "0fa536be82444e777fe66403080136a967d4429d7a1cca5cef9f997691b7a3d2",
+}
+
+
+class TestHelpIsPinned:
+    """The top-level --help and every subcommand's are the bytes pinned here."""
+
+    @pytest.mark.parametrize("command", HELP)
+    def test_pinned(self, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_text(*command.split(), "--help")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP[command], out
 
 
 class TestRealizeAnyText:
@@ -473,8 +661,11 @@ class TestRealizeAnyText:
 
 class TestFuzzedFlags:
     """The inputs the tests above leave out, under the same exit rule:
-    --seq-file contents, and the flags of grow, family and scan-conjecture.
-    Sizes stay small, so that every case runs in process in milliseconds."""
+    --seq-file contents, and the flags of grow, family and scan-conjecture,
+    whose int flags also get texts of up to 4,400 digits and texts with "_"
+    or a non-ASCII digit. Sizes stay small, and a long int is negative
+    where a large one would run long, so that every case runs in process
+    in milliseconds."""
 
     @pytest.mark.parametrize(
         "command",
@@ -490,7 +681,7 @@ class TestFuzzedFlags:
 
     @given(
         seq=st.one_of(graphic_texts, token_texts, long_sequences),
-        steps=st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["", "x", "1.5"])),
+        steps=st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["", "x", "1.5"]), long_ints(["-"]), odd_ints),
         policy=st.one_of(
             st.sampled_from(["max", "random", "fixed:2", "fixed:4", "fixed:3", "fixed:0", "fixed:-2", "fixed:", "fixed:x"]),
             st.text(max_size=8),
@@ -498,13 +689,13 @@ class TestFuzzedFlags:
             st.text("0123456789-_١٢", min_size=33, max_size=5000).map("fixed:".__add__),
         ),
         matching=st.one_of(st.sampled_from(MATCHING_POLICIES), st.text(max_size=8)),
-        rng_seed=st.integers(-(2**70), 2**70),
+        rng_seed=st.one_of(st.integers(-(2**70), 2**70).map(str), long_ints(["", "+", "-"]), odd_ints),
         fmt=st.sampled_from(["csv", "json", "text", "yaml"]),
     )
     @settings(max_examples=60, deadline=None)
     def test_grow_flags(self, seq, steps, policy, matching, rng_seed, fmt):
         argv = ["grow", "--seq=" + seq, "--steps=" + steps, "--policy=" + policy,
-                "--matching-policy=" + matching, f"--rng-seed={rng_seed}", "--format=" + fmt]
+                "--matching-policy=" + matching, "--rng-seed=" + rng_seed, "--format=" + fmt]
         assert_coded_exit(argv, *run_text(*argv))
 
     @given(
@@ -514,7 +705,11 @@ class TestFuzzedFlags:
             st.text(max_size=10),
             long_texts,
         ),
-        params=st.dictionaries(st.sampled_from(cli._FAMILY_FLAGS), st.integers(-3, 12), max_size=4),
+        params=st.dictionaries(
+            st.sampled_from(cli._FAMILY_FLAGS),
+            st.one_of(st.integers(-3, 12).map(str), long_ints(["-"]), odd_ints),
+            max_size=4,
+        ),
     )
     @settings(max_examples=80, deadline=None)
     def test_family_flags(self, kind, params):
@@ -522,7 +717,13 @@ class TestFuzzedFlags:
         assert_coded_exit(argv, *run_text(*argv))
 
     @given(
-        max_n=st.one_of(st.integers(-3, 6).map(str), st.integers(11, 10**30).map(str), st.sampled_from(["", "x", "6.0"])),
+        max_n=st.one_of(
+            st.integers(-3, 6).map(str),
+            st.integers(11, 10**30).map(str),
+            st.sampled_from(["", "x", "6.0"]),
+            long_ints(["", "-"], min_digits=3),  # above the scan's cap of 10, or negative
+            odd_ints,
+        ),
         fmt=st.sampled_from(["csv", "json", "text", "yaml"]),
     )
     @settings(max_examples=30, deadline=None)

@@ -177,6 +177,7 @@ class TestFreshInterpreter:
             (["check", "--help"], []),
             (["check"], []),  # usage error: no --seq
             (["nope"], []),  # usage error: no such command
+            (["grow", "--seq", "2,2,2", "--steps", "1_0"], ["sequences"]),  # a refused int flag, echoed
         ],
     )
     def test_a_command_loads_only_what_it_runs(self, argv, kernels):
