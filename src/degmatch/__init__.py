@@ -5,13 +5,18 @@ sequence-level matching bounds, and degree-preserving growth.
 from its home module the first time it is used (PEP 562), and then kept in
 this namespace; so are the submodules, as in ``degmatch.graphs``. A
 command-line call therefore loads only the modules its command runs.
+
+``_EXPORTS`` is the one list of exported names. Each submodule builds its
+``__all__`` from its entry there, plus the few names only it exports (such
+as ``graphs.Edge`` and ``enumeration.SPLIT_MAX_N``); this module imports
+no submodule, so reading ``_EXPORTS`` from one makes no import cycle.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-# the exported names of each submodule, in __all__ order
+# the exported names of each submodule, in order: its __all__ is built from them
 _EXPORTS = {
     "errors": (
         "DegmatchError",

@@ -37,19 +37,12 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import neg
 
+from . import _EXPORTS
 from .errors import InternalConsistencyError
 from .graphicality import _run_form, require_graphic
 from .sequences import DegreeSequence
 
-__all__ = [
-    "BoundReport",
-    "maximality_bound",
-    "vizing_bound",
-    "posa_bound",
-    "gale_ryser_bound",
-    "matching_lower_bound",
-    "bound_report",
-]
+__all__ = _EXPORTS["bounds"]
 
 
 @dataclass(frozen=True)
@@ -64,10 +57,6 @@ class BoundReport:
     vizing_den: int
     vizing_ceil: int
     zeros_stripped: bool
-
-    @property
-    def vizing(self) -> Fraction:
-        return Fraction(self.vizing_num, self.vizing_den)
 
     def as_record(self) -> dict:
         """Flat key/value view for serialization, in field order."""

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Optional, Sequence
 
+from . import _EXPORTS
 from .constants import MATCHING_POLICIES
 from .errors import InfeasibleDeltaError, ValidationError
 from .graphs import (
@@ -65,14 +66,7 @@ from .graphs import (
 )
 from .sequences import _integers, _shown, _shown_int
 
-__all__ = [
-    "MATCHING_POLICIES",
-    "DpStepRecord",
-    "GrowthTrace",
-    "feasible_deltas",
-    "dp_step",
-    "grow",
-]
+__all__ = ("MATCHING_POLICIES", *_EXPORTS["dpg"])
 
 
 def feasible_deltas(g: Graph) -> set[int]:

@@ -31,10 +31,11 @@ per multiset split and one M per multiset of degree pairs stand for all.
 
 - nu_bar, the minimum maximal matching over all realizations: M is maximal
   in G exactly when the vertices it misses are independent, so H also
-  avoids every I x I pair. l runs upward from the proven floor
-  max(ell*, k*), and each l tries every multiset split with |C| = 2l, the
-  top split first; an l is rejected only after all fail, so the answer is
-  exact without the unproved lemma that the top split suffices.
+  avoids every I x I pair. l runs upward from the proven floor ell*,
+  which is at least k*, and each l tries every multiset split with
+  |C| = 2l, the top split first; an l is rejected only after all fail, so
+  the answer is exact without the unproved lemma that the top split
+  suffices.
   ``_nu_bar`` computes the floor itself and returns nu_bar with ell*, k*
   and the witness, so ``nu_bar_sequence`` and each scan row make one call.
 - The paper's strong extension check (some realization has a matching of
@@ -48,10 +49,10 @@ left. Each yield is a new tuple and no function refers to itself through a
 closure, so a search leaves no reference cycle for the cyclic collector.
 
 The realization walks these replaced are kept only as test oracles. Caps
-keep accidental big inputs from hanging the process; they are arguments,
-checked once at the public edge. ``DEFAULT_MAX_N`` is the realization
-walk's vertex cap and ``SPLIT_MAX_N`` that of the split searches; a
-``max_degree_sum`` of None means no degree-sum cap.
+keep accidental big inputs from hanging the process; they are checked once
+at the public edge. ``DEFAULT_MAX_N`` is the realization walk's vertex cap,
+``SPLIT_MAX_N`` that of the split searches and of ``conjecture_scan``'s
+``n_max``; a ``max_degree_sum`` of None means no degree-sum cap.
 
 Validation contract: public functions validate their input once, through
 ``graphicality.require_graphic``; ``_nu_bar`` and the bound kernels that
@@ -65,26 +66,15 @@ from dataclasses import dataclass, field
 from itertools import accumulate, combinations, combinations_with_replacement, product
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
+from . import _EXPORTS
 from .bounds import _gale_ryser_bound, _k_star
 from .constants import DEFAULT_MAX_DEGREE_SUM, DEFAULT_MAX_N
-from .errors import CapExceededError, InternalConsistencyError, ValidationError
-from .graphicality import is_graphic_eg, require_graphic
+from .errors import CapExceededError, InternalConsistencyError
+from .graphicality import _check_delta, is_graphic_eg, require_graphic
 from .graphs import Edge, Graph, Matching
 from .sequences import DegreeSequence, _shown_int
 
-__all__ = [
-    "DEFAULT_MAX_N",
-    "DEFAULT_MAX_DEGREE_SUM",
-    "SPLIT_MAX_N",
-    "ConjectureRow",
-    "enumerate_realizations",
-    "count_realizations",
-    "nu_bar_sequence",
-    "strong_extension_check",
-    "all_graphic_sequences",
-    "conjecture_scan",
-    "rows_to_csv",
-]
+__all__ = ("DEFAULT_MAX_N", "DEFAULT_MAX_DEGREE_SUM", "SPLIT_MAX_N", *_EXPORTS["enumeration"])
 
 # every row with n = 10 takes about 4 s in all, the slowest 21-28 ms; the
 # n = 11 rows take about 35 s, the slowest 0.47 s
@@ -107,18 +97,15 @@ _T = TypeVar("_T")
 
 def _fold_states(
     residual: list[int],
-    i: int,
     later: Sequence[Sequence[int]],
-    memo: dict[State, _T],
     leaf: _T,
     empty: Callable[[], _T],
     add: Callable[[_T, int, tuple[int, ...], _T], _T],
     first: bool = False,
 ) -> _T:
-    """The value of the state ``residual`` inside a host, where every vertex
-    before i has residual 0, folded over the walk below it. ``later[v]``
-    lists, in increasing order, the vertices after v that v may join; K_n
-    is ``range(v + 1, n)``.
+    """The value of the state ``residual`` inside a host, folded over the
+    walk below it. ``later[v]`` lists, in increasing order, the vertices
+    after v that v may join; K_n is ``range(v + 1, n)``.
 
     A state with no demand left is worth ``leaf``. Otherwise its first
     vertex v with positive demand takes it, one combination of ``later[v]``
@@ -129,11 +116,13 @@ def _fold_states(
     is worth ``empty()`` with no combination tried, and with ``first`` a
     state stops at its first combination that gives it a true worth. The
     state alone decides its worth, so ``memo`` holds it per state and each
-    state's combinations are tried once. The walk keeps an explicit stack,
-    one entry per state being folded, so its depth costs no Python frames;
-    ``residual`` is restored on return.
+    state's combinations are tried once per call. The walk keeps an
+    explicit stack, one entry per state being folded, so its depth costs no
+    Python frames; ``residual`` is restored on return.
     """
     n = len(residual)
+    i = 0
+    memo: dict[State, _T] = {}
     # [vertex, its demand, the state on arrival, its combinations, the one
     # taken, the value so far]
     stack: list[list] = []
@@ -187,21 +176,14 @@ def _add_completions(
     return found
 
 
-def _completions(
-    residual: list[int],
-    i: int,
-    later: Sequence[Sequence[int]],
-    memo: dict[State, list[Completion]],
-    first: bool = False,
-) -> list[Completion]:
+def _completions(residual: list[int], later: Sequence[Sequence[int]], first: bool = False) -> list[Completion]:
     """The edge tuples (i, j), i < j, that complete the state ``residual``
-    inside the host ``later`` of ``_fold_states``, where every vertex
-    before i has residual 0: each is the first vertex's edges to one
-    combination followed by one completion of the state they leave, in the
-    order of the backtracking walk's leaves. With ``first`` only the first
-    of them, if any."""
+    inside the host ``later`` of ``_fold_states``: each is the first
+    vertex's edges to one combination followed by one completion of the
+    state they leave, in the order of the backtracking walk's leaves. With
+    ``first`` only the first of them, if any."""
     # a state with no demand left has one completion, with no edges
-    return _fold_states(residual, i, later, memo, [()], list, _add_completions, first)
+    return _fold_states(residual, later, [()], list, _add_completions, first)
 
 
 def enumerate_realizations(
@@ -215,7 +197,7 @@ def enumerate_realizations(
         return
     n, degrees = d.n, d.degrees
     later = [range(v + 1, n) for v in range(n)]
-    for edges in _completions(list(degrees), 0, later, {}):
+    for edges in _completions(list(degrees), later):
         # each pair (i, j), i < j, is chosen once: the edges are normalized
         yield Graph._trusted(n, frozenset(edges), None, degrees)
 
@@ -231,7 +213,7 @@ def count_realizations(
     if not _walkable(d, max_n, max_degree_sum):
         return 0
     later = [range(v + 1, d.n) for v in range(d.n)]
-    return _fold_states(list(d.degrees), 0, later, {}, 1, int, lambda count, v, combo, below: count + below)
+    return _fold_states(list(d.degrees), later, 1, int, lambda count, v, combo, below: count + below)
 
 
 def _walkable(d: DegreeSequence, max_n: int, max_degree_sum: int) -> bool:
@@ -251,8 +233,8 @@ def nu_bar_sequence(
     """Minimum over realizations of the smallest maximal matching size.
 
     Decided by the split search of ``_nu_bar``, starting at the proven
-    floor max(ell*, k*); the answer is the exhaustive one. With no
-    ``max_degree_sum`` only ``max_n`` caps the input.
+    floor ell*, which is at least k*; the answer is the exhaustive one.
+    With no ``max_degree_sum`` only ``max_n`` caps the input.
     """
     require_graphic(d)
     _check_caps(d, max_n, max_degree_sum)
@@ -269,7 +251,8 @@ def _nu_bar(degs: tuple[int, ...]) -> tuple[int, int, int, Witness]:
     Some realization has a maximal matching of l edges exactly when a
     split of d into C (2l entries) and I admits a perfect matching M on C
     and a realization H of (d_C - 1, d_I) with no I x I pair and no pair of
-    M; then G = H + M. l runs upward from the floor max(ell*, k*), which no
+    M; then G = H + M. l runs upward from the floor ell*, which is at least
+    k* (the lemma (k*) of ``bounds._gale_ryser_bound``) and which no
     maximal matching of any realization goes under, so the first l with a
     witness is nu_bar. Each l tries every multiset split, the top split
     first, and one M per multiset of degree pairs: equal degrees are
@@ -281,7 +264,7 @@ def _nu_bar(degs: tuple[int, ...]) -> tuple[int, int, int, Witness]:
     prefix = [0, *accumulate(positive)]
     k_star = _k_star(prefix)
     ell_star = _gale_ryser_bound(positive, prefix, k_star)
-    for ell in range(max(ell_star, k_star), len(positive) // 2 + 1):
+    for ell in range(ell_star, len(positive) // 2 + 1):
         for cover in _cover_splits(degs, 2 * ell):
             for pairs in _pair_classes(degs, cover):
                 g = _split_witness(degs, cover, pairs)
@@ -346,7 +329,7 @@ def _split_witness(degs: tuple[int, ...], cover: Sequence[int], pairs: Sequence[
     r = n - len(cover)
     later = [range(r, n)] * r + [[j for j in range(k + 1, n) if j != mate[k]] for k in range(r, n)]
     residual = [degs[v] - 1 if in_cover[v] else degs[v] for v in order]
-    found = _completions(residual, 0, later, {}, first=True)
+    found = _completions(residual, later, first=True)
     if not found:
         return None
     edges = {(order[i], order[j]) if order[i] < order[j] else (order[j], order[i]) for i, j in found[0]}
@@ -369,10 +352,7 @@ def strong_extension_check(
     exactly by ``_extension_witness``; with no ``max_degree_sum`` only
     ``max_n`` caps the input.
     """
-    if delta % 2 or delta < 2:
-        raise ValidationError(f"delta={_shown_int(delta)} must be a positive even integer")
-    if delta > d.n:
-        raise ValidationError(f"delta={_shown_int(delta)} exceeds n={d.n}")
+    _check_delta(delta, d.n)
     require_graphic(d)
     _check_caps(d, max_n, max_degree_sum)
     return _extension_witness(d.degrees, delta) is not None
@@ -389,7 +369,7 @@ def _extension_witness(degs: tuple[int, ...], delta: int) -> Optional[Witness]:
         m = frozenset(pairs)
         later = [[j for j in range(i + 1, n) if (i, j) not in m] for i in range(n)]
         residual = [x - 1 if i < delta else x for i, x in enumerate(degs)]
-        found = _completions(residual, 0, later, {}, first=True)
+        found = _completions(residual, later, first=True)
         if found:
             # in index order each edge (i, j) has i < j: it is normalized
             return Graph._trusted(n, m.union(found[0]), None, degs), Matching(m, n)
@@ -437,17 +417,17 @@ class ConjectureRow:
             )
 
 
-def conjecture_scan(n_max: int, *, max_n: int = SPLIT_MAX_N) -> list[ConjectureRow]:
+def conjecture_scan(n_max: int) -> list[ConjectureRow]:
     """Tabulate nu_bar(d) against ell* for every graphic sequence with n <= n_max.
 
     Equality is recorded, never asserted: whether it always holds is open.
     Each row carries the witness of its nu_bar, a realization and a maximal
     matching of it with that many edges.
-    Only ``n_max`` is capped: every row has n <= n_max, so the rows need
-    no cap check of their own.
+    Only ``n_max`` is capped, at ``SPLIT_MAX_N``: every row has
+    n <= n_max, so the rows need no cap check of their own.
     """
-    if n_max > max_n:
-        raise CapExceededError(f"n_max={_shown_int(n_max)} exceeds enumeration cap {_shown_int(max_n)}")
+    if n_max > SPLIT_MAX_N:
+        raise CapExceededError(f"n_max={_shown_int(n_max)} exceeds enumeration cap {SPLIT_MAX_N}")
     rows = []
     for d in all_graphic_sequences(n_max):
         nb, ell, ks, witness = _nu_bar(d.degrees)

@@ -2,22 +2,12 @@
 
 from __future__ import annotations
 
+from . import _EXPORTS
 from .constants import FAMILY_KINDS
 from .errors import ValidationError
 from .graphs import Graph, _refused
 
-__all__ = [
-    "half_graph",
-    "windmill",
-    "cycle",
-    "path",
-    "complete_bipartite",
-    "disjoint_cliques",
-    "disjoint_triangles",
-    "regular_circulant",
-    "make_family",
-    "FAMILY_KINDS",
-]
+__all__ = (*_EXPORTS["families"], "FAMILY_KINDS")
 
 
 def half_graph(n: int) -> Graph:

@@ -34,23 +34,14 @@ from itertools import accumulate
 from operator import neg
 from typing import TYPE_CHECKING, Optional
 
+from . import _EXPORTS
 from .errors import InternalConsistencyError, NotGraphicError, ValidationError
 from .sequences import _SHOWN, DegreeSequence, _shown, _shown_int
 
 if TYPE_CHECKING:
     from .graphs import Graph
 
-__all__ = [
-    "GraphicVerdict",
-    "is_graphic_eg",
-    "is_graphic_hh",
-    "require_graphic",
-    "realize_hh",
-    "extension_feasible",
-    "delta_star",
-    "nu_star_formula",
-    "nu_star",
-]
+__all__ = (*_EXPORTS["graphicality"], "require_graphic")
 
 
 @dataclass(frozen=True)
@@ -267,12 +258,18 @@ def extension_feasible(d: DegreeSequence, delta: int) -> bool:
     Equivalent to graphicality of the augmented sequence, decided on the
     reduced sequence (first delta entries decremented).
     """
-    if delta % 2:
-        raise ValidationError(f"delta={_shown_int(delta)} must be even")
-    if not 1 <= delta <= d.n:
-        raise ValidationError(f"delta={_shown_int(delta)} out of range [1, {d.n}]")
+    _check_delta(delta, d.n)
     require_graphic(d)
     return _reduced_graphic(_run_form(d.degrees), delta)
+
+
+def _check_delta(delta: int, n: int) -> None:
+    """Raise ValidationError unless ``delta`` is an even degree a new vertex
+    could take next to n vertices: 1 <= delta <= n."""
+    if delta % 2:
+        raise ValidationError(f"delta={_shown_int(delta)} must be even")
+    if not 1 <= delta <= n:
+        raise ValidationError(f"delta={_shown_int(delta)} out of range [1, {n}]")
 
 
 def _reduced_graphic(runs: Runs, delta: int) -> bool:

@@ -32,21 +32,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+from . import _EXPORTS
 from .errors import CapExceededError, ValidationError
 
 if TYPE_CHECKING:
     from .sequences import DegreeSequence
 
-__all__ = [
-    "Edge",
-    "Graph",
-    "Matching",
-    "max_matching",
-    "greedy_maximal_matching",
-    "min_maximal_matching",
-    "pinch",
-    "verify_matching",
-]
+__all__ = ("Edge", *_EXPORTS["graphs"])
 
 Edge = tuple[int, int]
 
@@ -140,11 +132,6 @@ class Graph:
 
     def degrees(self) -> tuple[int, ...]:
         return self._degrees
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.vertex_count:
-            raise _refused("vertex {} out of range", v)
-        return self._degrees[v]
 
     @property
     def max_degree(self) -> int:
@@ -519,7 +506,7 @@ def greedy_maximal_matching(g: Graph, rng_seed: int = 0) -> Matching:
     return Matching._trusted(frozenset(_greedy_matching(g.vertex_count, edges)), g.vertex_count)
 
 
-def min_maximal_matching(g: Graph, cap: int = MIN_MAXIMAL_CAP) -> Matching:
+def min_maximal_matching(g: Graph) -> Matching:
     """Smallest maximal matching, by exhaustive branching.
 
     The greedy maximal matching seeds the size bound. At the lowest-indexed
@@ -529,8 +516,8 @@ def min_maximal_matching(g: Graph, cap: int = MIN_MAXIMAL_CAP) -> Matching:
     stands when no smaller maximal matching exists.
     """
     n = g.vertex_count
-    if n > cap:
-        raise CapExceededError(f"instance too large for exact minimum maximal matching (n={n} > {cap})")
+    if n > MIN_MAXIMAL_CAP:
+        raise CapExceededError(f"instance too large for exact minimum maximal matching (n={n} > {MIN_MAXIMAL_CAP})")
     seed = greedy_maximal_matching(g, 0)
     adj = g.adjacency()
     edges_sorted = sorted(g.edges)

@@ -15,13 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
+from . import _EXPORTS
 from .errors import ValidationError
 
-__all__ = [
-    "DegreeSequence",
-    "make_sequence",
-    "parse_sequence",
-]
+__all__ = _EXPORTS["sequences"]
 
 
 _SHOWN = 32  # an error message echoes an input up to this many characters, then "…"

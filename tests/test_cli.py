@@ -149,6 +149,8 @@ class TestExtendRealizeEnumerate:
         [
             ("n 3 4\n0 1\n", "malformed vertex-count line: 'n 3 4'"),
             ("n 3\n0 1\n0 x\n", "malformed edge line: '0 x'"),
+            ("n -3\n0 1\n", "vertex_count must be non-negative"),
+            ("n 3\n0 5\n", "edge (0, 5) out of range for 3 vertices"),
         ],
     )
     def test_malformed_line_is_validation_error(self, tmp_path, capsys, text, message):

@@ -129,6 +129,12 @@ class TestGrow:
         trace = grow(Graph(3, frozenset()), 5, delta_policy="max")
         assert trace.steps == () and trace.halted_early
 
+    @pytest.mark.parametrize("delta_policy", ["random", "fixed:2"])
+    def test_halts_early_without_edges_under_each_delta_policy(self, delta_policy):
+        # under random, nu = 0 leaves no degree to draw: the run halts before the draw
+        trace = grow(Graph(3, frozenset()), 5, delta_policy=delta_policy)
+        assert trace.steps == () and trace.halted_early
+
     def test_unknown_matching_policy(self):
         with pytest.raises(ValidationError, match="unknown matching policy 'widest'"):
             grow(cycle(4), 1, delta_policy="fixed:2", matching_policy="widest")

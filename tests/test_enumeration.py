@@ -211,8 +211,8 @@ def hosts(monkeypatch):
     asks for the first completion of a whole residual vector."""
     asked = []
 
-    def record(residual, i, later, memo, first=False):
-        assert (i, memo, first) == (0, {}, True)
+    def record(residual, later, first=False):
+        assert first
         asked.append((list(residual), [list(row) for row in later]))
         return []
 
@@ -230,9 +230,9 @@ class TestFlatWalk:
         residual = list(residual)
         before = list(residual)
         leaves = [tuple(edges) for edges in recursive_walk(list(before), later)]
-        assert _completions(residual, 0, later, {}) == leaves
+        assert _completions(residual, later) == leaves
         assert residual == before
-        assert _completions(residual, 0, later, {}, first=True) == leaves[:1]
+        assert _completions(residual, later, first=True) == leaves[:1]
         assert residual == before
         return len(leaves)
 
@@ -421,7 +421,7 @@ class TestDeadStates:
                 tried = sum(walk_states(residual, later).values())
                 for first in (False, True):
                     combination_calls.clear()
-                    _completions(list(residual), 0, later, {}, first=first)
+                    _completions(list(residual), later, first=first)
                     assert len(combination_calls) == tried
         assert (len(hosts), leafless) == (7920, 5700)
 
@@ -654,6 +654,15 @@ class TestStrongExtension:
             strong_extension_check(d, 3)
         with pytest.raises(ValidationError):
             strong_extension_check(d, 4)
+
+    @pytest.mark.parametrize("delta", [3, -1, 0, -2, 4, 10**40])
+    def test_bad_delta_message_is_extension_feasibles(self, delta):
+        d = make_sequence([2, 2, 2])
+        with pytest.raises(ValidationError) as feasible:
+            extension_feasible(d, delta)
+        with pytest.raises(ValidationError) as strong:
+            strong_extension_check(d, delta)
+        assert str(strong.value) == str(feasible.value)
 
     def test_bad_delta_reported_before_non_graphic_input(self):
         d = make_sequence([3, 3, 1, 1])
