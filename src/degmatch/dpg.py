@@ -233,15 +233,15 @@ class GrowthTrace:
             "seed": {
                 "n": self.seed_vertex_count,
                 "m": self.seed_edge_count,
-                "degree_sequence": list(self.seed_degree_sequence),
+                "degree_sequence": self.seed_degree_sequence,
             },
             "steps": [
                 {
                     "step_index": s.step_index,
                     "delta": s.delta,
-                    "removed_matching": [list(e) for e in s.removed_matching],
+                    "removed_matching": s.removed_matching,
                     "new_vertex": s.new_vertex,
-                    "resulting_degree_sequence": list(s.resulting_degree_sequence),
+                    "resulting_degree_sequence": s.resulting_degree_sequence,
                 }
                 for s in self.steps
             ],

@@ -169,10 +169,7 @@ def _add_completions(
     """Append to ``found`` one completion per tail: vertex v's edges to
     ``combo``, then the tail."""
     head = tuple([(v, j) for j in combo])
-    if len(tails) == 1:
-        found.append(head + tails[0])
-    else:
-        found.extend([head + tail for tail in tails])
+    found.extend([head + tail for tail in tails])
     return found
 
 

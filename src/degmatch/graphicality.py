@@ -369,8 +369,6 @@ def _corrected_holds(degs: tuple[int, ...], prefix: list[int], mu: int) -> bool:
     dd = degs[delta - 1]
     after = bisect_right(degs, -dd, delta, key=neg) - delta
     k = bisect_left(degs, -dd, 0, delta, key=neg) + after  # delta + (after - upto)
-    if k < 0:
-        raise InternalConsistencyError("negative corrected index in closed form")
     # k is at or past the first dd, so the entries equal to dd from k on end at b
     b = delta + after
     tail = _capped_sum(degs, prefix, k, b, k + 1) - (b - k) + _capped_sum(degs, prefix, b, n, k)

@@ -517,6 +517,17 @@ class TestHugeIntsAreCut:
         code, out, err = run_text("bounds", "--graph", str(path))
         assert (code, out, err) == (1, "", f"ERROR VALIDATION: {message}\n"), err[:300]
 
+    @pytest.mark.parametrize(
+        "text, shown",
+        [("n 100000000\n0 1\n", "100000000"), (f"0 {'9' * 40}\n", f"1{'0' * 31}…")],
+        ids=["declared", "implied"],
+    )
+    def test_graph_file_over_vertex_cap(self, tmp_path, text, shown):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        code, out, err = run_text("bounds", "--graph", str(path))
+        assert (code, out, err) == (1, "", f"ERROR CAP_EXCEEDED: vertex count {shown} exceeds edge-list cap 1000000\n")
+
 
 class TestIntFlags:
     """Every int flag is read by the rule a --seq entry is read by: ASCII

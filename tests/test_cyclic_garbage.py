@@ -1,9 +1,9 @@
-"""The benchmark's workload calls leave no cyclic garbage: everything they
-allocate is freed by reference counting, so a collection run after them
-finds nothing to free. Each case pauses the collector, empties it, makes
-the call and asserts that a full collection then finds no unreachable
-object. The call runs once first, so that a first call's imports and
-caches are not counted."""
+"""The benchmark's workload calls and the exhaustive searches leave no
+cyclic garbage: everything they allocate is freed by reference counting,
+so a collection run after them finds nothing to free. Each case pauses
+the collector, empties it, makes the call and asserts that a full
+collection then finds no unreachable object. The call runs once first,
+so that a first call's imports and caches are not counted."""
 
 import gc
 import io
@@ -21,7 +21,8 @@ from degmatch.enumeration import (
     nu_bar_sequence,
     strong_extension_check,
 )
-from degmatch.families import cycle, windmill
+from degmatch.families import cycle, regular_circulant, windmill
+from degmatch.graphs import min_maximal_matching
 from degmatch.sequences import parse_sequence
 
 
@@ -56,6 +57,12 @@ class TestExhaustiveOracles:
     @pytest.mark.parametrize("text, delta", [("4,4,3,3,2,2,2,2", 4), ("5,5,4,3,3,2,2,2", 6), ("3,3,1,1,1,1", 4)])
     def test_strong_extension_check(self, text, delta):
         assert garbage_left(lambda: strong_extension_check(parse_sequence(text), delta)) == 0
+
+    @pytest.mark.parametrize(
+        "g", [cycle(9), windmill(3, 3), regular_circulant(12, 4)], ids=["cycle", "windmill", "circulant"]
+    )
+    def test_min_maximal_matching(self, g):
+        assert garbage_left(lambda: min_maximal_matching(g)) == 0
 
     def test_realization_walks(self):
         d = parse_sequence("3,3,3,2,2,2,1")

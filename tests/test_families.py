@@ -141,3 +141,9 @@ class TestCirculantAndOthers:
             complete_bipartite(0, 3)
         with pytest.raises(ValidationError):
             regular_circulant(5, 5)
+        with pytest.raises(ValidationError, match="path needs n >= 1, got 0"):
+            path(0)
+        with pytest.raises(ValidationError, match="need count >= 1 and size >= 1, got 0, 3"):
+            disjoint_cliques(0, 3)
+        with pytest.raises(ValidationError, match="need count >= 1 and size >= 1, got 2, 0"):
+            disjoint_cliques(2, 0)

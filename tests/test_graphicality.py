@@ -324,6 +324,10 @@ class TestDeltaStarAndNuStar:
         with pytest.raises(ValidationError):
             delta_star(make_sequence([0, 0]))
 
+    def test_formula_rejects_all_zero(self):
+        with pytest.raises(ValidationError, match="nu_star undefined"):
+            nu_star_formula(make_sequence([0, 0, 0]))
+
     def test_delta_star_rejects_non_graphic(self):
         with pytest.raises(NotGraphicError):
             delta_star(make_sequence([5, 1]))

@@ -7,6 +7,7 @@ import itertools
 import pkgutil
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from degmatch import (
 import degmatch
 from degmatch import dpg
 from degmatch.enumeration import conjecture_scan, enumerate_realizations
-from degmatch.graphs import _greedy_matching, _index_order_blossom, _ranked_blossom
+from degmatch.graphs import EDGE_LIST_CAP, _greedy_matching, _index_order_blossom, _ranked_blossom
 from oracles import blossom_oracle, max_matching_exhaustive
 
 
@@ -98,6 +99,30 @@ class TestGraphType:
     def test_edge_list_repeated_edge(self, repeat):
         with pytest.raises(ValidationError, match="repeated edge 0 1"):
             Graph.from_edge_list_text(f"n 3\n0 1\n1 2\n{repeat}\n")
+
+    @pytest.mark.parametrize("text", ["n 100000000\n0 1\n", f"0 {'9' * 40}\n", f"n {EDGE_LIST_CAP + 1}\n"])
+    def test_edge_list_over_vertex_cap(self, text):
+        # refused before any per-vertex list exists: a list of 10**6 slots
+        # alone would take 8 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="exceeds edge-list cap 1000000"):
+                Graph.from_edge_list_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
+    def test_edge_list_at_vertex_cap(self):
+        g = Graph.from_edge_list_text(f"n {EDGE_LIST_CAP}\n0 1\n")
+        assert g.vertex_count == EDGE_LIST_CAP and g.m == 1
+        assert Graph.from_edge_list_text(f"0 {EDGE_LIST_CAP - 1}\n").vertex_count == EDGE_LIST_CAP
+
+    def test_neighbors_out_of_range(self):
+        g = path(3)
+        for v in (-1, 3):
+            with pytest.raises(ValidationError, match=f"vertex {v} out of range"):
+                g.neighbors(v)
 
     def test_adjacency_built_once(self):
         g = half_graph(8)
@@ -517,6 +542,11 @@ class TestGreedyMaximal:
 
     def test_empty_graph(self):
         assert greedy_maximal_matching(Graph(3, frozenset()), 0).size == 0
+
+    def test_verify_rejects_edges_sharing_a_vertex(self):
+        # Matching refuses such edges, so only a trusted one can carry them
+        shared = Matching._trusted(frozenset([(0, 1), (1, 2)]), 3)
+        assert not verify_matching(path(3), shared)
 
     def test_k4_every_seed_gives_two(self):
         # in K4 no single edge is maximal: the two uncovered vertices stay adjacent

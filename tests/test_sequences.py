@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from degmatch import DegreeSequence, ValidationError, make_sequence, parse_sequence
+from degmatch.sequences import _shown_int
 from oracles import SupportSet, augment, left_shift_leq
 
 
@@ -54,6 +55,16 @@ class TestDegreeSequenceType:
         assert parse_sequence(d.to_text()) == d
         assert parse_sequence(" 3, 2 ,2,1 ") == d
         assert parse_sequence("") == DegreeSequence()
+
+    def test_sequence_protocol(self):
+        d = make_sequence([1, 3, 2])
+        assert len(d) == 3 and len(DegreeSequence()) == 0
+        assert d[0] == 3 and d[-1] == 1 and d[1:] == (2, 1)
+        assert list(d) == [3, 2, 1]
+        assert str(d) == "(3,2,1)" and str(DegreeSequence()) == "()"
+
+    def test_shown_int_shows_a_non_int_by_str(self):
+        assert _shown_int(2.5) == "2.5"
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValidationError):
