@@ -18,9 +18,9 @@ The kernels read the prefix sums of the arranged degrees, one C-speed
 each takes O(log n) or O(r log n) Python steps for r distinct degrees: k*
 and noP3 bisect their rising left sides, Posa reads its worst case at the
 distinct degrees of ``graphicality._run_form`` and bisects, and ell*
-gallops up from k*, a proven lower bound it is handed, checking each ell
-at the run ends past 2*ell only, each found from the last by a bisect (the
-lemmas are in ``_gale_ryser_bound``). ``bound_report`` computes the prefix
+gallops up from k* (``graphicality._gallop``), a proven lower bound it is
+handed, checking each ell at the run ends past 2*ell only, each found from
+the last by a bisect (the lemmas are in ``_gale_ryser_bound``). ``bound_report`` computes the prefix
 sums, k* and m once for all of them.
 
 Validation contract: public functions validate their input once, through
@@ -39,7 +39,7 @@ from operator import neg
 
 from . import _EXPORTS
 from .errors import InternalConsistencyError
-from .graphicality import _run_form, require_graphic
+from .graphicality import _gallop, _run_form, require_graphic
 from .sequences import DegreeSequence
 
 __all__ = _EXPORTS["bounds"]
@@ -176,10 +176,11 @@ def _gale_ryser_bound(degs: tuple[int, ...], prefix: list[int], k_star: int) -> 
     bisect, not one step per k: at k = e - top the window sum is
     prefix[e] - prefix[top], while the w top entries >= k + 1, found by the
     bisect, give sum(min(d_i, k + 1), i < top) = (k + 1)*w + prefix[top] -
-    prefix[w]. Probing ell = k*, k* + 1, k* + 3, k* + 7, ... and bisecting
-    the last bracket finds the first feasible ell in O(log(ell* - k* + 2))
-    checks of O(r log n) each, for r distinct degrees. On every graphic
-    sequence with n <= 10, ell* - k* is 0, 1 or 2.
+    prefix[w]. ``graphicality._gallop`` probes ell = k*, k* + 1, k* + 3,
+    k* + 7, ... and bisects the last bracket, so it finds the first
+    feasible ell in O(log(ell* - k* + 2)) checks of O(r log n) each, for r
+    distinct degrees. On every graphic sequence with n <= 10, ell* - k* is
+    0, 1 or 2.
     """
     n = len(degs)
 
@@ -196,14 +197,10 @@ def _gale_ryser_bound(degs: tuple[int, ...], prefix: list[int], k_star: int) -> 
                 return False
         return True
 
-    # lo is infeasible (or below the range), hi is the probe
-    hi = min(k_star, n // 2)
-    lo, step = hi - 1, 1
-    while not feasible(hi):
-        if hi == n // 2:
-            raise InternalConsistencyError("gale-ryser scan found no feasible ell")
-        lo, hi, step = hi, min(hi + step, n // 2), 2 * step
-    return lo + 1 + bisect_left(range(lo + 1, hi), True, key=feasible)
+    ell = _gallop(min(k_star, n // 2), n // 2, feasible)
+    if ell > n // 2:
+        raise InternalConsistencyError("gale-ryser scan found no feasible ell")
+    return ell
 
 
 def matching_lower_bound(d: DegreeSequence) -> int:

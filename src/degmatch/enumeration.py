@@ -196,7 +196,7 @@ def enumerate_realizations(
     later = [range(v + 1, n) for v in range(n)]
     for edges in _completions(list(degrees), later):
         # each pair (i, j), i < j, is chosen once: the edges are normalized
-        yield Graph._trusted(n, frozenset(edges), None, degrees)
+        yield Graph._trusted(n, frozenset(edges))
 
 
 def count_realizations(
@@ -331,7 +331,7 @@ def _split_witness(degs: tuple[int, ...], cover: Sequence[int], pairs: Sequence[
         return None
     edges = {(order[i], order[j]) if order[i] < order[j] else (order[j], order[i]) for i, j in found[0]}
     edges.update(pairs)
-    return Graph._trusted(n, frozenset(edges), None, degs)
+    return Graph._trusted(n, frozenset(edges))
 
 
 def strong_extension_check(
@@ -362,14 +362,20 @@ def _extension_witness(degs: tuple[int, ...], delta: int) -> Optional[Witness]:
     if degs[delta - 1] == 0:  # C holds an isolated vertex: nothing covers it
         return None
     n = len(degs)
+    # _completions restores the residual vector on return
+    residual = [x - 1 if i < delta else x for i, x in enumerate(degs)]
     for pairs in _pair_classes(degs, tuple(range(delta))):
-        m = frozenset(pairs)
-        later = [[j for j in range(i + 1, n) if (i, j) not in m] for i in range(n)]
-        residual = [x - 1 if i < delta else x for i, x in enumerate(degs)]
+        mate = [-1] * n
+        for u, v in pairs:
+            mate[u] = v
+            mate[v] = u
+        later = [[j for j in range(i + 1, n) if j != mate[i]] for i in range(n)]
         found = _completions(residual, later, first=True)
         if found:
-            # in index order each edge (i, j) has i < j: it is normalized
-            return Graph._trusted(n, m.union(found[0]), None, degs), Matching(m, n)
+            # in index order each edge (i, j) has i < j, and so has each
+            # pair: both are normalized, and the pairs are disjoint
+            m = frozenset(pairs)
+            return Graph._trusted(n, m.union(found[0])), Matching._trusted(m, n)
     return None
 
 

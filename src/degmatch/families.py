@@ -1,13 +1,31 @@
-"""Deterministic generators for the graph families used as fixtures."""
+"""Deterministic generators for the graph families used as fixtures.
+
+Each builder checks its parameters, then computes the family's vertex
+and edge counts from them and refuses a family with more than
+``EDGE_LIST_CAP`` of either with ``CapExceededError``, before anything
+is built: a family at the cap takes a few hundred MB.
+"""
 
 from __future__ import annotations
 
 from . import _EXPORTS
 from .constants import FAMILY_KINDS
-from .errors import ValidationError
-from .graphs import Graph, _refused
+from .errors import CapExceededError, ValidationError
+from .graphs import EDGE_LIST_CAP, Graph, _refused
 
 __all__ = (*_EXPORTS["families"], "FAMILY_KINDS")
+
+
+def _check_size(n: int, m: int) -> None:
+    """Refuse a family of n vertices and m edges if either count is over
+    ``EDGE_LIST_CAP``. ``sequences`` is imported here, because only a
+    refusal needs it."""
+    if n > EDGE_LIST_CAP or m > EDGE_LIST_CAP:
+        from .sequences import _shown_int
+
+        raise CapExceededError(
+            f"family of {_shown_int(n)} vertices and {_shown_int(m)} edges exceeds cap {EDGE_LIST_CAP}"
+        )
 
 
 def half_graph(n: int) -> Graph:
@@ -15,6 +33,7 @@ def half_graph(n: int) -> Graph:
     if n < 2 or n % 2:
         raise _refused("half graph needs an even n >= 2, got {}", n)
     half = n // 2
+    _check_size(n, half * half)
     edges = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -30,6 +49,7 @@ def windmill(t: int, l: int) -> Graph:
     if l < 2:
         raise _refused("windmill needs clique size l >= 2, got {}", l)
     n = t * (l - 1) + 1
+    _check_size(n, t * (l * (l - 1) // 2))
     edges = []
     for b in range(t):
         blade = [0] + [1 + b * (l - 1) + i for i in range(l - 1)]
@@ -42,24 +62,28 @@ def windmill(t: int, l: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise _refused("cycle needs n >= 3, got {}", n)
+    _check_size(n, n)
     return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise _refused("path needs n >= 1, got {}", n)
+    _check_size(n, n - 1)
     return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise _refused("complete bipartite needs both sides >= 1, got {}, {}", a, b)
+    _check_size(a + b, a * b)
     return Graph(a + b, frozenset((i, a + j) for i in range(a) for j in range(b)))
 
 
 def disjoint_cliques(count: int, size: int) -> Graph:
     if count < 1 or size < 1:
         raise _refused("need count >= 1 and size >= 1, got {}, {}", count, size)
+    _check_size(count * size, count * (size * (size - 1) // 2))
     edges = []
     for c in range(count):
         base = c * size
@@ -80,6 +104,7 @@ def regular_circulant(n: int, r: int) -> Graph:
         raise _refused("need 0 <= r < n, got n={}, r={}", n, r)
     if (n * r) % 2:
         raise _refused("n*r must be even, got n={}, r={}", n, r)
+    _check_size(n, n * r // 2)
     edges = set()
     for i in range(n):
         for off in range(1, r // 2 + 1):

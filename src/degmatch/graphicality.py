@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 from itertools import accumulate
 from operator import neg
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from . import _EXPORTS
 from .errors import InternalConsistencyError, NotGraphicError, ValidationError
@@ -51,6 +51,24 @@ class GraphicVerdict:
     is_graphic: bool
     failing_k: Optional[int] = None
     parity_ok: bool = True
+
+
+def _gallop(lo: int, hi: int, holds: Callable[[int], bool]) -> int:
+    """The first x in lo..hi at which ``holds`` is true, or hi + 1 if there
+    is none, for a ``holds`` that is false and then true on lo..hi, and
+    lo <= hi + 1 (Bentley and Yao, "An almost optimal algorithm for
+    unbounded searching", Inf. Process. Lett. 1976).
+
+    It probes lo, lo + 1, lo + 3, lo + 7, ..., with the last probe at hi,
+    until one holds, then bisects between it and the probe before: for an
+    answer a, O(log(a - lo + 2)) calls of ``holds``.
+    """
+    bad, probe, step = lo - 1, lo, 1
+    while probe <= hi and not holds(probe):
+        if probe == hi:
+            return hi + 1
+        bad, probe, step = probe, min(probe + step, hi), 2 * step
+    return bad + 1 + bisect_left(range(bad + 1, probe), True, key=holds)
 
 
 def _capped_sum(degs: tuple[int, ...], prefix: list[int], a: int, b: int, c: int) -> int:
@@ -172,7 +190,7 @@ def realize_hh(d: DegreeSequence) -> Graph:
     rows = _hh_rows(d.degrees)
     # each pair is written once, as (lower, higher), so vertex i has degree d_i
     edges = frozenset((u, v) for u, row in enumerate(rows) for v in row)
-    return Graph._trusted(d.n, edges, None, d.degrees)
+    return Graph._trusted(d.n, edges)
 
 
 def _hh_rows(degs: tuple[int, ...]) -> list[list[int]]:
@@ -397,23 +415,17 @@ def _nu_star_formula(degs: tuple[int, ...]) -> int:
     the range of k only shrinks. So the mu at which the family holds form a
     prefix 1..top of 1..n // 2 (mu = 1 checks no k).
 
-    Probing mu = n // 2, n // 2 - 1, n // 2 - 3, ... and bisecting the last
-    bracket finds top in O(log n) family checks, each O(n); below top only
-    the corrected inequality, O(log n) each, is left to test, from top
-    down. That returns what a descending scan over every mu returns.
+    ``_gallop`` finds top counting down from n // 2, as the first x at
+    which the family holds at mu = n // 2 - x, in O(log n) family checks,
+    each O(n); below top only the corrected inequality, O(log n) each, is
+    left to test, from top down. That returns what a descending scan over
+    every mu returns.
     """
     prefix = [0, *accumulate(degs)]
-    # the family fails at bad (n // 2 + 1 is past the range), and holds at probe once the gallop stops
-    bad, probe, step = len(degs) // 2 + 1, len(degs) // 2, 1
-    while not _small_k_holds(degs, prefix, probe):
-        bad, probe, step = probe, max(probe - step, 1), 2 * step
-    while bad - probe > 1:
-        mid = (probe + bad) // 2
-        if _small_k_holds(degs, prefix, mid):
-            probe = mid
-        else:
-            bad = mid
-    for mu in range(probe, 0, -1):
+    h = len(degs) // 2
+    # the family holds at mu = 1, so some x <= h - 1 holds
+    top = h - _gallop(0, h - 1, lambda x: _small_k_holds(degs, prefix, h - x))
+    for mu in range(top, 0, -1):
         if _corrected_holds(degs, prefix, mu):
             return mu
     return 0

@@ -5,7 +5,7 @@ Graphs are immutable: a vertex count plus a frozenset of normalized edges
 uncovered vertex sets are well defined. ``pinch`` copies the parent's
 sorted neighbor lists and runs its arithmetic, ``_pinch_lists``, on them
 in place, which is how growth pinches without building a graph per step;
-``_graph_of`` builds a graph from such lists, degrees included.
+``_graph_of`` builds a graph from such lists, kept as its adjacency.
 
 Maximum matching is Edmonds' blossom algorithm: a greedy warm start, then
 one breadth-first search per free vertex, each costing what its
@@ -99,26 +99,24 @@ class Graph:
 
     @classmethod
     def _trusted(
-        cls,
-        vertex_count: int,
-        edges: frozenset[Edge],
-        adj: Optional[tuple[tuple[int, ...], ...]],
-        degrees: tuple[int, ...],
+        cls, vertex_count: int, edges: frozenset[Edge], adj: Optional[tuple[tuple[int, ...], ...]] = None
     ) -> "Graph":
-        """A graph from normalized edges and the degrees that match them, with
-        no validation; the adjacency is built on first use unless given."""
+        """A graph from normalized edges, and their sorted adjacency if
+        given, with no validation. As on a validated graph, the adjacency
+        is built on first use unless given, and the degrees are read off
+        it on first use."""
         g = object.__new__(cls)
-        # plain stores into the instance dict, in the order the dataclass
-        # and the cached properties use, keep the dict's keys shared; they
-        # pay for themselves on the scan workload, where trusted graphs with
-        # no instance dict saved 0.7-1.2 MB of peak RSS but cost 4-6% of
-        # its queries per second
+        # plain stores into the instance dict of vertex_count, edges and
+        # _adj when given, in the order the dataclass and the cached
+        # properties use, keep the dict's keys shared; they pay for
+        # themselves on the scan workload, where trusted graphs with no
+        # instance dict saved 0.7-1.2 MB of peak RSS but cost 4-6% of its
+        # queries per second
         fields = g.__dict__
         fields["vertex_count"] = vertex_count
         fields["edges"] = edges
         if adj is not None:
             fields["_adj"] = adj
-        fields["_degrees"] = degrees
         return g
 
     @property
@@ -326,7 +324,10 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
         live. An augmenting path joins two live free vertices, so with
         fewer than two there is none: every search left would fail and
         leave ``match`` as it is, and the loop stops. With lost = 0 this
-        is the stop at n // 2 edges.
+        is the stop at n // 2 edges. ``matched`` and ``lost`` change only
+        at a free root, so the stop is tested after the warm start, where
+        lost = 0 and it spares building the search's lists, and before
+        each free root.
     """
     n = len(adj)
     match = [-1] * n
@@ -355,14 +356,14 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
     for root in range(n):
         if match[root] != -1:
             continue
+        if n - 2 * matched - lost < 2:  # (f)
+            break
         for u in adj[root]:
             if not dead[u]:
                 break
         else:
             dead[root] = True  # (e)
             lost += 1
-            if n - 2 * matched - lost < 2:  # (f)
-                break
             continue
         for i in touched:
             used[i] = False
@@ -482,12 +483,8 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
                 dead[i] = True
             touched = []
             lost += 1
-            if n - 2 * matched - lost < 2:  # (f)
-                break
             continue
         matched += 1
-        if n - 2 * matched - lost < 2:  # (f)
-            break
     return match
 
 
@@ -612,7 +609,7 @@ def _pinch_lists(adj: list[list[int]], edges: Iterable[Edge]) -> None:
 def _graph_of(adj: list[list[int]]) -> Graph:
     """The graph with sorted neighbor lists ``adj``."""
     edges = frozenset((u, v) for u, nbrs in enumerate(adj) for v in nbrs if v > u)
-    return Graph._trusted(len(adj), edges, tuple(map(tuple, adj)), tuple(map(len, adj)))
+    return Graph._trusted(len(adj), edges, tuple(map(tuple, adj)))
 
 
 def verify_matching(g: Graph, m: Matching, require_maximal: bool = False) -> bool:

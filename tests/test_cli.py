@@ -17,8 +17,9 @@ from degmatch.enumeration import conjecture_scan, enumerate_realizations, strong
 from degmatch.errors import CapExceededError, ValidationError
 from degmatch.families import make_family
 from degmatch.graphicality import extension_feasible
-from degmatch.graphs import Graph
+from degmatch.graphs import EDGE_LIST_CAP, Graph
 from degmatch.sequences import parse_sequence
+from test_families import OVER_CAP
 
 
 def run(capsys, *argv):
@@ -672,13 +673,23 @@ class TestRealizeAnyText:
         assert tuple(degrees) == d.degrees
 
 
+class TestFamilyCap:
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_one_coded_line_just_over_the_cap(self, kind):
+        argv = ["family", "--kind", kind, *(f"--{flag}={value}" for flag, value in OVER_CAP[kind].items())]
+        code, out, err = run_text(*argv)
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"ERROR CAP_EXCEEDED: family of \d+ vertices and \d+ edges exceeds cap 1000000\n", err), err
+
+
 class TestFuzzedFlags:
     """The inputs the tests above leave out, under the same exit rule:
     --seq-file contents, and the flags of grow, family and scan-conjecture,
     whose int flags also get texts of up to 4,400 digits and texts with "_"
     or a non-ASCII digit. Sizes stay small, and a long int is negative
     where a large one would run long, so that every case runs in process
-    in milliseconds."""
+    in milliseconds; family's are also large, since a family over the cap
+    is refused before it is built."""
 
     @pytest.mark.parametrize(
         "command",
@@ -720,7 +731,13 @@ class TestFuzzedFlags:
         ),
         params=st.dictionaries(
             st.sampled_from(cli._FAMILY_FLAGS),
-            st.one_of(st.integers(-3, 12).map(str), long_ints(["-"]), odd_ints),
+            st.one_of(
+                st.integers(-3, 12).map(str),
+                st.integers(EDGE_LIST_CAP + 1, 10**30).map(str),
+                long_ints(["-"]),
+                long_ints([""], min_digits=8),  # over the cap of 10**6
+                odd_ints,
+            ),
             max_size=4,
         ),
     )

@@ -1,8 +1,13 @@
 """Unit tests for the deterministic graph family generators."""
 
+import re
+import tracemalloc
+
 import pytest
 
+from degmatch import families
 from degmatch import (
+    CapExceededError,
     ValidationError,
     complete_bipartite,
     cycle,
@@ -16,6 +21,78 @@ from degmatch import (
     regular_circulant,
     windmill,
 )
+
+# each kind's parameters just over the cap of 10**6 vertices or edges: one
+# step down, each of these families is at or under it
+OVER_CAP = {
+    "half-graph": {"n": 2002},  # 1001**2 edges
+    "windmill": {"t": 1, "l": 1415},  # 1415 * 1414 / 2 edges
+    "cycle": {"n": 10**6 + 1},
+    "path": {"n": 10**6 + 1},
+    "complete-bipartite": {"a": 1000, "b": 1001},
+    "disjoint-triangles": {"k": 333_334},  # 3k vertices and 3k edges
+    "disjoint-cliques": {"k": 1, "l": 1415},
+    "regular-circulant": {"n": 2000, "r": 1001},  # 2000 * 1001 / 2 edges
+}
+
+# small cases of every kind, whose counts are read off the built graphs
+SMALL = [
+    ("half-graph", {"n": n}) for n in (2, 4, 6, 10)
+] + [
+    ("windmill", {"t": t, "l": l}) for t in (1, 2, 5) for l in (2, 3, 6)
+] + [
+    ("cycle", {"n": n}) for n in (3, 4, 9)
+] + [
+    ("path", {"n": n}) for n in (1, 2, 7)
+] + [
+    ("complete-bipartite", {"a": a, "b": b}) for a in (1, 3) for b in (1, 4)
+] + [
+    ("disjoint-triangles", {"k": k}) for k in (1, 4)
+] + [
+    ("disjoint-cliques", {"k": k, "l": l}) for k in (1, 3) for l in (1, 2, 5)
+] + [
+    ("regular-circulant", {"n": n, "r": r}) for n, r in ((1, 0), (6, 0), (6, 3), (7, 2), (8, 5), (9, 8))
+]
+
+
+class TestSizeCap:
+    """Every builder computes its vertex and edge counts from its parameters
+    and refuses a family over ``EDGE_LIST_CAP`` before building anything."""
+
+    @pytest.mark.parametrize("kind,params", SMALL, ids=lambda x: x if isinstance(x, str) else None)
+    def test_counts_match_built_graphs(self, monkeypatch, kind, params):
+        g = make_family(kind, **params)
+        # under a cap of -1 every family is refused, with the counts it computed
+        monkeypatch.setattr(families, "EDGE_LIST_CAP", -1)
+        with pytest.raises(CapExceededError) as info:
+            make_family(kind, **params)
+        n, m = map(int, re.fullmatch(r"family of (\d+) vertices and (\d+) edges exceeds cap -1", str(info.value)).groups())
+        assert (n, m) == (g.vertex_count, g.m), (kind, params)
+        monkeypatch.setattr(families, "EDGE_LIST_CAP", max(n, m))
+        assert make_family(kind, **params) == g
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [*OVER_CAP.items(), ("cycle", {"n": 10**8}), ("disjoint-cliques", {"k": 1, "l": 10**6}),
+         ("windmill", {"t": 1, "l": 10**6}), ("complete-bipartite", {"a": 10**6, "b": 10**6})],
+        ids=lambda x: x if isinstance(x, str) else None,
+    )
+    def test_over_cap(self, kind, params):
+        # refused before any edge exists: a list of 10**6 slots alone would
+        # take 8 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="exceeds cap 1000000"):
+                make_family(kind, **params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
+    def test_long_ints_are_shown_short(self):
+        with pytest.raises(CapExceededError) as info:
+            complete_bipartite(10**4000, 10**4000)
+        assert len(str(info.value)) < 120, str(info.value)
 
 
 class TestHalfGraph:

@@ -33,7 +33,7 @@ from degmatch import (
 )
 import degmatch
 from degmatch import dpg
-from degmatch.enumeration import conjecture_scan, enumerate_realizations
+from degmatch.enumeration import _extension_witness, all_graphic_sequences, conjecture_scan, enumerate_realizations
 from degmatch.graphs import EDGE_LIST_CAP, _greedy_matching, _index_order_blossom, _ranked_blossom
 from oracles import blossom_oracle, max_matching_exhaustive
 
@@ -138,7 +138,7 @@ class TestGraphType:
         for g in hosts:
             built = Graph(g.vertex_count, g.edges)
             for adj in (None, built.adjacency()):
-                t = Graph._trusted(g.vertex_count, g.edges, adj, built.degrees())
+                t = Graph._trusted(g.vertex_count, g.edges, adj)
                 assert t == built and built == t and hash(t) == hash(built)
                 assert t.adjacency() == built.adjacency() and t.adjacency() is t.adjacency()
                 assert t.degrees() == built.degrees() and t.degrees() is t.degrees()
@@ -158,13 +158,13 @@ class TestMatchingType:
 
 
 class TestTrustedMatchings:
-    """The matching kernels and the nu_bar search build their matchings with
-    ``Matching._trusted``, which skips the checks of ``Matching``: every
+    """The matching kernels and the two split searches build their matchings
+    with ``Matching._trusted``, which skips the checks of ``Matching``: every
     such site must still hand out a valid matching. The growth policies'
     selector hands out sorted edge lists, checked here through the
     validating constructor."""
 
-    SITES = {"max_matching", "greedy_maximal_matching", "min_maximal_matching", "_nu_bar"}
+    SITES = {"max_matching", "greedy_maximal_matching", "min_maximal_matching", "_nu_bar", "_extension_witness"}
 
     def test_the_sites_are_all_covered(self):
         found = set()
@@ -203,6 +203,13 @@ class TestTrustedMatchings:
         for row in conjecture_scan(6):
             g, m = row.witness
             assert m.size == row.nu_bar_d and verify_matching(g, m, require_maximal=True)
+        for d in all_graphic_sequences(6):
+            for delta in range(2, d.n + 1, 2):
+                witness = _extension_witness(d.degrees, delta)
+                if witness is not None:
+                    g, m = witness
+                    assert m == Matching(m.edges, d.n) and verify_matching(g, m), (d, delta)
+                    assert g.degrees() == d.degrees and m.matched_vertices == set(range(delta)), (d, delta)
 
 
 class TestMaxMatching:

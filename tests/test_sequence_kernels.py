@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from degmatch import (
     CapExceededError,
     DegreeSequence,
+    InternalConsistencyError,
     ValidationError,
     make_sequence,
     nu_bar_sequence,
@@ -34,12 +35,13 @@ from degmatch import (
 )
 from degmatch import delta_star, nu_star, nu_star_formula
 from degmatch import graphicality
-from degmatch.bounds import _k_star, _matching_lower_bound, _posa_bound
+from degmatch.bounds import _gale_ryser_bound, _k_star, _matching_lower_bound, _posa_bound
 from degmatch.cli import main
 from degmatch.enumeration import all_graphic_sequences
 from degmatch.graphicality import (
     _delta_star,
     _eg_first_violation,
+    _gallop,
     _nu_star_formula,
     _reduced_graphic,
     _run_form,
@@ -467,6 +469,40 @@ class TestNuStarGallop:
         assert _nu_star_formula(skewed(n, k)) == min(k, n // 2)
         # at most one gallop probe and one bisection step per bit of n // 2
         assert len(calls) <= 2 * (n // 2).bit_length() + 1, calls
+
+
+class TestGallop:
+    """``_gallop`` on every false-then-true predicate over small ranges,
+    the answer a running from lo (all true) to hi (true only at hi) and
+    hi + 1 (never true)."""
+
+    def test_every_threshold(self):
+        for lo in range(-2, 4):
+            for hi in range(lo - 1, lo + 20):
+                for a in range(lo, hi + 2):
+                    calls = []
+
+                    def holds(x):
+                        calls.append(x)
+                        return x >= a
+
+                    assert _gallop(lo, hi, holds) == a, (lo, hi, a)
+                    assert all(lo <= x <= hi for x in calls), (lo, hi, a, calls)
+                    # the probes lo, lo + 1, lo + 3, lo + 7, ..., the last at
+                    # hi, up to the first that holds
+                    probes, step = [lo] if lo <= hi else [], 1
+                    while probes and probes[-1] < min(a, hi):
+                        probes.append(min(probes[-1] + step, hi))
+                        step *= 2
+                    assert calls[: len(probes)] == probes, (lo, hi, a, calls)
+                    assert len(calls) <= 2 * (a - lo + 2).bit_length(), (lo, hi, a, calls)
+
+    def test_never_true_is_refused_by_gale_ryser(self):
+        # 1,1,1 is not graphic: no ell up to n // 2 = 1 is feasible, so the
+        # gallop returns n // 2 + 1, which no graphic input reaches
+        prefix = [0, 1, 2, 3]
+        with pytest.raises(InternalConsistencyError, match="no feasible ell"):
+            _gale_ryser_bound((1, 1, 1), prefix, _k_star(prefix))
 
 
 class TestRealizeOutput:
