@@ -51,7 +51,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import _EXPORTS
 from .constants import MATCHING_POLICIES
-from .errors import InfeasibleDeltaError, ValidationError
+from .errors import CapExceededError, InfeasibleDeltaError, ValidationError
 from .graphs import (
     Edge,
     Graph,
@@ -67,6 +67,11 @@ from .graphs import (
 from .sequences import _integers, _shown, _shown_int
 
 __all__ = ("MATCHING_POLICIES", *_EXPORTS["dpg"])
+
+# the most degree entries a growth trace may record: each record keeps the
+# whole grown sequence, so s steps from n0 vertices record up to
+# s * n0 + s * (s + 1) / 2 of them
+TRACE_CAP = 2 * 10**7
 
 
 def feasible_deltas(g: Graph) -> set[int]:
@@ -277,12 +282,21 @@ def grow(
     the currently feasible degrees) or ``max``; ``matching_policy`` is one
     of ``MATCHING_POLICIES``. Runs halt early, with a truncated trace, when
     no feasible degree remains; that is an outcome, not an error. Fully
-    reproducible from (seed graph, policies, seed).
+    reproducible from (seed graph, policies, seed). A run whose trace could
+    record more than ``TRACE_CAP`` degree entries is refused with
+    ``CapExceededError`` before any step, even one that would halt early.
     """
     if steps < 0:
         raise ValidationError(f"steps={_shown_int(steps)} must be non-negative")
     kind, fixed_value = _parse_delta_policy(delta_policy)
     _check_matching_policy(matching_policy)
+    n0 = g0.vertex_count
+    entries = steps * n0 + steps * (steps + 1) // 2
+    if entries > TRACE_CAP:
+        raise CapExceededError(
+            f"{_shown_int(steps)} steps from {_shown_int(n0)} vertices could record"
+            f" {_shown_int(entries)} degree entries, over the trace cap {TRACE_CAP}"
+        )
     rng = random.Random(rng_seed)
     # the mutable state of the grown graph: sorted neighbor lists, which a
     # pinch edits in place, and the degrees in ascending order

@@ -3,10 +3,14 @@
 Each builder checks its parameters, then computes the family's vertex
 and edge counts from them and refuses a family with more than
 ``EDGE_LIST_CAP`` of either with ``CapExceededError``, before anything
-is built: a family at the cap takes a few hundred MB.
+is built: a family at the cap takes a few hundred MB. A builder makes
+its edges normalized (u < v, each once) by the family's rule and builds
+a trusted graph from them, so they are not normalized a second time.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from . import _EXPORTS
 from .constants import FAMILY_KINDS
@@ -34,12 +38,9 @@ def half_graph(n: int) -> Graph:
         raise _refused("half graph needs an even n >= 2, got {}", n)
     half = n // 2
     _check_size(n, half * half)
-    edges = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if (i <= half and j <= half) or (i + half <= j):
-                edges.append((i - 1, j - 1))
-    return Graph(n, frozenset(edges))
+    # 0-based: the clique on 0..half-1, and each i < half joined to every j >= i + half
+    edges = [*combinations(range(half), 2), *((i, j) for i in range(half) for j in range(i + half, n))]
+    return Graph._trusted(n, frozenset(edges))
 
 
 def windmill(t: int, l: int) -> Graph:
@@ -50,47 +51,39 @@ def windmill(t: int, l: int) -> Graph:
         raise _refused("windmill needs clique size l >= 2, got {}", l)
     n = t * (l - 1) + 1
     _check_size(n, t * (l * (l - 1) // 2))
-    edges = []
-    for b in range(t):
-        blade = [0] + [1 + b * (l - 1) + i for i in range(l - 1)]
-        for a in range(len(blade)):
-            for c in range(a + 1, len(blade)):
-                edges.append((blade[a], blade[c]))
-    return Graph(n, frozenset(edges))
+    # blade b is the clique on 0 and the l - 1 vertices from b on
+    return Graph._trusted(
+        n, frozenset(e for b in range(1, n, l - 1) for e in combinations((0, *range(b, b + l - 1)), 2))
+    )
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise _refused("cycle needs n >= 3, got {}", n)
     _check_size(n, n)
-    return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+    return Graph._trusted(n, frozenset([*((i, i + 1) for i in range(n - 1)), (0, n - 1)]))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise _refused("path needs n >= 1, got {}", n)
     _check_size(n, n - 1)
-    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
+    return Graph._trusted(n, frozenset((i, i + 1) for i in range(n - 1)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise _refused("complete bipartite needs both sides >= 1, got {}, {}", a, b)
     _check_size(a + b, a * b)
-    return Graph(a + b, frozenset((i, a + j) for i in range(a) for j in range(b)))
+    return Graph._trusted(a + b, frozenset((i, a + j) for i in range(a) for j in range(b)))
 
 
 def disjoint_cliques(count: int, size: int) -> Graph:
     if count < 1 or size < 1:
         raise _refused("need count >= 1 and size >= 1, got {}, {}", count, size)
-    _check_size(count * size, count * (size * (size - 1) // 2))
-    edges = []
-    for c in range(count):
-        base = c * size
-        for i in range(size):
-            for j in range(i + 1, size):
-                edges.append((base + i, base + j))
-    return Graph(count * size, frozenset(edges))
+    n = count * size
+    _check_size(n, count * (size * (size - 1) // 2))
+    return Graph._trusted(n, frozenset(e for b in range(0, n, size) for e in combinations(range(b, b + size), 2)))
 
 
 def disjoint_triangles(count: int) -> Graph:
@@ -113,7 +106,7 @@ def regular_circulant(n: int, r: int) -> Graph:
         if r % 2:
             j = (i + n // 2) % n
             edges.add((i, j) if i < j else (j, i))
-    return Graph(n, frozenset(edges))
+    return Graph._trusted(n, frozenset(edges))
 
 
 # each kind's constructor and the names of its parameters, in call order;

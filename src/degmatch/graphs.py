@@ -71,6 +71,19 @@ def _normalize_edges(edges: Iterable[Sequence[int]], n: int) -> frozenset[Edge]:
     return frozenset(out)
 
 
+def _first_shared(edges: Iterable[Edge]) -> Optional[Edge]:
+    """The first edge, in the order given, that shares a vertex with an
+    earlier one, or None when the edges are pairwise vertex-disjoint."""
+    seen: set[int] = set()
+    for e in edges:
+        u, v = e
+        if u in seen or v in seen:
+            return e
+        seen.add(u)
+        seen.add(v)
+    return None
+
+
 def _edge_lines(rows: Sequence[Sequence[int]], sep: str) -> list[str]:
     """The edges as ``u<sep>v`` strings, row by row: ``rows[u]`` lists the
     neighbours v > u of vertex u, so sorted rows give the edges sorted."""
@@ -161,7 +174,14 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def to_edge_list_text(self) -> str:
-        return _edge_list_text([[v for v in nbrs if v > u] for u, nbrs in enumerate(self._adj)])
+        # one row per vertex, filled from the edges and sorted on its own:
+        # the adjacency is not built, and short sorts beat one of all edges
+        rows: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for u, v in self.edges:
+            rows[u].append(v)
+        for row in rows:
+            row.sort()
+        return _edge_list_text(rows)
 
     @staticmethod
     def from_edge_list_text(text: str) -> "Graph":
@@ -210,12 +230,9 @@ class Matching:
         object.__setattr__(
             self, "edges", _normalize_edges(self.edges, self.host_vertex_count)
         )
-        seen: set[int] = set()
-        for u, v in sorted(self.edges):
-            if u in seen or v in seen:
-                raise _refused("matching edges are not vertex-disjoint at ({}, {})", u, v)
-            seen.add(u)
-            seen.add(v)
+        clash = _first_shared(sorted(self.edges))
+        if clash is not None:
+            raise _refused("matching edges are not vertex-disjoint at ({}, {})", *clash)
 
     @classmethod
     def _trusted(cls, edges: frozenset[Edge], host_vertex_count: int) -> "Matching":
@@ -402,40 +419,24 @@ def _index_order_blossom(adj: Sequence[Sequence[int]]) -> list[int]:
                     # re-parent both paths up to cur_base, collecting their bases
                     stamp += 1
                     absorbed = []
-                    x = v
-                    child = to
-                    while True:
-                        y = base[x]
-                        if y == cur_base:
-                            break
-                        if mark[y] != stamp:
-                            mark[y] = stamp
-                            absorbed.append(y)
-                        mx = match[x]
-                        y = base[mx]
-                        if mark[y] != stamp:
-                            mark[y] = stamp
-                            absorbed.append(y)
-                        p[x] = child
-                        child = mx
-                        x = p[mx]
-                    x = to
-                    child = v
-                    while True:
-                        y = base[x]
-                        if y == cur_base:
-                            break
-                        if mark[y] != stamp:
-                            mark[y] = stamp
-                            absorbed.append(y)
-                        mx = match[x]
-                        y = base[mx]
-                        if mark[y] != stamp:
-                            mark[y] = stamp
-                            absorbed.append(y)
-                        p[x] = child
-                        child = mx
-                        x = p[mx]
+                    x, child = v, to
+                    for _ in (0, 1):  # from v, then from to
+                        while True:
+                            y = base[x]
+                            if y == cur_base:
+                                break
+                            if mark[y] != stamp:
+                                mark[y] = stamp
+                                absorbed.append(y)
+                            mx = match[x]
+                            y = base[mx]
+                            if mark[y] != stamp:
+                                mark[y] = stamp
+                                absorbed.append(y)
+                            p[x] = child
+                            child = mx
+                            x = p[mx]
+                        x, child = to, v
                     # cur_base heads an outer blossom, so it is never absorbed
                     merged = members[cur_base]
                     if merged is None:
@@ -616,16 +617,9 @@ def verify_matching(g: Graph, m: Matching, require_maximal: bool = False) -> boo
     """Check containment, disjointness, and (optionally) maximality."""
     if m.host_vertex_count != g.vertex_count:
         return False
-    if not m.edges <= g.edges:
+    if not m.edges <= g.edges or _first_shared(m.edges) is not None:
         return False
-    seen: set[int] = set()
-    for u, v in m.edges:
-        if u in seen or v in seen:
-            return False
-        seen.add(u)
-        seen.add(v)
     if require_maximal:
-        for u, v in g.edges:
-            if u not in seen and v not in seen:
-                return False
+        covered = m.matched_vertices
+        return all(u in covered or v in covered for u, v in g.edges)
     return True

@@ -29,6 +29,13 @@ with one new entry, is what ``extension_feasible`` is checked against.
 ``check_witness`` and ``check_extension_witness`` re-check a split
 search's (G, M) witness from its edge sets alone; the CI scan steps run
 them too, with ``PYTHONPATH=src:tests``.
+
+``FAMILY_LOOPS`` builds each graph family by loops over its vertices and
+the validating ``Graph`` constructor, against the builders, which make
+normalized edges by rule and trust them; ``edge_list_text_by_adjacency``
+writes the edge-list text from the sorted adjacency, filtered to the
+larger neighbours, against ``Graph.to_edge_list_text``, which writes it
+from the edges.
 """
 
 from __future__ import annotations
@@ -392,3 +399,68 @@ def check_extension_witness(degrees, delta, witness):
     assert all((min(u, v), max(u, v)) in g.edges for u, v in m.edges)
     assert len(m.edges) == delta // 2 and len(set(covered)) == delta
     assert sorted(degrees[v] for v in covered) == sorted(degrees)[len(degrees) - delta:]
+
+
+def half_graph_loops(n: int) -> Graph:
+    """The half graph by its defining predicate on labels 1..n, tested on
+    every pair."""
+    half = n // 2
+    edges = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if (i <= half and j <= half) or (i + half <= j):
+                edges.append((i - 1, j - 1))
+    return Graph(n, frozenset(edges))
+
+
+def windmill_loops(t: int, l: int) -> Graph:
+    edges = []
+    for b in range(t):
+        blade = [0] + [1 + b * (l - 1) + i for i in range(l - 1)]
+        for a in range(len(blade)):
+            for c in range(a + 1, len(blade)):
+                edges.append((blade[a], blade[c]))
+    return Graph(t * (l - 1) + 1, frozenset(edges))
+
+
+def disjoint_cliques_loops(k: int, l: int) -> Graph:
+    edges = []
+    for c in range(k):
+        base = c * l
+        for i in range(l):
+            for j in range(i + 1, l):
+                edges.append((base + i, base + j))
+    return Graph(k * l, frozenset(edges))
+
+
+def regular_circulant_loops(n: int, r: int) -> Graph:
+    edges = set()
+    for i in range(n):
+        for off in range(1, r // 2 + 1):
+            edges.add((i, (i + off) % n))
+        if r % 2:
+            edges.add((i, (i + n // 2) % n))
+    return Graph(n, frozenset(edges))
+
+
+# each family kind built by loops over its vertices, through the validating
+# constructor, which normalizes the edges: what the builders, which make
+# normalized edges by rule and build trusted graphs, are checked against
+FAMILY_LOOPS = {
+    "half-graph": half_graph_loops,
+    "windmill": windmill_loops,
+    "cycle": lambda n: Graph(n, frozenset((i, (i + 1) % n) for i in range(n))),
+    "path": lambda n: Graph(n, frozenset((i, i + 1) for i in range(n - 1))),
+    "complete-bipartite": lambda a, b: Graph(a + b, frozenset((i, a + j) for i in range(a) for j in range(b))),
+    "disjoint-triangles": lambda k: disjoint_cliques_loops(k, 3),
+    "disjoint-cliques": disjoint_cliques_loops,
+    "regular-circulant": regular_circulant_loops,
+}
+
+
+def edge_list_text_by_adjacency(g: Graph) -> str:
+    """The edge-list text of ``g``, written from its sorted adjacency with
+    each edge kept at its smaller end: what ``Graph.to_edge_list_text``
+    writes from the edges alone."""
+    lines = [f"{u} {v}" for u, nbrs in enumerate(g.adjacency()) for v in nbrs if v > u]
+    return "\n".join([f"n {g.vertex_count}", *lines]) + "\n"

@@ -492,8 +492,11 @@ class TestHugeIntsAreCut:
             (["scan-conjecture", f"--max-n={NINES}"], f"CAP_EXCEEDED: n_max={'9' * 32}… exceeds enumeration cap 10"),
             (["enumerate", "--seq", "2,2,2", f"--max-n=-{NINES}"],
              f"CAP_EXCEEDED: n=3 exceeds enumeration cap -{'9' * 31}…"),
+            (["grow", "--seq", "2,2,2", f"--steps={NINES}", "--policy", "fixed:2", "--matching-policy", "first"],
+             f"CAP_EXCEEDED: {'9' * 32}… steps from 3 vertices could record {'5' + '0' * 31}… degree entries,"
+             " over the trace cap 20000000"),
         ],
-        ids=["grow-steps", "extend-delta", "family-n", "scan-max-n", "enumerate-max-n"],
+        ids=["grow-steps", "extend-delta", "family-n", "scan-max-n", "enumerate-max-n", "grow-steps-over-cap"],
     )
     def test_int_flags(self, argv, message):
         code, out, err = run_text(*argv)
@@ -689,7 +692,8 @@ class TestFuzzedFlags:
     or a non-ASCII digit. Sizes stay small, and a long int is negative
     where a large one would run long, so that every case runs in process
     in milliseconds; family's are also large, since a family over the cap
-    is refused before it is built."""
+    is refused before it is built, and so are grow's steps, since a trace
+    over its cap is refused before any step."""
 
     @pytest.mark.parametrize(
         "command",
@@ -705,7 +709,13 @@ class TestFuzzedFlags:
 
     @given(
         seq=st.one_of(graphic_texts, token_texts, long_sequences),
-        steps=st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["", "x", "1.5"]), long_ints(["-"]), odd_ints),
+        steps=st.one_of(
+            st.integers(-2, 4).map(str),
+            st.sampled_from(["", "x", "1.5"]),
+            long_ints(["-"]),
+            long_ints([""], min_digits=8),  # over the trace cap from any seed
+            odd_ints,
+        ),
         policy=st.one_of(
             st.sampled_from(["max", "random", "fixed:2", "fixed:4", "fixed:3", "fixed:0", "fixed:-2", "fixed:", "fixed:x"]),
             st.text(max_size=8),

@@ -9,6 +9,7 @@ import pytest
 
 from degmatch import dpg, graphs
 from degmatch import (
+    CapExceededError,
     Graph,
     InfeasibleDeltaError,
     Matching,
@@ -155,6 +156,40 @@ class TestGrow:
             grow(cycle(3), 1, delta_policy="every-other")
         with pytest.raises(ValidationError):
             grow(cycle(3), 1, delta_policy="fixed:3")
+
+
+class TestTraceCap:
+    """Each record keeps the whole grown sequence, so s steps from n0
+    vertices could record s * n0 + s * (s + 1) / 2 degree entries; a run
+    over ``TRACE_CAP`` of them is refused before any step."""
+
+    # 3125 steps from 4837 vertices could record exactly the cap
+    STEPS, N0 = 3125, 4837
+
+    def test_at_cap_runs(self):
+        assert self.STEPS * self.N0 + self.STEPS * (self.STEPS + 1) // 2 == dpg.TRACE_CAP
+        # an edgeless seed halts at once, so a run at the cap is cheap
+        trace = grow(Graph(self.N0), self.STEPS, "fixed:2", 0, "first")
+        assert trace.steps == () and trace.halted_early
+
+    @pytest.mark.parametrize("delta_policy", ["fixed:2", "max", "random"])
+    def test_one_step_more_is_refused_before_any_step(self, monkeypatch, delta_policy):
+        def no_step(*args, **kwargs):
+            pytest.fail("a step ran")
+
+        monkeypatch.setattr(dpg, "_select_matching", no_step)
+        monkeypatch.setattr(dpg, "_index_order_blossom", no_step)
+        message = "3126 steps from 4837 vertices could record 20007963 degree entries, over the trace cap 20000000"
+        with pytest.raises(CapExceededError, match=f"^{message}$"):
+            grow(Graph(self.N0), self.STEPS + 1, delta_policy, 0, "first")
+
+    def test_long_steps_are_shown_short(self):
+        with pytest.raises(CapExceededError) as info:
+            grow(cycle(3), 10**4000, "fixed:2", 0, "first")
+        assert len(str(info.value)) < 150, str(info.value)
+
+    def test_not_exported(self):
+        assert "TRACE_CAP" not in dpg.__all__
 
 
 class TestTraceSerialization:

@@ -1,5 +1,6 @@
 """Unit tests for the deterministic graph family generators."""
 
+import random
 import re
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from degmatch import families
 from degmatch import (
     CapExceededError,
+    Graph,
     ValidationError,
     complete_bipartite,
     cycle,
@@ -21,6 +23,7 @@ from degmatch import (
     regular_circulant,
     windmill,
 )
+from oracles import FAMILY_LOOPS, edge_list_text_by_adjacency
 
 # each kind's parameters just over the cap of 10**6 vertices or edges: one
 # step down, each of these families is at or under it
@@ -53,6 +56,52 @@ SMALL = [
 ] + [
     ("regular-circulant", {"n": n, "r": r}) for n, r in ((1, 0), (6, 0), (6, 3), (7, 2), (8, 5), (9, 8))
 ]
+
+# every kind at every small size: the grid the builders are checked on
+# against their loop oracles
+GRID = {
+    "half-graph": [{"n": n} for n in range(2, 41, 2)],
+    "windmill": [{"t": t, "l": l} for t in range(1, 9) for l in range(2, 9)],
+    "cycle": [{"n": n} for n in range(3, 61)],
+    "path": [{"n": n} for n in range(1, 61)],
+    "complete-bipartite": [{"a": a, "b": b} for a in range(1, 11) for b in range(1, 11)],
+    "disjoint-triangles": [{"k": k} for k in range(1, 21)],
+    "disjoint-cliques": [{"k": k, "l": l} for k in range(1, 7) for l in range(1, 9)],
+    "regular-circulant": [{"n": n, "r": r} for n in range(1, 21) for r in range(n) if n * r % 2 == 0],
+}
+
+
+class TestAgainstLoops:
+    """The builders make normalized edges by each family's rule and trust
+    them; the oracles build each family by loops over its vertices, through
+    the validating constructor."""
+
+    @pytest.mark.parametrize("kind", GRID)
+    def test_builders_equal_loops(self, kind):
+        for params in GRID[kind]:
+            g = make_family(kind, **params)
+            assert g == FAMILY_LOOPS[kind](**params), (kind, params)
+            # trusting the edges is sound: validating them changes nothing
+            assert Graph(g.vertex_count, g.edges) == g, (kind, params)
+
+    @pytest.mark.parametrize("kind", GRID)
+    def test_text_equals_adjacency_writer(self, kind):
+        for params in GRID[kind]:
+            g = make_family(kind, **params)
+            text = g.to_edge_list_text()
+            # the text is written from the edges: no adjacency was built
+            assert "_adj" not in g.__dict__, (kind, params)
+            assert text == edge_list_text_by_adjacency(g), (kind, params)
+
+    def test_text_of_seeded_graphs(self):
+        rng = random.Random(42)
+        graphs = [Graph(0), Graph(1), Graph(5, frozenset([(3, 1)]))]
+        for n in range(2, 40):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            # the last n // 4 vertices are isolated, and some of the first n
+            graphs.append(Graph(n + n // 4, frozenset(rng.sample(pairs, rng.randint(0, len(pairs))))))
+        for g in graphs:
+            assert g.to_edge_list_text() == edge_list_text_by_adjacency(g), g
 
 
 class TestSizeCap:
