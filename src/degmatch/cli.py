@@ -14,8 +14,7 @@ source group (``--seq | --seq-file``, bounds' extra ``--graph``, grow's own
 ``build_parser`` is one loop over the rows. Every int flag is read by
 ``_int``, the rule a --seq entry is read by.
 
-The parser needs only ``constants`` for its choices and defaults (and
-``sequences`` to echo a refused int flag), and each
+The parser needs only ``constants`` for its choices and defaults, and each
 ``_cmd_*`` imports the kernels it calls in its own body, so a call loads
 only the modules its command runs: ``check``, ``extend``, ``nu-star`` and
 ``delta-star`` load ``sequences`` and ``graphicality`` and nothing else.
@@ -33,7 +32,7 @@ from functools import cache
 
 from . import __version__
 from .constants import DEFAULT_MAX_DEGREE_SUM, DEFAULT_MAX_N, FAMILY_KINDS, MATCHING_POLICIES
-from .errors import DegmatchError
+from .errors import DegmatchError, _refused
 
 _FAMILY_FLAGS = ("n", "t", "l", "r", "a", "b", "k")  # the family command's parameters, in --help order
 
@@ -234,16 +233,14 @@ def _cmd_scan_conjecture(args: argparse.Namespace) -> str:
 def _int(text: str) -> int:
     """The type of every int flag: ASCII decimal digits with an optional
     sign, the rule ``sequences._integers`` reads a --seq entry by, so ``int``'s
-    ``1_0`` and ``٣`` are refused. A refused value is a usage error that
-    echoes it by ``sequences._shown``, imported only then."""
+    ``1_0`` and ``٣`` are refused. A refused value is a usage error whose
+    message ``errors._refused`` builds."""
     if text.isascii() and "_" not in text:
         try:
             return int(text)
         except ValueError:
             pass
-    from .sequences import _shown
-
-    raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text, repr)}")
+    raise _refused("invalid int value: {}", text, error=argparse.ArgumentTypeError)
 
 
 def _output(fmt_default: str = "text") -> list:

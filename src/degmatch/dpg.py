@@ -51,7 +51,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import _EXPORTS
 from .constants import MATCHING_POLICIES
-from .errors import CapExceededError, InfeasibleDeltaError, ValidationError
+from .errors import CapExceededError, InfeasibleDeltaError, _refused, _shown_int
 from .graphs import (
     Edge,
     Graph,
@@ -64,7 +64,7 @@ from .graphs import (
     max_matching,
     pinch,
 )
-from .sequences import _integers, _shown, _shown_int
+from .sequences import _integers
 
 __all__ = ("MATCHING_POLICIES", *_EXPORTS["dpg"])
 
@@ -83,7 +83,7 @@ def feasible_deltas(g: Graph) -> set[int]:
 
 def _check_matching_policy(policy: str) -> None:
     if policy not in MATCHING_POLICIES:
-        raise ValidationError(f"unknown matching policy {policy!r}; known: {', '.join(MATCHING_POLICIES)}")
+        raise _refused("unknown matching policy {}; known: " + ", ".join(MATCHING_POLICIES), policy)
 
 
 Ranked = tuple[int, int, int]  # an edge (u, v) as (-(deg u + deg v), u, v)
@@ -189,7 +189,7 @@ def dp_step(
     new vertex. Raises listing the feasible degrees when delta cannot be
     realized in this graph."""
     if delta < 2 or delta % 2:
-        raise ValidationError(f"delta={_shown_int(delta)} must be a positive even integer")
+        raise _refused("delta={} must be a positive even integer", delta)
     _check_matching_policy(policy)
     edges = _select_matching(g.adjacency(), delta // 2, rng_seed, policy=policy)
     if edges is None:
@@ -262,11 +262,11 @@ def _parse_delta_policy(policy: str) -> tuple[str, Optional[int]]:
             # read as a --seq entry is: ASCII digits with an optional sign
             value = _integers([policy.split(":", 1)[1].strip()])[0]
         except ValueError:
-            raise ValidationError(f"bad fixed delta in policy {_shown(policy, repr)}") from None
+            raise _refused("bad fixed delta in policy {}", policy) from None
         if value < 2 or value % 2:
-            raise ValidationError(f"fixed delta must be a positive even integer, got {_shown_int(value)}")
+            raise _refused("fixed delta must be a positive even integer, got {}", value)
         return "fixed", value
-    raise ValidationError(f"unknown delta policy {_shown(policy, repr)}; expected fixed:<delta>, random or max")
+    raise _refused("unknown delta policy {}; expected fixed:<delta>, random or max", policy)
 
 
 def grow(
@@ -287,15 +287,15 @@ def grow(
     ``CapExceededError`` before any step, even one that would halt early.
     """
     if steps < 0:
-        raise ValidationError(f"steps={_shown_int(steps)} must be non-negative")
+        raise _refused("steps={} must be non-negative", steps)
     kind, fixed_value = _parse_delta_policy(delta_policy)
     _check_matching_policy(matching_policy)
     n0 = g0.vertex_count
     entries = steps * n0 + steps * (steps + 1) // 2
     if entries > TRACE_CAP:
-        raise CapExceededError(
-            f"{_shown_int(steps)} steps from {_shown_int(n0)} vertices could record"
-            f" {_shown_int(entries)} degree entries, over the trace cap {TRACE_CAP}"
+        raise _refused(
+            "{} steps from {} vertices could record {} degree entries, over the trace cap {}",
+            steps, n0, entries, TRACE_CAP, error=CapExceededError,
         )
     rng = random.Random(rng_seed)
     # the mutable state of the grown graph: sorted neighbor lists, which a

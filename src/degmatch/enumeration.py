@@ -69,10 +69,10 @@ from typing import Callable, Iterator, Optional, Sequence, TypeVar
 from . import _EXPORTS
 from .bounds import _gale_ryser_bound, _k_star
 from .constants import DEFAULT_MAX_DEGREE_SUM, DEFAULT_MAX_N
-from .errors import CapExceededError, InternalConsistencyError
+from .errors import CapExceededError, InternalConsistencyError, _refused
 from .graphicality import _check_delta, is_graphic_eg, require_graphic
 from .graphs import Edge, Graph, Matching
-from .sequences import DegreeSequence, _shown_int
+from .sequences import DegreeSequence
 
 __all__ = ("DEFAULT_MAX_N", "DEFAULT_MAX_DEGREE_SUM", "SPLIT_MAX_N", *_EXPORTS["enumeration"])
 
@@ -83,10 +83,10 @@ SPLIT_MAX_N = 10
 
 def _check_caps(d: DegreeSequence, max_n: int, max_degree_sum: Optional[int]) -> None:
     if d.n > max_n:
-        raise CapExceededError(f"n={d.n} exceeds enumeration cap {_shown_int(max_n)}")
+        raise _refused("n={} exceeds enumeration cap {}", d.n, max_n, error=CapExceededError)
     if max_degree_sum is not None and d.degree_sum > max_degree_sum:
-        raise CapExceededError(
-            f"degree sum {_shown_int(d.degree_sum)} exceeds enumeration cap {_shown_int(max_degree_sum)}"
+        raise _refused(
+            "degree sum {} exceeds enumeration cap {}", d.degree_sum, max_degree_sum, error=CapExceededError
         )
 
 
@@ -430,7 +430,7 @@ def conjecture_scan(n_max: int) -> list[ConjectureRow]:
     n <= n_max, so the rows need no cap check of their own.
     """
     if n_max > SPLIT_MAX_N:
-        raise CapExceededError(f"n_max={_shown_int(n_max)} exceeds enumeration cap {SPLIT_MAX_N}")
+        raise _refused("n_max={} exceeds enumeration cap {}", n_max, SPLIT_MAX_N, error=CapExceededError)
     rows = []
     for d in all_graphic_sequences(n_max):
         nb, ell, ks, witness = _nu_bar(d.degrees)

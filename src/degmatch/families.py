@@ -14,21 +14,18 @@ from itertools import combinations
 
 from . import _EXPORTS
 from .constants import FAMILY_KINDS
-from .errors import CapExceededError, ValidationError
-from .graphs import EDGE_LIST_CAP, Graph, _refused
+from .errors import CapExceededError, ValidationError, _refused
+from .graphs import EDGE_LIST_CAP, Graph
 
 __all__ = (*_EXPORTS["families"], "FAMILY_KINDS")
 
 
 def _check_size(n: int, m: int) -> None:
     """Refuse a family of n vertices and m edges if either count is over
-    ``EDGE_LIST_CAP``. ``sequences`` is imported here, because only a
-    refusal needs it."""
+    ``EDGE_LIST_CAP``."""
     if n > EDGE_LIST_CAP or m > EDGE_LIST_CAP:
-        from .sequences import _shown_int
-
-        raise CapExceededError(
-            f"family of {_shown_int(n)} vertices and {_shown_int(m)} edges exceeds cap {EDGE_LIST_CAP}"
+        raise _refused(
+            "family of {} vertices and {} edges exceeds cap {}", n, m, EDGE_LIST_CAP, error=CapExceededError
         )
 
 

@@ -35,8 +35,8 @@ from operator import neg
 from typing import TYPE_CHECKING, Callable, Optional
 
 from . import _EXPORTS
-from .errors import InternalConsistencyError, NotGraphicError, ValidationError
-from .sequences import _SHOWN, DegreeSequence, _shown, _shown_int
+from .errors import _SHOWN, InternalConsistencyError, NotGraphicError, ValidationError, _refused, _shown, _shown_int
+from .sequences import DegreeSequence
 
 if TYPE_CHECKING:
     from .graphs import Graph
@@ -285,9 +285,9 @@ def _check_delta(delta: int, n: int) -> None:
     """Raise ValidationError unless ``delta`` is an even degree a new vertex
     could take next to n vertices: 1 <= delta <= n."""
     if delta % 2:
-        raise ValidationError(f"delta={_shown_int(delta)} must be even")
+        raise _refused("delta={} must be even", delta)
     if not 1 <= delta <= n:
-        raise ValidationError(f"delta={_shown_int(delta)} out of range [1, {n}]")
+        raise _refused("delta={} out of range [1, {}]", delta, n)
 
 
 def _reduced_graphic(runs: Runs, delta: int) -> bool:

@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import _EXPORTS
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, ValidationError, _refused
 
 if TYPE_CHECKING:
     from .sequences import DegreeSequence
@@ -47,16 +47,6 @@ Edge = tuple[int, int]
 MIN_MAXIMAL_CAP = 16
 # the most vertices an edge-list text may declare or imply
 EDGE_LIST_CAP = 10**6
-
-
-def _refused(message: str, *values: object) -> ValidationError:
-    """A ValidationError with ``values`` put in the ``{}`` of ``message`` by
-    the rule ``sequences`` echoes an input by: a text by ``_shown(value,
-    repr)``, anything else by ``_shown_int``, so a long value gives a short
-    message. ``sequences`` is imported here, because only a refusal needs it."""
-    from .sequences import _shown, _shown_int
-
-    return ValidationError(message.format(*(_shown(v, repr) if isinstance(v, str) else _shown_int(v) for v in values)))
 
 
 def _normalize_edges(edges: Iterable[Sequence[int]], n: int) -> frozenset[Edge]:
@@ -213,9 +203,7 @@ class Graph:
         if declared is None:
             declared = 1 + max((max(e) for e in pairs), default=-1)
         if declared > EDGE_LIST_CAP:
-            from .sequences import _shown_int
-
-            raise CapExceededError(f"vertex count {_shown_int(declared)} exceeds edge-list cap {EDGE_LIST_CAP}")
+            raise _refused("vertex count {} exceeds edge-list cap {}", declared, EDGE_LIST_CAP, error=CapExceededError)
         return Graph(declared, frozenset(pairs))
 
 
@@ -526,7 +514,10 @@ def min_maximal_matching(g: Graph) -> Matching:
     """
     n = g.vertex_count
     if n > MIN_MAXIMAL_CAP:
-        raise CapExceededError(f"instance too large for exact minimum maximal matching (n={n} > {MIN_MAXIMAL_CAP})")
+        raise _refused(
+            "instance too large for exact minimum maximal matching (n={} > {})", n, MIN_MAXIMAL_CAP,
+            error=CapExceededError,
+        )
     seed = greedy_maximal_matching(g, 0)
     best = _smaller_maximal(g.adjacency(), sorted(g.edges), [0] * n, [], seed.size)
     return seed if best is None else Matching._trusted(frozenset(best), n)

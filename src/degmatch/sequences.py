@@ -13,35 +13,12 @@ text is searched further, by halving, to name the first bad entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import _EXPORTS
-from .errors import ValidationError
+from .errors import ValidationError, _refused
 
 __all__ = _EXPORTS["sequences"]
-
-
-_SHOWN = 32  # an error message echoes an input up to this many characters, then "…"
-
-
-def _shown(text: str, form: Callable[[str], str] = str) -> str:
-    """``form(text)``, or ``form`` of its first ``_SHOWN`` characters and "…"
-    if it is longer: the one rule by which an error message echoes its
-    input, so a long input gives a short message."""
-    return form(text) if len(text) <= _SHOWN else form(text[:_SHOWN]) + "…"
-
-
-def _shown_int(x: int) -> str:
-    """``x`` in decimal, shown by ``_shown``. ``str`` refuses an int of more
-    than sys.get_int_max_str_digits() digits, so a long one loses its last
-    ``drop`` digits first. It has at least bit_length * 0.30102999566 digits
-    (just under log10(2)), so more than ``_SHOWN`` remain, and only a few
-    more. A value that is not an int, such as a library caller's float, is
-    shown by ``str``."""
-    if not isinstance(x, int):
-        return _shown(str(x))
-    drop = max(0, x.bit_length() * 30102999566 // 10**11 - _SHOWN - 1)
-    return _shown(("-" if x < 0 else "") + str(abs(x) // 10**drop))
 
 
 def _check_degrees(values: Iterable[object]) -> None:
@@ -49,9 +26,9 @@ def _check_degrees(values: Iterable[object]) -> None:
     not an integer or is negative."""
     for i, x in enumerate(values):
         if isinstance(x, bool) or not isinstance(x, int):
-            raise ValidationError(f"degree at position {i} is not an integer: {x!r}")
+            raise _refused("degree at position {} is not an integer: {}", i, x)
         if x < 0:
-            raise ValidationError(f"negative degree at position {i}: {_shown_int(x)}")
+            raise _refused("negative degree at position {}: {}", i, x)
 
 
 @dataclass(frozen=True)
@@ -98,7 +75,7 @@ class DegreeSequence:
         """degree_sum / 2; defined only when the degree sum is even."""
         s = self.degree_sum
         if s % 2:
-            raise ValidationError(f"degree sum {s} is odd, edge count undefined")
+            raise _refused("degree sum {} is odd, edge count undefined", s)
         return s // 2
 
     def strip_zeros(self) -> tuple["DegreeSequence", bool]:
@@ -181,12 +158,11 @@ def parse_sequence(text: str) -> DegreeSequence:
             except ValueError:
                 hi = mid
         entry = entries[lo]
-        shown = _shown(entry, repr)
         digits = entry[1:] if entry[:1] in ("+", "-") else entry
         if digits.isascii() and digits.isdigit():
             # int refuses more digits than sys.get_int_max_str_digits() (Python 3.11, 3.10.7+)
-            raise ValidationError(f"entry {lo} has too many digits ({len(digits)}): {shown}") from None
-        raise ValidationError(f"entry {lo} is not an integer: {shown}") from None
+            raise _refused("entry {} has too many digits ({}): {}", lo, len(digits), entry) from None
+        raise _refused("entry {} is not an integer: {}", lo, entry) from None
     # every value is an int; the full check runs only to name a negative one
     if min(values) < 0:
         _check_degrees(values)

@@ -17,8 +17,8 @@ from degmatch.enumeration import conjecture_scan, enumerate_realizations, strong
 from degmatch.errors import CapExceededError, ValidationError
 from degmatch.families import make_family
 from degmatch.graphicality import extension_feasible
-from degmatch.graphs import EDGE_LIST_CAP, Graph
-from degmatch.sequences import parse_sequence
+from degmatch.graphs import EDGE_LIST_CAP, Graph, min_maximal_matching
+from degmatch.sequences import DegreeSequence, make_sequence, parse_sequence
 from test_families import OVER_CAP
 
 
@@ -460,10 +460,10 @@ NINES = "9" * 4000
 
 
 class TestHugeIntsAreCut:
-    """An int of any size, given to a library call or through an int flag,
-    and a --graph line of any length are echoed by the 32-character rule:
-    a short coded error, never the ValueError that ``str`` raises on an
-    int of more than 4,300 digits."""
+    """An int of any size or a text of any length, given to a library call
+    or through an int flag, and a --graph line of any length are echoed by
+    the 32-character rule: a short coded error, never the ValueError that
+    ``str`` raises on an int of more than 4,300 digits."""
 
     @pytest.mark.parametrize(
         "call, error",
@@ -474,14 +474,24 @@ class TestHugeIntsAreCut:
             (lambda g, d: make_family("cycle", n=-(10**5000)), ValidationError),
             (lambda g, d: list(enumerate_realizations(d, max_n=-(10**5000))), CapExceededError),
             (lambda g, d: strong_extension_check(d, 10**5000), ValidationError),
+            (lambda g, d: grow(g, 1, "max", 0, "x" * 5000), ValidationError),
+            (lambda g, d: make_sequence(["x" * 5000]), ValidationError),
+            (lambda g, d: DegreeSequence((10**5000 + 1, 10**5000)).edge_count_if_graphic, ValidationError),
+            (lambda g, d: min_maximal_matching(Graph(10**5000)), CapExceededError),
         ],
         ids=["grow", "extension_feasible", "conjecture_scan", "make_family", "enumerate_realizations",
-             "strong_extension_check"],
+             "strong_extension_check", "grow-matching-policy", "make_sequence", "edge_count_if_graphic",
+             "min_maximal_matching"],
     )
     def test_library_calls(self, call, error):
         with pytest.raises(error) as info:
             call(make_family("cycle", n=6), parse_sequence("2,2,2"))
         assert len(str(info.value)) < 100 and "…" in str(info.value), str(info.value)
+
+    def test_a_bool_is_shown_as_itself(self):
+        with pytest.raises(ValidationError) as info:
+            make_sequence([True])
+        assert str(info.value).endswith("is not an integer: True")
 
     @pytest.mark.parametrize(
         "argv, message",

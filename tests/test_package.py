@@ -173,6 +173,16 @@ class TestFreshInterpreter:
             "assert degmatch.count_realizations is degmatch.enumeration.count_realizations\n"
         )
 
+    def test_errors_imports_nothing(self):
+        """Every call loads ``errors``, so it loads nothing more."""
+        added = fresh(
+            "import sys, degmatch\n"
+            "before = set(sys.modules)\n"
+            "import degmatch.errors\n"
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        assert added.split() == ["degmatch.errors"]
+
     def test_the_parser_loads_only_the_constants(self):
         assert loaded("import degmatch.cli\ndegmatch.cli.build_parser()") == (PARSER, set())
 
@@ -195,7 +205,8 @@ class TestFreshInterpreter:
             (["check", "--help"], []),
             (["check"], []),  # usage error: no --seq
             (["nope"], []),  # usage error: no such command
-            (["grow", "--seq", "2,2,2", "--steps", "1_0"], ["sequences"]),  # a refused int flag, echoed
+            (["grow", "--seq", "2,2,2", "--steps", "1_0"], []),  # a refused int flag, echoed
+            (["family", "--kind", "cycle", "--n", "2"], ["families", "graphs"]),  # a refused parameter, echoed
         ],
     )
     def test_a_command_loads_only_what_it_runs(self, argv, kernels):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from degmatch import DegreeSequence, ValidationError, make_sequence, parse_sequence
-from degmatch.sequences import _shown_int
+from degmatch.errors import _shown_int
 from oracles import SupportSet, augment, left_shift_leq
 
 
