@@ -12,7 +12,7 @@ Every subcommand is a row of ``_COMMANDS``: its handler, its required
 source group (``--seq | --seq-file``, bounds' extra ``--graph``, grow's own
 ``--graph | --seq``, or none) and its other flags in --help order, so
 ``build_parser`` is one loop over the rows. Every int flag is read by
-``_int``, the rule a --seq entry is read by.
+``_int``, through ``errors._integers``, the rule a --seq entry is read by.
 
 The parser needs only ``constants`` for its choices and defaults, and each
 ``_cmd_*`` imports the kernels it calls in its own body, so a call loads
@@ -32,7 +32,7 @@ from functools import cache
 
 from . import __version__
 from .constants import DEFAULT_MAX_DEGREE_SUM, DEFAULT_MAX_N, FAMILY_KINDS, MATCHING_POLICIES
-from .errors import DegmatchError, _refused
+from .errors import DegmatchError, _integers, _refused
 
 _FAMILY_FLAGS = ("n", "t", "l", "r", "a", "b", "k")  # the family command's parameters, in --help order
 
@@ -231,16 +231,14 @@ def _cmd_scan_conjecture(args: argparse.Namespace) -> str:
 
 
 def _int(text: str) -> int:
-    """The type of every int flag: ASCII decimal digits with an optional
-    sign, the rule ``sequences._integers`` reads a --seq entry by, so ``int``'s
-    ``1_0`` and ``٣`` are refused. A refused value is a usage error whose
-    message ``errors._refused`` builds."""
-    if text.isascii() and "_" not in text:
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    raise _refused("invalid int value: {}", text, error=argparse.ArgumentTypeError)
+    """The type of every int flag, read by ``errors._integers``, the rule of
+    every integer in the input, so ``int``'s ``1_0`` and ``٣`` are refused.
+    A refused value is a usage error whose message ``errors._refused``
+    builds."""
+    try:
+        return _integers([text])[0]
+    except ValueError:
+        raise _refused("invalid int value: {}", text, error=argparse.ArgumentTypeError) from None
 
 
 def _output(fmt_default: str = "text") -> list:

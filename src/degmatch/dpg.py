@@ -51,7 +51,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import _EXPORTS
 from .constants import MATCHING_POLICIES
-from .errors import CapExceededError, InfeasibleDeltaError, _refused, _shown_int
+from .errors import CapExceededError, InfeasibleDeltaError, _integers, _refused, _shown_int
 from .graphs import (
     Edge,
     Graph,
@@ -64,7 +64,6 @@ from .graphs import (
     max_matching,
     pinch,
 )
-from .sequences import _integers
 
 __all__ = ("MATCHING_POLICIES", *_EXPORTS["dpg"])
 

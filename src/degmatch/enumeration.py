@@ -264,9 +264,9 @@ def _nu_bar(degs: tuple[int, ...]) -> tuple[int, int, int, Witness]:
     for ell in range(ell_star, len(positive) // 2 + 1):
         for cover in _cover_splits(degs, 2 * ell):
             for pairs in _pair_classes(degs, cover):
-                g = _split_witness(degs, cover, pairs)
-                if g is not None:
-                    return ell, ell_star, k_star, (g, Matching._trusted(frozenset(pairs), len(degs)))
+                witness = _split_witness(degs, cover, pairs)
+                if witness is not None:
+                    return ell, ell_star, k_star, witness
     raise InternalConsistencyError(f"graphic sequence {degs} has no maximal matching")
 
 
@@ -306,10 +306,10 @@ def _pair_classes(
             yield ((u, cover[j]), *rest)
 
 
-def _split_witness(degs: tuple[int, ...], cover: Sequence[int], pairs: Sequence[Edge]) -> Optional[Graph]:
-    """G = H + M for the first realization H of (d_C - 1, d_I) with no
-    I x I pair and no pair of M = ``pairs`` (normalized edges), or None
-    when there is none.
+def _split_witness(degs: tuple[int, ...], cover: Sequence[int], pairs: Sequence[Edge]) -> Optional[Witness]:
+    """(G, M): M = ``pairs`` (normalized, disjoint edges) and G = H + M for
+    the first realization H of (d_C - 1, d_I) with no I x I pair and no
+    pair of M, or None when there is none.
 
     I goes first in the kernel's order: an I vertex may join only C, so a
     split whose I cannot be absorbed dies at its first vertices."""
@@ -329,9 +329,9 @@ def _split_witness(degs: tuple[int, ...], cover: Sequence[int], pairs: Sequence[
     found = _completions(residual, later, first=True)
     if not found:
         return None
-    edges = {(order[i], order[j]) if order[i] < order[j] else (order[j], order[i]) for i, j in found[0]}
-    edges.update(pairs)
-    return Graph._trusted(n, frozenset(edges))
+    m = frozenset(pairs)
+    h = ((order[i], order[j]) if order[i] < order[j] else (order[j], order[i]) for i, j in found[0])
+    return Graph._trusted(n, m.union(h)), Matching._trusted(m, n)
 
 
 def strong_extension_check(

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the one rule by which an
-error message echoes an input: at most ``_SHOWN`` characters, then "…".
+"""Exception types shared across the package, the one rule by which an
+error message echoes an input (at most ``_SHOWN`` characters, then "…"),
+and the one rule by which input text is read as integers: ASCII digits
+with an optional sign (``_integers``).
 
 Every domain error carries a short machine-readable ``code`` so the CLI can
 emit stable one-line diagnostics. This module imports nothing.
@@ -76,3 +78,12 @@ def _refused(message, *values, error=ValidationError):
         else _shown(repr(v))
         for v in values
     )))
+
+
+def _integers(entries: list[str]) -> list[int]:
+    """Stripped entry texts as ints. Each must be ASCII digits with an optional
+    sign (``int`` reads ``1_0`` and ``٣``); one check of the join decides all."""
+    joined = "".join(entries)
+    if not joined.isascii() or "_" in joined:
+        raise ValueError("an entry is not ASCII decimal digits")
+    return list(map(int, entries))

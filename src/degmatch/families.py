@@ -95,14 +95,15 @@ def regular_circulant(n: int, r: int) -> Graph:
     if (n * r) % 2:
         raise _refused("n*r must be even, got n={}, r={}", n, r)
     _check_size(n, n * r // 2)
-    edges = set()
-    for i in range(n):
-        for off in range(1, r // 2 + 1):
-            j = (i + off) % n
-            edges.add((i, j) if i < j else (j, i))
-        if r % 2:
-            j = (i + n // 2) % n
-            edges.add((i, j) if i < j else (j, i))
+    # offset off joins i to (i + off) % n, normalized: (i, i + off) below
+    # n - off, and (i, i + n - off) for the i < off it wraps to; r < n, so
+    # off < n / 2 and no edge comes twice, antipodes included
+    edges = []
+    for off in range(1, r // 2 + 1):
+        edges += [(i, i + off) for i in range(n - off)]
+        edges += [(i, i + n - off) for i in range(off)]
+    if r % 2:
+        edges += [(i, i + n // 2) for i in range(n // 2)]
     return Graph._trusted(n, frozenset(edges))
 
 
@@ -121,7 +122,8 @@ _FAMILIES = {
 
 
 def make_family(kind: str, **params: int) -> Graph:
-    """Dispatch by family name; hyphens and underscores are interchangeable."""
+    """Dispatch by family name; hyphens and underscores are interchangeable.
+    A missing parameter, or one the kind does not take, is refused."""
     key = kind.replace("_", "-").lower()
     if key not in _FAMILIES:
         raise _refused("unknown family kind {}; known: " + ", ".join(FAMILY_KINDS), kind)
@@ -129,4 +131,7 @@ def make_family(kind: str, **params: int) -> Graph:
     missing = [name for name in names if params.get(name) is None]
     if missing:
         raise ValidationError(f"family {key!r} needs parameters: {', '.join(missing)}")
+    extra = [name for name in params if name not in names]
+    if extra:
+        raise _refused("family {} takes no parameter {}", key, extra[0])
     return build(*(params[name] for name in names))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import _EXPORTS
-from .errors import ValidationError, _refused
+from .errors import ValidationError, _integers, _refused
 
 __all__ = _EXPORTS["sequences"]
 
@@ -112,21 +112,6 @@ def make_sequence(values: Iterable[int]) -> DegreeSequence:
     vals = list(values)
     _check_degrees(vals)
     return DegreeSequence._trusted(tuple(sorted(vals, reverse=True)))
-
-
-def _integers(entries: list[str]) -> list[int]:
-    """Convert stripped entry texts to ints, all in one pass.
-
-    An entry is ASCII decimal digits with an optional sign: ``int`` would
-    also read ``1_0`` and non-ASCII digits such as ``٣``, so the joined text
-    must be ASCII with no ``_``. It is exactly when every entry is, so this
-    is the per-entry rule applied to the whole list. Raises ValueError if
-    any entry breaks it.
-    """
-    joined = "".join(entries)
-    if not joined.isascii() or "_" in joined:
-        raise ValueError("an entry is not ASCII decimal digits")
-    return list(map(int, entries))
 
 
 def parse_sequence(text: str) -> DegreeSequence:

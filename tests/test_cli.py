@@ -150,6 +150,9 @@ class TestExtendRealizeEnumerate:
         [
             ("n 3 4\n0 1\n", "malformed vertex-count line: 'n 3 4'"),
             ("n 3\n0 1\n0 x\n", "malformed edge line: '0 x'"),
+            # an edge field is ASCII digits, as every integer in the input is
+            ("n 3\n0 1_0\n", "malformed edge line: '0 1_0'"),
+            ("n 4\n0 ٣\n", "malformed edge line: '0 ٣'"),
             ("n -3\n0 1\n", "vertex_count must be non-negative"),
             ("n 3\n0 5\n", "edge (0, 5) out of range for 3 vertices"),
         ],
@@ -281,6 +284,11 @@ class TestFamilyCommand:
     def test_bad_params_are_domain_errors(self, capsys):
         code, _, err = run(capsys, "family", "--kind", "half-graph", "--n", "5")
         assert code == 1 and err.startswith("ERROR VALIDATION:")
+
+    def test_a_flag_the_kind_does_not_take_is_refused(self, capsys):
+        code, out, err = run(capsys, "family", "--kind", "cycle", "--n", "4", "--t", "3")
+        assert code == 1 and out == ""
+        assert err == "ERROR VALIDATION: family 'cycle' takes no parameter 't'\n"
 
 
 class TestScanConjecture:

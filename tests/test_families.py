@@ -230,6 +230,13 @@ class TestMakeFamily:
         with pytest.raises(ValidationError, match="needs parameters"):
             make_family("windmill", t=2)
 
+    def test_extra_parameter(self):
+        with pytest.raises(ValidationError, match="^family 'cycle' takes no parameter 't'$"):
+            make_family("cycle", n=4, t=3)
+        # a long parameter name is echoed by the 32-character rule
+        with pytest.raises(ValidationError, match="^family 'path' takes no parameter 'x{32}'…$"):
+            make_family("path", n=4, **{"x" * 5000: 1})
+
 
 class TestCirculantAndOthers:
     def test_regular_and_simple_up_to_50(self):

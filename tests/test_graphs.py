@@ -164,7 +164,7 @@ class TestTrustedMatchings:
     selector hands out sorted edge lists, checked here through the
     validating constructor."""
 
-    SITES = {"max_matching", "greedy_maximal_matching", "min_maximal_matching", "_nu_bar", "_extension_witness"}
+    SITES = {"max_matching", "greedy_maximal_matching", "min_maximal_matching", "_split_witness", "_extension_witness"}
 
     def test_the_sites_are_all_covered(self):
         found = set()

@@ -207,9 +207,13 @@ class TestFreshInterpreter:
             (["nope"], []),  # usage error: no such command
             (["grow", "--seq", "2,2,2", "--steps", "1_0"], []),  # a refused int flag, echoed
             (["family", "--kind", "cycle", "--n", "2"], ["families", "graphs"]),  # a refused parameter, echoed
+            (["grow", "--graph", "<triangle>", "--steps", "1"], ["dpg", "graphs"]),
         ],
     )
-    def test_a_command_loads_only_what_it_runs(self, argv, kernels):
+    def test_a_command_loads_only_what_it_runs(self, tmp_path, argv, kernels):
+        triangle = tmp_path / "triangle.txt"
+        triangle.write_text("0 1\n1 2\n0 2\n")
+        argv = [str(triangle) if a == "<triangle>" else a for a in argv]
         modules, stdlib = loaded(
             "import contextlib, io, degmatch.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
