@@ -153,9 +153,12 @@ def _select_matching(
     if len(pool) < size:
         if match is None:
             match = _index_order_blossom(adj)
-        pool = [(u, v) for _, u, v in _max_degree_order(adj, ((u, w) for u, w in enumerate(match) if w > u))]
+        # in index order, so sorted: ranked only when some edges are left out
+        pool = [(u, w) for u, w in enumerate(match) if w > u]
         if len(pool) < size:
             return None
+        if len(pool) > size:
+            pool = [(u, v) for _, u, v in _max_degree_order(adj, pool)]
     return sorted(pool[:size])
 
 

@@ -18,29 +18,28 @@ stack, so a deep walk costs no Python frames.
   it; the enumeration yields one graph per completion of the root state,
   and the count keeps one number per state and builds no edge list.
   Erdos-Gallai runs once, at entry.
-- The split searches below fold a restricted host and want one
+- The split search below folds a restricted host and wants one
   realization: ``_completions`` with ``first`` stops each state at its
   first completion, which is the first leaf of the full walk, so a state
   worth nothing is a subtree with no leaf, walked once.
 
-Both realization questions are decided by a split search instead of a
-walk. d splits into C and I, M is a perfect matching on C, and a
-realization H of (d_C - 1, d_I) inside K_n - M gives G = H + M, a witness
-anyone can re-check. Equal degrees are interchangeable, so one labelled C
-per multiset split and one M per multiset of degree pairs stand for all.
+nu_bar, the minimum maximal matching over all realizations, is decided by
+a split search instead of a walk. d splits into C and I, M is a perfect
+matching on C, and a realization H of (d_C - 1, d_I) inside K_n - M with
+no I x I pair gives G = H + M, in which M is maximal: the vertices it
+misses are independent. G and M are a witness anyone can re-check. Equal
+degrees are interchangeable, so one labelled C per multiset split and one
+M per multiset of degree pairs stand for all. l runs upward from the
+proven floor ell*, which is at least k*, and each l tries every multiset
+split with |C| = 2l, the top split first; an l is rejected only after all
+fail, so the answer is exact without the unproved lemma that the top
+split suffices. ``_nu_bar`` computes the floor itself and returns nu_bar
+with ell*, k* and the witness, so ``nu_bar_sequence`` and each scan row
+make one call.
 
-- nu_bar, the minimum maximal matching over all realizations: M is maximal
-  in G exactly when the vertices it misses are independent, so H also
-  avoids every I x I pair. l runs upward from the proven floor ell*,
-  which is at least k*, and each l tries every multiset split with
-  |C| = 2l, the top split first; an l is rejected only after all fail, so
-  the answer is exact without the unproved lemma that the top split
-  suffices.
-  ``_nu_bar`` computes the floor itself and returns nu_bar with ell*, k*
-  and the witness, so ``nu_bar_sequence`` and each scan row make one call.
-- The paper's strong extension check (some realization has a matching of
-  delta/2 edges covering the delta largest degrees): C is the top delta
-  vertices, and H may use I x I pairs.
+The paper's first theorem, whether d extends by a new even degree, is
+answered by ``graphicality.extension_feasible``; the tests check it
+against a split search of the same form.
 
 The splits and the matchings come from flat generators: ``_cover_splits``
 walks the vectors of how many vertices each degree value gives, and
@@ -51,7 +50,7 @@ closure, so a search leaves no reference cycle for the cyclic collector.
 The realization walks these replaced are kept only as test oracles. Caps
 keep accidental big inputs from hanging the process; they are checked once
 at the public edge. ``DEFAULT_MAX_N`` is the realization walk's vertex cap,
-``SPLIT_MAX_N`` that of the split searches and of ``conjecture_scan``'s
+``SPLIT_MAX_N`` that of the split search and of ``conjecture_scan``'s
 ``n_max``; a ``max_degree_sum`` of None means no degree-sum cap.
 
 Validation contract: public functions validate their input once, through
@@ -70,7 +69,7 @@ from . import _EXPORTS
 from .bounds import _gale_ryser_bound, _k_star
 from .constants import DEFAULT_MAX_DEGREE_SUM, DEFAULT_MAX_N
 from .errors import CapExceededError, InternalConsistencyError, _refused
-from .graphicality import _check_delta, is_graphic_eg, require_graphic
+from .graphicality import is_graphic_eg, require_graphic
 from .graphs import Edge, Graph, Matching
 from .sequences import DegreeSequence
 
@@ -332,51 +331,6 @@ def _split_witness(degs: tuple[int, ...], cover: Sequence[int], pairs: Sequence[
     m = frozenset(pairs)
     h = ((order[i], order[j]) if order[i] < order[j] else (order[j], order[i]) for i, j in found[0])
     return Graph._trusted(n, m.union(h)), Matching._trusted(m, n)
-
-
-def strong_extension_check(
-    d: DegreeSequence,
-    delta: int,
-    *,
-    max_n: int = SPLIT_MAX_N,
-    max_degree_sum: Optional[int] = None,
-) -> bool:
-    """Does some realization have a matching of size delta/2 covering the
-    delta largest degrees?
-
-    Under ties, "largest delta degrees" is read as multiset equality of the
-    covered degrees with the top delta entries of the sequence. Decided
-    exactly by ``_extension_witness``; with no ``max_degree_sum`` only
-    ``max_n`` caps the input.
-    """
-    _check_delta(delta, d.n)
-    require_graphic(d)
-    _check_caps(d, max_n, max_degree_sum)
-    return _extension_witness(d.degrees, delta) is not None
-
-
-def _extension_witness(degs: tuple[int, ...], delta: int) -> Optional[Witness]:
-    """(G, M): a realization G of the graphic ``degs`` and a matching M of G
-    with delta/2 edges covering the delta largest degrees, or None. C is
-    the first delta vertices: within a tie, any choice is as good."""
-    if degs[delta - 1] == 0:  # C holds an isolated vertex: nothing covers it
-        return None
-    n = len(degs)
-    # _completions restores the residual vector on return
-    residual = [x - 1 if i < delta else x for i, x in enumerate(degs)]
-    for pairs in _pair_classes(degs, tuple(range(delta))):
-        mate = [-1] * n
-        for u, v in pairs:
-            mate[u] = v
-            mate[v] = u
-        later = [[j for j in range(i + 1, n) if j != mate[i]] for i in range(n)]
-        found = _completions(residual, later, first=True)
-        if found:
-            # in index order each edge (i, j) has i < j, and so has each
-            # pair: both are normalized, and the pairs are disjoint
-            m = frozenset(pairs)
-            return Graph._trusted(n, m.union(found[0])), Matching._trusted(m, n)
-    return None
 
 
 def all_graphic_sequences(n_max: int, *, min_n: int = 1) -> Iterator[DegreeSequence]:

@@ -26,9 +26,14 @@ The package has no position-based sequence operations; the tests keep
 the ones they need here. ``SupportSet`` and ``left_shift_leq`` are the
 vocabulary of the left-shift lemma tests, and ``augment``, the sequence
 with one new entry, is what ``extension_feasible`` is checked against.
+``_extension_witness`` is the paper's first theorem as a search: d
+extends by a new even degree delta exactly when some realization has a
+matching of delta/2 edges covering the delta largest degrees, and the
+search looks for that realization and matching with the package's split
+fold, so ``extension_feasible`` is checked against it.
 ``check_witness`` and ``check_extension_witness`` re-check a split
-search's (G, M) witness from its edge sets alone; the CI scan steps run
-them too, with ``PYTHONPATH=src:tests``.
+search's (G, M) witness from its edge sets alone; the CI scan and
+first-theorem steps run them too, with ``PYTHONPATH=src:tests``.
 
 ``FAMILY_LOOPS`` builds each graph family by loops over its vertices and
 the validating ``Graph`` constructor, against the builders, which make
@@ -46,8 +51,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
+from degmatch import enumeration
 from degmatch.constants import DEFAULT_MAX_DEGREE_SUM, DEFAULT_MAX_N
-from degmatch.enumeration import enumerate_realizations
+from degmatch.enumeration import Witness, enumerate_realizations
 from degmatch.errors import CapExceededError, InternalConsistencyError, ValidationError
 from degmatch.graphicality import _corrected_holds, _small_k_holds, realize_hh, require_graphic
 from degmatch.graphs import Edge, Graph, Matching, max_matching
@@ -380,6 +386,30 @@ def check_witness(degrees, size, witness):
         covered.update((u, v))
     assert len(m.edges) == size
     assert all(u in covered or v in covered for u, v in g.edges)
+
+
+def _extension_witness(degs: tuple[int, ...], delta: int) -> Optional[Witness]:
+    """(G, M): a realization G of the graphic ``degs`` and a matching M of G
+    with delta/2 edges covering the delta largest degrees, or None. C is
+    the first delta vertices: within a tie, any choice is as good."""
+    if degs[delta - 1] == 0:  # C holds an isolated vertex: nothing covers it
+        return None
+    n = len(degs)
+    # _completions restores the residual vector on return
+    residual = [x - 1 if i < delta else x for i, x in enumerate(degs)]
+    for pairs in enumeration._pair_classes(degs, tuple(range(delta))):
+        mate = [-1] * n
+        for u, v in pairs:
+            mate[u] = v
+            mate[v] = u
+        later = [[j for j in range(i + 1, n) if j != mate[i]] for i in range(n)]
+        found = enumeration._completions(residual, later, first=True)
+        if found:
+            # in index order each edge (i, j) has i < j, and so has each
+            # pair: both are normalized, and the pairs are disjoint
+            m = frozenset(pairs)
+            return Graph._trusted(n, m.union(found[0])), Matching._trusted(m, n)
+    return None
 
 
 def check_extension_witness(degrees, delta, witness):

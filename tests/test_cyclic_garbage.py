@@ -19,11 +19,11 @@ from degmatch.enumeration import (
     count_realizations,
     enumerate_realizations,
     nu_bar_sequence,
-    strong_extension_check,
 )
 from degmatch.families import cycle, regular_circulant, windmill
 from degmatch.graphs import min_maximal_matching
 from degmatch.sequences import parse_sequence
+from oracles import _extension_witness
 
 
 def garbage_left(call) -> int:
@@ -56,7 +56,8 @@ class TestExhaustiveOracles:
 
     @pytest.mark.parametrize("text, delta", [("4,4,3,3,2,2,2,2", 4), ("5,5,4,3,3,2,2,2", 6), ("3,3,1,1,1,1", 4)])
     def test_strong_extension_check(self, text, delta):
-        assert garbage_left(lambda: strong_extension_check(parse_sequence(text), delta)) == 0
+        # the first theorem's oracle walks the package's _pair_classes and fold
+        assert garbage_left(lambda: _extension_witness(parse_sequence(text).degrees, delta)) == 0
 
     @pytest.mark.parametrize(
         "g", [cycle(9), windmill(3, 3), regular_circulant(12, 4)], ids=["cycle", "windmill", "circulant"]

@@ -29,11 +29,11 @@ from degmatch import (
     nu_star_formula,
     parse_sequence,
     rows_to_csv,
-    strong_extension_check,
 )
 from degmatch import enumeration, graphicality, graphs, sequences
+from degmatch.cli import main
 from degmatch.enumeration import SPLIT_MAX_N, ConjectureRow, _completions
-from oracles import check_extension_witness, check_witness, nu_star_brute
+from oracles import _extension_witness, check_extension_witness, check_witness, nu_star_brute
 
 SCAN_UNIVERSE = Path(__file__).resolve().parent.parent / "bench" / "data" / "scan_universe.json"
 
@@ -205,8 +205,9 @@ def complete_later(n):
 
 @pytest.fixture
 def hosts(monkeypatch):
-    """Record the (residual, later) of every walk the split searches ask
-    for, and answer none, so a caller goes on to build every host it can;
+    """Record the (residual, later) of every walk the split search and the
+    first theorem's oracle ask for, and answer none, so a caller goes on to
+    build every host it can;
     the tests walk the hosts through the kernel imported above. Each search
     asks for the first completion of a whole residual vector."""
     asked = []
@@ -268,7 +269,7 @@ class TestFlatWalk:
     def test_every_extension_witness_host_up_to_6(self, hosts):
         for d in all_graphic_sequences(6):
             for delta in range(2, d.n + 1, 2):
-                assert enumeration._extension_witness(d.degrees, delta) is None
+                assert _extension_witness(d.degrees, delta) is None
         assert len(hosts) == 459
         assert sum(self.assert_same_walk(*host) for host in hosts) > 0
 
@@ -402,7 +403,7 @@ class TestCompletions:
 
 
 class TestDeadStates:
-    """The split searches' hosts at n = 7 give the recursive walk's leaves,
+    """The split search's hosts at n = 7 give the recursive walk's leaves,
     and on a host with no realization each reachable state whose vertex has
     enough candidates starts one ``combinations`` iterator, with ``first``
     or without."""
@@ -630,6 +631,11 @@ class TestSplitSearch:
 
 
 class TestStrongExtension:
+    """The paper's first theorem: d extends by delta exactly when some
+    realization has a matching of delta/2 edges covering the delta largest
+    degrees. ``extension_feasible`` answers; the oracle searches for that
+    realization and matching."""
+
     @pytest.mark.parametrize(
         "degrees,delta",
         [
@@ -639,45 +645,39 @@ class TestStrongExtension:
         ],
     )
     def test_true_examples(self, degrees, delta):
-        assert strong_extension_check(make_sequence(degrees), delta)
+        d = make_sequence(degrees)
+        assert extension_feasible(d, delta)
+        check_extension_witness(d.degrees, delta, _extension_witness(d.degrees, delta))
 
     def test_false_when_extension_impossible(self):
         # the star K_{1,3} is the unique realization of (3,1,1,1): no
         # 2-edge matching exists, so a degree-4 newcomer cannot be absorbed
         d = make_sequence([3, 1, 1, 1])
         assert not extension_feasible(d, 4)
-        assert not strong_extension_check(d, 4)
-
-    def test_validation(self):
-        d = make_sequence([2, 2, 2])
-        with pytest.raises(ValidationError):
-            strong_extension_check(d, 3)
-        with pytest.raises(ValidationError):
-            strong_extension_check(d, 4)
+        assert _extension_witness(d.degrees, 4) is None
 
     @pytest.mark.parametrize("delta", [3, -1, 0, -2, 4, 10**40])
-    def test_bad_delta_message_is_extension_feasibles(self, delta):
+    def test_bad_delta_message_is_extension_feasibles(self, delta, capsys):
+        # the command line asks the extension question through
+        # extension_feasible and prints its refusal as it is
         d = make_sequence([2, 2, 2])
         with pytest.raises(ValidationError) as feasible:
             extension_feasible(d, delta)
-        with pytest.raises(ValidationError) as strong:
-            strong_extension_check(d, delta)
-        assert str(strong.value) == str(feasible.value)
+        assert main(["extend", "--seq", d.to_text(), f"--delta={delta}"]) == 1
+        assert capsys.readouterr().err == f"ERROR VALIDATION: {feasible.value}\n"
 
     def test_bad_delta_reported_before_non_graphic_input(self):
         d = make_sequence([3, 3, 1, 1])
         for delta in (3, 6):
             with pytest.raises(ValidationError):
-                strong_extension_check(d, delta)
+                extension_feasible(d, delta)
         with pytest.raises(NotGraphicError):
-            strong_extension_check(d, 2)
+            extension_feasible(d, 2)
 
     def test_matches_feasibility_up_to_6(self):
         for d in all_graphic_sequences(6):
             for delta in range(2, d.n + 1, 2):
-                assert strong_extension_check(
-                    d, delta, max_n=6, max_degree_sum=30
-                ) == extension_feasible(d, delta), (d, delta)
+                assert (_extension_witness(d.degrees, delta) is not None) == extension_feasible(d, delta), (d, delta)
 
     def test_weak_form_matches_feasibility(self):
         # some realization has a matching of size delta/2  <=>  the augmented
@@ -712,7 +712,7 @@ def walk_extension_oracle(d, max_n):
 
 
 class TestStrongExtensionBySplits:
-    """The strong extension check is a split search: one labelled C, the
+    """The first theorem's oracle is a split search: one labelled C, the
     top delta vertices, and one M per multiset of degree pairs."""
 
     def test_matches_feasibility_up_to_9(self):
@@ -720,15 +720,14 @@ class TestStrongExtensionBySplits:
         for d in all_graphic_sequences(9):
             for delta in range(2, d.n + 1, 2):
                 pairs += 1
-                assert strong_extension_check(d, delta, max_n=9) == extension_feasible(d, delta), (d, delta)
+                assert (_extension_witness(d.degrees, delta) is not None) == extension_feasible(d, delta), (d, delta)
         assert pairs == 17066
 
     def test_every_witness_up_to_9_checks(self):
         witnesses = 0
         for d in all_graphic_sequences(9):
             for delta in range(2, d.n + 1, 2):
-                witness = enumeration._extension_witness(d.degrees, delta)
-                assert (witness is not None) == extension_feasible(d, delta), (d, delta)
+                witness = _extension_witness(d.degrees, delta)
                 if witness is not None:
                     check_extension_witness(d.degrees, delta, witness)
                     witnesses += 1
@@ -740,25 +739,16 @@ class TestStrongExtensionBySplits:
             walk = walk_extension_oracle(d, 7)
             for delta in range(2, d.n + 1, 2):
                 pairs += 1
-                assert strong_extension_check(d, delta, max_n=7) == (delta in walk), (d, delta)
+                assert (_extension_witness(d.degrees, delta) is not None) == (delta in walk), (d, delta)
         assert pairs == 990
 
     @pytest.mark.parametrize("text", ["3,3,2,2,2,0,0", "2,2,2,0"])
     def test_isolated_vertex_in_the_top_delta(self, text):
         d = parse_sequence(text)
         for delta in range(2, d.n + 1, 2):
-            assert strong_extension_check(d, delta) == (delta in walk_extension_oracle(d, 8)), (d, delta)
-
-    def test_degree_sum_cap_is_derived_from_n(self):
-        d = parse_sequence("4,4,4,4,4,4,4")  # degree sum 28, above the fixed cap of 24
-        assert strong_extension_check(d, 2)
-        with pytest.raises(CapExceededError):
-            strong_extension_check(d, 2, max_degree_sum=24)
-
-    def test_split_cap_admits_n_10(self):
-        assert strong_extension_check(parse_sequence(",".join(["1"] * 10)), 2)
-        with pytest.raises(CapExceededError, match="n=11 exceeds enumeration cap 10"):
-            strong_extension_check(parse_sequence(",".join(["1"] * 10 + ["0"])), 2)
+            witness = _extension_witness(d.degrees, delta)
+            assert (witness is not None) == (delta in walk_extension_oracle(d, 8)), (d, delta)
+            assert (witness is not None) == extension_feasible(d, delta), (d, delta)
 
     def test_no_realization_walk_and_no_blossom(self, monkeypatch):
         counts = Counter()
@@ -775,7 +765,7 @@ class TestStrongExtensionBySplits:
 
             monkeypatch.setattr(module, name, counting)
         answers = [
-            strong_extension_check(parse_sequence(text), delta)
+            _extension_witness(parse_sequence(text).degrees, delta) is not None
             for text, delta in (("2,2,2,2,2,2", 6), ("3,1,1,1", 4), ("4,4,3,3,3,2,2,1", 4), ("3,3,2,2,2,0,0", 6))
         ]
         assert answers == [True, False, True, False]

@@ -33,9 +33,9 @@ from degmatch import (
 )
 import degmatch
 from degmatch import dpg
-from degmatch.enumeration import _extension_witness, all_graphic_sequences, conjecture_scan, enumerate_realizations
+from degmatch.enumeration import all_graphic_sequences, conjecture_scan, enumerate_realizations
 from degmatch.graphs import EDGE_LIST_CAP, _greedy_matching, _index_order_blossom, _ranked_blossom
-from oracles import blossom_oracle, max_matching_exhaustive
+from oracles import _extension_witness, blossom_oracle, max_matching_exhaustive
 
 
 def all_graphs(n):
@@ -158,13 +158,14 @@ class TestMatchingType:
 
 
 class TestTrustedMatchings:
-    """The matching kernels and the two split searches build their matchings
+    """The matching kernels and the split search build their matchings
     with ``Matching._trusted``, which skips the checks of ``Matching``: every
-    such site must still hand out a valid matching. The growth policies'
-    selector hands out sorted edge lists, checked here through the
+    such site must still hand out a valid matching, and so must the first
+    theorem's oracle, which builds its matchings the same way. The growth
+    policies' selector hands out sorted edge lists, checked here through the
     validating constructor."""
 
-    SITES = {"max_matching", "greedy_maximal_matching", "min_maximal_matching", "_split_witness", "_extension_witness"}
+    SITES = {"max_matching", "greedy_maximal_matching", "min_maximal_matching", "_split_witness"}
 
     def test_the_sites_are_all_covered(self):
         found = set()

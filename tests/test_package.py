@@ -74,7 +74,6 @@ EXPORTS = {
         "enumerate_realizations",
         "count_realizations",
         "nu_bar_sequence",
-        "strong_extension_check",
         "all_graphic_sequences",
         "conjecture_scan",
         "rows_to_csv",
