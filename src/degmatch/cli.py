@@ -14,6 +14,10 @@ source group (``--seq | --seq-file``, bounds' extra ``--graph``, grow's own
 ``build_parser`` is one loop over the rows. Every int flag is read by
 ``_int``, through ``errors._integers``, the rule a --seq entry is read by.
 
+``main`` runs one argparse pass per call: an argv that starts with a
+command is read by that command's parser alone (``_parse_args``), with the
+result the two-level parse of ``build_parser`` gives.
+
 The parser needs only ``constants`` for its choices and defaults, and each
 ``_cmd_*`` imports the kernels it calls in its own body, so a call loads
 only the modules its command runs: ``check``, ``extend``, ``nu-star`` and
@@ -302,15 +306,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on first use and reused for the life of
-    the process: parsing leaves no state in it, and building it costs more
-    than most queries."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser ``main`` uses and its subcommands' parsers by name, built
+    on first use and reused for the life of the process: parsing leaves no
+    state in them, and building them costs more than most queries."""
+    parser = build_parser()
+    return parser, next(action for action in parser._actions if action.dest == "command").choices
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one argparse pass when
+    ``argv[0]`` names a subcommand: that subcommand's parser reads the rest,
+    and what it leaves is refused by the top-level parser, as the top-level
+    parser would refuse it. Any other argv, and one holding ``--`` or an
+    argument that begins ``--=`` goes through the top-level parser: it
+    reads ``--`` itself, and refuses ``--=x`` as an abbreviation of both
+    --help and --version, before it hands the rest to the command."""
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None or any(arg == "--" or arg.startswith("--=") for arg in argv):
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         result = args.func(args)
         result, code = result if isinstance(result, tuple) else (result, 0)

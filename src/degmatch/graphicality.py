@@ -149,21 +149,29 @@ def is_graphic_eg(d: DegreeSequence, *, check_all_k: bool = False) -> GraphicVer
     ``check_all_k`` forces the inequality at every k = 1..n instead of the
     restricted index set; both modes must agree (tested).
     """
-    runs = _run_form(d.degrees)
+    return _eg_verdict(_run_form(d.degrees), check_all_k)
+
+
+def _eg_verdict(runs: Runs, check_all_k: bool = False) -> GraphicVerdict:
+    """``is_graphic_eg``'s verdict on a sequence in run form."""
     if runs[2] and runs[2][-1] % 2:  # the degree sum is odd
         return GraphicVerdict(is_graphic=False, failing_k=None, parity_ok=False)
     k = _eg_first_violation(runs, check_all_k=check_all_k)
     return GraphicVerdict(is_graphic=k is None, failing_k=k)
 
 
-def require_graphic(d: DegreeSequence) -> None:
-    """Raise NotGraphicError, carrying the Erdos-Gallai verdict, unless ``d`` is graphic."""
-    verdict = is_graphic_eg(d)
+def require_graphic(d: DegreeSequence) -> Runs:
+    """Raise NotGraphicError, carrying the Erdos-Gallai verdict, unless ``d``
+    is graphic; return the run form it checked, for a caller that goes on
+    to use it."""
+    runs = _run_form(d.degrees)
+    verdict = _eg_verdict(runs)
     if not verdict.is_graphic:
         # a longer sequence is cut inside its first _SHOWN entries, which
         # hold more than _SHOWN characters
         shown = _shown(",".join(map(_shown_int, d.degrees[:_SHOWN])))
         raise NotGraphicError(f"sequence ({shown}) is not graphic", verdict)
+    return runs
 
 
 def is_graphic_hh(d: DegreeSequence) -> bool:
@@ -282,8 +290,7 @@ def extension_feasible(d: DegreeSequence, delta: int) -> bool:
     n <= 10.
     """
     _check_delta(delta, d.n)
-    require_graphic(d)
-    return _reduced_graphic(_run_form(d.degrees), delta)
+    return _reduced_graphic(require_graphic(d), delta)
 
 
 def _check_delta(delta: int, n: int) -> None:

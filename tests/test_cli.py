@@ -1,9 +1,11 @@
 """Tests for the command-line surface."""
 
+import argparse
 import hashlib
 import io
 import json
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -875,6 +877,86 @@ class TestOneParserPerProcess:
         assert forward[7][1] == "" and forward[7][3].startswith("n 6\n")
         assert forward[10][2].startswith("usage: degmatch realize")
         assert forward[11][1].startswith("degmatch ")
+
+
+ONE_PASS_CORPUS = [
+    ["check", "--seq=1,1"],
+    ["realize", "--seq", "2,2,2", "--format", "csv"],
+    ["bounds", "--graph", "g.txt", "--format", "json"],
+    ["delta-star", "--seq", "1,1"],
+    ["nu-star", "--seq-file", "x.seq", "--out", "out.txt"],
+    ["extend", "--seq", "2,2,2", "--delta", "2"],
+    ["grow", "--seq", "2,2,2", "--steps", "3", "--policy", "fixed:2", "--rng-seed", "-4", "--matching-policy", "first"],
+    ["family", "--kind", "half-graph", "--n", "6"],
+    ["enumerate", "--seq", "2,2,2,2", "--max-n", "5", "--max-sum", "9"],
+    ["scan-conjecture", "--max-n", "4", "--format", "json"],
+    [],
+    ["--help"],
+    ["--version"],
+    ["chek"],
+    ["--seq=1,1", "check"],
+    ["check", "--seq=1,1", "extra"],
+    ["check", "--seq=1,1", "--version"],
+    ["check", "-h"],
+    ["check", "--seq=1,1", "--form", "json"],
+    ["check", "--", "--seq=1,1"],
+    ["check", "--seq", "1,1", "--seq-file", "x.seq"],
+    ["check", "--seq=1,1", "--=x"],
+    ["check"],
+    ["extend", "--seq", "2,2", "--delta", "1_0"],
+    ["family", "--kind", "cycle", "--n", "4", "-x", "-y"],
+]
+
+
+def parsed(parse, argv, capsys):
+    """``parse(argv)``: the Namespace, or the exit code, with what was printed."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def two_level_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+class TestOneArgparsePass:
+    """main parses an argv that starts with a command in one argparse pass,
+    and gets what the parser from build_parser gets in two: the same
+    Namespace, every attribute included, or the same exit and output."""
+
+    @pytest.mark.parametrize("argv", ONE_PASS_CORPUS, ids=" ".join)
+    def test_same_as_two_level_parse(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = parsed(cli._parse_args, argv, capsys)
+        assert got == parsed(two_level_parse, argv, capsys)
+        if not isinstance(got[0], argparse.Namespace):
+            assert parsed(main, argv, capsys) == got
+
+    @pytest.mark.parametrize("argv", [["check", "--seq=1,1"], ["check", "--seq=1,1", "extra"], ["chek"]])
+    def test_argv_none_reads_sys_argv(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(sys, "argv", ["degmatch", *argv])
+        assert parsed(cli._parse_args, None, capsys) == parsed(two_level_parse, None, capsys)
+
+    @pytest.mark.parametrize(
+        "argv, passes",
+        [(["check", "--seq=1,1"], 1), (["check", "--seq=1,1", "extra"], 1), (["--seq=1,1", "check"], 2),
+         (["check", "--", "--seq=1,1"], 2)],
+    )
+    def test_passes(self, monkeypatch, capsys, argv, passes):
+        calls = []
+        original = argparse.ArgumentParser.parse_known_args
+
+        def counting(parser, *args, **kwargs):
+            calls.append(parser.prog)
+            return original(parser, *args, **kwargs)
+
+        cli._parser()  # built before counting
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        parsed(cli._parse_args, argv, capsys)
+        assert len(calls) == passes, calls
 
 
 GOLDEN_GRAPH = "n 7\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n"  # C6 and an isolated vertex

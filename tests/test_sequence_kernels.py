@@ -11,12 +11,14 @@ at the distinct degrees; ``_k_star`` and ``_matching_lower_bound`` bisect;
 ``_delta_star`` probes the run form without sorting, and the one
 Erdos-Gallai evaluator, ``_eg_first_violation``, checks the run form it is
 given, with or without runs that share a value; ``nu_star`` answers by
-delta_star / 2 alone; ``parse_sequence`` converts its entries in one pass;
+delta_star / 2 alone; ``parse_sequence`` converts each distinct entry once,
+or every entry in one pass;
 and ``degmatch realize`` prints straight from the Havel-Hakimi rows. Each is checked here
 against a literal loop or the form it replaced, and each lemma against
 every row it covers.
 """
 
+import random
 import re
 import sys
 from itertools import accumulate
@@ -34,10 +36,12 @@ from degmatch import (
     parse_sequence,
 )
 from degmatch import delta_star, nu_star, nu_star_formula
-from degmatch import graphicality
+from degmatch import graphicality, sequences
 from degmatch.bounds import _gale_ryser_bound, _k_star, _matching_lower_bound, _posa_bound
 from degmatch.cli import main
 from degmatch.enumeration import all_graphic_sequences
+from degmatch.errors import _integers
+from degmatch.families import half_graph
 from degmatch.graphicality import (
     _delta_star,
     _eg_first_violation,
@@ -357,10 +361,28 @@ JOINED = st.lists(st.tuples(st.integers(-3, 40), SEPARATORS), max_size=12).map(
     lambda items: "".join(f"{x}{sep}" for x, sep in items)[:-1]
 )
 SCRAMBLED = st.text(alphabet="0123456789,,, -+_\t\na　\x1c٣", max_size=24)
+# up to 60 entries from 14 tokens, so a text of 42 entries or more has at
+# most a third of them distinct and is converted per distinct token: one
+# value spelled several ways, and a rejected or negative token that sends
+# the text to the per-entry pass
+FEW_DISTINCT = st.lists(
+    st.sampled_from(["3", "03", "+3", " 3", "　3", "3 ", "1", "+01", "0", "-0", "12", "x", "-2", "٣"]),
+    max_size=60,
+).map(",".join)
+
+
+def i_mod_k_text(n, share):
+    """``i % k`` for i < n, k = share * n, shuffled: k distinct entries."""
+    values = [i % int(share * n) for i in range(n)]
+    random.Random(n).shuffle(values)
+    return ",".join(map(str, values))
+
+
+SHUFFLED_1000 = i_mod_k_text(1000, 1.0)
 
 
 class TestParseSequence:
-    @given(st.one_of(JOINED, SCRAMBLED))
+    @given(st.one_of(JOINED, SCRAMBLED, FEW_DISTINCT))
     @settings(max_examples=500)
     def test_same_result_or_message_as_per_part_route(self, text):
         got = outcome(parse_sequence, text)
@@ -378,7 +400,9 @@ class TestParseSequence:
     @pytest.mark.parametrize(
         "text",
         [" 3 ,2 , 1 ", "\t2,\n2", "+3,1,1,1", "", "   ", "x", "3,x", "2.5", "1e3", "-1", "3,-1", "3,2,", ",3",
-         "1_0", "٣", "3, ٣", "3,\u3000 1", "3,\x1c1", "1 2", "+-1", "٣,x", "x,-1", "-1,x"],
+         "1_0", "٣", "3, ٣", "3,\u3000 1", "3,\x1c1", "1 2", "+-1", "٣,x", "x,-1", "-1,x",
+         "3,03,+3, 3,\u30003,1,1,1,1,1,1,1,1,1,1,1,1,1", "1,1,1,1,1,1,1,1,1,3,x", "1,1,1,1,1,1,1,1,1,3,-3",
+         "03,3,3,3,3,3,3,3,3,3,+0,0"],
     )
     def test_corpus(self, text):
         assert outcome(parse_sequence, text) == outcome(parse_oracle, text)
@@ -397,6 +421,35 @@ class TestParseSequence:
             entries[position] = entry
         text = " , ".join(entries)
         assert outcome(parse_sequence, text) == outcome(parse_oracle, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [SHUFFLED_1000, ",".join(map(str, half_graph(1000).degree_sequence().degrees)),
+         i_mod_k_text(1000, 0.3), i_mod_k_text(1000, 0.5)],
+        ids=["shuffled-0..999", "half-graph-1000", "k/n=0.3", "k/n=0.5"],
+    )
+    def test_both_sides_of_the_count_rule(self, text):
+        # at most a third of the entries distinct (k/n = 0.3) is converted per
+        # distinct entry; more (the other three) per entry
+        assert outcome(parse_sequence, text) == outcome(parse_oracle, text)
+
+    def test_each_distinct_token_is_converted_once(self, monkeypatch):
+        calls = []
+
+        def recording(entries):
+            calls.append(list(entries))
+            return _integers(entries)
+
+        monkeypatch.setattr(sequences, "_integers", recording)
+        # test_long_texts' accepted text: 9 values in 11 distinct tokens, as
+        # its first and last entries have a space on one side only
+        text = " , ".join(str(i % 9) for i in range(100_000))
+        assert parse_sequence(text).n == 100_000
+        assert [len(entries) for entries in calls] == [11]
+        assert sorted(calls[0]) == sorted(token.strip() for token in set(text.split(",")))
+        calls.clear()
+        assert parse_sequence(SHUFFLED_1000).degrees == tuple(range(999, -1, -1))
+        assert [len(entries) for entries in calls] == [1000]
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int has no digit limit")
     def test_overlong_entries(self):
