@@ -345,17 +345,22 @@ def delta_star(d: DegreeSequence) -> int:
     Binary search over delta in [2, n]; valid because feasibility is
     monotone downward in delta.
     """
-    require_graphic(d)
+    runs = require_graphic(d)
     if d.max_degree == 0:
         raise ValidationError("delta_star undefined for an empty or all-zero sequence")
-    return _delta_star(d.degrees)
+    return _delta_star_of_runs(runs)
 
 
 def _delta_star(degs: tuple[int, ...]) -> int:
-    """Kernel of delta_star; ``degs`` has at least one positive entry.
-    The run form is built once, O(r log n), and each probe costs O(r)."""
-    runs = _run_form(degs)
-    best = bisect_left(range(1, len(degs) // 2 + 1), True, key=lambda mu: not _reduced_graphic(runs, 2 * mu))
+    """delta_star of an arranged graphic ``degs`` with at least one positive
+    entry, with no guard."""
+    return _delta_star_of_runs(_run_form(degs))
+
+
+def _delta_star_of_runs(runs: Runs) -> int:
+    """Kernel of delta_star, on the run form the guard built: each probe
+    costs O(r), and n is the last run end."""
+    best = bisect_left(range(1, runs[1][-1] // 2 + 1), True, key=lambda mu: not _reduced_graphic(runs, 2 * mu))
     if best == 0:
         raise InternalConsistencyError("no feasible extension for a non-zero graphic sequence")
     return 2 * best

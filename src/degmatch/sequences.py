@@ -134,20 +134,23 @@ def _counted(tokens: list[str]) -> DegreeSequence | None:
     ``_COUNTED_SHARE`` of the tokens are distinct, or one is rejected or
     negative."""
     # a set costs a third of a Counter, so a text with many distinct tokens
-    # pays little for the test
-    if len(set(tokens)) > _COUNTED_SHARE * len(tokens):
+    # pays little for the test; a rejected token sends the text to the
+    # per-entry pass before any count
+    distinct = set(tokens)
+    if len(distinct) > _COUNTED_SHARE * len(tokens):
         return None
-    counts = Counter(tokens)
     try:
-        values = _integers(list(map(str.strip, counts)))
+        values = _integers(list(map(str.strip, distinct)))
     except ValueError:
         return None
     if min(values) < 0:
         return None
+    counts = Counter(tokens)
     degrees: list[int] = []
+    # an unchanged set iterates in one order, so each value meets its token;
     # one value spelled two ways, as 3 and 03, sorts into two neighbouring runs
-    for value, count in sorted(zip(values, counts.values()), reverse=True):
-        degrees += [value] * count
+    for value, token in sorted(zip(values, distinct), reverse=True):
+        degrees += [value] * counts[token]
     return DegreeSequence._trusted(tuple(degrees))
 
 

@@ -5,8 +5,8 @@ the slow way, so the tests can check the kernel against them:
 ``max_matching_exhaustive`` against the blossom ``max_matching``, and
 ``blossom_oracle``, the blossom kernel as it was before its searches were
 bounded by their alternating trees, against ``max_matching`` and
-``_ranked_blossom`` edge for edge (the CI step "Blossom matches its oracle
-on grown graphs" runs it too);
+``_ranked_blossom`` edge for edge (``tests/test_scale.py`` runs it on
+grown graphs too);
 ``nu_star_brute`` against the closed form ``nu_star_formula`` and
 ``delta_star``; ``nu_star_scan``, the closed form (``closed_form_holds``)
 tried at every size from the top down, against the galloping
@@ -32,8 +32,8 @@ matching of delta/2 edges covering the delta largest degrees, and the
 search looks for that realization and matching with the package's split
 fold, so ``extension_feasible`` is checked against it.
 ``check_witness`` and ``check_extension_witness`` re-check a split
-search's (G, M) witness from its edge sets alone; the CI scan and
-first-theorem steps run them too, with ``PYTHONPATH=src:tests``.
+search's (G, M) witness from its edge sets alone; the scan and
+first-theorem checks at scale in ``tests/test_scale.py`` run them too.
 
 ``FAMILY_LOOPS`` builds each graph family by loops over its vertices and
 the validating ``Graph`` constructor, against the builders, which make

@@ -21,6 +21,7 @@ every row it covers.
 import random
 import re
 import sys
+from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -313,6 +314,23 @@ class TestRunFormKernelsAgainstOracles:
         assert _delta_star((5,) * 600) == 600
 
 
+class TestRunFormBuiltOnce:
+    """``delta_star`` and ``nu_star`` bisect on the run form the guard built."""
+
+    @pytest.mark.parametrize("fn,factor", [(delta_star, 1), (nu_star, 2)], ids=["delta_star", "nu_star"])
+    @pytest.mark.parametrize("degs", [(3, 3, 2, 2), skewed(800, 10), (5,) * 600], ids=["3322", "skewed-800", "5^600"])
+    def test_one_run_form_per_call(self, monkeypatch, fn, factor, degs):
+        calls = []
+
+        def counting(degs):
+            calls.append(1)
+            return _run_form(degs)
+
+        monkeypatch.setattr(graphicality, "_run_form", counting)
+        assert factor * fn(DegreeSequence(degs)) == delta_star_sorted(degs)
+        assert len(calls) == 1
+
+
 class TestNuStarIsHalfDeltaStar:
     """``nu_star`` answers by the extension search alone; the closed form
     must give the same number (the paper's first theorem)."""
@@ -450,6 +468,22 @@ class TestParseSequence:
         calls.clear()
         assert parse_sequence(SHUFFLED_1000).degrees == tuple(range(999, -1, -1))
         assert [len(entries) for entries in calls] == [1000]
+
+    def test_rejected_text_builds_no_counter(self, monkeypatch):
+        built = []
+
+        def recording(tokens):
+            built.append(len(tokens))
+            return Counter(tokens)
+
+        monkeypatch.setattr(sequences, "Counter", recording)
+        # few distinct tokens, one rejected: the set alone sends the text to
+        # the per-entry pass, which names the bad entry
+        for text in ["x," + ",".join(["3"] * 100_000), ",".join(["3"] * 100_000) + ",-1"]:
+            assert outcome(parse_sequence, text) == outcome(parse_oracle, text)
+        assert built == []
+        assert parse_sequence(",".join(["3"] * 100_000)).n == 100_000
+        assert built == [100_000]
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int has no digit limit")
     def test_overlong_entries(self):
