@@ -333,13 +333,13 @@ def _split_witness(degs: tuple[int, ...], cover: Sequence[int], pairs: Sequence[
     return Graph._trusted(n, m.union(h)), Matching._trusted(m, n)
 
 
-def all_graphic_sequences(n_max: int, *, min_n: int = 1) -> Iterator[DegreeSequence]:
+def all_graphic_sequences(n_max: int) -> Iterator[DegreeSequence]:
     """All arranged graphic sequences with positive entries and n <= n_max.
 
     Emitted in canonical order: by length, then lexicographically on the
     degree tuple.
     """
-    for n in range(min_n, n_max + 1):
+    for n in range(1, n_max + 1):
         found = []
         # drawn from a descending range, each combo is already arranged and positive
         for combo in combinations_with_replacement(range(n - 1, 0, -1), n):

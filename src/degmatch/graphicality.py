@@ -351,12 +351,6 @@ def delta_star(d: DegreeSequence) -> int:
     return _delta_star_of_runs(runs)
 
 
-def _delta_star(degs: tuple[int, ...]) -> int:
-    """delta_star of an arranged graphic ``degs`` with at least one positive
-    entry, with no guard."""
-    return _delta_star_of_runs(_run_form(degs))
-
-
 def _delta_star_of_runs(runs: Runs) -> int:
     """Kernel of delta_star, on the run form the guard built: each probe
     costs O(r), and n is the last run end."""

@@ -1,24 +1,33 @@
-"""Slow oracles that only the tests run.
+"""Slow oracles and shared inputs: the one module that the tests share.
 
-The package answers each question below by a fast kernel; these answer it
-the slow way, so the tests can check the kernel against them:
-``max_matching_exhaustive`` against the blossom ``max_matching``, and
-``blossom_oracle``, the blossom kernel as it was before its searches were
-bounded by their alternating trees, against ``max_matching`` and
-``_ranked_blossom`` edge for edge (``tests/test_scale.py`` runs it on
-grown graphs too);
-``nu_star_brute`` against the closed form ``nu_star_formula`` and
+No test module imports another; what more than one of them reads is
+written here, once.
+
+The package answers each question below by a fast kernel; the oracles
+answer it the slow way, so the tests can check the kernel against them:
+``max_matching_exhaustive``, a branching search, against the blossom
+``max_matching``; ``blossom_oracle``, the blossom kernel as it was before
+its searches were bounded by their alternating trees, against
+``max_matching`` and ``_ranked_blossom`` edge for edge (``tests/test_scale.py``
+runs it on grown graphs too); ``degree_vector_counts``, one walk over every
+labelled graph on n vertices (``labelled_edge_sets``, which ``all_graphs``
+also reads), and the two lookups in it, ``brute_count`` against
+``count_realizations`` and ``brute_realization_exists`` against the
+graphicality deciders; ``nu_star_brute``, which enumerates every
+realization, against the closed form ``nu_star_formula`` and
 ``delta_star``; ``nu_star_scan``, the closed form (``closed_form_holds``)
 tried at every size from the top down, against the galloping
-``_nu_star_formula``;
-``realize_output``, the text of ``sorted(realize_hh(d).edges)``, against
-``degmatch realize``, which prints from the Havel-Hakimi rows; and the
-forms the run-form sequence kernels replaced, kept as they were:
-``eg_first_violation_walk``, the Erdos-Gallai pointer walked one entry at
-a time over the flat sequence, against ``_eg_first_violation`` on the run
-form; ``extension_feasible_sorted`` and ``delta_star_sorted``, which sort
-the reduced sequence at every probe, against ``_reduced_graphic`` and
-``_delta_star``; and the linear scans ``maximality_scan`` and
+``_nu_star_formula``; ``realize_output``, the text of
+``sorted(realize_hh(d).edges)``, against ``degmatch realize``, which prints
+from the Havel-Hakimi rows; ``eg_first_violation_oracle``, the
+Erdos-Gallai inequality written term by term, against
+``_eg_first_violation`` on the run form; ``small_k_family_oracle`` and
+``gale_ryser_oracle``, the nu* small-k family and ell* term by term,
+against ``_small_k_holds`` and ``_gale_ryser_bound``; and the forms the
+run-form sequence kernels replaced, kept as they were:
+``extension_feasible_sorted`` and ``delta_star_sorted``, which sort the
+reduced sequence at every probe, against ``_reduced_graphic`` and
+``_delta_star_of_runs``, and the linear scans ``maximality_scan`` and
 ``matching_lower_scan`` against the bisections ``_k_star`` and
 ``_matching_lower_bound``.
 
@@ -32,8 +41,9 @@ matching of delta/2 edges covering the delta largest degrees, and the
 search looks for that realization and matching with the package's split
 fold, so ``extension_feasible`` is checked against it.
 ``check_witness`` and ``check_extension_witness`` re-check a split
-search's (G, M) witness from its edge sets alone; the scan and
-first-theorem checks at scale in ``tests/test_scale.py`` run them too.
+search's (G, M) witness from its edge sets alone, through one core that
+checks G's degrees and M's edges; the scan and first-theorem checks at
+scale in ``tests/test_scale.py`` run them too.
 
 ``FAMILY_LOOPS`` builds each graph family by loops over its vertices and
 the validating ``Graph`` constructor, against the builders, which make
@@ -41,21 +51,46 @@ normalized edges by rule and trust them; ``edge_list_text_by_adjacency``
 writes the edge-list text from the sorted adjacency, filtered to the
 larger neighbours, against ``Graph.to_edge_list_text``, which writes it
 from the edges.
+
+The shared inputs and helpers: ``eg`` and ``ell_star`` hand a kernel the
+run form or the prefix sums of an arranged tuple, and ``assert_eg_matches``
+checks ``eg`` against the definition in both modes; ``arranged`` gives every
+non-increasing tuple of a length; ``gnm_degree_sequence`` and
+``gnm_graph`` draw a seeded uniform random graph with n vertices and m
+edges, as its degree sequence or as the graph, and ``gnm_rows()`` is the
+15 seeded gnm(n, 4n) sequences with n <= 120 that the kernel checks share;
+``skewed(n, k)`` is (n-1)^k, k^(n-k); ``garbage_left`` counts what a call
+leaves for the cyclic collector; ``SCAN_UNIVERSE`` is the benchmark's
+stored scan answers, ``NINES`` a 4,000-digit int text, and ``OVER_CAP``
+each family's parameters just over the cap. Inputs that take time to
+build are functions, cached, so importing this module builds nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import json
-from collections import deque
+import random
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cache
+from itertools import accumulate, combinations, combinations_with_replacement
+from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from degmatch import enumeration
+from degmatch.bounds import _gale_ryser_bound, _k_star
 from degmatch.constants import DEFAULT_MAX_DEGREE_SUM, DEFAULT_MAX_N
 from degmatch.enumeration import Witness, enumerate_realizations
 from degmatch.errors import CapExceededError, InternalConsistencyError, ValidationError
-from degmatch.graphicality import _corrected_holds, _small_k_holds, realize_hh, require_graphic
+from degmatch.graphicality import (
+    _corrected_holds,
+    _eg_first_violation,
+    _run_form,
+    _small_k_holds,
+    realize_hh,
+    require_graphic,
+)
 from degmatch.graphs import Edge, Graph, Matching, max_matching
 from degmatch.sequences import DegreeSequence, make_sequence
 
@@ -243,8 +278,9 @@ def realize_output(d: DegreeSequence, fmt: str) -> str:
     return "\n".join([f"n {g.vertex_count}"] + [f"{u} {v}" for u, v in edges]) + "\n"
 
 
-def eg_first_violation_walk(degs: tuple[int, ...], check_all_k: bool = False) -> Optional[int]:
-    """Smallest checked k violating the Erdos-Gallai inequality, or None.
+def eg_first_violation_oracle(degs: tuple[int, ...], check_all_k: bool = False) -> Optional[int]:
+    """Smallest checked k with sum(d[:k]) > k(k-1) + sum(min(d_i, k), i >= k),
+    or None: the Erdos-Gallai inequality written term by term.
 
     Assumes ``degs`` arranged non-increasing with non-negative entries.
     By default only the indices that can matter are checked: k <= s with
@@ -252,24 +288,58 @@ def eg_first_violation_walk(degs: tuple[int, ...], check_all_k: bool = False) ->
     """
     n = len(degs)
     if check_all_k:
-        ks = list(range(1, n + 1))
+        ks = range(1, n + 1)
     else:
         s = 0
         while s < n and degs[s] > s:
             s += 1
-        if s == 0:  # all entries zero
-            return None
         ks = [k for k in range(1, s + 1) if k == s or degs[k - 1] > degs[k]]
-    # _capped_sum with c = k, inline: w = #{d_i >= k} only falls as k grows, so no bisect per k
-    prefix = [0, *accumulate(degs)]
-    w = n
     for k in ks:
-        while w and degs[w - 1] < k:
-            w -= 1
-        p = max(w, k)
-        if prefix[k] > k * (k - 1) + k * (p - k) + prefix[n] - prefix[p]:
+        if sum(degs[:k]) > k * (k - 1) + sum(min(x, k) for x in degs[k:]):
             return k
     return None
+
+
+def eg(degs: tuple[int, ...], check_all_k: bool = False) -> Optional[int]:
+    """The Erdos-Gallai evaluator on the run form of an arranged ``degs``."""
+    return _eg_first_violation(_run_form(degs), check_all_k)
+
+
+def assert_eg_matches(degs: tuple[int, ...]) -> None:
+    """The evaluator and the definition agree on an arranged ``degs``, in both modes."""
+    for check_all_k in (False, True):
+        assert eg(degs, check_all_k) == eg_first_violation_oracle(degs, check_all_k), (degs, check_all_k)
+
+
+def small_k_family_oracle(degs: tuple[int, ...], mu: int) -> bool:
+    """The nu* small-k family for a matching of size mu, term by term."""
+    delta = 2 * mu
+    n = len(degs)
+    for k in range(1, mu):
+        lhs = sum(degs[:k])
+        rhs = k * k + sum(min(degs[i] - (1 if i < delta else 0), k) for i in range(k, n))
+        if lhs > rhs:
+            return False
+    return True
+
+
+def gale_ryser_oracle(degs: tuple[int, ...]) -> int:
+    """Smallest ell whose top 2*ell degrees, less one each and capped at k,
+    dominate the next k degrees for every k."""
+    n = len(degs)
+    for ell in range(0, n // 2 + 1):
+        if all(
+            sum(min(degs[i] - 1, k) for i in range(2 * ell)) >= sum(degs[2 * ell : 2 * ell + k])
+            for k in range(1, n - 2 * ell + 1)
+        ):
+            return ell
+    raise AssertionError("no feasible ell")
+
+
+def ell_star(positive: tuple[int, ...]) -> int:
+    """``_gale_ryser_bound`` handed the prefix sums and k* of ``positive``."""
+    prefix = [0, *accumulate(positive)]
+    return _gale_ryser_bound(positive, prefix, _k_star(prefix))
 
 
 def extension_feasible_sorted(degs: tuple[int, ...], delta: int) -> bool:
@@ -280,7 +350,7 @@ def extension_feasible_sorted(degs: tuple[int, ...], delta: int) -> bool:
         return False
     # the reduced sum is even: degs is graphic and delta is even
     reduced = [x - 1 for x in degs[:delta]] + list(degs[delta:])
-    return eg_first_violation_walk(tuple(sorted(reduced, reverse=True))) is None
+    return eg_first_violation_oracle(tuple(sorted(reduced, reverse=True))) is None
 
 
 def delta_star_sorted(degs: tuple[int, ...]) -> int:
@@ -366,10 +436,10 @@ def augment(d: DegreeSequence, delta: int) -> DegreeSequence:
     return make_sequence(list(d.degrees) + [delta])
 
 
-def check_witness(degrees, size, witness):
-    """Independent checker for a (G, M) witness, reading only edge sets:
-    G's degrees are ``degrees``, M is a matching of G with ``size`` edges,
-    and every edge of G meets M."""
+def _graph_and_matching(degrees, witness) -> set[int]:
+    """The core of both witness checkers, reading only edge sets: G's
+    degrees are ``degrees`` and M is disjoint edges of G. Returns the
+    vertices M covers."""
     g, m = witness
     n = len(degrees)
     assert g.vertex_count == m.host_vertex_count == n
@@ -384,6 +454,14 @@ def check_witness(degrees, size, witness):
         assert (min(u, v), max(u, v)) in g.edges
         assert u not in covered and v not in covered
         covered.update((u, v))
+    return covered
+
+
+def check_witness(degrees, size, witness):
+    """Independent checker for a (G, M) witness: the core's conditions, M
+    has ``size`` edges, and every edge of G meets M."""
+    covered = _graph_and_matching(degrees, witness)
+    g, m = witness
     assert len(m.edges) == size
     assert all(u in covered or v in covered for u, v in g.edges)
 
@@ -413,21 +491,11 @@ def _extension_witness(degs: tuple[int, ...], delta: int) -> Optional[Witness]:
 
 
 def check_extension_witness(degrees, delta, witness):
-    """Independent checker for a strong-extension witness (G, M), reading
-    only edge sets: G's degrees are ``degrees``, M is delta/2 disjoint edges
-    of G, and the degrees M covers are the delta largest, as a multiset."""
-    g, m = witness
-    n = len(degrees)
-    assert g.vertex_count == m.host_vertex_count == n
-    deg = [0] * n
-    for u, v in g.edges:
-        assert 0 <= u < v < n
-        deg[u] += 1
-        deg[v] += 1
-    assert deg == list(degrees)
-    covered = [x for u, v in m.edges for x in (u, v)]
-    assert all((min(u, v), max(u, v)) in g.edges for u, v in m.edges)
-    assert len(m.edges) == delta // 2 and len(set(covered)) == delta
+    """Independent checker for a strong-extension witness (G, M): the core's
+    conditions, M has delta/2 edges, and the degrees M covers are the delta
+    largest, as a multiset."""
+    covered = _graph_and_matching(degrees, witness)
+    assert len(covered) == delta
     assert sorted(degrees[v] for v in covered) == sorted(degrees)[len(degrees) - delta:]
 
 
@@ -494,3 +562,108 @@ def edge_list_text_by_adjacency(g: Graph) -> str:
     writes from the edges alone."""
     lines = [f"{u} {v}" for u, nbrs in enumerate(g.adjacency()) for v in nbrs if v > u]
     return "\n".join([f"n {g.vertex_count}", *lines]) + "\n"
+
+
+def labelled_edge_sets(n: int) -> Iterator[list[Edge]]:
+    """The edge set of every labelled graph on n vertices: bit i of a mask
+    over ``combinations(range(n), 2)`` takes pair i, in mask order."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield [p for i, p in enumerate(pairs) if mask >> i & 1]
+
+
+def all_graphs(n: int) -> Iterator[Graph]:
+    for edges in labelled_edge_sets(n):
+        yield Graph(n, frozenset(edges))
+
+
+@cache
+def degree_vector_counts(n: int) -> Counter:
+    """How many labelled graphs on n vertices have each degree vector, by
+    one walk over their edge sets."""
+    counts = Counter()
+    for edges in labelled_edge_sets(n):
+        deg = [0] * n
+        for u, v in edges:
+            deg[u] += 1
+            deg[v] += 1
+        counts[tuple(deg)] += 1
+    return counts
+
+
+def brute_count(degrees) -> int:
+    """The number of labelled graphs with exactly this degree vector."""
+    return degree_vector_counts(len(degrees))[tuple(degrees)]
+
+
+def brute_realization_exists(degrees) -> bool:
+    return brute_count(degrees) > 0
+
+
+def arranged(n: int, top: int) -> Iterator[tuple[int, ...]]:
+    """Every non-increasing tuple of length n with entries in [0, top]."""
+    return combinations_with_replacement(range(top, -1, -1), n)
+
+
+def gnm_degree_sequence(n: int, m: int, seed: int) -> DegreeSequence:
+    """Degree sequence of a seeded uniform random graph with n vertices and m edges."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    degrees = [0] * n
+    for u, v in edges:
+        degrees[u] += 1
+        degrees[v] += 1
+    return make_sequence(degrees)
+
+
+@cache
+def gnm_rows() -> tuple[DegreeSequence, ...]:
+    return tuple(gnm_degree_sequence(n, 4 * n, seed) for n in (10, 20, 40, 80, 120) for seed in range(3))
+
+
+def gnm_graph(n: int, m: int, seed: int) -> Graph:
+    """A seeded uniform random graph with n vertices and m edges."""
+    pairs = list(combinations(range(n), 2))
+    return Graph(n, frozenset(random.Random(seed).sample(pairs, m)))
+
+
+def skewed(n: int, k: int) -> tuple[int, ...]:
+    """(n-1)^k, k^(n-k): k vertices joined to all others, the rest only to them."""
+    return (n - 1,) * k + (k,) * (n - k)
+
+
+def garbage_left(call) -> int:
+    """The number of unreachable objects that ``call()`` leaves for the
+    cyclic collector, measured with the collector paused."""
+    call()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# the exhaustive walk's answers, stored with the benchmark
+SCAN_UNIVERSE = Path(__file__).resolve().parent.parent / "bench" / "data" / "scan_universe.json"
+
+NINES = "9" * 4000
+
+# each kind's parameters just over the cap of 10**6 vertices or edges: one
+# step down, each of these families is at or under it
+OVER_CAP = {
+    "half-graph": {"n": 2002},  # 1001**2 edges
+    "windmill": {"t": 1, "l": 1415},  # 1415 * 1414 / 2 edges
+    "cycle": {"n": 10**6 + 1},
+    "path": {"n": 10**6 + 1},
+    "complete-bipartite": {"a": 1000, "b": 1001},
+    "disjoint-triangles": {"k": 333_334},  # 3k vertices and 3k edges
+    "disjoint-cliques": {"k": 1, "l": 1415},
+    "regular-circulant": {"n": 2000, "r": 1001},  # 2000 * 1001 / 2 edges
+}

@@ -72,7 +72,7 @@ def graphic_universe():
     """Graphic sequences: all with n <= 6, plus n = 7 within the sum cap."""
     seqs = list(all_graphic_sequences(6))
     seqs.extend(
-        d for d in all_graphic_sequences(7, min_n=7) if d.degree_sum <= N7_DEGREE_SUM_CAP
+        d for d in all_graphic_sequences(7) if d.n == 7 and d.degree_sum <= N7_DEGREE_SUM_CAP
     )
     return tuple(seqs)
 

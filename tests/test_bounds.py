@@ -1,6 +1,5 @@
 """Unit tests for the five sequence-level matching bounds."""
 
-import itertools
 import math
 import random
 from fractions import Fraction

@@ -4,60 +4,28 @@ The Erdos-Gallai evaluator ``_eg_first_violation`` reads every capped sum
 sum(min(d_i, c)) off the run form, the prefix sums at run ends; the closed
 form's two parts (``_small_k_holds`` and ``_corrected_holds``, joined in
 ``oracles.closed_form_holds``) and ``_gale_ryser_bound`` read them off the
-prefix sums. The slow oracles below write each sum out term by term, as the
-definitions do.
+prefix sums. The slow oracles, ``closed_form_oracle`` below and the rest in
+``tests/oracles.py``, write each sum out term by term, as the definitions do.
 """
 
-import random
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from degmatch import bound_report, make_sequence, nu_star
-from degmatch.bounds import _gale_ryser_bound, _k_star
 from degmatch.enumeration import all_graphic_sequences
-from degmatch.graphicality import _capped_sum, _eg_first_violation, _run_form
-from oracles import closed_form_holds
-
-
-def eg_first_violation_oracle(degs, check_all_k=False):
-    """Smallest checked k with sum(d[:k]) > k(k-1) + sum(min(d_i, k), i >= k)."""
-    n = len(degs)
-    if check_all_k:
-        ks = list(range(1, n + 1))
-    else:
-        s = 0
-        for i in range(1, n + 1):
-            if degs[i - 1] >= i:
-                s = i
-            else:
-                break
-        if s == 0:
-            return None
-        ks = [k for k in range(1, s + 1) if k == s or degs[k - 1] > degs[k]]
-    ki = 0
-    running = 0
-    for k in range(1, n + 1):
-        running += degs[k - 1]
-        if ki < len(ks) and ks[ki] == k:
-            ki += 1
-            rhs = k * (k - 1) + sum(min(x, k) for x in degs[k:])
-            if running > rhs:
-                return k
-    return None
-
-
-def small_k_family_oracle(degs, mu):
-    """The nu* small-k family for a matching of size mu, term by term."""
-    delta = 2 * mu
-    n = len(degs)
-    for k in range(1, mu):
-        lhs = sum(degs[:k])
-        rhs = k * k + sum(min(degs[i] - (1 if i < delta else 0), k) for i in range(k, n))
-        if lhs > rhs:
-            return False
-    return True
+from degmatch.graphicality import _capped_sum
+from oracles import (
+    arranged,
+    assert_eg_matches,
+    closed_form_holds,
+    ell_star,
+    gale_ryser_oracle,
+    gnm_degree_sequence,
+    gnm_rows,
+    small_k_family_oracle,
+)
 
 
 def closed_form_oracle(degs, mu):
@@ -73,59 +41,6 @@ def closed_form_oracle(degs, mu):
     lhs = sum(degs[:k]) - k + after
     rhs = k * (k - 1) + sum(min(degs[i] - (1 if degs[i] == dd else 0), k) for i in range(k, n))
     return lhs <= rhs
-
-
-def gale_ryser_oracle(degs):
-    """Smallest ell whose top 2*ell degrees, less one each and capped at k,
-    dominate the next k degrees for every k."""
-    n = len(degs)
-    for ell in range(0, n // 2 + 1):
-        if all(
-            sum(min(degs[i] - 1, k) for i in range(2 * ell)) >= sum(degs[2 * ell : 2 * ell + k])
-            for k in range(1, n - 2 * ell + 1)
-        ):
-            return ell
-    raise AssertionError("no feasible ell")
-
-
-def eg(degs, check_all_k=False):
-    """The Erdos-Gallai evaluator on the run form of an arranged ``degs``."""
-    return _eg_first_violation(_run_form(degs), check_all_k)
-
-
-def ell_star(positive):
-    """``_gale_ryser_bound`` handed the prefix sums and k* of ``positive``."""
-    prefix = [0, *accumulate(positive)]
-    return _gale_ryser_bound(positive, prefix, _k_star(prefix))
-
-
-def arranged(n, top):
-    """Every non-increasing tuple of length n with entries in [0, top]."""
-    return combinations_with_replacement(range(top, -1, -1), n)
-
-
-def gnm_degree_sequence(n, m, seed):
-    rng = random.Random(seed)
-    edges = set()
-    while len(edges) < m:
-        u, v = rng.sample(range(n), 2)
-        edges.add((min(u, v), max(u, v)))
-    degrees = [0] * n
-    for u, v in edges:
-        degrees[u] += 1
-        degrees[v] += 1
-    return make_sequence(degrees)
-
-
-GNM = [gnm_degree_sequence(n, 4 * n, seed) for n in (10, 20, 40, 80, 120) for seed in range(3)]
-
-
-def assert_eg_matches(degs):
-    for check_all_k in (False, True):
-        assert eg(degs, check_all_k) == eg_first_violation_oracle(degs, check_all_k), (
-            degs,
-            check_all_k,
-        )
 
 
 def assert_graphic_kernels_match(positive):
@@ -158,20 +73,10 @@ class TestCappedSum:
 
 
 class TestErdosGallaiOracle:
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_every_arranged_sequence(self, n):
-        # entries up to n: one above the largest graphic degree
-        for degs in arranged(n, n):
-            assert_eg_matches(degs)
-
     @given(st.lists(st.integers(min_value=0, max_value=40), max_size=40))
     @settings(max_examples=300)
     def test_drawn(self, values):
         assert_eg_matches(tuple(sorted(values, reverse=True)))
-
-    @pytest.mark.parametrize("d", GNM, ids=lambda d: f"n{d.n}")
-    def test_gnm(self, d):
-        assert_eg_matches(d.degrees)
 
 
 class TestGraphicKernelsOracle:
@@ -190,7 +95,7 @@ class TestGraphicKernelsOracle:
             degrees[v] += 1
         assert_graphic_kernels_match(make_sequence(degrees).strip_zeros()[0].degrees)
 
-    @pytest.mark.parametrize("d", GNM, ids=lambda d: f"n{d.n}")
+    @pytest.mark.parametrize("d", gnm_rows(), ids=lambda d: f"n{d.n}")
     def test_gnm(self, d):
         assert_graphic_kernels_match(d.strip_zeros()[0].degrees)
 

@@ -21,7 +21,7 @@ from degmatch.families import make_family
 from degmatch.graphicality import extension_feasible
 from degmatch.graphs import EDGE_LIST_CAP, Graph, min_maximal_matching
 from degmatch.sequences import DegreeSequence, make_sequence, parse_sequence
-from test_families import OVER_CAP
+from oracles import NINES, OVER_CAP
 
 
 def run(capsys, *argv):
@@ -465,8 +465,6 @@ class TestLongInputsAreCut:
             f"ERROR VALIDATION: unknown family kind '{'x' * 32}'…; known: {', '.join(FAMILY_KINDS)}",
         )
 
-
-NINES = "9" * 4000
 
 
 class TestHugeIntsAreCut:

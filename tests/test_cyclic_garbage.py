@@ -5,7 +5,6 @@ the collector, empties it, makes the call and asserts that a full
 collection then finds no unreachable object. The call runs once first,
 so that a first call's imports and caches are not counted."""
 
-import gc
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -23,22 +22,7 @@ from degmatch.enumeration import (
 from degmatch.families import cycle, regular_circulant, windmill
 from degmatch.graphs import min_maximal_matching
 from degmatch.sequences import parse_sequence
-from oracles import _extension_witness
-
-
-def garbage_left(call) -> int:
-    """The number of unreachable objects that ``call()`` leaves for the
-    cyclic collector, measured with the collector paused."""
-    call()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        gc.collect()
-        call()
-        return gc.collect()
-    finally:
-        if enabled:
-            gc.enable()
+from oracles import _extension_witness, garbage_left
 
 
 def cli(*argv: str) -> None:

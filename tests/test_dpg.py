@@ -1,9 +1,7 @@
 """Unit tests for degree-preserving growth."""
 
 import hashlib
-import itertools
 import json
-import random
 
 import pytest
 
@@ -25,6 +23,7 @@ from degmatch import (
     pinch,
     windmill,
 )
+from oracles import gnm_graph
 
 
 class TestFeasibleDeltas:
@@ -213,11 +212,6 @@ class TestTraceSerialization:
 def never_called(g, size, rng):
     """A callable in place of a matching policy, which must be refused."""
     pytest.fail("a callable matching policy was called")
-
-
-def gnm_graph(n, m, seed):
-    pairs = list(itertools.combinations(range(n), 2))
-    return Graph(n, frozenset(random.Random(seed).sample(pairs, m)))
 
 
 GOLDEN_SEEDS = {"cycle": cycle(9), "windmill": windmill(3, 3), "gnm": gnm_graph(30, 60, 3)}

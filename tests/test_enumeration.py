@@ -5,8 +5,6 @@ import itertools
 import json
 import random
 from collections import Counter
-from functools import lru_cache
-from pathlib import Path
 
 import pytest
 
@@ -18,7 +16,6 @@ from degmatch import (
     all_graphic_sequences,
     conjecture_scan,
     count_realizations,
-    delta_star,
     enumerate_realizations,
     extension_feasible,
     is_graphic_eg,
@@ -26,37 +23,20 @@ from degmatch import (
     max_matching,
     min_maximal_matching,
     nu_bar_sequence,
-    nu_star_formula,
     parse_sequence,
     rows_to_csv,
 )
 from degmatch import enumeration, graphicality, graphs, sequences
 from degmatch.cli import main
 from degmatch.enumeration import SPLIT_MAX_N, ConjectureRow, _completions
-from oracles import _extension_witness, check_extension_witness, check_witness, nu_star_brute
-
-SCAN_UNIVERSE = Path(__file__).resolve().parent.parent / "bench" / "data" / "scan_universe.json"
-
-
-@lru_cache(maxsize=None)
-def degree_vector_counts(n):
-    """Independent oracle: walk all labelled graphs on n vertices once and
-    count how many have each degree vector."""
-    pairs = list(itertools.combinations(range(n), 2))
-    counts = Counter()
-    for mask in range(1 << len(pairs)):
-        deg = [0] * n
-        for i, (u, v) in enumerate(pairs):
-            if mask >> i & 1:
-                deg[u] += 1
-                deg[v] += 1
-        counts[tuple(deg)] += 1
-    return counts
-
-
-def brute_count(degrees):
-    """Independent oracle: the number of labelled graphs with exactly this degree vector."""
-    return degree_vector_counts(len(degrees))[tuple(degrees)]
+from oracles import (
+    SCAN_UNIVERSE,
+    _extension_witness,
+    brute_count,
+    check_extension_witness,
+    check_witness,
+    nu_star_brute,
+)
 
 
 class TestEnumerate:
@@ -409,7 +389,9 @@ class TestDeadStates:
     or without."""
 
     def test_every_split_witness_host_at_7(self, hosts, combination_calls):
-        for d in all_graphic_sequences(7, min_n=7):
+        for d in all_graphic_sequences(7):
+            if d.n < 7:
+                continue
             degs = d.degrees
             for ell in range(1, d.n // 2 + 1):
                 for cover in enumeration._cover_splits(degs, 2 * ell):
@@ -442,11 +424,6 @@ class TestNuStarBrute:
     def test_rejects_non_graphic(self):
         with pytest.raises(NotGraphicError):
             nu_star_brute(make_sequence([3, 3, 1, 1]))
-
-    def test_three_way_agreement_small(self):
-        for d in all_graphic_sequences(5):
-            brute = nu_star_brute(d, max_n=5, max_degree_sum=20)
-            assert brute == delta_star(d) // 2 == nu_star_formula(d), d
 
 
 class TestNuBar:
@@ -674,11 +651,6 @@ class TestStrongExtension:
         with pytest.raises(NotGraphicError):
             extension_feasible(d, 2)
 
-    def test_matches_feasibility_up_to_6(self):
-        for d in all_graphic_sequences(6):
-            for delta in range(2, d.n + 1, 2):
-                assert (_extension_witness(d.degrees, delta) is not None) == extension_feasible(d, delta), (d, delta)
-
     def test_weak_form_matches_feasibility(self):
         # some realization has a matching of size delta/2  <=>  the augmented
         # sequence is graphic (no covering requirement on the weak side)
@@ -715,23 +687,17 @@ class TestStrongExtensionBySplits:
     """The first theorem's oracle is a split search: one labelled C, the
     top delta vertices, and one M per multiset of degree pairs."""
 
-    def test_matches_feasibility_up_to_9(self):
-        pairs = 0
+    def test_matches_feasibility_and_every_witness_checks_up_to_9(self):
+        pairs = witnesses = 0
         for d in all_graphic_sequences(9):
             for delta in range(2, d.n + 1, 2):
                 pairs += 1
-                assert (_extension_witness(d.degrees, delta) is not None) == extension_feasible(d, delta), (d, delta)
-        assert pairs == 17066
-
-    def test_every_witness_up_to_9_checks(self):
-        witnesses = 0
-        for d in all_graphic_sequences(9):
-            for delta in range(2, d.n + 1, 2):
                 witness = _extension_witness(d.degrees, delta)
+                assert (witness is not None) == extension_feasible(d, delta), (d, delta)
                 if witness is not None:
                     check_extension_witness(d.degrees, delta, witness)
                     witnesses += 1
-        assert witnesses == 16691
+        assert (pairs, witnesses) == (17066, 16691)
 
     def test_matches_the_realization_walk_up_to_7(self):
         pairs = 0
@@ -780,7 +746,7 @@ class TestGraphicSequenceIteration:
             for combo in itertools.combinations_with_replacement(range(n - 1, 0, -1), n):
                 if sum(combo) % 2 == 0 and is_graphic_eg(make_sequence(list(combo))).is_graphic:
                     expected += 1
-            got = sum(1 for d in all_graphic_sequences(n, min_n=n))
+            got = sum(1 for d in all_graphic_sequences(n) if d.n == n)
             assert got == expected
 
     def test_canonical_order(self):

@@ -17,26 +17,12 @@ from degmatch import (
     disjoint_triangles,
     half_graph,
     make_family,
-    make_sequence,
     max_matching,
     path,
     regular_circulant,
     windmill,
 )
-from oracles import FAMILY_LOOPS, edge_list_text_by_adjacency
-
-# each kind's parameters just over the cap of 10**6 vertices or edges: one
-# step down, each of these families is at or under it
-OVER_CAP = {
-    "half-graph": {"n": 2002},  # 1001**2 edges
-    "windmill": {"t": 1, "l": 1415},  # 1415 * 1414 / 2 edges
-    "cycle": {"n": 10**6 + 1},
-    "path": {"n": 10**6 + 1},
-    "complete-bipartite": {"a": 1000, "b": 1001},
-    "disjoint-triangles": {"k": 333_334},  # 3k vertices and 3k edges
-    "disjoint-cliques": {"k": 1, "l": 1415},
-    "regular-circulant": {"n": 2000, "r": 1001},  # 2000 * 1001 / 2 edges
-}
+from oracles import FAMILY_LOOPS, OVER_CAP, edge_list_text_by_adjacency
 
 # small cases of every kind, whose counts are read off the built graphs
 SMALL = [

@@ -1,6 +1,5 @@
 """Unit tests for graphicality decisions, realizations, and nu_star."""
 
-import hashlib
 import itertools
 import random
 from functools import lru_cache
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from degmatch import (
-    Graph,
     InternalConsistencyError,
     NotGraphicError,
     ValidationError,
@@ -24,24 +22,7 @@ from degmatch import (
     realize_hh,
 )
 from degmatch import graphicality
-from degmatch.cli import main
-from oracles import SupportSet, augment, left_shift_leq
-
-
-def brute_realization_exists(degrees):
-    """Independent oracle: scan every labelled graph on n vertices."""
-    n = len(degrees)
-    pairs = list(itertools.combinations(range(n), 2))
-    target = tuple(degrees)
-    for mask in range(1 << len(pairs)):
-        deg = [0] * n
-        for i, (u, v) in enumerate(pairs):
-            if mask >> i & 1:
-                deg[u] += 1
-                deg[v] += 1
-        if tuple(deg) == target:
-            return True
-    return False
+from oracles import SupportSet, augment, brute_realization_exists, gnm_degree_sequence, left_shift_leq
 
 
 arranged_sequences = st.lists(
@@ -245,39 +226,6 @@ class TestRealizeMatchesOracle:
         assert (checked, checked - failed) == (17577, 1707)
 
 
-class TestRealizePins:
-    """SHA-256 of ``degmatch realize --format json`` on the n = 3200 inputs of
-    the CI step, as the reference rule writes them."""
-
-    @staticmethod
-    def gnm_3200():
-        rng = random.Random(0)
-        n, m = 3200, 12800
-        edges = set()
-        while len(edges) < m:
-            u, v = rng.sample(range(n), 2)
-            edges.add((min(u, v), max(u, v)))
-        degrees = [0] * n
-        for u, v in edges:
-            degrees[u] += 1
-            degrees[v] += 1
-        return ",".join(map(str, degrees))
-
-    @pytest.mark.parametrize(
-        "name,digest",
-        [
-            ("gnm", "e942cf4f3ebda0b59abfc05484db4091d1d5fc1b2777206dc8029a6550437e45"),
-            ("skewed", "96d809ad5802117e1c77a3546a81e10c4443f915ecb266fb2bca52c2128af210"),
-        ],
-    )
-    def test_realize_json_digest(self, tmp_path, name, digest):
-        text = self.gnm_3200() if name == "gnm" else ",".join(["3199"] * 12 + ["12"] * 3188)
-        seq, out = tmp_path / f"{name}-3200.seq", tmp_path / f"realize-{name}-3200.json"
-        seq.write_text(text)
-        assert main(["realize", "--seq-file", str(seq), "--format", "json", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-
 class TestExtension:
     @pytest.mark.parametrize(
         "degrees,delta",
@@ -355,20 +303,6 @@ class TestDeltaStarAndNuStar:
         assert delta_star(d) == d.n
 
 
-def gnm_degree_sequence(n, m, seed):
-    """Degree sequence of a seeded uniform random graph with n vertices and m edges."""
-    rng = random.Random(seed)
-    edges = set()
-    while len(edges) < m:
-        u, v = rng.sample(range(n), 2)
-        edges.add((min(u, v), max(u, v)))
-    degrees = [0] * n
-    for u, v in edges:
-        degrees[u] += 1
-        degrees[v] += 1
-    return make_sequence(degrees)
-
-
 class TestValidateOnce:
     """A public function runs the Erdos-Gallai guard once; the kernels behind
     it never repeat it."""
@@ -430,44 +364,3 @@ class TestLeftShiftLemma:
                     assert graphic(moved), (
                         d, support, shifted,
                     )
-
-
-class TestReductionEquivalence:
-    """Reducing the top 2*mu entries is graphic iff some realization has a
-    mu-edge matching (checked by brute force over labelled graphs)."""
-
-    def brute_max_nu(self, degrees):
-        n = len(degrees)
-        pairs = list(itertools.combinations(range(n), 2))
-        best = 0
-        for mask in range(1 << len(pairs)):
-            deg = [0] * n
-            edges = []
-            for i, (u, v) in enumerate(pairs):
-                if mask >> i & 1:
-                    deg[u] += 1
-                    deg[v] += 1
-                    edges.append((u, v))
-            if tuple(deg) != tuple(degrees):
-                continue
-            best = max(best, self.greedy_exact_nu(n, edges))
-        return best
-
-    @staticmethod
-    def greedy_exact_nu(n, edges):
-        best = 0
-        for r in range(len(edges), 0, -1):
-            for combo in itertools.combinations(edges, r):
-                verts = [v for e in combo for v in e]
-                if len(set(verts)) == 2 * r:
-                    return r
-        return best
-
-    @pytest.mark.parametrize(
-        "degrees", [[2, 2, 2], [1, 1, 1, 1], [3, 3, 2, 2], [2, 2, 2, 2, 2]]
-    )
-    def test_small_sequences(self, degrees):
-        d = make_sequence(degrees)
-        brute = self.brute_max_nu(degrees)
-        for mu in range(1, d.n // 2 + 1):
-            assert extension_feasible(d, 2 * mu) == (mu <= brute)

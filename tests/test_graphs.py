@@ -35,13 +35,7 @@ import degmatch
 from degmatch import dpg
 from degmatch.enumeration import all_graphic_sequences, conjecture_scan, enumerate_realizations
 from degmatch.graphs import EDGE_LIST_CAP, _greedy_matching, _index_order_blossom, _ranked_blossom
-from oracles import _extension_witness, blossom_oracle, max_matching_exhaustive
-
-
-def all_graphs(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield Graph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
+from oracles import _extension_witness, all_graphs, blossom_oracle, gnm_graph, max_matching_exhaustive
 
 
 def random_graph(rng, n, p):
@@ -178,7 +172,7 @@ class TestTrustedMatchings:
 
     def test_every_site_hands_out_a_valid_matching(self):
         small = [g for n in range(1, 7) for g in all_graphs(n)][::11]
-        for g in small + [gnm(30, 60, seed) for seed in range(4)] + c6_chain_graphs(60, 20):
+        for g in small + [gnm_graph(30, 60, seed) for seed in range(4)] + c6_chain_graphs(60, 20):
             full = max_matching(g)
             assert verify_matching(g, full)
             assert verify_matching(g, greedy_maximal_matching(g, 3), require_maximal=True)
@@ -304,11 +298,6 @@ class TestBlossomVisitOrder:
         self.assert_same_as_relabelled(g, random.Random(g.vertex_count), shuffles=20)
 
 
-def gnm(n, m, seed):
-    pairs = list(itertools.combinations(range(n), 2))
-    return Graph(n, frozenset(random.Random(seed).sample(pairs, m)))
-
-
 def chain_graphs(g0, steps, delta_policy, matching_policy, every, rng_seed=17):
     """Every ``every``-th graph of a seeded chain grown from ``g0``."""
     trace = grow(g0, steps, delta_policy, rng_seed, matching_policy)
@@ -377,7 +366,7 @@ class TestBlossomOracle:
 
     @pytest.mark.parametrize("n", [2, 5, 10, 25, 50, 100, 200, 400, 800])
     def test_gnm_2n(self, n):
-        g = gnm(n, min(2 * n, n * (n - 1) // 2), n)
+        g = gnm_graph(n, min(2 * n, n * (n - 1) // 2), n)
         self.assert_matches_oracle(g, random.Random(n))
 
     def test_c6_chain(self):
@@ -419,7 +408,7 @@ class TestBlossomOracle:
         # of failed trees; every 5th of 40 from the half graph: near-perfect
         # matchings whose searches contract up to 70 blossoms per graph
         if seed == "gnm":
-            g0, steps, every = gnm(100, 200, 100), 20, 4
+            g0, steps, every = gnm_graph(100, 200, 100), 20, 4
         else:
             g0, steps, every = half_graph(40), 40, 5
         rng = random.Random(g0.vertex_count)
@@ -448,9 +437,7 @@ class TestBlossomOracle:
         rng = random.Random(6)
         count = 0
         for n in range(1, 7):
-            pairs = list(itertools.combinations(range(n), 2))
-            for mask in range(1 << len(pairs)):
-                g = Graph(n, frozenset(e for i, e in enumerate(pairs) if mask >> i & 1))
+            for g in all_graphs(n):
                 assert max_matching(g).edges == blossom_oracle(g), g
                 if rng.random() < 0.05:
                     rank = list(range(n))

@@ -46,13 +46,18 @@ from degmatch import (
     regular_circulant,
 )
 from degmatch.graphs import _ranked_blossom
-from oracles import _extension_witness, blossom_oracle, check_extension_witness, check_witness
-from test_capped_sum import gnm_degree_sequence
-from test_cli import NINES
-from test_cyclic_garbage import garbage_left
-from test_dpg import gnm_graph
-from test_enumeration import SCAN_UNIVERSE
-from test_sequence_kernels import skewed
+from oracles import (
+    NINES,
+    SCAN_UNIVERSE,
+    _extension_witness,
+    blossom_oracle,
+    check_extension_witness,
+    check_witness,
+    garbage_left,
+    gnm_degree_sequence,
+    gnm_graph,
+    skewed,
+)
 
 pytestmark = pytest.mark.scale
 

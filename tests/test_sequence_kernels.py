@@ -8,7 +8,7 @@ lemma); ``_nu_star_formula`` gallops the same way to the
 largest mu its small-k family admits, which is sound only because that
 family is downward closed in mu; ``_posa_bound`` reads r off prefix maxima
 at the distinct degrees; ``_k_star`` and ``_matching_lower_bound`` bisect;
-``_delta_star`` probes the run form without sorting, and the one
+``_delta_star_of_runs`` probes the run form without sorting, and the one
 Erdos-Gallai evaluator, ``_eg_first_violation``, checks the run form it is
 given, with or without runs that share a value; ``nu_star`` answers by
 delta_star / 2 alone; ``parse_sequence`` converts each distinct entry once,
@@ -44,7 +44,7 @@ from degmatch.enumeration import all_graphic_sequences
 from degmatch.errors import _integers
 from degmatch.families import half_graph
 from degmatch.graphicality import (
-    _delta_star,
+    _delta_star_of_runs,
     _eg_first_violation,
     _gallop,
     _nu_star_formula,
@@ -53,30 +53,25 @@ from degmatch.graphicality import (
     _small_k_holds,
 )
 from oracles import (
+    arranged,
+    assert_eg_matches,
     delta_star_sorted,
-    eg_first_violation_walk,
+    eg,
+    eg_first_violation_oracle,
+    ell_star,
     extension_feasible_sorted,
+    gale_ryser_oracle,
+    gnm_degree_sequence,
+    gnm_rows,
     matching_lower_scan,
     maximality_scan,
     nu_star_scan,
     realize_output,
-)
-from test_capped_sum import (
-    GNM,
-    arranged,
-    eg,
-    ell_star,
-    gale_ryser_oracle,
-    gnm_degree_sequence,
+    skewed,
     small_k_family_oracle,
 )
 
 GRAPHIC_UP_TO_9 = [d.degrees for d in all_graphic_sequences(9)]
-
-
-def skewed(n, k):
-    """(n-1)^k, k^(n-k): k vertices joined to all others, the rest only to them."""
-    return (n - 1,) * k + (k,) * (n - k)
 
 
 SKEWED = [skewed(n, k) for n in (2, 3, 5, 8, 13, 21, 34) for k in sorted({1, 2, 3, n // 4, n // 2, n - 1}) if 1 <= k < n]
@@ -138,7 +133,7 @@ class TestGaleRyserMonotone:
 INPUTS = [
     *GRAPHIC_UP_TO_9,
     *SKEWED,
-    *(d.strip_zeros()[0].degrees for d in GNM),
+    *(d.strip_zeros()[0].degrees for d in gnm_rows()),
 ]
 
 
@@ -229,17 +224,17 @@ EDGE_CASES = [
     (3,) * 4,  # K_4: delta = n infeasible
     (7,) * 8,
 ]
-GRAPHIC_ROWS = [*GRAPHIC_UP_TO_9, *SKEWED, *(d.degrees for d in GNM), *EDGE_CASES]
+GRAPHIC_ROWS = [*GRAPHIC_UP_TO_9, *SKEWED, *(d.degrees for d in gnm_rows()), *EDGE_CASES]
 
 
 def assert_run_form_kernels(degs):
     """Every new sequence kernel equals the form it replaced, on a graphic ``degs``."""
     for check_all_k in (False, True):
-        assert eg(degs, check_all_k) == eg_first_violation_walk(degs, check_all_k) is None, degs
+        assert eg(degs, check_all_k) == eg_first_violation_oracle(degs, check_all_k) is None, degs
     for delta in range(2, len(degs) + 1, 2):
         assert _reduced_graphic(_run_form(degs), delta) == extension_feasible_sorted(degs, delta), (degs, delta)
     if any(degs):
-        assert _delta_star(degs) == delta_star_sorted(degs), degs
+        assert _delta_star_of_runs(_run_form(degs)) == delta_star_sorted(degs), degs
     positive = tuple(x for x in degs if x)
     prefix = [0, *accumulate(positive)]
     assert _k_star(prefix) == maximality_scan(positive), degs
@@ -266,9 +261,10 @@ def split_run_forms(degs):
 
 
 class TestRunFormKernelsAgainstOracles:
-    """The run-form kernels against the forms they replaced, kept in
-    ``tests/oracles.py``: the sort per delta_star probe, the Erdos-Gallai
-    pointer walked one entry at a time, and the linear k* and noP3 scans."""
+    """The run-form kernels against the forms they replaced and the
+    Erdos-Gallai definition, kept in ``tests/oracles.py``: the sort per
+    delta_star probe, the inequality written term by term, and the linear
+    k* and noP3 scans."""
 
     def test_graphic_rows(self):
         for degs in GRAPHIC_ROWS:
@@ -283,14 +279,13 @@ class TestRunFormKernelsAgainstOracles:
     def test_eg_on_every_arranged_sequence(self, n):
         # entries up to n: one above the largest graphic degree
         for degs in arranged(n, n):
-            for check_all_k in (False, True):
-                assert eg(degs, check_all_k) == eg_first_violation_walk(degs, check_all_k), degs
+            assert_eg_matches(degs)
 
     def test_eg_on_split_runs(self):
         checked = 0
         for n in range(1, 9):
             for degs in arranged(n, n):
-                first, every = eg_first_violation_walk(degs), eg_first_violation_walk(degs, True)
+                first, every = eg_first_violation_oracle(degs), eg_first_violation_oracle(degs, True)
                 for runs in split_run_forms(degs):
                     # an extra run end below s may fail before the first k of the
                     # arranged index set, so only the verdict must agree there
@@ -302,16 +297,15 @@ class TestRunFormKernelsAgainstOracles:
     @given(ARRANGED_RUNS)
     @settings(max_examples=300)
     def test_eg_on_long_runs(self, degs):
-        for check_all_k in (False, True):
-            assert eg(degs, check_all_k) == eg_first_violation_walk(degs, check_all_k), degs
+        assert_eg_matches(degs)
 
     def test_delta_probes_sort_nothing(self, monkeypatch):
         def no_sort(*args, **kwargs):
             raise AssertionError("a delta_star probe sorted")
 
         monkeypatch.setattr(graphicality, "sorted", no_sort, raising=False)
-        assert _delta_star(skewed(800, 10)) == 20
-        assert _delta_star((5,) * 600) == 600
+        assert _delta_star_of_runs(_run_form(skewed(800, 10))) == 20
+        assert _delta_star_of_runs(_run_form((5,) * 600)) == 600
 
 
 class TestRunFormBuiltOnce:
@@ -343,7 +337,7 @@ class TestNuStarIsHalfDeltaStar:
         assert rows == 4360 + 11655
 
     def test_hubs_and_gnm(self):
-        for d in [*(DegreeSequence(degs) for degs in SKEWED), *GNM]:
+        for d in [*(DegreeSequence(degs) for degs in SKEWED), *gnm_rows()]:
             assert delta_star(d) == 2 * nu_star_formula(d) == 2 * nu_star(d), d
 
     def test_all_zero_message(self):
@@ -539,7 +533,7 @@ class TestNuStarGallop:
             values = small_k_values(degs)
             assert values == [small_k_family_oracle(degs, mu) for mu in range(1, len(degs) // 2 + 1)], degs
             assert values == sorted(values, reverse=True), degs
-        for degs in [*SKEWED, *(d.strip_zeros()[0].degrees for d in GNM)]:
+        for degs in [*SKEWED, *(d.strip_zeros()[0].degrees for d in gnm_rows())]:
             values = small_k_values(degs)
             assert values == sorted(values, reverse=True), degs
 
