@@ -687,17 +687,23 @@ class TestStrongExtensionBySplits:
     """The first theorem's oracle is a split search: one labelled C, the
     top delta vertices, and one M per multiset of degree pairs."""
 
-    def test_matches_feasibility_and_every_witness_checks_up_to_9(self):
-        pairs = witnesses = 0
+    def test_matches_feasibility_up_to_9(self):
+        pairs = 0
         for d in all_graphic_sequences(9):
             for delta in range(2, d.n + 1, 2):
                 pairs += 1
+                assert (_extension_witness(d.degrees, delta) is not None) == extension_feasible(d, delta), (d, delta)
+        assert pairs == 17066
+
+    def test_every_witness_up_to_9_checks(self):
+        witnesses = 0
+        for d in all_graphic_sequences(9):
+            for delta in range(2, d.n + 1, 2):
                 witness = _extension_witness(d.degrees, delta)
-                assert (witness is not None) == extension_feasible(d, delta), (d, delta)
                 if witness is not None:
                     check_extension_witness(d.degrees, delta, witness)
                     witnesses += 1
-        assert (pairs, witnesses) == (17066, 16691)
+        assert witnesses == 16691
 
     def test_matches_the_realization_walk_up_to_7(self):
         pairs = 0
